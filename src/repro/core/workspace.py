@@ -7,7 +7,7 @@ HDFS's edit log is not: a crash mid-write leaves a truncated file, a
 flipped byte produces an opaque ``UnpicklingError`` pages deep in the
 pickle machinery, and nothing says which tool or version wrote the file.
 
-Format v2 wraps the pickle payload in a small header::
+The format wraps the pickle payload in a small header::
 
     REPROWS\\n | version (u8) | payload crc32 (u32 BE) | payload length (u64 BE) | payload
 
@@ -17,9 +17,12 @@ reader never observes a half-written workspace. Loading verifies magic,
 version, length and CRC before unpickling and raises a structured
 :class:`WorkspaceError` subclass (never a raw ``UnpicklingError``).
 
-Files written by earlier releases (plain pickles, no header) still load:
-anything that does not start with the magic falls back to the legacy
-path, preserving backward compatibility.
+The version byte names the layout of the pickled objects. v3 stores each
+block's local index as a packed-array R-tree; a v2 file holds object
+R-trees this release has no classes for, so it is refused with a
+:class:`WorkspaceVersionError` that says how to rebuild, not with an
+``AttributeError`` deep in unpickling. Headerless plain pickles (written
+before the header existed) still load through the legacy path.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from pathlib import Path
 from typing import Any, Optional, Type
 
 MAGIC = b"REPROWS\n"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 #: Header after the magic: version (u8), payload CRC-32 (u32), length (u64).
 _HEADER = struct.Struct(">BIQ")
 
@@ -88,7 +91,7 @@ def atomic_write(path: Path, *chunks: bytes, sync: bool = True) -> None:
 
 
 def save_workspace(sh: Any, path: Path) -> None:
-    """Atomically persist ``sh`` to ``path`` in format v2."""
+    """Atomically persist ``sh`` to ``path`` in the current format."""
     path = Path(path)
     payload = pickle.dumps(sh, protocol=pickle.HIGHEST_PROTOCOL)
     header = MAGIC + _HEADER.pack(
@@ -102,9 +105,9 @@ def load_workspace(
 ) -> Any:
     """Load a workspace from ``path``, verifying header and checksum.
 
-    Accepts both format-v2 files and legacy headerless pickles. Raises
+    Accepts current-format files and legacy headerless pickles. Raises
     :class:`WorkspaceCorruptError` on truncation/bit-rot,
-    :class:`WorkspaceVersionError` on an unknown format version, and
+    :class:`WorkspaceVersionError` on any other format version, and
     :class:`WorkspaceTypeError` when the decoded object is not an
     instance of ``expected_type``.
     """
@@ -115,7 +118,7 @@ def load_workspace(
         raise WorkspaceError(f"cannot read workspace {path}: {exc}") from exc
 
     if raw.startswith(MAGIC):
-        obj = _load_v2(path, raw)
+        obj = _load_framed(path, raw)
     else:
         obj = _load_legacy(path, raw)
 
@@ -127,7 +130,7 @@ def load_workspace(
     return obj
 
 
-def _load_v2(path: Path, raw: bytes) -> Any:
+def _load_framed(path: Path, raw: bytes) -> Any:
     header_end = len(MAGIC) + _HEADER.size
     if len(raw) < header_end:
         raise WorkspaceCorruptError(
@@ -138,6 +141,13 @@ def _load_v2(path: Path, raw: bytes) -> Any:
         raise WorkspaceVersionError(
             f"workspace {path} uses format v{version}; this release "
             f"reads up to v{FORMAT_VERSION}"
+        )
+    if version < FORMAT_VERSION:
+        raise WorkspaceVersionError(
+            f"workspace {path} uses format v{version}, whose local indexes "
+            f"are object R-trees; this release reads v{FORMAT_VERSION} "
+            "(packed-array indexes). Recreate the workspace: reload the "
+            "data and rebuild the index with 'repro index'"
         )
     payload = raw[header_end:]
     if len(payload) != length:
@@ -162,7 +172,7 @@ def _load_v2(path: Path, raw: bytes) -> Any:
 
 
 def _load_legacy(path: Path, raw: bytes) -> Any:
-    # Pre-v2 files are bare pickles with no integrity data; decode
+    # Headerless files are bare pickles with no integrity data; decode
     # failures here mean truncation or corruption we cannot distinguish.
     try:
         return pickle.loads(raw)
@@ -174,7 +184,7 @@ def _load_legacy(path: Path, raw: bytes) -> Any:
 
 
 def is_workspace_file(path: Path) -> bool:
-    """Cheap sniff: does ``path`` start with the v2 magic?"""
+    """Cheap sniff: does ``path`` start with the workspace magic?"""
     try:
         with io.open(path, "rb") as fh:
             return fh.read(len(MAGIC)) == MAGIC

@@ -72,7 +72,8 @@ def has_numpy() -> bool:
     return _np is not None
 
 
-def _is_np(a) -> bool:
+def is_ndarray(a) -> bool:
+    """True when ``a`` is a NumPy column (kernels dispatch on this)."""
     return _np is not None and isinstance(a, _np.ndarray)
 
 
@@ -81,6 +82,23 @@ def column_from_iter(values, count: int):
     if _np is not None:
         return _np.fromiter(values, dtype=_np.float64, count=count)
     return array("d", values)
+
+
+def take(col, rows):
+    """The float64 column ``col[rows]``, on the backend of ``col``."""
+    if is_ndarray(col):
+        return col[rows]
+    return array("d", [col[i] for i in rows])
+
+
+def concat(cols):
+    """The given float64 columns end to end, as one column."""
+    if is_ndarray(cols[0]):
+        return _np.concatenate(cols)
+    out = array("d")
+    for col in cols:
+        out.extend(col)
+    return out
 
 
 def as_backend_array(seq) -> Sequence[float]:
@@ -102,7 +120,7 @@ def as_backend_array(seq) -> Sequence[float]:
 # ----------------------------------------------------------------------
 def points_in_rect(xs, ys, rect) -> List[int]:
     """Indices ``i`` with ``rect.contains_point((xs[i], ys[i]))`` (closed)."""
-    if _is_np(xs):
+    if is_ndarray(xs):
         mask = (
             (xs >= rect.x1) & (xs <= rect.x2)
             & (ys >= rect.y1) & (ys <= rect.y2)
@@ -118,7 +136,7 @@ def points_in_rect(xs, ys, rect) -> List[int]:
 
 def rects_intersect(x1s, y1s, x2s, y2s, rect) -> List[int]:
     """Indices of rectangles intersecting ``rect`` (closed semantics)."""
-    if _is_np(x1s):
+    if is_ndarray(x1s):
         mask = (
             (x1s <= rect.x2) & (x2s >= rect.x1)
             & (y1s <= rect.y2) & (y2s >= rect.y1)
@@ -140,7 +158,7 @@ def points_in_rect_owned(xs, ys, rect, cell) -> List[int]:
     max(y, rect.y1))``; ownership is the half-open containment test of
     :meth:`Rectangle.contains_point_left_inclusive` against ``cell``.
     """
-    if _is_np(xs):
+    if is_ndarray(xs):
         rx = _np.maximum(xs, rect.x1)
         ry = _np.maximum(ys, rect.y1)
         mask = (
@@ -167,7 +185,7 @@ def points_in_rect_owned(xs, ys, rect, cell) -> List[int]:
 
 def rects_intersect_owned(x1s, y1s, x2s, y2s, rect, cell) -> List[int]:
     """Range filter + reference-point ownership for rectangle records."""
-    if _is_np(x1s):
+    if is_ndarray(x1s):
         rx = _np.maximum(x1s, rect.x1)
         ry = _np.maximum(y1s, rect.y1)
         mask = (
@@ -202,7 +220,7 @@ def point_distance_sq(xs, ys, px: float, py: float):
     Elementwise ``dx*dx + dy*dy``: identical rounding to the scalar
     :meth:`Point.distance_sq` / degenerate-MBR distance.
     """
-    if _is_np(xs):
+    if is_ndarray(xs):
         dx = xs - px
         dy = ys - py
         return dx * dx + dy * dy
@@ -223,7 +241,7 @@ def rect_min_distance_sq(x1s, y1s, x2s, y2s, px: float, py: float):
     comparisons, and ``(-0.0)**2 == 0.0`` erases any signed-zero
     difference between ``max`` implementations.
     """
-    if _is_np(x1s):
+    if is_ndarray(x1s):
         dx = _np.maximum(_np.maximum(x1s - px, 0.0), px - x2s)
         dy = _np.maximum(_np.maximum(y1s - py, 0.0), py - y2s)
         return dx * dx + dy * dy
@@ -246,7 +264,7 @@ def topk_by_distance(dsq, k: int) -> List[int]:
     """
     if k <= 0:
         return []
-    if _is_np(dsq):
+    if is_ndarray(dsq):
         order = _np.argsort(dsq, kind="stable")
         return order[:k].tolist()
     return sorted(range(len(dsq)), key=lambda i: (dsq[i], i))[:k]

@@ -2,8 +2,9 @@
 
 This package implements the two-level index organisation of SpatialHadoop:
 a **global index** describing how the file is partitioned into spatial cells
-(one HDFS block per cell) and per-block **local indexes** (an in-memory
-STR-packed R-tree) organising the records inside each partition.
+(one HDFS block per cell) and per-block **local indexes** (an STR-packed
+R-tree held as coordinate arrays over the block's rows) organising the
+records inside each partition.
 
 Index construction follows the paper's three phases, all expressed as
 MapReduce jobs over the simulator:
@@ -12,8 +13,10 @@ MapReduce jobs over the simulator:
    it with the chosen *partitioning technique*;
 2. a partitioning MapReduce job routes every record to its cell(s) —
    replicating records that span several cells for *disjoint* techniques;
-3. each reducer packs one cell into a block, builds the local index, and
-   the commit step assembles the indexed file and its global index.
+3. each reducer packs one cell's row references, and the commit step
+   gathers every cell into a block in STR order, bulk-loads its local
+   index from the gathered columns and assembles the indexed file and its
+   global index.
 
 Seven partitioning techniques are provided, matching the SpatialHadoop
 partitioning paper: uniform grid, Quad-tree, K-d tree and STR+ (disjoint,
@@ -22,7 +25,7 @@ each record assigned to exactly one cell).
 """
 
 from repro.index.global_index import Cell, GlobalIndex
-from repro.index.rtree import RTree, RTreeEntry
+from repro.index.rtree import RTree
 from repro.index.sampler import reservoir_sample
 from repro.index.partitioners.base import Partitioner, shape_mbr
 from repro.index.partitioners.grid import GridPartitioner
@@ -47,7 +50,6 @@ __all__ = [
     "PartitionQuality",
     "QuadTreePartitioner",
     "RTree",
-    "RTreeEntry",
     "StrPartitioner",
     "StrPlusPartitioner",
     "ZCurvePartitioner",

@@ -12,12 +12,12 @@ in the block metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Type
 
-from repro.geometry import Rectangle
+from repro.geometry import Point, Rectangle, vectorized
 from repro.index.global_index import Cell, GlobalIndex
-from repro.index.partitioners.base import Partitioner, shape_mbr
+from repro.index.partitioners.base import Partitioner
 from repro.index.partitioners.grid import GridPartitioner
 from repro.index.partitioners.kdtree import KdTreePartitioner
 from repro.index.partitioners.quadtree import QuadTreePartitioner
@@ -26,9 +26,17 @@ from repro.index.partitioners.space_curves import (
     ZCurvePartitioner,
 )
 from repro.index.partitioners.str_ import StrPartitioner, StrPlusPartitioner
-from repro.index.rtree import RTree, RTreeEntry
+from repro.index.rtree import (
+    RTree,
+    as_list,
+    block_columns,
+    columns_mbr,
+    str_order,
+)
 from repro.index.sampler import reservoir_sample
 from repro.mapreduce import Block, Job, JobResult, JobRunner
+from repro.mapreduce.runtime import default_splitter
+from repro.mapreduce.columnar import ColumnarPayload
 
 #: Registry of partitioning techniques by name.
 PARTITIONERS: Dict[str, Type[Partitioner]] = {
@@ -47,41 +55,110 @@ PARTITIONERS: Dict[str, Type[Partitioner]] = {
 DEFAULT_SAMPLE_SIZE = 2_000
 
 
-def _sample_map(_key, records, ctx):
-    """Per-block MBR + reservoir sample (module-level: picklable)."""
-    if not records:
+def _block_reader(split):
+    """Hand map tasks the block itself: they read columns, not records."""
+    return split.key, split.block
+
+
+def _derived_columns_splitter(derived):
+    """One split per block, key = the block's derived MBR columns if any.
+
+    Each block's columns travel with its own split only, so a worker
+    chunk is never sent another block's.
+    """
+    def splitter(fs, job):
+        return [
+            replace(split, key=derived.get(split.block_index))
+            for split in default_splitter(fs, job)
+        ]
+    return splitter
+
+
+def _sample_map(_key, block, ctx):
+    """Per-block MBR + reservoir sample (module-level: picklable).
+
+    A block without a columnar payload (polygons, features) has its MBR
+    columns derived here, once, and shipped back with the sample so the
+    partition job and the commit never call ``shape_mbr`` again.
+    """
+    n = len(block)
+    if not n:
         return
-    mbr = shape_mbr(records[0])
-    for r in records[1:]:
-        mbr = mbr.union(shape_mbr(r))
+    cols = block_columns(block)
     per_block = max(
         8, ctx.config["sample_size"] // max(1, ctx.config["num_blocks"])
     )
-    picked = reservoir_sample(records, per_block, seed=ctx.split.block_index)
-    ctx.write_output((mbr, [shape_mbr(r).center for r in picked]))
+    picked = reservoir_sample(range(n), per_block, seed=ctx.split.block_index)
+    x1, y1, x2, y2 = (vectorized.take(col, picked).tolist() for col in cols)
+    centres = [
+        Point((a + b) / 2.0, (c + d) / 2.0)
+        for a, b, c, d in zip(x1, x2, y1, y2)
+    ]
+    derived = cols if getattr(block, "columnar", None) is None else None
+    ctx.write_output(
+        (ctx.split.block_index, columns_mbr(*cols), centres, derived)
+    )
 
 
-def _partition_map(_key, records, ctx):
-    """Route records to their cell(s) (module-level: picklable).
+def _partition_map(derived, block, ctx):
+    """Route the split's rows to their cell(s) (module-level: picklable).
 
-    Records cross the shuffle as ``(block_index, offset)`` references, not
-    as the records themselves. The commit phase resolves references back to
-    the *original* record objects, so a record replicated into several
-    cells is stored as the same object in every block — identity sharing
-    that downstream consumers (the distributed join's duplicate handling)
-    rely on, and that shipping pickled record copies from worker processes
-    would silently break. It also keeps the shuffle payload tiny.
+    One ``(cell_id, (block_index, offsets))`` pair per cell the block
+    touches crosses the shuffle, never a record. The commit phase resolves
+    offsets back to the *original* record objects, so a record replicated
+    into several cells is stored as the same object in every block —
+    identity sharing that downstream consumers (the distributed join's
+    duplicate handling) rely on, and that shipping pickled record copies
+    from worker processes would silently break.
     """
-    assign = ctx.config["partitioner"].assign
+    if not len(block):
+        return
+    cols = block_columns(block) if derived is None else derived
     block_index = ctx.split.block_index
-    for offset, record in enumerate(records):
-        for cell_id in assign(shape_mbr(record)):
-            ctx.emit(cell_id, (block_index, offset))
+    for cell_id, offsets in ctx.config["partitioner"].partition_columns(*cols):
+        ctx.emit(cell_id, (block_index, offsets))
 
 
 def _partition_reduce(cell_id, refs, ctx):
-    """Pack one cell's record references (module-level: picklable)."""
+    """Pack one cell's row references (module-level: picklable)."""
     ctx.emit(cell_id, (cell_id, refs))
+
+
+def _pack_cell(refs, source_blocks, source_columns, build_local_index: bool):
+    """Gather one cell's rows into a block in packed (STR) order.
+
+    Returns the block (records, columnar payload and local index all in
+    the same row order, so the tree's row ``i`` is ``records[i]``) and
+    the tight MBR of its contents.
+    """
+    refs = sorted(refs, key=lambda ref: ref[0])
+    records = [
+        source_blocks[b].records[offset]
+        for b, offsets in refs
+        for offset in offsets.tolist()
+    ]
+    kinds = {
+        getattr(getattr(source_blocks[b], "columnar", None), "kind", None)
+        for b, _ in refs
+    }
+    kind = kinds.pop() if len(kinds) == 1 else None
+    # Points have degenerate MBRs: their (x, y) pair serves as both corners.
+    repeat = 2 if kind == "point" else 1
+    cols = [
+        vectorized.concat(
+            [vectorized.take(source_columns[b][k], offsets) for b, offsets in refs]
+        )
+        for k in range(4 // repeat)
+    ]
+    order = str_order(*(cols * repeat))
+    records = list(map(records.__getitem__, as_list(order)))
+    cols = [vectorized.take(col, order) for col in cols]
+    block = Block(records=records)
+    if kind is not None:
+        block.columnar = ColumnarPayload(kind, len(records), tuple(cols))
+    if build_local_index:
+        block.metadata["local_index"] = RTree.from_columns(*(cols * repeat))
+    return block, columns_mbr(*(cols * repeat))
 
 
 @dataclass
@@ -145,6 +222,7 @@ def build_index(
             sample_job = Job(
                 input_file=input_file,
                 map_fn=_sample_map,
+                reader=_block_reader,
                 config={"num_blocks": num_blocks, "sample_size": sample_size},
                 name=f"sample({input_file})",
             )
@@ -153,11 +231,14 @@ def build_index(
             total_records = fs.num_records(input_file)
             if not sample_result.output:
                 raise ValueError(f"cannot index empty file: {input_file!r}")
-            space: Rectangle = sample_result.output[0][0]
+            space: Rectangle = sample_result.output[0][1]
             sample_points = []
-            for mbr, pts in sample_result.output:
+            derived_columns = {}
+            for block_index, mbr, centres, derived in sample_result.output:
                 space = space.union(mbr)
-                sample_points.extend(pts)
+                sample_points.extend(centres)
+                if derived is not None:
+                    derived_columns[block_index] = derived
             sample_points = reservoir_sample(
                 sample_points, sample_size, seed=seed
             )
@@ -179,6 +260,8 @@ def build_index(
         partition_job = Job(
             input_file=input_file,
             map_fn=_partition_map,
+            splitter=_derived_columns_splitter(derived_columns),
+            reader=_block_reader,
             reduce_fn=_partition_reduce,
             num_reducers=partitioner.num_cells(),
             config={"partitioner": partitioner},
@@ -191,38 +274,29 @@ def build_index(
         # --------------------------------------------------------------
         with tracer.span("index:commit", kind="index-phase") as commit_span:
             source_blocks = fs.get(input_file).blocks
+            source_columns = [
+                derived_columns.get(i) or block_columns(block)
+                for i, block in enumerate(source_blocks)
+            ]
             blocks: List[Block] = []
             cells: List[Cell] = []
             for cell_id, refs in sorted(
                 partition_result.output, key=lambda kv: kv[0]
             ):
-                records = [
-                    source_blocks[block_index].records[offset]
-                    for block_index, offset in refs
-                ]
-                if not records:
-                    continue
-                content_mbr = shape_mbr(records[0])
-                for r in records[1:]:
-                    content_mbr = content_mbr.union(shape_mbr(r))
+                block, content_mbr = _pack_cell(
+                    refs, source_blocks, source_columns, build_local_indexes
+                )
                 if partitioner.disjoint:
                     cell_mbr = partitioner.cell_rect(cell_id)
                 else:
                     cell_mbr = content_mbr
-                metadata = {"cell": cell_mbr, "cell_id": cell_id}
-                if build_local_indexes:
-                    metadata["local_index"] = RTree(
-                        [
-                            RTreeEntry(mbr=shape_mbr(r), record=r)
-                            for r in records
-                        ]
-                    )
-                blocks.append(Block(records=list(records), metadata=metadata))
+                block.metadata.update(cell=cell_mbr, cell_id=cell_id)
+                blocks.append(block)
                 cells.append(
                     Cell(
                         cell_id=cell_id,
                         mbr=cell_mbr,
-                        num_records=len(records),
+                        num_records=len(block),
                         content_mbr=content_mbr,
                     )
                 )

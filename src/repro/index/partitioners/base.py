@@ -14,9 +14,16 @@ cell count and the exact file MBR (``space``). It must then route any record
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import ClassVar, List, Sequence
+from array import array
+from typing import Any, ClassVar, List, Tuple
 
 from repro.geometry import Point, Rectangle
+from repro.geometry.vectorized import is_ndarray
+
+try:
+    import numpy as np
+except Exception:  # pragma: no cover - exercised on numpy-free installs
+    np = None
 
 #: Fraction by which the space MBR is expanded on the top/right so that
 #: records sitting exactly on the global maximum boundary still fall into
@@ -39,8 +46,26 @@ def expand_space(space: Rectangle) -> Rectangle:
     return Rectangle(space.x1, space.y1, space.x2 + pad_x, space.y2 + pad_y)
 
 
+def expand_ranges(lo, hi):
+    """Every ``(i, v)`` with ``lo[i] <= v <= hi[i]`` as two int arrays."""
+    counts = hi - lo + 1
+    owner = np.repeat(np.arange(len(lo)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, lo[owner] + np.arange(len(owner)) - first[owner]
+
+
 class Partitioner(ABC):
-    """Routes records to global-index cells."""
+    """Routes records to global-index cells.
+
+    :meth:`assign` routes one MBR; :meth:`partition_columns` routes a whole
+    split from its MBR columns and is what the index build calls. On NumPy
+    columns it runs the technique's array kernels — ``_point_cells(xs,
+    ys)``, one cell id per point, and for disjoint techniques
+    ``_overlapping_cells(x1, y1, x2, y2)``, the ``(row, cell)`` pairs of
+    extended shapes — built only from IEEE-exact operations so they agree
+    with :meth:`assign` element for element; on ``array('d')`` columns it
+    loops over :meth:`assign`.
+    """
 
     technique: ClassVar[str] = "abstract"
     disjoint: ClassVar[bool] = False
@@ -70,6 +95,34 @@ class Partitioner(ABC):
             f"{self.technique} does not replicate extended shapes"
         )
 
+    def partition_columns(self, x1, y1, x2, y2) -> List[Tuple[int, Any]]:
+        """Route every row: ``(cell id, ascending row offsets)`` per cell.
+
+        A row of a disjoint technique appears under every cell its MBR
+        overlaps (replication), otherwise under the cell of its centre.
+        """
+        n = len(x1)
+        if not is_ndarray(x1):
+            groups: dict = {}
+            for i in range(n):
+                for cell in self.assign(Rectangle(x1[i], y1[i], x2[i], y2[i])):
+                    groups.setdefault(cell, array("q")).append(i)
+            return sorted(groups.items())
+        rows = np.arange(n)
+        cells = self._point_cells((x1 + x2) / 2.0, (y1 + y2) / 2.0)
+        if self.disjoint:
+            extended = (x2 - x1 > 0) | (y2 - y1 > 0)
+            if extended.any():
+                ext = rows[extended]
+                owner, ext_cells = self._overlapping_cells(
+                    x1[ext], y1[ext], x2[ext], y2[ext]
+                )
+                rows = np.concatenate((rows[~extended], ext[owner]))
+                cells = np.concatenate((cells[~extended], ext_cells))
+        order = np.lexsort((rows, cells))
+        heads, starts = np.unique(cells[order], return_index=True)
+        return list(zip(heads.tolist(), np.split(rows[order], starts[1:])))
+
     def cell_rect(self, cell_id: int) -> Rectangle:
         """The boundary rectangle of a cell, when the technique defines one.
 
@@ -80,7 +133,85 @@ class Partitioner(ABC):
             f"{self.technique} cells have no predefined boundary"
         )
 
-    @staticmethod
-    def sample_points(records: Sequence[object]) -> List[Point]:
-        """Centre points of sampled records (partitioners work on points)."""
-        return [shape_mbr(r).center for r in records]
+
+class TreePartitioner(Partitioner):
+    """A disjoint tiling stored as a tree of half-open rectangles.
+
+    Shared by the quad-tree and the k-d tree: nodes expose ``rect``,
+    ``children`` (empty for a leaf), ``cell_id`` (leaves) and
+    ``child_index(x, y)`` — the child a point (or every point of two
+    coordinate arrays) descends into.
+    """
+
+    disjoint = True
+
+    def __init__(self, root: Any, leaves: List[Any]):
+        self._root = root
+        self._leaves = leaves
+
+    def num_cells(self) -> int:
+        return len(self._leaves)
+
+    def assign_point(self, p: Point) -> int:
+        node = self._root
+        while node.children:
+            node = node.children[node.child_index(p.x, p.y)]
+        return node.cell_id
+
+    def overlapping_cells(self, mbr: Rectangle) -> List[int]:
+        out: List[int] = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if not node.rect.intersects_open(mbr):
+                continue
+            if node.children:
+                stack.extend(node.children)
+            else:
+                out.append(node.cell_id)
+        if not out:  # degenerate MBR on a split line: route by the corner
+            out.append(self.assign_point(mbr.bottom_left))
+        return out
+
+    def cell_rect(self, cell_id: int) -> Rectangle:
+        if not (0 <= cell_id < len(self._leaves)):
+            raise KeyError(f"no such cell: {cell_id}")
+        return self._leaves[cell_id].rect
+
+    def _point_cells(self, xs, ys):
+        cells = np.empty(len(xs), dtype=np.intp)
+        stack = [(self._root, np.arange(len(xs)))]
+        while stack:
+            node, rows = stack.pop()
+            if not node.children:
+                cells[rows] = node.cell_id
+                continue
+            child = node.child_index(xs[rows], ys[rows])
+            for k, sub in enumerate(node.children):
+                picked = rows[child == k]
+                if picked.size:
+                    stack.append((sub, picked))
+        return cells
+
+    def _overlapping_cells(self, x1, y1, x2, y2):
+        owners, cells = [], []
+        stack = [(self._root, np.arange(len(x1)))]
+        while stack:
+            node, rows = stack.pop()
+            r = node.rect
+            rows = rows[
+                (r.x1 < x2[rows]) & (x1[rows] < r.x2)
+                & (r.y1 < y2[rows]) & (y1[rows] < r.y2)
+            ]
+            if not rows.size:
+                continue
+            if node.children:
+                stack.extend((sub, rows) for sub in node.children)
+            else:
+                owners.append(rows)
+                cells.append(np.full(rows.size, node.cell_id, dtype=np.intp))
+        owner = np.concatenate(owners) if owners else np.empty(0, np.intp)
+        orphans = np.setdiff1d(np.arange(len(x1)), owner)
+        owners.append(orphans)
+        cells.append(self._point_cells(x1[orphans], y1[orphans]))
+        return np.concatenate(owners), np.concatenate(cells)

@@ -11,7 +11,12 @@ import math
 from typing import List, Sequence
 
 from repro.geometry import Point, Rectangle
-from repro.index.partitioners.base import Partitioner, expand_space
+from repro.index.partitioners.base import (
+    Partitioner,
+    expand_ranges,
+    expand_space,
+    np,
+)
 
 
 class GridPartitioner(Partitioner):
@@ -59,6 +64,29 @@ class GridPartitioner(Partitioner):
             for r in range(r1, r2 + 1)
             for c in range(c1, c2 + 1)
         ]
+
+    def _axis_cells(self, values, origin: float, step: float):
+        # Clamp before truncating: both orders give the same cell, and
+        # the cast stays defined for any finite quotient.
+        quotient = (values - origin) / step
+        return np.clip(quotient, 0.0, self.grid_size - 1).astype(np.intp)
+
+    def _point_cells(self, xs, ys):
+        return (
+            self._axis_cells(ys, self.space.y1, self._cell_h) * self.grid_size
+            + self._axis_cells(xs, self.space.x1, self._cell_w)
+        )
+
+    def _overlapping_cells(self, x1, y1, x2, y2):
+        owner, rows = expand_ranges(
+            self._axis_cells(y1, self.space.y1, self._cell_h),
+            self._axis_cells(y2, self.space.y1, self._cell_h),
+        )
+        pair, cols = expand_ranges(
+            self._axis_cells(x1, self.space.x1, self._cell_w)[owner],
+            self._axis_cells(x2, self.space.x1, self._cell_w)[owner],
+        )
+        return owner[pair], rows[pair] * self.grid_size + cols
 
     def cell_rect(self, cell_id: int) -> Rectangle:
         row, col = divmod(cell_id, self.grid_size)

@@ -10,34 +10,28 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.geometry import Point, Rectangle
-from repro.index.partitioners.base import Partitioner, expand_space
+from repro.index.partitioners.base import TreePartitioner, expand_space
 
 
 class _KdNode:
-    __slots__ = ("rect", "axis", "split", "low", "high", "cell_id")
+    __slots__ = ("rect", "axis", "split", "children", "cell_id")
 
     def __init__(self, rect: Rectangle):
         self.rect = rect
-        self.axis = -1  # -1 = leaf, 0 = x split, 1 = y split
+        self.axis = 0  # 0 = x split, 1 = y split (internal nodes only)
         self.split = 0.0
-        self.low: "_KdNode" = None  # type: ignore[assignment]
-        self.high: "_KdNode" = None  # type: ignore[assignment]
+        self.children: tuple = ()  # (low, high); empty for a leaf
         self.cell_id = -1
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.axis == -1
+    def child_index(self, x, y):
+        """0 (low) or 1 (high) for a point, or for every point of two arrays."""
+        return ((x if self.axis == 0 else y) >= self.split) * 1
 
 
-class KdTreePartitioner(Partitioner):
+class KdTreePartitioner(TreePartitioner):
     """K-d tree tiling; disjoint with replication."""
 
     technique = "kdtree"
-    disjoint = True
-
-    def __init__(self, root: _KdNode, leaves: List[_KdNode]):
-        self._root = root
-        self._leaves = leaves
 
     @classmethod
     def create(
@@ -46,13 +40,14 @@ class KdTreePartitioner(Partitioner):
         root = _KdNode(expand_space(space))
         leaves: List[_KdNode] = []
 
+        def make_leaf(node: _KdNode) -> None:
+            node.cell_id = len(leaves)
+            leaves.append(node)
+
         def build(node: _KdNode, pts: List[Point], cells: int, axis: int) -> None:
             if cells <= 1 or len(pts) < 2:
-                node.cell_id = len(leaves)
-                leaves.append(node)
-                return
+                return make_leaf(node)
             low_cells = cells // 2
-            high_cells = cells - low_cells
             key = (lambda p: p.x) if axis == 0 else (lambda p: p.y)
             pts.sort(key=key)
             cut_index = round(len(pts) * low_cells / cells)
@@ -61,55 +56,19 @@ class KdTreePartitioner(Partitioner):
             r = node.rect
             if axis == 0:
                 if not (r.x1 < split < r.x2):  # degenerate: give up splitting
-                    node.cell_id = len(leaves)
-                    leaves.append(node)
-                    return
+                    return make_leaf(node)
                 low_rect = Rectangle(r.x1, r.y1, split, r.y2)
                 high_rect = Rectangle(split, r.y1, r.x2, r.y2)
             else:
                 if not (r.y1 < split < r.y2):
-                    node.cell_id = len(leaves)
-                    leaves.append(node)
-                    return
+                    return make_leaf(node)
                 low_rect = Rectangle(r.x1, r.y1, r.x2, split)
                 high_rect = Rectangle(r.x1, split, r.x2, r.y2)
             node.axis = axis
             node.split = split
-            node.low = _KdNode(low_rect)
-            node.high = _KdNode(high_rect)
-            build(node.low, pts[:cut_index], low_cells, 1 - axis)
-            build(node.high, pts[cut_index:], high_cells, 1 - axis)
+            node.children = (_KdNode(low_rect), _KdNode(high_rect))
+            build(node.children[0], pts[:cut_index], low_cells, 1 - axis)
+            build(node.children[1], pts[cut_index:], cells - low_cells, 1 - axis)
 
         build(root, list(sample), max(1, num_cells), 0)
         return cls(root, leaves)
-
-    # ------------------------------------------------------------------
-    def num_cells(self) -> int:
-        return len(self._leaves)
-
-    def assign_point(self, p: Point) -> int:
-        node = self._root
-        while not node.is_leaf:
-            coord = p.x if node.axis == 0 else p.y
-            node = node.high if coord >= node.split else node.low
-        return node.cell_id
-
-    def overlapping_cells(self, mbr: Rectangle) -> List[int]:
-        out: List[int] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not node.rect.intersects_open(mbr):
-                continue
-            if node.is_leaf:
-                out.append(node.cell_id)
-            else:
-                stack.extend((node.low, node.high))
-        if not out:  # degenerate MBR exactly on a split line
-            out.append(self.assign_point(mbr.bottom_left))
-        return out
-
-    def cell_rect(self, cell_id: int) -> Rectangle:
-        if not (0 <= cell_id < len(self._leaves)):
-            raise KeyError(f"no such cell: {cell_id}")
-        return self._leaves[cell_id].rect

@@ -12,42 +12,30 @@ import math
 from typing import List, Sequence
 
 from repro.geometry import Point, Rectangle
-from repro.index.partitioners.base import Partitioner, expand_space
+from repro.index.partitioners.base import TreePartitioner, expand_space
 
 _MAX_DEPTH = 24
 
 
 class _QuadNode:
-    __slots__ = ("rect", "children", "cell_id")
+    __slots__ = ("rect", "children", "cell_id", "mx", "my")
 
     def __init__(self, rect: Rectangle):
         self.rect = rect
         self.children: List["_QuadNode"] = []
         self.cell_id = -1
+        self.mx = (rect.x1 + rect.x2) / 2.0
+        self.my = (rect.y1 + rect.y2) / 2.0
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+    def child_index(self, x, y):
+        """Quadrant of a point (or of every point of two arrays)."""
+        return 2 * (y >= self.my) + (x >= self.mx)
 
 
-class QuadTreePartitioner(Partitioner):
+class QuadTreePartitioner(TreePartitioner):
     """Quad-tree tiling; disjoint with replication."""
 
     technique = "quadtree"
-    disjoint = True
-
-    def __init__(self, root: _QuadNode, num_leaves: int):
-        self._root = root
-        self._num_leaves = num_leaves
-        self._leaves: List[_QuadNode] = []
-        self._collect_leaves(root)
-
-    def _collect_leaves(self, node: _QuadNode) -> None:
-        if node.is_leaf:
-            self._leaves.append(node)
-        else:
-            for child in node.children:
-                self._collect_leaves(child)
 
     @classmethod
     def create(
@@ -55,65 +43,25 @@ class QuadTreePartitioner(Partitioner):
     ) -> "QuadTreePartitioner":
         root = _QuadNode(expand_space(space))
         threshold = max(1, math.ceil(len(sample) / max(1, num_cells)))
-        next_id = [0]
+        leaves: List[_QuadNode] = []
 
         def build(node: _QuadNode, pts: List[Point], depth: int) -> None:
             if len(pts) <= threshold or depth >= _MAX_DEPTH:
-                node.cell_id = next_id[0]
-                next_id[0] += 1
+                node.cell_id = len(leaves)
+                leaves.append(node)
                 return
-            r = node.rect
-            mx = (r.x1 + r.x2) / 2.0
-            my = (r.y1 + r.y2) / 2.0
-            quadrants = [
-                Rectangle(r.x1, r.y1, mx, my),
-                Rectangle(mx, r.y1, r.x2, my),
-                Rectangle(r.x1, my, mx, r.y2),
-                Rectangle(mx, my, r.x2, r.y2),
+            r, mx, my = node.rect, node.mx, node.my
+            node.children = [
+                _QuadNode(Rectangle(r.x1, r.y1, mx, my)),
+                _QuadNode(Rectangle(mx, r.y1, r.x2, my)),
+                _QuadNode(Rectangle(r.x1, my, mx, r.y2)),
+                _QuadNode(Rectangle(mx, my, r.x2, r.y2)),
             ]
-            node.children = [_QuadNode(q) for q in quadrants]
             buckets: List[List[Point]] = [[], [], [], []]
             for p in pts:
-                east = p.x >= mx
-                north = p.y >= my
-                buckets[(2 if north else 0) + (1 if east else 0)].append(p)
+                buckets[node.child_index(p.x, p.y)].append(p)
             for child, bucket in zip(node.children, buckets):
                 build(child, bucket, depth + 1)
 
         build(root, list(sample), 0)
-        return cls(root, next_id[0])
-
-    # ------------------------------------------------------------------
-    def num_cells(self) -> int:
-        return self._num_leaves
-
-    def assign_point(self, p: Point) -> int:
-        node = self._root
-        while not node.is_leaf:
-            r = node.rect
-            mx = (r.x1 + r.x2) / 2.0
-            my = (r.y1 + r.y2) / 2.0
-            east = p.x >= mx
-            north = p.y >= my
-            node = node.children[(2 if north else 0) + (1 if east else 0)]
-        return node.cell_id
-
-    def overlapping_cells(self, mbr: Rectangle) -> List[int]:
-        out: List[int] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not node.rect.intersects_open(mbr):
-                continue
-            if node.is_leaf:
-                out.append(node.cell_id)
-            else:
-                stack.extend(node.children)
-        if not out:  # degenerate MBR on a split line: route by the corner
-            out.append(self.assign_point(mbr.bottom_left))
-        return out
-
-    def cell_rect(self, cell_id: int) -> Rectangle:
-        if not (0 <= cell_id < len(self._leaves)):
-            raise KeyError(f"no such cell: {cell_id}")
-        return self._leaves[cell_id].rect
+        return cls(root, leaves)

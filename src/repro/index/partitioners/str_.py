@@ -21,7 +21,12 @@ import math
 from typing import List, Sequence
 
 from repro.geometry import Point, Rectangle
-from repro.index.partitioners.base import Partitioner, expand_space
+from repro.index.partitioners.base import (
+    Partitioner,
+    expand_ranges,
+    expand_space,
+    np,
+)
 
 
 class StrPartitioner(Partitioner):
@@ -91,6 +96,22 @@ class StrPartitioner(Partitioner):
         s = self._slice_of(p.x)
         return self._cell_offsets[s] + self._tile_of(s, p.y)
 
+    def _slices(self, xs):
+        return np.searchsorted(self._x_bounds, xs, side="right")
+
+    def _tiles(self, slices, ys):
+        tiles = np.empty(len(ys), dtype=np.intp)
+        for s in np.unique(slices).tolist():
+            in_slice = slices == s
+            tiles[in_slice] = np.searchsorted(
+                self._y_bounds[s], ys[in_slice], side="right"
+            )
+        return tiles
+
+    def _point_cells(self, xs, ys):
+        slices = self._slices(xs)
+        return np.asarray(self._cell_offsets)[slices] + self._tiles(slices, ys)
+
     def cell_rect(self, cell_id: int) -> Rectangle:
         s = bisect.bisect_right(self._cell_offsets, cell_id) - 1
         t = cell_id - self._cell_offsets[s]
@@ -119,3 +140,10 @@ class StrPlusPartitioner(StrPartitioner):
             t2 = self._tile_of(s, mbr.y2)
             cells.extend(self._cell_offsets[s] + t for t in range(t1, t2 + 1))
         return cells
+
+    def _overlapping_cells(self, x1, y1, x2, y2):
+        owner, slices = expand_ranges(self._slices(x1), self._slices(x2))
+        pair, tiles = expand_ranges(
+            self._tiles(slices, y1[owner]), self._tiles(slices, y2[owner])
+        )
+        return owner[pair], np.asarray(self._cell_offsets)[slices[pair]] + tiles

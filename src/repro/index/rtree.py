@@ -1,10 +1,20 @@
-"""An in-memory STR-packed R-tree.
+"""A packed-array STR R-tree.
 
 This is the *local index* SpatialHadoop stores inside every block: it is
 bulk-loaded once when the partition is written and then answers range and
 k-nearest-neighbour queries over the partition's records without scanning
-them all. The same structure indexes global-index cells in the distributed
-join.
+them all.
+
+The tree is arrays, not objects. The entry MBRs are four float64 columns
+in *packed order*; every ``node_capacity`` consecutive rows form one leaf,
+and the leaf MBRs are again four columns (``minimum/maximum.reduceat`` of
+the entries). Blocks hold a few thousand rows, so one leaf level under
+the root MBR is all a query descends; no higher level is kept. Queries
+answer with **row numbers**: the index build stores a block's records in
+packed order (:func:`str_order`), so row ``i`` of the tree is
+``block.records[i]`` and no record reference lives in the tree. Columns
+may be NumPy arrays or ``array('d')``/``memoryview`` buffers; every
+kernel picks its backend from the column type.
 
 The tree is static (bulk-load only), which matches how SpatialHadoop uses
 local indexes — blocks are immutable once written.
@@ -12,308 +22,244 @@ local indexes — blocks are immutable once written.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
+import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from itertools import takewhile
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.geometry import Point, Rectangle, vectorized
+from repro.geometry.vectorized import is_ndarray, take
+from repro.index.partitioners.base import shape_mbr
+from repro.mapreduce.columnar import _phase
+
+try:
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised on numpy-free installs
+    _np = None
 
 DEFAULT_NODE_CAPACITY = 32
 
-#: Trees smaller than this stay on the scalar paths: the batch kernels'
-#: fixed setup cost is not worth it for a handful of entries.
-_VECTOR_MIN_ENTRIES = 4
+Columns = Tuple[Any, Any, Any, Any]  # x1, y1, x2, y2
 
-_profiler = None
-
-
-def _phase(name: str):
-    """Profiler phase scope, lazily bound (cycle: observe -> mapreduce)."""
-    global _profiler
-    if _profiler is None:
-        from repro.observe import profile
-
-        _profiler = profile
-    return _profiler.phase(name)
+def mbr_columns(records: Sequence[Any]) -> Columns:
+    """The MBRs of ``records`` as four columns: one ``shape_mbr`` each."""
+    mbrs = [shape_mbr(r) for r in records]
+    n = len(mbrs)
+    return tuple(
+        vectorized.column_from_iter([getattr(m, name) for m in mbrs], n)
+        for name in ("x1", "y1", "x2", "y2")
+    )
 
 
-@dataclass(frozen=True)
-class RTreeEntry:
-    """One indexed record: its MBR plus the record itself."""
-
-    mbr: Rectangle
-    record: Any
+def as_list(rows) -> List[int]:
+    """Row numbers as a plain list of ints (from an array or a list)."""
+    return rows.tolist() if hasattr(rows, "tolist") else rows
 
 
-class _Node:
-    __slots__ = ("mbr", "children", "entries")
-
-    def __init__(
-        self,
-        mbr: Rectangle,
-        children: Optional[List["_Node"]] = None,
-        entries: Optional[List[RTreeEntry]] = None,
-    ):
-        self.mbr = mbr
-        self.children = children
-        self.entries = entries
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.entries is not None
+def block_columns(block: Any) -> Columns:
+    """A block's MBR columns: its columnar payload's, else derived."""
+    payload = getattr(block, "columnar", None)
+    if payload is not None and payload.count == len(block):
+        return payload.mbr_columns()
+    return mbr_columns(block.records)
 
 
-def _str_pack(
-    items: Sequence[Any],
-    mbr_of: Callable[[Any], Rectangle],
-    capacity: int,
-) -> List[List[Any]]:
-    """Sort-Tile-Recursive grouping of ``items`` into runs of ``capacity``."""
-    n = len(items)
-    num_groups = math.ceil(n / capacity)
-    num_slices = math.ceil(math.sqrt(num_groups))
-    per_slice = math.ceil(n / num_slices)
-    by_x = sorted(items, key=lambda it: mbr_of(it).center.x)
-    groups: List[List[Any]] = []
+def columns_mbr(x1, y1, x2, y2) -> Rectangle:
+    """The MBR of all rows of the given (non-empty) MBR columns."""
+    bounds = _pack_level((x1, y1, x2, y2), len(x1))
+    return Rectangle(*(float(col[0]) for col in bounds))
+
+
+def str_order(x1, y1, x2, y2, capacity: int = DEFAULT_NODE_CAPACITY):
+    """Sort-Tile-Recursive packing order of the given MBR columns.
+
+    Rows are sorted by centre x and cut into vertical slices holding a
+    whole number of leaves, then each slice is sorted by centre y; both
+    sorts are stable, so equal centres keep their input order and the
+    permutation is the same on both backends.
+    """
+    n = len(x1)
+    leaves = max(1, math.ceil(n / capacity))
+    per_slice = capacity * math.ceil(leaves / math.ceil(math.sqrt(leaves)))
+    if is_ndarray(x1):
+        cx, cy = x1 + x2, y1 + y2
+        by_x = _np.argsort(cx, kind="stable")
+        slice_of = _np.arange(n) // per_slice
+        return by_x[_np.lexsort((cy[by_x], slice_of))]
+    cx = [x1[i] + x2[i] for i in range(n)]
+    cy = [y1[i] + y2[i] for i in range(n)]
+    by_x = sorted(range(n), key=cx.__getitem__)
+    order: List[int] = []
     for s in range(0, n, per_slice):
-        vertical = sorted(
-            by_x[s : s + per_slice], key=lambda it: mbr_of(it).center.y
+        order.extend(sorted(by_x[s:s + per_slice], key=cy.__getitem__))
+    return order
+
+
+def _pack_level(cols: Columns, capacity: int) -> Columns:
+    """MBR columns of the runs of ``capacity`` consecutive rows."""
+    x1, y1, x2, y2 = cols
+    if is_ndarray(x1):
+        starts = _np.arange(0, len(x1), capacity)
+        return (
+            _np.minimum.reduceat(x1, starts),
+            _np.minimum.reduceat(y1, starts),
+            _np.maximum.reduceat(x2, starts),
+            _np.maximum.reduceat(y2, starts),
         )
-        for g in range(0, len(vertical), capacity):
-            groups.append(vertical[g : g + capacity])
-    return groups
+    starts = range(0, len(x1), capacity)
+    return tuple(
+        vectorized.column_from_iter(
+            [pick(col[s:s + capacity]) for s in starts], len(starts)
+        )
+        for col, pick in ((x1, min), (y1, min), (x2, max), (y2, max))
+    )
 
 
+@dataclass(eq=False)
 class RTree:
-    """Static STR-bulk-loaded R-tree over ``(mbr, record)`` entries."""
+    """Static packed R-tree over four MBR columns; answers in row numbers."""
 
-    def __init__(
-        self,
-        entries: Sequence[RTreeEntry],
-        node_capacity: int = DEFAULT_NODE_CAPACITY,
-    ):
+    columns: Columns
+    #: Leaf MBR columns: leaf ``j`` bounds rows ``[j * cap, (j + 1) * cap)``.
+    leaves: Columns
+    node_capacity: int = DEFAULT_NODE_CAPACITY
+    #: Packed position -> caller's row, when the caller's rows were not in
+    #: packed order (:meth:`from_shapes`); None = identity.
+    _rows: Optional[Sequence[int]] = None
+
+    @classmethod
+    def from_columns(
+        cls, x1, y1, x2, y2, node_capacity: int = DEFAULT_NODE_CAPACITY
+    ) -> "RTree":
+        """Pack rows *in the given order* (see :func:`str_order`)."""
         if node_capacity < 2:
             raise ValueError("node capacity must be at least 2")
-        self.node_capacity = node_capacity
-        self._size = len(entries)
-        self._root = self._bulk_load(list(entries)) if entries else None
-        # Vectorization caches, built lazily on first query and excluded
-        # from pickles (cheap to rebuild, and id()-keyed dicts don't
-        # survive a round-trip anyway).
-        self._flat = None
-        self._leaf_cols = {}
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_flat"] = None
-        state["_leaf_cols"] = {}
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Trees pickled before the vectorized layer existed.
-        self.__dict__.setdefault("_flat", None)
-        self.__dict__.setdefault("_leaf_cols", {})
+        cols = (x1, y1, x2, y2)
+        return cls(cols, _pack_level(cols, node_capacity), node_capacity)
 
     @classmethod
     def from_shapes(
-        cls,
-        shapes: Sequence[Any],
-        node_capacity: int = DEFAULT_NODE_CAPACITY,
+        cls, shapes: Sequence[Any], node_capacity: int = DEFAULT_NODE_CAPACITY
     ) -> "RTree":
-        """Index shapes directly (each shape must expose ``.mbr``)."""
-        return cls(
-            [RTreeEntry(mbr=s.mbr, record=s) for s in shapes],
-            node_capacity=node_capacity,
-        )
+        """Index shapes in any order; rows answer as positions in ``shapes``."""
+        cols = mbr_columns(shapes)
+        order = str_order(*cols, node_capacity)
+        tree = cls.from_columns(*(take(c, order) for c in cols), node_capacity)
+        tree._rows = order
+        return tree
 
     # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _bulk_load(self, entries: List[RTreeEntry]) -> _Node:
-        leaves = [
-            _Node(
-                mbr=_group_mbr([e.mbr for e in group]),
-                entries=group,
-            )
-            for group in _str_pack(entries, lambda e: e.mbr, self.node_capacity)
-        ]
-        level = leaves
-        while len(level) > 1:
-            level = [
-                _Node(
-                    mbr=_group_mbr([n.mbr for n in group]),
-                    children=group,
-                )
-                for group in _str_pack(level, lambda n: n.mbr, self.node_capacity)
-            ]
-        return level[0]
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    @property
+    def mbr(self) -> Optional[Rectangle]:
+        return columns_mbr(*self.leaves) if len(self) else None
+
+    def checksum(self) -> int:
+        """CRC-32 over the raw bytes of the entry and leaf columns."""
+        crc = zlib.crc32(f"{self.node_capacity}:{len(self)}".encode("ascii"))
+        for col in self.columns + self.leaves:
+            crc = zlib.crc32(memoryview(col).cast("B"), crc)
+        return crc
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._size
+    def _leaf_rows(self, leaves: List[int]):
+        """The rows of the given leaves (ascending), ascending."""
+        cap, n = self.node_capacity, len(self)
+        if is_ndarray(self.columns[0]):
+            rows = (_np.asarray(leaves)[:, None] * cap + _np.arange(cap)).ravel()
+            short = leaves[-1] * cap + cap - n  # only the last leaf can be
+            return rows[:-short] if short > 0 else rows
+        return [
+            i
+            for leaf in leaves
+            for i in range(leaf * cap, min(n, leaf * cap + cap))
+        ]
 
-    @property
-    def mbr(self) -> Optional[Rectangle]:
-        return self._root.mbr if self._root else None
+    def _answer(self, rows, picked: List[int]) -> List[int]:
+        """``rows[picked]`` as the caller's row numbers."""
+        if is_ndarray(rows):
+            rows = rows[picked].tolist()
+        else:
+            rows = [rows[i] for i in picked]
+        if self._rows is not None:
+            rows = [int(self._rows[i]) for i in rows]
+        return rows
 
-    def _flat_cache(self):
-        """Every entry in traversal order, plus its MBR coordinate columns.
+    def search(
+        self, rect: Rectangle, owner: Optional[Rectangle] = None
+    ) -> List[int]:
+        """Ascending rows whose MBR intersects ``rect`` (closed).
 
-        The order is exactly the order :meth:`search` emits entries in:
-        the scalar search's output is the subsequence of this order whose
-        MBRs intersect the query (pruned subtrees only remove runs, never
-        reorder survivors), so one batch mask over these columns
-        reproduces the scalar result list element for element.
+        With ``owner`` (a disjoint partition's cell) a row also has to
+        pass reference-point duplicate avoidance: the bottom-left corner
+        of its MBR's intersection with ``rect`` lies in the half-open
+        ``owner``, so a replicated record answers in exactly one cell.
         """
-        flat = self._flat
-        if flat is None:
-            entries = list(self.all_entries())
-            n = len(entries)
-            flat = (
-                entries,
-                vectorized.column_from_iter((e.mbr.x1 for e in entries), n),
-                vectorized.column_from_iter((e.mbr.y1 for e in entries), n),
-                vectorized.column_from_iter((e.mbr.x2 for e in entries), n),
-                vectorized.column_from_iter((e.mbr.y2 for e in entries), n),
-            )
-            self._flat = flat
-        return flat
-
-    def _leaf_columns(self, node: "_Node"):
-        cols = self._leaf_cols.get(id(node))
-        if cols is None:
-            entries = node.entries
-            n = len(entries)
-            cols = tuple(
-                vectorized.column_from_iter(
-                    (getattr(e.mbr, name) for e in entries), n
-                )
-                for name in ("x1", "y1", "x2", "y2")
-            )
-            self._leaf_cols[id(node)] = cols
-        return cols
-
-    def search(self, rect: Rectangle) -> List[RTreeEntry]:
-        """All entries whose MBR intersects ``rect``."""
-        if self._root is None:
+        if not len(self):
             return []
         with _phase("rtree-probe"):
-            if vectorized.enabled() and self._size >= _VECTOR_MIN_ENTRIES:
-                entries, x1s, y1s, x2s, y2s = self._flat_cache()
-                hits = vectorized.rects_intersect(x1s, y1s, x2s, y2s, rect)
-                return [entries[i] for i in hits]
-            out: List[RTreeEntry] = []
-            stack = [self._root]
-            while stack:
-                node = stack.pop()
-                if not node.mbr.intersects(rect):
-                    continue
-                if node.is_leaf:
-                    out.extend(
-                        e for e in node.entries if e.mbr.intersects(rect)
-                    )
-                else:
-                    stack.extend(node.children)
-            return out
-
-    def all_entries(self) -> Iterator[RTreeEntry]:
-        if self._root is None:
-            return
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield from node.entries
+            leaves = vectorized.rects_intersect(*self.leaves, rect)
+            if not leaves:
+                return []
+            rows = self._leaf_rows(leaves)
+            cols = [take(col, rows) for col in self.columns]
+            if owner is None:
+                hits = vectorized.rects_intersect(*cols, rect)
             else:
-                stack.extend(node.children)
+                hits = vectorized.rects_intersect_owned(*cols, rect, owner)
+            out = self._answer(rows, hits)
+            return sorted(out) if self._rows is not None else out
 
-    def knn(self, query: Point, k: int) -> List[Tuple[float, RTreeEntry]]:
-        """The ``k`` entries nearest to ``query`` as ``(distance, entry)``.
+    def knn(self, query: Point, k: int) -> List[Tuple[float, int]]:
+        """The ``k`` rows nearest to ``query`` as ``(distance, row)``.
 
-        Best-first search over the tree using MBR minimum distances; exact
-        for point records and MBR-distance-based for extended shapes, which
-        is the contract SpatialHadoop's kNN uses. Ties break arbitrarily.
-        Returns fewer than ``k`` items when the tree is smaller than ``k``.
+        Exact for point records and MBR-distance-based for extended
+        shapes, which is the contract SpatialHadoop's kNN uses. Rows are
+        *ranked* by ``(squared distance, row)`` — the order a scan of the
+        block produces — and the returned distances are true distances,
+        recomputed on the winners only (see :mod:`repro.geometry.vectorized`).
+        Returns fewer than ``k`` pairs when the tree is smaller than ``k``.
 
-        Candidates are *ranked* by squared distance (identical rounding
-        between the scalar and batch kernels, see
-        :mod:`repro.geometry.vectorized`); the distances in the returned
-        pairs are true distances, recomputed on the winners only.
+        Leaves are visited by ascending minimum distance: the first few
+        hold ``k`` candidates, whose k-th distance bounds which of the
+        remaining leaves can still hold a closer (or tied) row.
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        if self._root is None:
+        if not len(self):
             return []
-        use_vec = (
-            vectorized.enabled() and self._size >= _VECTOR_MIN_ENTRIES
-        )
-        counter = itertools.count()  # tie-breaker: heap entries stay comparable
-        heap: List[Tuple[float, int, bool, Any]] = [
-            (
-                self._root.mbr.min_distance_sq_point(query),
-                next(counter),
-                False,
-                self._root,
+        qx, qy = query.x, query.y
+        leaf_dsq = vectorized.rect_min_distance_sq(*self.leaves, qx, qy)
+        by_distance = vectorized.topk_by_distance(leaf_dsq, len(leaf_dsq))
+        first = -(-k // self.node_capacity) + 1  # only the last leaf is short
+
+        def candidates(leaves):
+            rows = self._leaf_rows(sorted(leaves))
+            cols = [take(col, rows) for col in self.columns]
+            return rows, cols, vectorized.rect_min_distance_sq(*cols, qx, qy)
+
+        rows, cols, dsq = candidates(by_distance[:first])
+        if len(by_distance) > first:
+            kth = dsq[vectorized.topk_by_distance(dsq, k)[-1]]
+            more = list(
+                takewhile(lambda j: leaf_dsq[j] <= kth, by_distance[first:])
             )
+            if more:
+                rows, cols, dsq = candidates(by_distance[:first] + more)
+        top = vectorized.topk_by_distance(dsq, k)
+        x1, y1, x2, y2 = ([float(v) for v in take(col, top)] for col in cols)
+        return [
+            (
+                math.hypot(
+                    max(x1[i] - qx, 0.0, qx - x2[i]),
+                    max(y1[i] - qy, 0.0, qy - y2[i]),
+                ),
+                row,
+            )
+            for i, row in enumerate(self._answer(rows, top))
         ]
-        result: List[Tuple[float, RTreeEntry]] = []
-        while heap and len(result) < k:
-            _dsq, _, is_entry, item = heapq.heappop(heap)
-            if is_entry:
-                result.append((item.mbr.min_distance_point(query), item))
-                continue
-            node: _Node = item
-            if node.is_leaf:
-                if use_vec:
-                    x1s, y1s, x2s, y2s = self._leaf_columns(node)
-                    dsqs = vectorized.rect_min_distance_sq(
-                        x1s, y1s, x2s, y2s, query.x, query.y
-                    )
-                    for i, e in enumerate(node.entries):
-                        heapq.heappush(
-                            heap, (float(dsqs[i]), next(counter), True, e)
-                        )
-                else:
-                    for e in node.entries:
-                        heapq.heappush(
-                            heap,
-                            (
-                                e.mbr.min_distance_sq_point(query),
-                                next(counter),
-                                True,
-                                e,
-                            ),
-                        )
-            else:
-                for child in node.children:
-                    heapq.heappush(
-                        heap,
-                        (
-                            child.mbr.min_distance_sq_point(query),
-                            next(counter),
-                            False,
-                            child,
-                        ),
-                    )
-        return result
-
-    def depth(self) -> int:
-        """Height of the tree (0 for an empty tree, 1 for a single leaf)."""
-        d = 0
-        node = self._root
-        while node is not None:
-            d += 1
-            node = node.children[0] if not node.is_leaf else None
-        return d
-
-
-def _group_mbr(mbrs: Sequence[Rectangle]) -> Rectangle:
-    mbr = mbrs[0]
-    for m in mbrs[1:]:
-        mbr = mbr.union(m)
-    return mbr

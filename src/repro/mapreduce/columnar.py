@@ -222,6 +222,13 @@ class ColumnarPayload:
                 for i in range(self.count)
             ]
 
+    def mbr_columns(self) -> Tuple[Any, Any, Any, Any]:
+        """The records' MBRs as ``x1, y1, x2, y2`` columns (no copies)."""
+        if self.kind == "point":
+            xs, ys = self.columns
+            return xs, ys, xs, ys
+        return self.columns
+
     # ------------------------------------------------------------------
     # Kernel dispatch
     # ------------------------------------------------------------------

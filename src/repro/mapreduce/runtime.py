@@ -31,9 +31,15 @@ from __future__ import annotations
 import pickle
 import sys
 import time
+from array import array
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+try:
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised on numpy-free installs
+    _np = None
 
 from repro.mapreduce.checkpoint import (
     CancellationToken,
@@ -105,6 +111,16 @@ MIN_SPECULATION_TASKS = 3
 _CORRUPTED_RESULT = "\x00corrupted-task-result\x00"
 
 
+#: Values sized by their buffer length, never memoised by type.
+_BUFFER_TYPES: Tuple[type, ...] = (array, memoryview) + (
+    (_np.ndarray,) if _np is not None else ()
+)
+
+#: Flat charge for a buffer's object header (what ``sys.getsizeof`` adds
+#: on top of the bytes of an ``ndarray`` or ``array``).
+_BUFFER_HEADER = 64
+
+
 class _RecordSizer:
     """Memoised record sizing: one ``sys.getsizeof`` per record shape.
 
@@ -113,7 +129,9 @@ class _RecordSizer:
     of a handful of types (tuples of a few fixed layouts, geometry
     shapes), so sizing one sample per (type, length) bucket replaces a
     per-record ``sys.getsizeof`` call with a dict lookup. Strings and
-    bytes keep their exact length.
+    bytes keep their exact length, and so do buffers (``ndarray``,
+    ``array``, ``memoryview``) — bare or inside a tuple, as the index
+    build ships row offsets — because one type covers every length.
     """
 
     __slots__ = ("_cache",)
@@ -124,14 +142,20 @@ class _RecordSizer:
     def size(self, record: Any) -> int:
         if isinstance(record, (str, bytes)):
             return len(record)
+        if isinstance(record, _BUFFER_TYPES):
+            return _BUFFER_HEADER + memoryview(record).nbytes
+        nested = 0
         if isinstance(record, (tuple, list)):
             key: Any = (type(record), len(record))
+            for item in record:
+                if type(item) in _BUFFER_TYPES:
+                    nested += self.size(item)
         else:
             key = type(record)
         cached = self._cache.get(key)
         if cached is None:
             cached = self._cache[key] = max(sys.getsizeof(record), 16)
-        return cached
+        return cached + nested
 
     def total(self, pairs: Sequence[Tuple[Any, Any]]) -> int:
         size = self.size

@@ -145,58 +145,15 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     return seg
 
 
-class _LazyMetadata(dict):
-    """Block metadata whose local index is rebuilt on first access.
-
-    A sealed block's local R-tree pickles as the whole tree — entries,
-    nodes, one record reference each — which defeats the point of not
-    shipping the records. The stand-in ships the *build parameters*
-    instead (a flag plus the node capacity) and rebuilds the tree from
-    the materialized records on first ``get("local_index")``. STR bulk
-    load is deterministic, so the rebuilt tree answers queries exactly
-    like the original.
-    """
-
-    def __init__(self, base: dict, block: "ShmBlock", capacity: int):
-        super().__init__(base)
-        self._block = block
-        self._capacity = capacity
-
-    def _ensure_index(self) -> None:
-        if dict.__contains__(self, "local_index"):
-            return
-        from repro.index.partitioners.base import shape_mbr
-        from repro.index.rtree import RTree, RTreeEntry
-
-        records = self._block.records
-        dict.__setitem__(
-            self,
-            "local_index",
-            RTree(
-                [RTreeEntry(mbr=shape_mbr(r), record=r) for r in records],
-                node_capacity=self._capacity,
-            ),
-        )
-
-    def __getitem__(self, key):
-        if key == "local_index" and self._block.has_index:
-            self._ensure_index()
-        return dict.__getitem__(self, key)
-
-    def get(self, key, default=None):
-        if key == "local_index" and self._block.has_index:
-            self._ensure_index()
-        return dict.get(self, key, default)
-
-
 class ShmBlock:
     """A shared-memory stand-in for one sealed :class:`Block`.
 
     Pickles as a handful of scalars plus the (index-free) metadata dict.
     ``columnar`` attaches the arena lazily and builds zero-copy column
-    views; ``records`` materializes real record objects from them (and
-    the lazily rebuilt local index shares those objects). ``release``
-    drops the views so the worker's attachment can close cleanly.
+    views; ``records`` materializes real record objects from them, and
+    ``metadata`` packs the local index over the same views.
+    ``release`` drops the views so the worker's attachment can close
+    cleanly.
     """
 
     __slots__ = (
@@ -260,16 +217,34 @@ class ShmBlock:
 
     @property
     def metadata(self) -> dict:
+        """The block's metadata, local index included.
+
+        A sealed block's local R-tree would pickle as a second copy of
+        the coordinate columns the arena already holds, so only its
+        build parameters ship (a flag plus the node capacity). The
+        block's rows are stored in packed order: packing the zero-copy
+        column views here gives back the original tree, array for
+        array, at the cost of a few ``reduceat`` calls.
+        """
         metadata = self._metadata
         if metadata is None:
-            metadata = self._metadata = _LazyMetadata(
-                self._base_metadata, self, self.index_capacity
-            )
+            metadata = self._metadata = dict(self._base_metadata)
+            if self.has_index:
+                from repro.index.rtree import RTree
+
+                metadata["local_index"] = RTree.from_columns(
+                    *self.columnar.mbr_columns(),
+                    node_capacity=self.index_capacity,
+                )
         return metadata
 
     def release(self) -> None:
-        """Drop the zero-copy column views (records stay usable)."""
+        """Drop the zero-copy column views (records stay usable).
+
+        The local index in ``metadata`` is made of such views too.
+        """
         self._columnar = None
+        self._metadata = None
 
     def __iter__(self):
         return iter(self.records)

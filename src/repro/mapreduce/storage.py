@@ -75,12 +75,6 @@ def checksum_records(records: List[Any]) -> int:
     return zlib.crc32(payload)
 
 
-def local_index_checksum(local_index: Any) -> int:
-    """CRC-32 of a local index's canonical form (entry MBRs, in order)."""
-    text = ";".join(str(e.mbr) for e in local_index.all_entries())
-    return zlib.crc32(text.encode("utf-8"))
-
-
 def global_index_checksum(gindex: Any) -> int:
     """CRC-32 of a global index's canonical form (cells, in order)."""
     parts = [f"{gindex.technique}|{gindex.disjoint}"]
@@ -169,9 +163,7 @@ class StorageManager:
             block.checksum = checksum_records(block.records)
         local_index = block.metadata.get("local_index")
         if local_index is not None and "local_index_crc" not in block.metadata:
-            block.metadata["local_index_crc"] = local_index_checksum(
-                local_index
-            )
+            block.metadata["local_index_crc"] = local_index.checksum()
         block.replicas = [Replica(node=n) for n in self._pick_nodes()]
 
     def seal_file(self, entry: Any) -> None:
@@ -559,16 +551,10 @@ def _check_local_index(name, index, block, repair, report) -> None:
     if local_index is None:
         return
     stored = block.metadata.get("local_index_crc")
-    actual = local_index_checksum(local_index)
+    actual = local_index.checksum()
     if stored == actual:
         return
-    repaired = False
-    if repair:
-        rebuilt = _rebuild_local_index(block.records)
-        if rebuilt is not None:
-            block.metadata["local_index"] = rebuilt
-            block.metadata["local_index_crc"] = local_index_checksum(rebuilt)
-            repaired = True
+    repaired = repair and _rebuild_local_index(block, stored, actual)
     report.issues.append(
         FsckIssue(
             file=name,
@@ -584,18 +570,35 @@ def _check_local_index(name, index, block, repair, report) -> None:
     )
 
 
-def _rebuild_local_index(records):
-    """Bulk-load a fresh local R-tree from a block's surviving records."""
+def _rebuild_local_index(block, stored, actual) -> bool:
+    """Re-pack a block's local R-tree from its records; True when verified.
+
+    The records are the truth (their payload checksum is checked on its
+    own); ``block.columnar`` is not, because the sealed tree shares its
+    arrays. The index build stores rows in packed order, so packing the
+    records' MBRs as they stand gives back the sealed tree byte for byte.
+    The rebuilt tree is installed only when its CRC equals the sealed
+    stamp (the arrays were damaged) or the current tree's (the stamp was).
+    """
     # Imported lazily: repro.index imports repro.mapreduce.
-    from repro.index.partitioners.base import shape_mbr
-    from repro.index.rtree import RTree, RTreeEntry
+    from repro.index.rtree import RTree, mbr_columns
+    from repro.mapreduce.columnar import ColumnarPayload
 
     try:
-        return RTree(
-            [RTreeEntry(mbr=shape_mbr(r), record=r) for r in records]
+        rebuilt = RTree.from_columns(
+            *mbr_columns(block.records),
+            block.metadata["local_index"].node_capacity,
         )
+        crc = rebuilt.checksum()
     except Exception:
-        return None
+        return False
+    if crc not in (stored, actual):
+        return False
+    if getattr(block, "columnar", None) is not None:
+        block.columnar = ColumnarPayload.from_records(block.records)
+    block.metadata["local_index"] = rebuilt
+    block.metadata["local_index_crc"] = crc
+    return True
 
 
 def _check_global_index(name, entry, repair, report) -> None:

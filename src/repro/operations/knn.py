@@ -78,8 +78,8 @@ def _knn_indexed_map(_cell, records, ctx):
     local = local_index_of(ctx) if ctx.config["use_local_index"] else None
     if local is not None:
         top = [
-            (d, e.record)
-            for d, e in local.knn(ctx.config["query"], ctx.config["k"])
+            (d, records[row])
+            for d, row in local.knn(ctx.config["query"], ctx.config["k"])
         ]
     else:
         payload = payload_of(ctx.split.block, len(records))

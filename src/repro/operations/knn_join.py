@@ -81,12 +81,13 @@ def knn_join_spatial(
                 local: RTree = block.metadata.get("local_index")
                 if local is None:  # index built without local indexes
                     local = RTree.from_shapes(block.records)
-                for d, entry in local.knn(query, kk):
+                for d, row in local.knn(query, kk):
+                    found = block.records[row]
                     if len(best) < kk:
-                        heapq.heappush(best, (-d, counter, entry.record))
+                        heapq.heappush(best, (-d, counter, found))
                         counter += 1
                     elif d < -best[0][0]:
-                        heapq.heappushpop(best, (-d, counter, entry.record))
+                        heapq.heappushpop(best, (-d, counter, found))
                         counter += 1
             neighbors = sorted((-nd, rec) for nd, _, rec in best)
             ctx.write_output((record, neighbors))

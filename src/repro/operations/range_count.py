@@ -13,21 +13,14 @@ from repro.core.result import OperationResult
 from repro.core.reader import local_index_of, spatial_reader
 from repro.core.splitter import global_index_of, spatial_splitter
 from repro.geometry import Rectangle
-from repro.index.partitioners.base import shape_mbr
 from repro.mapreduce import Counter, Job, JobRunner
-from repro.mapreduce.columnar import payload_of
 from repro.observe.plan import PlanNode, estimate_job_cost
-from repro.operations.range_query import _matches, _owned_by_cell, estimated_matches
+from repro.operations.range_query import estimated_matches, matching_rows
 
 
 def _count_scan_map(_key, records, ctx):
     """Per-block matching-record count (module-level: picklable)."""
-    q = ctx.config["query"]
-    payload = payload_of(ctx.split.block, len(records))
-    if payload is not None:
-        ctx.emit(1, len(payload.indices_in(q)))
-        return
-    ctx.emit(1, sum(1 for r in records if _matches(r, q)))
+    ctx.emit(1, len(matching_rows(records, ctx)))
 
 
 def _count_reduce(_key, partials, ctx):
@@ -37,31 +30,8 @@ def _count_reduce(_key, partials, ctx):
 
 def _count_indexed_map(cell, records, ctx):
     """Per-partition count with dedup ownership (module-level: picklable)."""
-    q = ctx.config["query"]
-    local = local_index_of(ctx)
-    if local is not None:
-        candidates = [e.record for e in local.search(q)]
-    else:
-        payload = payload_of(ctx.split.block, len(records))
-        if payload is not None:
-            indices = (
-                payload.indices_owned_in(q, cell)
-                if ctx.config["dedup"]
-                else payload.indices_in(q)
-            )
-            ctx.emit(1, len(indices))
-            return
-        candidates = [r for r in records if _matches(r, q)]
-    count = 0
-    for record in candidates:
-        if not _matches(record, q):
-            continue
-        if ctx.config["dedup"] and not _owned_by_cell(
-            shape_mbr(record), cell, q
-        ):
-            continue
-        count += 1
-    ctx.emit(1, count)
+    owner = cell if ctx.config["dedup"] else None
+    ctx.emit(1, len(matching_rows(records, ctx, local_index_of(ctx), owner)))
 
 
 def range_count_hadoop(

@@ -43,50 +43,45 @@ def _owned_by_cell(record_mbr: Rectangle, cell: Rectangle, query: Rectangle) -> 
     return cell.contains_point_left_inclusive(ref)
 
 
-def _scan_map(_key, records, ctx):
-    """Map task of the full-scan range query (module-level: picklable)."""
+def matching_rows(records, ctx, local=None, owner=None):
+    """Rows of a block the query reports, ascending.
+
+    The local index, the columnar payload and the record scan evaluate
+    the same two predicates — the record's MBR intersects the window,
+    and (given ``owner``, the cell of a replicating index) this
+    partition owns the reference point — so all three yield the same
+    rows in the same order.
+    """
     q = ctx.config["query"]
-    ctx.log("debug", "block-scanned", records=len(records))
+    if local is not None:
+        return local.search(q, owner)
     payload = payload_of(ctx.split.block, len(records))
     if payload is not None:
-        # One batch mask over the block's columnar payload; the index
-        # list is in record order, so output order matches the scalar
-        # loop exactly.
-        for i in payload.indices_in(q):
-            ctx.write_output(records[i])
-        return
-    for record in records:
-        if _matches(record, q):
-            ctx.write_output(record)
+        if owner is None:
+            return payload.indices_in(q)
+        return payload.indices_owned_in(q, owner)
+    return [
+        i
+        for i, record in enumerate(records)
+        if _matches(record, q)
+        and (owner is None or _owned_by_cell(shape_mbr(record), owner, q))
+    ]
+
+
+def _scan_map(_key, records, ctx):
+    """Map task of the full-scan range query (module-level: picklable)."""
+    ctx.log("debug", "block-scanned", records=len(records))
+    for i in matching_rows(records, ctx):
+        ctx.write_output(records[i])
 
 
 def _indexed_map(cell, records, ctx):
     """Map task of the indexed range query (module-level: picklable)."""
-    q = ctx.config["query"]
     ctx.log("debug", "partition-scanned", records=len(records))
     local = local_index_of(ctx) if ctx.config["use_local_index"] else None
-    if local is not None:
-        candidates = [e.record for e in local.search(q)]
-    else:
-        payload = payload_of(ctx.split.block, len(records))
-        if payload is not None:
-            indices = (
-                payload.indices_owned_in(q, cell)
-                if ctx.config["dedup"]
-                else payload.indices_in(q)
-            )
-            for i in indices:
-                ctx.write_output(records[i])
-            return
-        candidates = [r for r in records if _matches(r, q)]
-    for record in candidates:
-        if not _matches(record, q):
-            continue
-        if ctx.config["dedup"] and not _owned_by_cell(
-            shape_mbr(record), cell, q
-        ):
-            continue
-        ctx.write_output(record)
+    owner = cell if ctx.config["dedup"] else None
+    for i in matching_rows(records, ctx, local, owner):
+        ctx.write_output(records[i])
 
 
 def range_query_hadoop(

@@ -1,6 +1,7 @@
 """CLI tests for checkpointing, resume, deadlines and cancellation."""
 
 import json
+import re
 import signal
 
 import pytest
@@ -27,6 +28,16 @@ def run(ws, *argv):
 
 
 KNN = ("knn", "idx", "--point", "5e5,5e5", "--k", "7")
+
+
+def stable(out):
+    """CLI output without the ``[cost]`` line's simulated seconds.
+
+    That figure replays *measured* CPU time and differs from run to run;
+    the answer lines and the counters beside it (blocks read, shuffled
+    records, rounds) are what a resumed run must reproduce.
+    """
+    return re.sub(r", simulated: [0-9.]+s", "", out)
 
 
 class TestCrashAndResume:
@@ -71,7 +82,7 @@ class TestCrashAndResume:
 
         assert main(["-w", indexed_ws, "resume", str(ckpt)]) == 0
         got = capsys.readouterr().out
-        assert want in got
+        assert stable(want) in stable(got)
         # Completed jobs garbage-collect their journal.
         assert not ckpt.exists()
 
@@ -180,7 +191,7 @@ class TestDeadlinesAndSignals:
         # the hang fault, which already fired, and the deadline, which
         # the stall no longer threatens.
         assert main(["-w", indexed_ws, "resume", str(ckpt)]) == 0
-        assert want in capsys.readouterr().out
+        assert stable(want) in stable(capsys.readouterr().out)
 
     def test_negative_deadline_rejected(self, indexed_ws, capsys):
         assert run(indexed_ws, "--deadline", "-1", *KNN) == 1
@@ -265,4 +276,4 @@ class TestFsckCheckpointAudit:
         want = capsys.readouterr().out
         ckpt = self._torn_journal(indexed_ws, tmp_path, capsys)
         assert main(["-w", indexed_ws, "resume", str(ckpt)]) == 0
-        assert want in capsys.readouterr().out
+        assert stable(want) in stable(capsys.readouterr().out)

@@ -103,6 +103,17 @@ class TestCorruption:
         with pytest.raises(WorkspaceVersionError):
             load_workspace(path)
 
+    def test_previous_format_is_refused_with_a_rebuild_hint(self, tmp_path):
+        # A v2 payload holds object R-trees whose classes are gone; the
+        # version check must refuse it before unpickling is attempted.
+        path = tmp_path / "ws.pkl"
+        save_workspace(build("grid"), path)
+        raw = bytearray(path.read_bytes())
+        raw[len(MAGIC)] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WorkspaceVersionError, match="rebuild the index"):
+            load_workspace(path)
+
     def test_missing_file_raises_workspace_error(self, tmp_path):
         with pytest.raises(WorkspaceError):
             load_workspace(tmp_path / "nope.pkl")

@@ -87,6 +87,38 @@ class TestShuffleBytes:
         )
         assert result.counters["SHUFFLE_BYTES"] >= 10 * len("hello")
 
+    def test_buffers_are_sized_by_length_not_by_the_first_one_seen(self):
+        """One type covers buffers of any length, so memoising a size per
+        type (as for tuples and shapes) would charge them all alike."""
+        from array import array
+
+        import numpy as np
+
+        from repro.mapreduce.runtime import _RecordSizer
+
+        sizer = _RecordSizer()
+        small, large = np.arange(3), np.arange(3000)
+        assert sizer.size(large) - sizer.size(small) == 8 * (3000 - 3)
+        assert sizer.size(small) > small.nbytes  # plus a header
+        # Same bytes, same charge, whichever buffer type carries them.
+        assert sizer.size(array("q", range(3000))) == sizer.size(large)
+        assert sizer.size(memoryview(large)) == sizer.size(large)
+
+    def test_buffers_inside_a_tuple_are_charged_too(self):
+        """The index build shuffles ``(block_index, row offsets)``."""
+        import numpy as np
+
+        from repro.mapreduce.runtime import _RecordSizer
+
+        sizer = _RecordSizer()
+        bare = sizer.size((7, 9))
+        few = sizer.size((7, np.arange(10)))
+        many = sizer.size((7, np.arange(1000)))
+        assert bare < few < many
+        assert many - few == 8 * 990
+        assert sizer.size((7, 9)) == bare  # the memoised shape is untouched
+        assert sizer.total([(0, (1, np.arange(10))), (1, (2, 3))]) == few + bare
+
 
 class TestWorkspacePickling:
     def test_spatialhadoop_round_trips_through_pickle(self):

@@ -41,10 +41,15 @@ class TestSelfDiff:
 
 
 def _plant_slow_phase(doc, factor=3.0):
-    """Triple every profiled phase of the last profiled job."""
+    """Triple every profiled phase of the job with the longest phase.
+
+    The longest phase (the index build's partition map) is milliseconds
+    long, so its tripling clears diff's 1 ms absolute floor on any host.
+    """
     slow = copy.deepcopy(doc)
-    target = next(
-        j for j in reversed(slow["history"]["jobs"]) if j["phase_profile"]
+    target = max(
+        (j for j in slow["history"]["jobs"] if j["phase_profile"]),
+        key=lambda j: max(e["s"] for e in j["phase_profile"].values()),
     )
     for entry in target["phase_profile"].values():
         entry["s"] *= factor
