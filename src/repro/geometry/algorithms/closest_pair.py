@@ -1,9 +1,10 @@
-"""Divide-and-conquer closest pair of points."""
+"""Closest pair of points."""
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
+from repro.geometry import vectorized
 from repro.geometry.point import Point
 
 Pair = Tuple[Point, Point]
@@ -12,79 +13,30 @@ Pair = Tuple[Point, Point]
 def closest_pair(points: Iterable[Point]) -> Optional[Pair]:
     """The pair of points at minimum L2 distance, or None for < 2 points.
 
-    Classic O(n log n) divide and conquer: sort once by x, recurse on the
-    two halves, then check the middle strip sorted by y. Duplicate points
-    are allowed and trivially form a zero-distance closest pair.
+    The points become two coordinate columns and
+    :func:`repro.geometry.vectorized.closest_pair_rows` picks the rows:
+    an x-sorted shifted-difference sweep on NumPy columns, the classic
+    O(n log n) divide and conquer otherwise. Duplicate points are allowed
+    and trivially form a zero-distance closest pair.
     """
-    pts: List[Point] = sorted(points)
+    pts: List[Point] = list(points)
     n = len(pts)
-    if n < 2:
-        return None
-    # Duplicates short-circuit: identical consecutive points after sorting.
-    for i in range(n - 1):
-        if pts[i] == pts[i + 1]:
-            return (pts[i], pts[i + 1])
-    by_y = sorted(pts, key=lambda p: (p.y, p.x))
-    best_sq, pair = _closest(pts, by_y)
-    del best_sq
-    return pair
-
-
-def _brute(pts: List[Point]) -> Tuple[float, Pair]:
-    best_sq = float("inf")
-    pair: Optional[Pair] = None
-    distance_sq = Point.distance_sq  # bound once: O(n^2) hot loop
-    n = len(pts)
-    for i in range(n):
-        pi = pts[i]
-        for j in range(i + 1, n):
-            d = distance_sq(pi, pts[j])
-            if d < best_sq:
-                best_sq = d
-                pair = (pi, pts[j])
-    assert pair is not None
-    return best_sq, pair
-
-
-def _closest(px: List[Point], py: List[Point]) -> Tuple[float, Pair]:
-    n = len(px)
-    if n <= 3:
-        return _brute(px)
-
-    mid = n // 2
-    mid_x = px[mid].x
-    left_px = px[:mid]
-    right_px = px[mid:]
-    left_set = set(left_px)
-    left_py = [p for p in py if p in left_set]
-    right_py = [p for p in py if p not in left_set]
-
-    best_l, pair_l = _closest(left_px, left_py)
-    best_r, pair_r = _closest(right_px, right_py)
-    if best_l <= best_r:
-        best_sq, pair = best_l, pair_l
-    else:
-        best_sq, pair = best_r, pair_r
-
-    strip = [p for p in py if (p.x - mid_x) ** 2 < best_sq]
-    distance_sq = Point.distance_sq  # bound once: the strip loop is hot
-    m = len(strip)
-    for i in range(m):
-        si = strip[i]
-        si_y = si.y
-        j = i + 1
-        while j < m and (strip[j].y - si_y) ** 2 < best_sq:
-            d = distance_sq(si, strip[j])
-            if d < best_sq:
-                best_sq = d
-                pair = (si, strip[j])
-            j += 1
-    return best_sq, pair
+    rows = vectorized.closest_pair_rows(
+        vectorized.column_from_iter([p.x for p in pts], n),
+        vectorized.column_from_iter([p.y for p in pts], n),
+    )
+    return None if rows is None else (pts[rows[0]], pts[rows[1]])
 
 
 def closest_pair_bruteforce(points: Iterable[Point]) -> Optional[Pair]:
     """O(n^2) reference implementation used as a test oracle."""
     pts = list(points)
-    if len(pts) < 2:
-        return None
-    return _brute(pts)[1]
+    best_sq = float("inf")
+    pair: Optional[Pair] = None
+    for i, pi in enumerate(pts):
+        for pj in pts[i + 1:]:
+            d = pi.distance_sq(pj)
+            if d < best_sq:
+                best_sq = d
+                pair = (pi, pj)
+    return pair

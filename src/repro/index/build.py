@@ -35,7 +35,7 @@ from repro.index.rtree import (
 )
 from repro.index.sampler import reservoir_sample
 from repro.mapreduce import Block, Job, JobResult, JobRunner
-from repro.mapreduce.runtime import default_splitter
+from repro.mapreduce.runtime import block_reader, default_splitter
 from repro.mapreduce.columnar import ColumnarPayload
 
 #: Registry of partitioning techniques by name.
@@ -53,11 +53,6 @@ PARTITIONERS: Dict[str, Type[Partitioner]] = {
 }
 
 DEFAULT_SAMPLE_SIZE = 2_000
-
-
-def _block_reader(split):
-    """Hand map tasks the block itself: they read columns, not records."""
-    return split.key, split.block
 
 
 def _derived_columns_splitter(derived):
@@ -104,12 +99,8 @@ def _partition_map(derived, block, ctx):
     """Route the split's rows to their cell(s) (module-level: picklable).
 
     One ``(cell_id, (block_index, offsets))`` pair per cell the block
-    touches crosses the shuffle, never a record. The commit phase resolves
-    offsets back to the *original* record objects, so a record replicated
-    into several cells is stored as the same object in every block —
-    identity sharing that downstream consumers (the distributed join's
-    duplicate handling) rely on, and that shipping pickled record copies
-    from worker processes would silently break.
+    touches crosses the shuffle, never a record; the commit phase resolves
+    offsets back to the driver's own record objects.
     """
     if not len(block):
         return
@@ -222,7 +213,7 @@ def build_index(
             sample_job = Job(
                 input_file=input_file,
                 map_fn=_sample_map,
-                reader=_block_reader,
+                reader=block_reader,
                 config={"num_blocks": num_blocks, "sample_size": sample_size},
                 name=f"sample({input_file})",
             )
@@ -261,7 +252,7 @@ def build_index(
             input_file=input_file,
             map_fn=_partition_map,
             splitter=_derived_columns_splitter(derived_columns),
-            reader=_block_reader,
+            reader=block_reader,
             reduce_fn=_partition_reduce,
             num_reducers=partitioner.num_cells(),
             config={"partitioner": partitioner},

@@ -46,14 +46,6 @@ def expand_space(space: Rectangle) -> Rectangle:
     return Rectangle(space.x1, space.y1, space.x2 + pad_x, space.y2 + pad_y)
 
 
-def expand_ranges(lo, hi):
-    """Every ``(i, v)`` with ``lo[i] <= v <= hi[i]`` as two int arrays."""
-    counts = hi - lo + 1
-    owner = np.repeat(np.arange(len(lo)), counts)
-    first = np.cumsum(counts) - counts
-    return owner, lo[owner] + np.arange(len(owner)) - first[owner]
-
-
 class Partitioner(ABC):
     """Routes records to global-index cells.
 

@@ -11,12 +11,8 @@ import math
 from typing import List, Sequence
 
 from repro.geometry import Point, Rectangle
-from repro.index.partitioners.base import (
-    Partitioner,
-    expand_ranges,
-    expand_space,
-    np,
-)
+from repro.geometry.vectorized import expand_ranges
+from repro.index.partitioners.base import Partitioner, expand_space, np
 
 
 class GridPartitioner(Partitioner):

@@ -186,6 +186,11 @@ def default_reader(split: InputSplit) -> Tuple[Any, List[Any]]:
     return split.key, list(split.block.records)
 
 
+def block_reader(split: InputSplit) -> Tuple[Any, Any]:
+    """Hand map tasks the block itself: they read columns, not records."""
+    return split.key, split.block
+
+
 @dataclass
 class JobResult:
     """Everything a driver needs to know about a finished job."""

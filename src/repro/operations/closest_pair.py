@@ -18,12 +18,39 @@ from __future__ import annotations
 import math
 
 from repro.core.result import OperationResult
-from repro.core.reader import spatial_reader
 from repro.core.splitter import global_index_of, spatial_splitter
-from repro.geometry.algorithms.closest_pair import closest_pair
+from repro.geometry import Point, vectorized
 from repro.observe.plan import PlanNode
-from repro.operations.common import as_points, plan_indexed_scan
+from repro.operations.common import plan_indexed_scan, point_columns
 from repro.mapreduce import Job, JobRunner
+from repro.mapreduce.runtime import block_reader
+
+
+def _closest_pair_map(cell, block, ctx):
+    """Local closest pair + candidate buffer (module-level: picklable).
+
+    Ships the coordinates of the surviving rows as two columns.
+    """
+    xs, ys = point_columns(block)
+    pair = vectorized.closest_pair_rows(xs, ys)
+    if pair is None:
+        # Zero or one point: nothing can be pruned safely.
+        keep = range(len(xs))
+    else:
+        i, j = pair
+        delta = math.hypot(xs[i] - xs[j], ys[i] - ys[j])
+        near = vectorized.points_near_boundary(xs, ys, cell, delta)
+        keep = sorted({i, j}.union(near))
+    ctx.emit(1, (vectorized.take(xs, keep), vectorized.take(ys, keep)))
+
+
+def _closest_pair_reduce(_key, columns, ctx):
+    """Closest pair of the survivors (module-level: picklable)."""
+    xs = vectorized.concat([c[0] for c in columns])
+    ys = vectorized.concat([c[1] for c in columns])
+    pair = vectorized.closest_pair_rows(xs, ys)
+    if pair is not None:
+        ctx.emit(1, tuple(Point(float(xs[i]), float(ys[i])) for i in pair))
 
 
 def closest_pair_spatial(runner: JobRunner, file_name: str) -> OperationResult:
@@ -34,40 +61,12 @@ def closest_pair_spatial(runner: JobRunner, file_name: str) -> OperationResult:
     if not gindex.disjoint:
         raise ValueError("the closest-pair pruning step needs a disjoint index")
 
-    def map_fn(cell, records, ctx):
-        records = as_points(records)
-        pair = closest_pair(records)
-        if pair is None:
-            # Zero or one point: nothing can be pruned safely.
-            for p in records:
-                ctx.emit(1, p)
-            return
-        delta = pair[0].distance(pair[1])
-        ctx.emit(1, pair[0])
-        ctx.emit(1, pair[1])
-        for p in records:
-            if p in pair:
-                continue
-            near_boundary = (
-                p.x - cell.x1 < delta
-                or cell.x2 - p.x < delta
-                or p.y - cell.y1 < delta
-                or cell.y2 - p.y < delta
-            )
-            if near_boundary:
-                ctx.emit(1, p)
-
-    def reduce_fn(_key, points, ctx):
-        pair = closest_pair(points)
-        if pair is not None:
-            ctx.emit(1, pair)
-
     job = Job(
         input_file=file_name,
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
+        map_fn=_closest_pair_map,
+        reduce_fn=_closest_pair_reduce,
         splitter=spatial_splitter(),
-        reader=spatial_reader,
+        reader=block_reader,
         name=f"closest-pair({file_name})",
     )
     result = runner.run(job)
@@ -79,18 +78,6 @@ def closest_pair_spatial(runner: JobRunner, file_name: str) -> OperationResult:
 # ----------------------------------------------------------------------
 # Plan hook (EXPLAIN)
 # ----------------------------------------------------------------------
-def _est_boundary_candidates(num_records: int) -> int:
-    """Expected candidate-buffer size of a partition.
-
-    With n uniform points, the local closest-pair distance delta scales
-    like sqrt(A/n); the boundary band of width delta then holds roughly
-    perimeter * delta * density = 4 * sqrt(n) points (plus the pair).
-    """
-    if num_records <= 1:
-        return num_records
-    return min(num_records, 2 + round(4 * math.sqrt(num_records)))
-
-
 def plan_closest_pair(runner: JobRunner, file_name: str) -> PlanNode:
     """EXPLAIN plan for the closest-pair operation (disjoint index only)."""
     gindex = global_index_of(runner.fs, file_name)
@@ -105,9 +92,7 @@ def plan_closest_pair(runner: JobRunner, file_name: str) -> PlanNode:
         selected,
         map_desc="local closest pair + boundary buffer",
         reduce_desc="closest pair of survivors",
-        shuffle_records=sum(
-            _est_boundary_candidates(c.num_records) for c in selected
-        ),
+        shuffle_records=len(selected),  # one pair of columns per block
     )
     if not gindex.disjoint:
         plan.detail["note"] = "pruning requires a disjoint index"

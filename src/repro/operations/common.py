@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.geometry import Point
+from repro.geometry.vectorized import is_ndarray
+from repro.index.rtree import block_columns
 from repro.observe.plan import PlanNode, estimate_job_cost
 
 
@@ -28,6 +30,21 @@ def as_point(record: Any) -> Point:
 def as_points(records: Iterable[Any]) -> List[Point]:
     """Convert a record iterable to points (see :func:`as_point`)."""
     return [as_point(r) for r in records]
+
+
+def point_columns(block: Any) -> Tuple[Any, Any]:
+    """The ``(xs, ys)`` columns of a block of point records.
+
+    The column form of :func:`as_points`: a record whose MBR is not a
+    single point is rejected, not reduced to a corner.
+    """
+    x1, y1, x2, y2 = block_columns(block)
+    for low, high in ((x1, x2), (y1, y2)):
+        if low is not high and not (
+            bool((low == high).all()) if is_ndarray(low) else low == high
+        ):
+            raise TypeError("operation defined on points only")
+    return x1, y1
 
 
 # ----------------------------------------------------------------------

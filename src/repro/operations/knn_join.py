@@ -5,10 +5,11 @@ two MapReduce rounds; with SpatialHadoop's index the same structure needs
 one round plus a driver-side correctness pass:
 
 1. both inputs are spatially indexed (any technique);
-2. one map task per R partition answers kNN for its records against the
-   local index of every S partition within reach, visiting S partitions
-   in increasing MBR-distance order and stopping once the k-th found
-   distance is below the next partition's distance — the per-record
+2. one map task per R partition answers kNN for all its rows in one
+   batch kernel (:func:`repro.geometry.vectorized.knn_rows`) over the
+   MBR columns of the S partitions within reach: every row visits S
+   partitions in increasing MBR-distance order and stops once its k-th
+   found distance is below the next partition's distance — the per-record
    generalisation of the single-query correctness check.
 
 The simulator version keeps the quantity that matters (how many S blocks
@@ -17,20 +18,72 @@ each R partition touches) as counters.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Any, List, Tuple
 
 from repro.core.result import OperationResult
-from repro.core.reader import spatial_reader
 from repro.core.splitter import global_index_of, spatial_splitter
-from repro.index.rtree import RTree
-from repro.mapreduce import Job, JobRunner
+from repro.geometry import Rectangle, vectorized
+from repro.index.rtree import block_columns, mbr_columns
+from repro.mapreduce import Job, JobResult, JobRunner
+from repro.mapreduce.runtime import block_reader
 from repro.observe.plan import PlanNode, estimate_job_cost
-from repro.operations.common import as_point
+from repro.operations.common import point_columns
 
 #: One join result row: (r_record, [(distance, s_record), ...] ascending).
 KnnJoinRow = Tuple[Any, List[Tuple[float, Any]]]
+
+
+def _knn_join_map(_cell, block, ctx):
+    """kNN of every row of one R block (module-level: picklable).
+
+    Emits ``(R block, rows, distances)``: per R row, in block order, the
+    S row (numbered across S's cells by ascending cell id) and distance
+    of each neighbour, nearest first.
+    """
+    rows, distances, visits = vectorized.knn_rows(
+        *point_columns(block),
+        ctx.config["s_cell_mbrs"],
+        ctx.config["s_columns"],
+        ctx.config["k"],
+    )
+    ctx.write_output((ctx.split.block_index, rows, distances))
+    ctx.counters.increment("KNN_JOIN_S_BLOCKS", sum(1 for v in visits if v))
+    ctx.counters.increment("KNN_JOIN_S_BLOCK_READS", sum(visits))
+
+
+def _run_knn_join(
+    runner: JobRunner, name: str, left_file: str, k: int,
+    s_cells: List[Any], s_columns: List[Any], s_records: List[Any],
+    splitter=None,
+) -> Tuple[List[KnnJoinRow], JobResult]:
+    """One kNN-join job of ``left_file`` against S, and its thawed rows.
+
+    ``s_cells[c]`` bounds the rows whose MBR columns are ``s_columns[c]``;
+    ``s_records`` lists S's records in the same order, cells end to end.
+    Every map task probes S, so S rides in the job config as columns.
+    """
+    result = runner.run(Job(
+        input_file=left_file,
+        map_fn=_knn_join_map,
+        splitter=splitter,
+        reader=block_reader,
+        config={
+            "k": k,
+            "s_cell_mbrs": mbr_columns(s_cells),
+            "s_columns": s_columns,
+        },
+        name=name,
+    ))
+    r_blocks = runner.fs.get(left_file).blocks
+    answer: List[KnnJoinRow] = [
+        (record, list(zip(found, map(s_records.__getitem__, rows))))
+        for r_block, block_rows, block_distances in result.output
+        for record, rows, found in zip(
+            r_blocks[r_block].records, block_rows, block_distances
+        )
+    ]
+    return answer, result
 
 
 def knn_join_spatial(
@@ -53,57 +106,20 @@ def knn_join_spatial(
     if left_index is None or right_index is None:
         raise ValueError("knn join requires both inputs to be indexed")
 
-    right_entry = fs.get(right_file)
-    right_blocks = {b.metadata["cell_id"]: b for b in right_entry.blocks}
-    right_cells = sorted(right_index, key=lambda c: c.cell_id)
-
-    def map_fn(cell, records, ctx):
-        kk: int = ctx.config["k"]
-        blocks_touched = set()
-        block_reads = 0
-        for record in records:
-            query = as_point(record)
-            # Best-first over S partitions by MBR distance; stop once the
-            # k-th found distance is below the next partition's distance.
-            order = sorted(
-                right_cells,
-                key=lambda c: (c.mbr.min_distance_point(query), c.cell_id),
-            )
-            best: List[Tuple[float, int, Any]] = []  # max-heap by -distance
-            counter = 0
-            for s_cell in order:
-                cell_dist = s_cell.mbr.min_distance_point(query)
-                if len(best) >= kk and cell_dist > -best[0][0]:
-                    break
-                blocks_touched.add(s_cell.cell_id)
-                block_reads += 1
-                block = right_blocks[s_cell.cell_id]
-                local: RTree = block.metadata.get("local_index")
-                if local is None:  # index built without local indexes
-                    local = RTree.from_shapes(block.records)
-                for d, row in local.knn(query, kk):
-                    found = block.records[row]
-                    if len(best) < kk:
-                        heapq.heappush(best, (-d, counter, found))
-                        counter += 1
-                    elif d < -best[0][0]:
-                        heapq.heappushpop(best, (-d, counter, found))
-                        counter += 1
-            neighbors = sorted((-nd, rec) for nd, _, rec in best)
-            ctx.write_output((record, neighbors))
-        ctx.counters.increment("KNN_JOIN_S_BLOCKS", len(blocks_touched))
-        ctx.counters.increment("KNN_JOIN_S_BLOCK_READS", block_reads)
-
-    job = Job(
-        input_file=left_file,
-        map_fn=map_fn,
-        splitter=spatial_splitter(),
-        reader=spatial_reader,
-        config={"k": k},
-        name=f"knn-join({left_file},{right_file})",
+    # The driver reads S outside any split, hence through the
+    # checksummed path; cells go by ascending cell id.
+    runner.verify_driver_read(right_file)
+    s_blocks = sorted(
+        fs.get(right_file).blocks, key=lambda b: b.metadata["cell_id"]
     )
-    result = runner.run(job)
-    return OperationResult(answer=result.output, jobs=[result])
+    answer, result = _run_knn_join(
+        runner, f"knn-join({left_file},{right_file})", left_file, k,
+        [right_index.cell(b.metadata["cell_id"]) for b in s_blocks],
+        [block_columns(b) for b in s_blocks],
+        [record for block in s_blocks for record in block.records],
+        splitter=spatial_splitter(),
+    )
+    return OperationResult(answer=answer, jobs=[result])
 
 
 def knn_join_hadoop(
@@ -120,33 +136,14 @@ def knn_join_hadoop(
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    fs = runner.fs
-    s_records = fs.read_records(right_file)
-
-    def map_fn(_key, records, ctx):
-        ss = ctx.config["s_records"]
-        kk = ctx.config["k"]
-        for record in records:
-            query = as_point(record)
-            scored = heapq.nsmallest(
-                kk,
-                (
-                    (shape.mbr.min_distance_point(query), i)
-                    for i, shape in enumerate(ss)
-                ),
-            )
-            ctx.write_output(
-                (record, [(d, ss[i]) for d, i in scored])
-            )
-
-    job = Job(
-        input_file=left_file,
-        map_fn=map_fn,
-        config={"s_records": s_records, "k": k},
-        name=f"knn-join-hadoop({left_file},{right_file})",
+    s_records = runner.fs.read_records(right_file)
+    # The whole of S is one cell: with nothing to choose between, its
+    # boundary is never consulted.
+    answer, result = _run_knn_join(
+        runner, f"knn-join-hadoop({left_file},{right_file})", left_file, k,
+        [Rectangle(0.0, 0.0, 0.0, 0.0)], [mbr_columns(s_records)], s_records,
     )
-    result = runner.run(job)
-    return OperationResult(answer=result.output, jobs=[result], system="hadoop")
+    return OperationResult(answer=answer, jobs=[result], system="hadoop")
 
 
 # ----------------------------------------------------------------------

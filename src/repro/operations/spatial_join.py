@@ -21,165 +21,83 @@ from typing import Any, List, Optional, Tuple
 
 from repro.core.result import OperationResult
 from repro.core.splitter import global_index_of
-from repro.geometry import Point, Rectangle, vectorized
-from repro.index.partitioners.base import shape_mbr
+from repro.geometry import Rectangle, vectorized
 from repro.index.partitioners.grid import GridPartitioner
+from repro.index.rtree import as_list, block_columns, mbr_columns
 from repro.mapreduce import Block, Job, JobRunner
+from repro.mapreduce.runtime import block_reader
 from repro.mapreduce.types import InputSplit
 from repro.observe.plan import PlanNode, estimate_job_cost
 
 
-#: Below this per-side size the windowed sweep's array setup costs more
-#: than the scalar inner loops it replaces.
-_SWEEP_MIN_RECORDS = 8
+def _thaw(records: List[Any], rows) -> Any:
+    """The records at the given row numbers, lazily."""
+    return map(records.__getitem__, as_list(rows))
+
+
+def _origin_records(blocks: List[Block], origin) -> List[Any]:
+    """The records an SJMR origin (``(block, offsets)`` parts) lists."""
+    return [
+        blocks[block].records[offset]
+        for block, offsets in origin
+        for offset in as_list(offsets)
+    ]
 
 
 def plane_sweep_join(left: List[Any], right: List[Any]) -> List[Tuple[Any, Any]]:
-    """All (l, r) pairs with intersecting MBRs, by x-sweep.
-
-    Classic forward plane sweep over the records of one partition pair;
-    O(n log n + k) for typical inputs. With NumPy available the inner
-    loops are replaced by ``searchsorted`` windows plus one intersection
-    mask per sweep step — same pairs, same emit order.
-    """
-    ls = sorted(left, key=lambda r: shape_mbr(r).x1)
-    rs = sorted(right, key=lambda r: shape_mbr(r).x1)
-    lm = [shape_mbr(r) for r in ls]
-    rm = [shape_mbr(r) for r in rs]
-    if (
-        vectorized.enabled()
-        and vectorized.has_numpy()
-        and len(ls) >= _SWEEP_MIN_RECORDS
-        and len(rs) >= _SWEEP_MIN_RECORDS
-    ):
-        return _plane_sweep_windowed(ls, rs, lm, rm)
-    out: List[Tuple[Any, Any]] = []
-    i = j = 0
-    nl, nr = len(ls), len(rs)
-    while i < nl and j < nr:
-        l_mbr = lm[i]
-        r_mbr = rm[j]
-        if l_mbr.x1 <= r_mbr.x1:
-            # Sweep ls[i] against right records starting at j.
-            jj = j
-            while jj < nr:
-                other = rm[jj]
-                if other.x1 > l_mbr.x2:
-                    break
-                if l_mbr.intersects(other):
-                    out.append((ls[i], rs[jj]))
-                jj += 1
-            i += 1
-        else:
-            ii = i
-            while ii < nl:
-                other = lm[ii]
-                if other.x1 > r_mbr.x2:
-                    break
-                if other.intersects(r_mbr):
-                    out.append((ls[ii], rs[j]))
-                ii += 1
-            j += 1
-    return out
-
-
-def _plane_sweep_windowed(ls, rs, lm, rm) -> List[Tuple[Any, Any]]:
-    """NumPy replay of the scalar sweep.
-
-    The scalar inner loop scans forward from the sweep frontier and
-    breaks at the first record whose ``x1`` passes the active record's
-    ``x2`` — on an x1-sorted side that stop position is exactly
-    ``searchsorted(x1s, x2, side="right")`` (ties included, like the
-    scalar ``>`` break). One closed-intersection mask over the window
-    then emits the same pairs in the same ascending order.
-    """
-    import numpy as np
-
-    nl, nr = len(ls), len(rs)
-    lx1 = np.fromiter((m.x1 for m in lm), np.float64, nl)
-    ly1 = np.fromiter((m.y1 for m in lm), np.float64, nl)
-    lx2 = np.fromiter((m.x2 for m in lm), np.float64, nl)
-    ly2 = np.fromiter((m.y2 for m in lm), np.float64, nl)
-    rx1 = np.fromiter((m.x1 for m in rm), np.float64, nr)
-    ry1 = np.fromiter((m.y1 for m in rm), np.float64, nr)
-    rx2 = np.fromiter((m.x2 for m in rm), np.float64, nr)
-    ry2 = np.fromiter((m.y2 for m in rm), np.float64, nr)
-    out: List[Tuple[Any, Any]] = []
-    append = out.append
-    i = j = 0
-    while i < nl and j < nr:
-        if lx1[i] <= rx1[j]:
-            hi = int(np.searchsorted(rx1, lx2[i], side="right"))
-            if hi > j:
-                w = slice(j, hi)
-                mask = (
-                    (rx2[w] >= lx1[i])
-                    & (ry1[w] <= ly2[i])
-                    & (ry2[w] >= ly1[i])
-                )
-                l_rec = ls[i]
-                for t in np.flatnonzero(mask).tolist():
-                    append((l_rec, rs[j + t]))
-            i += 1
-        else:
-            hi = int(np.searchsorted(lx1, rx2[j], side="right"))
-            if hi > i:
-                w = slice(i, hi)
-                mask = (
-                    (lx2[w] >= rx1[j])
-                    & (ly1[w] <= ry2[j])
-                    & (ly2[w] >= ry1[j])
-                )
-                r_rec = rs[j]
-                for t in np.flatnonzero(mask).tolist():
-                    append((ls[i + t], r_rec))
-            j += 1
-    return out
-
-
-def _pair_owned_by(cell: Rectangle, a: Rectangle, b: Rectangle) -> bool:
-    """Reference-point duplicate avoidance for joined pairs.
-
-    The pair is reported by the cell containing the bottom-left corner of
-    the intersection of the two MBRs.
-    """
-    inter = a.intersection(b)
-    if inter is None:  # touching at a boundary: use the shared corner
-        inter = Rectangle(
-            max(a.x1, b.x1), max(a.y1, b.y1), max(a.x1, b.x1), max(a.y1, b.y1)
-        )
-    return cell.contains_point_left_inclusive(Point(inter.x1, inter.y1))
+    """All (l, r) pairs with intersecting MBRs, ascending by position."""
+    li, ri = vectorized.join_rows(mbr_columns(left), mbr_columns(right))
+    return list(zip(_thaw(left, li), _thaw(right, ri)))
 
 
 # ----------------------------------------------------------------------
 # SJMR: the Hadoop baseline
 # ----------------------------------------------------------------------
-def _sjmr_map(_key, records, ctx):
+def _sjmr_map(_key, block, ctx):
     """SJMR repartition map (module-level: picklable).
 
-    A self-join (both sides the same file) tags every record for both
-    sides; otherwise the originating file decides the side.
+    Routes the block's rows to the grid cells they overlap and emits, per
+    cell, the rows' offsets and MBR columns — coordinates cross the
+    shuffle, records do not. A self-join (both sides the same file) emits
+    every part for both sides; otherwise the originating file decides.
     """
     if ctx.config["self_join"]:
-        tags = (0, 1)
+        sides = (0, 1)
     else:
-        tags = (0,) if ctx.split.file == ctx.config["left"] else (1,)
+        sides = (0,) if ctx.split.file == ctx.config["left"] else (1,)
+    cols = block_columns(block)
     g: GridPartitioner = ctx.config["grid"]
-    for record in records:
-        for cell_id in g.overlapping_cells(shape_mbr(record)):
-            for tag in tags:
-                ctx.emit(cell_id, (tag, record))
+    for cell_id, offsets in g.partition_columns(*cols):
+        part = (ctx.split.block_index, offsets) + tuple(
+            vectorized.take(col, offsets) for col in cols
+        )
+        for side in sides:
+            ctx.emit(cell_id, (side,) + part)
 
 
-def _sjmr_reduce(cell_id, tagged, ctx):
-    """SJMR per-cell plane-sweep join (module-level: picklable)."""
-    g: GridPartitioner = ctx.config["grid"]
-    cell = g.cell_rect(cell_id)
-    left = [r for t, r in tagged if t == 0]
-    right = [r for t, r in tagged if t == 1]
-    for l, r in plane_sweep_join(left, right):
-        if _pair_owned_by(cell, shape_mbr(l), shape_mbr(r)):
-            ctx.emit(cell_id, (l, r))
+def _sjmr_reduce(cell_id, parts, ctx):
+    """SJMR per-cell join (module-level: picklable).
+
+    Emits ``(left origin, left rows, right origin, right rows)``: the
+    joined rows number each side's parts end to end, and an origin lists
+    those parts' ``(block, offsets)`` for the driver to resolve.
+    """
+    left, right = ([p for p in parts if p[0] == side] for side in (0, 1))
+    if not left or not right:
+        return
+    lcols, rcols = (
+        tuple(vectorized.concat([p[c] for p in group]) for c in range(3, 7))
+        for group in (left, right)
+    )
+    li, ri = vectorized.pairs_owned(
+        lcols, rcols, *vectorized.join_rows(lcols, rcols),
+        ctx.config["grid"].cell_rect(cell_id),
+    )
+    if len(li):
+        ctx.emit(
+            cell_id,
+            ([p[1:3] for p in left], li, [p[1:3] for p in right], ri),
+        )
 
 
 def spatial_join_sjmr(
@@ -226,6 +144,7 @@ def spatial_join_sjmr(
             input_file=input_files,
             map_fn=_sjmr_map,
             reduce_fn=_sjmr_reduce,
+            reader=block_reader,
             num_reducers=grid.num_cells(),
             config={
                 "grid": grid,
@@ -235,39 +154,31 @@ def spatial_join_sjmr(
             name=f"sjmr({left_file},{right_file})",
         )
         result = runner.run(job)
-        op_span.set("pairs", len(result.output))
+
+        left_blocks = fs.get(left_file).blocks
+        right_blocks = fs.get(right_file).blocks
+        answer: List[Tuple[Any, Any]] = []
+        for l_origin, li, r_origin, ri in result.output:
+            answer.extend(zip(
+                _thaw(_origin_records(left_blocks, l_origin), li),
+                _thaw(_origin_records(right_blocks, r_origin), ri),
+            ))
+        op_span.set("pairs", len(answer))
     return OperationResult(
-        answer=result.output, jobs=stats_jobs + [result], system="hadoop"
+        answer=answer, jobs=stats_jobs + [result], system="hadoop"
     )
 
 
 # ----------------------------------------------------------------------
 # Distributed join: the SpatialHadoop algorithm
 # ----------------------------------------------------------------------
-def _pair_splitter(fs_, job_):
-    """One split per overlapping-partition-pair block."""
-    entry = fs_.get(job_.input_file)
-    return [
-        InputSplit(
-            file=job_.input_file,
-            block_index=i,
-            block=block,
-            key=block.metadata["cell"],
-        )
-        for i, block in enumerate(entry.blocks)
-    ]
-
-
-def _dj_map(cell, tagged, ctx):
-    """Distributed-join per-pair plane sweep (module-level: picklable)."""
-    left = [r for t, r in tagged if t == 0]
-    right = [r for t, r in tagged if t == 1]
-    for l, r in plane_sweep_join(left, right):
-        if ctx.config["ref_dedup"] and not _pair_owned_by(
-            cell, shape_mbr(l), shape_mbr(r)
-        ):
-            continue
-        ctx.write_output((l, r))
+def _dj_map(pair, _block, ctx):
+    """Distributed-join per-pair kernel (module-level: picklable)."""
+    owner, left, right = pair
+    li, ri = vectorized.join_rows(left, right)
+    if owner is not None:
+        li, ri = vectorized.pairs_owned(left, right, li, ri, owner)
+    ctx.write_output((ctx.split.block_index, li, ri))
 
 
 def spatial_join_distributed(
@@ -280,15 +191,13 @@ def spatial_join_distributed(
     if left_index is None or right_index is None:
         raise ValueError("distributed join requires both inputs to be indexed")
 
-    # The driver reads partition records directly (no map-input splits),
+    # The driver reads partition columns directly (no map-input splits),
     # so route the read through the checksummed HDFS path: replicas fail
     # over, and a block with no healthy copy fails typed instead of
     # serving rotten data.
     runner.verify_driver_read(left_file, right_file)
-    left_entry = fs.get(left_file)
-    right_entry = fs.get(right_file)
-    left_blocks = {b.metadata["cell_id"]: b for b in left_entry.blocks}
-    right_blocks = {b.metadata["cell_id"]: b for b in right_entry.blocks}
+    left_blocks = {b.metadata["cell_id"]: b for b in fs.get(left_file).blocks}
+    right_blocks = {b.metadata["cell_id"]: b for b in fs.get(right_file).blocks}
 
     tracer = runner.tracer
     with tracer.span(
@@ -298,82 +207,60 @@ def spatial_join_distributed(
         right=right_file,
     ) as op_span:
         # Join the global indexes: one virtual split per overlapping
-        # cell pair.
+        # cell pair, carrying the two blocks' MBR columns. Its block
+        # stands for the rows the task reads, the left block's first.
+        #
+        # Duplicate avoidance: a disjoint index stores a record in every
+        # cell it overlaps, so a pair can meet in several cell pairs. Its
+        # reference point lies in exactly one half-open cell of such an
+        # index (in one cell intersection when both are disjoint), and
+        # only that cell's task reports it. A side that is not disjoint
+        # stores each record once and adds nothing to dedup.
+        disjoint = (left_index.disjoint, right_index.disjoint)
         with tracer.span("dj:index-join", kind="phase") as pair_span:
-            pair_blocks: List[Block] = []
+            columns = {
+                id(b): block_columns(b)
+                for blocks in (left_blocks, right_blocks)
+                for b in blocks.values()
+            }
+            pairs: List[Tuple[Block, Block]] = []
+            splits: List[InputSplit] = []
             for lc in left_index:
                 for rc in right_index:
-                    inter = lc.mbr.intersection(rc.mbr)
-                    if inter is None:
+                    overlap = lc.mbr.intersection(rc.mbr)
+                    if overlap is None:
                         continue
-                    lb = left_blocks[lc.cell_id]
-                    rb = right_blocks[rc.cell_id]
-                    records = (
-                        [(0, r) for r in lb.records]
-                        + [(1, r) for r in rb.records]
-                    )
-                    pair_blocks.append(
-                        Block(
-                            records=records,
-                            metadata={
-                                "cell": inter,
-                                "pair": (lc.cell_id, rc.cell_id),
-                            },
-                        )
-                    )
-            pair_span.set("pairs", len(pair_blocks))
-            pair_span.set(
-                "pairs_skipped",
-                len(left_blocks) * len(right_blocks) - len(pair_blocks),
-            )
+                    lb, rb = left_blocks[lc.cell_id], right_blocks[rc.cell_id]
+                    owner = {
+                        (True, True): overlap,
+                        (True, False): lc.mbr,
+                        (False, True): rc.mbr,
+                    }.get(disjoint)
+                    splits.append(InputSplit(
+                        file=left_file,
+                        block_index=len(pairs),
+                        block=Block(records=range(len(lb) + len(rb))),
+                        key=(owner, columns[id(lb)], columns[id(rb)]),
+                    ))
+                    pairs.append((lb, rb))
+            skipped = len(left_blocks) * len(right_blocks) - len(pairs)
+            pair_span.set("pairs", len(pairs))
+            pair_span.set("pairs_skipped", skipped)
 
-        pairs_file = f"__dj_pairs__{left_file}__{right_file}"
-        if fs.exists(pairs_file):
-            fs.delete(pairs_file)
-        fs.create_file_from_blocks(pairs_file, pair_blocks)
-
-        # Duplicate avoidance. When *both* indexes are disjoint, the
-        # cell-pair intersections refine both tilings, so the
-        # reference-point rule reports every pair exactly once with no
-        # communication. When at least one index assigns each record to a
-        # single cell, duplicates can only arise from the replicated side,
-        # and a driver-side identity dedup (a stand-in for Hadoop's
-        # dedup-by-key round) removes them.
-        reference_point_dedup = left_index.disjoint and right_index.disjoint
-
-        config = {"ref_dedup": reference_point_dedup}
-        if not reference_point_dedup:
-            # The driver-side fallback below dedups by object identity,
-            # which only holds when map tasks run in the driver process:
-            # pin this job to the serial backend so a parallel runner
-            # cannot break it.
-            config["workers"] = 1
         job = Job(
-            input_file=pairs_file,
+            input_file=[left_file, right_file],
             map_fn=_dj_map,
-            splitter=_pair_splitter,
-            config=config,
+            splitter=lambda _fs, _job: splits,
+            reader=block_reader,
             name=f"dj({left_file},{right_file})",
         )
-        try:
-            result = runner.run(job)
-        finally:
-            fs.delete(pairs_file)
-        answer = result.output
-        if not reference_point_dedup:
-            seen = set()
-            unique = []
-            for pair in answer:
-                key = (id(pair[0]), id(pair[1]))
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(pair)
-            answer = unique
+        result = runner.run(job)
+        answer: List[Tuple[Any, Any]] = []
+        for pair_index, li, ri in result.output:
+            lb, rb = pairs[pair_index]
+            answer.extend(zip(_thaw(lb.records, li), _thaw(rb.records, ri)))
         op_span.set("result_pairs", len(answer))
-        op_span.set(
-            "partitions_pruned",
-            len(left_blocks) * len(right_blocks) - len(pair_blocks),
-        )
+        op_span.set("partitions_pruned", skipped)
     return OperationResult(answer=answer, jobs=[result])
 
 
@@ -406,8 +293,8 @@ def plan_spatial_join(
                 "left_technique": left_index.technique,
                 "right_technique": right_index.technique,
                 "dedup": "reference-point"
-                if left_index.disjoint and right_index.disjoint
-                else "driver-side",
+                if left_index.disjoint or right_index.disjoint
+                else "none",
             },
             estimated={"rounds": 1},
         )
@@ -428,7 +315,7 @@ def plan_spatial_join(
             PlanNode(
                 f"job:dj({left_file},{right_file})",
                 kind="job",
-                detail={"map": "per-pair plane sweep", "reduce": "none"},
+                detail={"map": "per-pair join kernel", "reduce": "none"},
                 estimated={
                     "blocks_read": len(pairs),
                     "records_read": sum(records_in),
@@ -480,14 +367,15 @@ def plan_spatial_join(
     blocks = fs.num_blocks(left_file)
     if not self_join:
         blocks += fs.num_blocks(right_file)
-    shuffle = total * (2 if self_join else 1)  # lower bound: 1 cell/record
+    # One part per (block, cell, side); a heap block's rows reach every cell.
+    shuffle = blocks * size * size * (2 if self_join else 1)
     root.add(
         PlanNode(
             f"job:sjmr({left_file},{right_file})",
             kind="job",
             detail={
                 "map": "grid repartition",
-                "reduce": "per-cell plane sweep",
+                "reduce": "per-cell join kernel",
                 "reducers": size * size,
             },
             estimated={

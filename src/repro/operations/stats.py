@@ -16,8 +16,9 @@ from typing import Optional
 from repro.core.result import OperationResult
 from repro.core.splitter import global_index_of
 from repro.geometry import Rectangle
-from repro.index.partitioners.base import shape_mbr
+from repro.index.rtree import block_columns, columns_mbr
 from repro.mapreduce import Job, JobRunner
+from repro.mapreduce.runtime import block_reader
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,10 @@ class FileStats:
         return self.num_records / self.mbr.area
 
 
-def _stats_map(_key, records, ctx):
+def _stats_map(_key, block, ctx):
     """Per-block record count + MBR (module-level: picklable)."""
-    if not records:
-        return
-    mbr = shape_mbr(records[0])
-    for r in records[1:]:
-        mbr = mbr.union(shape_mbr(r))
-    ctx.emit(1, (len(records), mbr))
+    if len(block):
+        ctx.emit(1, (len(block), columns_mbr(*block_columns(block))))
 
 
 def _stats_reduce(_key, partials, ctx):
@@ -80,6 +77,7 @@ def file_stats(runner: JobRunner, file_name: str) -> OperationResult:
         input_file=file_name,
         map_fn=_stats_map,
         reduce_fn=_stats_reduce,
+        reader=block_reader,
         name=f"stats({file_name})",
     )
     result = runner.run(job)

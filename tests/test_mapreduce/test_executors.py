@@ -28,6 +28,9 @@ from repro.mapreduce import (
 from repro.mapreduce.executor import WORKERS_ENV_VAR
 from repro.mapreduce.job import default_partitioner
 from repro.operations import (
+    closest_pair_spatial,
+    knn_join_hadoop,
+    knn_join_spatial,
     knn_spatial,
     range_count_spatial,
     range_query_hadoop,
@@ -256,6 +259,93 @@ class TestBackendEquivalence:
         assert sum(seen) == 900
         assert result.counters.get("MAP_INPUT_RECORDS") == 900
         assert parallel.executor.fallbacks > 0
+
+
+# ----------------------------------------------------------------------
+# Pair operations really run on the pool
+# ----------------------------------------------------------------------
+def _join_inputs(runner, left_technique, right_technique):
+    for name, seed in (("left", 31), ("right", 32)):
+        runner.fs.create_file(name, generate_rectangles(
+            300, "uniform", seed=seed, space=SPACE, avg_side_fraction=0.05
+        ))
+    build_index(runner, "left", "left_idx", left_technique)
+    build_index(runner, "right", "right_idx", right_technique)
+
+
+def _point_inputs(runner):
+    runner.fs.create_file(
+        "pts", generate_points(900, "uniform", seed=33, space=SPACE)
+    )
+    runner.fs.create_file(
+        "sites", generate_points(500, "gaussian", seed=34, space=SPACE)
+    )
+    build_index(runner, "pts", "pts_idx", "grid")
+    build_index(runner, "sites", "sites_idx", "str")
+
+
+#: name -> (set-up, operation)
+PAIR_OPERATIONS = {
+    "dj-same-technique": (
+        lambda r: _join_inputs(r, "grid", "grid"),
+        lambda r: spatial_join_distributed(r, "left_idx", "right_idx"),
+    ),
+    "dj-mixed-technique": (
+        lambda r: _join_inputs(r, "str+", "hilbert"),
+        lambda r: spatial_join_distributed(r, "left_idx", "right_idx"),
+    ),
+    "sjmr": (
+        lambda r: _join_inputs(r, "grid", "grid"),
+        lambda r: spatial_join_sjmr(r, "left", "right"),
+    ),
+    "knn-join": (
+        _point_inputs,
+        lambda r: knn_join_spatial(r, "pts_idx", "sites_idx", 3),
+    ),
+    "knn-join-hadoop": (
+        _point_inputs, lambda r: knn_join_hadoop(r, "pts", "sites", 3),
+    ),
+    "closest-pair": (
+        _point_inputs, lambda r: closest_pair_spatial(r, "pts_idx"),
+    ),
+}
+
+
+class TestPairOperationsRunOnThePool:
+    """Module-level map/reduce functions ship: no wave of a pair operation
+    falls back in-process, and its answer is the serial one, in order."""
+
+    @pytest.mark.parametrize("name", sorted(PAIR_OPERATIONS))
+    def test_no_fallback_and_pooled(self, name):
+        serial, parallel = make_runner(workers=1), make_runner(workers=2)
+        try:
+            self.check(serial, parallel, *PAIR_OPERATIONS[name])
+        finally:
+            parallel.close()
+
+    def check(self, serial, parallel, set_up, operation):
+        set_up(serial)
+        set_up(parallel)
+        executor = parallel.executor
+        dispatches = []
+        map_chunks = executor.map_chunks
+
+        def recording(fn, chunks):
+            results = map_chunks(fn, chunks)
+            dispatches.append(dict(executor.last_dispatch))
+            return results
+
+        executor.map_chunks = recording
+        try:
+            got = operation(parallel)
+        finally:
+            del executor.map_chunks
+        assert got.answer == operation(serial).answer
+        assert executor.fallbacks == 0
+        # A wave of one chunk has nothing to overlap and stays in the
+        # driver by design; every other wave went to the workers.
+        shared = [d for d in dispatches if d["chunks"] > 1]
+        assert shared and all(d["mode"] == "pool" for d in shared)
 
 
 # ----------------------------------------------------------------------

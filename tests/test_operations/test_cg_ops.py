@@ -142,8 +142,35 @@ class TestClosestPair:
     def test_pruning_shrinks_shuffle(self, runner):
         load_indexed(runner, "grid", n=3000, seed=17)
         result = closest_pair_spatial(runner, "idx")
-        # Only boundary candidates are shuffled, a small fraction of input.
-        assert result.counters["SHUFFLE_RECORDS"] < 3000 / 2
+        # One pair of coordinate columns per block crosses the shuffle,
+        # holding only the boundary candidates: a small fraction of the
+        # input's 16 bytes per point.
+        assert result.counters["SHUFFLE_RECORDS"] == result.blocks_read
+        assert result.counters["SHUFFLE_BYTES"] < 3000 * 16 / 2
+
+    def test_feature_wrapped_points(self, runner):
+        from repro import Feature
+
+        pts = generate_points(500, "gaussian", seed=23, space=SPACE)
+        runner.fs.create_file(
+            "pts", [Feature(p, {"id": i}) for i, p in enumerate(pts)]
+        )
+        build_index(runner, "pts", "idx", "kdtree")
+        result = closest_pair_spatial(runner, "idx")
+        expected = closest_pair_bruteforce(pts)
+        assert result.answer[0].distance_sq(result.answer[1]) == (
+            expected[0].distance_sq(expected[1])
+        )
+
+    def test_rejects_extended_shapes(self, runner):
+        from repro.datagen import generate_rectangles
+
+        runner.fs.create_file(
+            "rects", generate_rectangles(200, seed=24, space=SPACE)
+        )
+        build_index(runner, "rects", "idx", "grid")
+        with pytest.raises(TypeError, match="points only"):
+            closest_pair_spatial(runner, "idx")
 
     def test_needs_disjoint_index(self, runner):
         load_indexed(runner, "str", seed=18)
