@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence
 
+from repro.geometry import vectorized
 from repro.geometry.point import Point
 
 
@@ -18,38 +19,24 @@ def convex_hull(points: Iterable[Point]) -> List[Point]:
     Collinear points on the hull boundary are dropped, so the result is the
     minimal vertex set. Degenerate inputs are handled gracefully: zero or one
     point returns the input; fully collinear input returns its two extremes.
+    Vertices closer than ``EPS`` collapse into one: such a sliver is not a
+    valid Polygon. The points become two coordinate columns and
+    :func:`repro.geometry.vectorized.hull_rows` picks the rows.
     """
-    pts: List[Point] = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
+    pts: List[Point] = list(points)
+    n = len(pts)
+    rows = vectorized.hull_rows(
+        vectorized.column_from_iter([p.x for p in pts], n),
+        vectorized.column_from_iter([p.y for p in pts], n),
+    )
+    return [pts[r] for r in rows]
 
-    lower: List[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
 
-    upper: List[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points collinear -> keep the two extremes
-        return [pts[0], pts[-1]]
-
-    # Exact duplicates were removed up front, but points closer than EPS
-    # survive the sort and can land next to each other on the hull (cyclic
-    # neighbours included). Such a sliver of vertices is not representable
-    # as a valid Polygon, so collapse near-duplicates here.
-    cleaned: List[Point] = []
-    for p in hull:
-        if not cleaned or not cleaned[-1].almost_equals(p):
-            cleaned.append(p)
-    while len(cleaned) >= 2 and cleaned[0].almost_equals(cleaned[-1]):
-        cleaned.pop()
-    return cleaned
+def hull_of_columns(xs, ys) -> List[Point]:
+    """:func:`convex_hull` of the points given as two coordinate columns."""
+    return [
+        Point(float(xs[r]), float(ys[r])) for r in vectorized.hull_rows(xs, ys)
+    ]
 
 
 def point_in_convex_hull(p: Point, hull: Sequence[Point]) -> bool:

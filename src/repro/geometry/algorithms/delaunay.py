@@ -1,23 +1,33 @@
-"""Delaunay triangulation (Bowyer-Watson) and its Voronoi dual support.
+"""Delaunay triangulation (Bowyer-Watson) over flat coordinate lists.
 
-The single-machine building block of the Voronoi-diagram operation. The
-incremental Bowyer-Watson construction is used: points are inserted one at
-a time, the triangles whose circumcircle contains the new point are
-removed, and the resulting cavity is re-triangulated against the new
-point. A super-triangle far outside the data bounds keeps every
-intermediate step a valid triangulation.
+The single-machine building block of the Voronoi-diagram operation. Sites
+are inserted one at a time along a Hilbert curve; the triangles whose
+circumcircle contains the new site (the *cavity*) are removed and the
+cavity is re-triangulated against the site. Point location walks from a
+triangle the previous insertion made, which the curve keeps close.
 
-Robustness is handled on two axes:
+Representation: the sites are two float lists. A triangle is a slot in
+parallel lists — three vertex rows in counter-clockwise order, the three
+neighbours (slot ``k`` across the edge from vertex ``k`` to vertex
+``k + 1``) and its circumcircle, computed once when the triangle is made.
+An insertion makes exactly two more triangles than it removes, so it
+reuses the removed triangles' slots and appends two.
 
-* the orientation and in-circumcircle predicates run a floating-point
-  filter with a magnitude-scaled error bound, falling back to *exact*
-  rational arithmetic (:class:`fractions.Fraction` over the exact float
-  inputs) when the filter cannot decide the sign — the standard adaptive
-  -precision approach;
-* a fixed super-triangle margin can never dominate every circumradius
-  (near-collinear triples have unbounded circumcircles), so the result is
-  validated by comparing the triangulated area against the hull area and
-  the construction retries with a much larger margin on mismatch.
+Hull edges are closed by *ghost* triangles ``(a, b, GHOST)`` whose third
+vertex is a symbolic vertex at infinity, so every step triangulates the
+whole plane and no super-triangle has to be placed around the data. The
+circumcircle of a ghost degenerates to the open half-plane left of
+``a -> b`` plus the open segment ``ab``; that test is exact, so there is
+no margin that near-collinear hull chains can outgrow.
+
+Robustness: a site is inside a triangle's circumcircle when its squared
+distance to the cached centre is below the cached radius²; the float
+comparison is trusted outside an error band that bounds the rounding of
+the centre, and inside it the exact predicate decides. Orientation tests
+run a floating-point filter with a magnitude-scaled error bound, falling
+back to *exact* rational arithmetic (:class:`fractions.Fraction` over the
+exact float inputs) when the filter cannot decide the sign — the standard
+adaptive-precision approach.
 """
 
 from __future__ import annotations
@@ -25,10 +35,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.point import Point
-from repro.geometry.rectangle import Rectangle
+from repro.index.partitioners.space_curves import hilbert_value
+
+#: The symbolic vertex at infinity of the ghost triangles.
+GHOST = -1
+
+#: Unit roundoff of float64.
+_EPS = 2.0 ** -53
+#: The cached circle of a degenerate triangle: no centre, always exact.
+_DEGENERATE = (math.nan, math.nan, 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -43,30 +62,46 @@ class Triangle:
     def vertices(self) -> Tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
-    @property
-    def edges(self) -> Tuple[FrozenSet[int], ...]:
-        return (
-            frozenset((self.a, self.b)),
-            frozenset((self.b, self.c)),
-            frozenset((self.c, self.a)),
-        )
-
 
 def circumcenter(p1: Point, p2: Point, p3: Point) -> Optional[Point]:
     """Circumcenter of three points, or None when (nearly) collinear."""
-    ax, ay = p1.x, p1.y
-    bx, by = p2.x, p2.y
-    cx, cy = p3.x, p3.y
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy), 1.0)
+    (ax, ay), (bx, by), (cx, cy) = (p1.x, p1.y), (p2.x, p2.y), (p3.x, p3.y)
+    circle = _circle(
+        ax, ay, ax * ax + ay * ay, bx, by, bx * bx + by * by,
+        cx, cy, cx * cx + cy * cy,
+        max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy), 1.0),
+    )
+    return None if circle is None else Point(circle[0], circle[1])
+
+
+def _circle(ax, ay, a_sq, bx, by, b_sq, cx, cy, c_sq, scale):
+    """``(ux, uy, r², band)`` of a triangle, or None when (nearly) collinear.
+
+    ``a_sq`` is ``ax * ax + ay * ay`` (likewise ``b_sq``, ``c_sq``) and
+    ``scale`` the largest coordinate magnitude, at least 1.
+
+    ``band`` bounds the rounding of ``|p - u|² - r²`` for any ``p`` with
+    ``|p - u| <= 2r`` (for farther points the sign cannot be wrong): a
+    centre error ``e`` moves both squares by at most ``2e(|p - u| + r)
+    + e²``, and ``e`` follows from the first-order rounding of the
+    numerators (terms up to ``2M² s``) and of ``d`` (terms up to ``M s``),
+    with ``M`` the coordinate magnitude and ``s`` the triangle's extent.
+    """
+    byc, cya, ayb = by - cy, cy - ay, ay - by
+    d = 2.0 * (ax * byc + bx * cya + cx * ayb)
     if abs(d) < 1e-14 * scale * scale:
         return None
-    a_sq = ax * ax + ay * ay
-    b_sq = bx * bx + by * by
-    c_sq = cx * cx + cy * cy
-    ux = (a_sq * (by - cy) + b_sq * (cy - ay) + c_sq * (ay - by)) / d
-    uy = (a_sq * (cx - bx) + b_sq * (ax - cx) + c_sq * (bx - ax)) / d
-    return Point(ux, uy)
+    cxb, axc, bxa = cx - bx, ax - cx, bx - ax
+    ux = (a_sq * byc + b_sq * cya + c_sq * ayb) / d
+    uy = (a_sq * cxb + b_sq * axc + c_sq * bxa) / d
+    dx, dy = ax - ux, ay - uy
+    r2 = dx * dx + dy * dy
+    extent = abs(byc) + abs(cya) + abs(cxb) + abs(axc)
+    u = abs(ux) + abs(uy)
+    err = 128.0 * _EPS * (scale * extent * (scale + u) / abs(d) + u)
+    if 64.0 * err * err > r2:  # centre too uncertain: always exact
+        return ux, uy, r2, math.inf
+    return ux, uy, r2, 6.0 * err * math.sqrt(r2) + 2.0 * err * err + 32.0 * _EPS * r2
 
 
 def _orient_sign(pa: Point, pb: Point, pc: Point) -> int:
@@ -129,27 +164,41 @@ def _in_circumcircle(p: Point, p1: Point, p2: Point, p3: Point) -> bool:
 
 @dataclass
 class Triangulation:
-    """The result of :func:`delaunay`: triangles over the input sites."""
+    """The result of :func:`delaunay`: triangles over the input sites.
+
+    Triangle ``t`` has the vertex rows ``corners[3t:3t + 3]``, counter-
+    clockwise from the lower-numbered of its two vertices that are not
+    last in ``(x, y)`` order — the order an insertion in ``(x, y)`` order
+    produces, which the rounding of its circumcentre depends on.
+    """
 
     points: List[Point]
-    triangles: List[Triangle] = field(default_factory=list)
+    corners: List[int] = field(default_factory=list)
+    #: Per triangle, its :func:`circumcenter` (None when degenerate).
+    centers: List[Optional[Point]] = field(default_factory=list)
+    #: Sites on the convex hull: the vertices of the ghost triangles.
+    hull: Set[int] = field(default_factory=set)
+
+    @property
+    def triangles(self) -> List[Triangle]:
+        c = self.corners
+        return [Triangle(c[i], c[i + 1], c[i + 2]) for i in range(0, len(c), 3)]
+
+    @cached_property
+    def fans(self) -> List[List[int]]:
+        """Per site, the triangles it is a vertex of (ascending)."""
+        out: List[List[int]] = [[] for _ in self.points]
+        for i, v in enumerate(self.corners):
+            out[v].append(i // 3)
+        return out
 
     def neighbors_of(self) -> Dict[int, Set[int]]:
         """Site adjacency: Delaunay neighbors (== Voronoi neighbors)."""
-        out: Dict[int, Set[int]] = {i: set() for i in range(len(self.points))}
-        for t in self.triangles:
-            for u in t.vertices:
-                for v in t.vertices:
-                    if u != v:
-                        out[u].add(v)
-        return out
-
-    def triangles_of_site(self) -> Dict[int, List[Triangle]]:
-        out: Dict[int, List[Triangle]] = {i: [] for i in range(len(self.points))}
-        for t in self.triangles:
-            for v in t.vertices:
-                out[v].append(t)
-        return out
+        c = self.corners
+        return {
+            i: {v for t in fan for v in c[3 * t:3 * t + 3]} - {i}
+            for i, fan in enumerate(self.fans)
+        }
 
 
 def delaunay(points: Sequence[Point]) -> Triangulation:
@@ -162,188 +211,188 @@ def delaunay(points: Sequence[Point]) -> Triangulation:
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise ValueError("delaunay requires distinct points")
-    n = len(pts)
-    if n < 3:
+    if len(pts) < 3:
         return Triangulation(points=pts)
-
-    expected_area = _hull_area(pts)
-    margin_factor = 64.0
-    last: Optional[List[Triangle]] = None
-    for _attempt in range(5):
-        triangles = _bowyer_watson(pts, margin_factor)
-        if expected_area == 0.0:
-            return Triangulation(points=pts, triangles=triangles)
-        got = sum(_triangle_area(pts, t) for t in triangles)
-        if math.isclose(got, expected_area, rel_tol=1e-9):
-            return Triangulation(points=pts, triangles=triangles)
-        last = triangles
-        margin_factor *= 1024.0  # some circumcircle outgrew the margin
-    return Triangulation(points=pts, triangles=last or [])
+    return _Mesh(pts).triangulation()
 
 
-def _hull_area(pts: List[Point]) -> float:
-    from repro.geometry.algorithms.convex_hull import convex_hull
+def _hilbert_order(xs: List[float], ys: List[float]) -> List[int]:
+    """Site rows along a Hilbert curve over the sites' bounding box.
 
-    hull = convex_hull(pts)
-    if len(hull) < 3:
-        return 0.0
-    area = 0.0
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        area += a.x * b.y - b.x * a.y
-    return abs(area) / 2.0
-
-
-def _triangle_area(pts: List[Point], t: Triangle) -> float:
-    a, b, c = pts[t.a], pts[t.b], pts[t.c]
-    return abs((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)) / 2.0
-
-
-def _bowyer_watson(pts: List[Point], margin_factor: float) -> List[Triangle]:
-    n = len(pts)
-    mbr = Rectangle.from_points(pts)
-    span = max(mbr.width, mbr.height, 1.0)
-    cx, cy = mbr.center.x, mbr.center.y
-    margin = margin_factor * span
-    super_pts = [
-        Point(cx - margin, cy - margin / 2),
-        Point(cx + margin, cy - margin / 2),
-        Point(cx, cy + margin),
+    The grid has about one cell per site; a finer curve buys the walk no
+    locality and costs a key loop iteration per extra bit.
+    """
+    order = max(1, (len(xs).bit_length() + 1) // 2)
+    x0, y0 = min(xs), min(ys)
+    side = (1 << order) - 1
+    sx, sy = (side / w if w > 0 else 0.0 for w in (max(xs) - x0, max(ys) - y0))
+    keys = [
+        hilbert_value(int((x - x0) * sx), int((y - y0) * sy), order)
+        for x, y in zip(xs, ys)
     ]
-    all_pts = pts + super_pts
-    s0, s1, s2 = n, n + 1, n + 2
+    return sorted(range(len(xs)), key=keys.__getitem__)
 
-    def ccw(t: Triangle) -> Triangle:
-        if _orient_sign(all_pts[t.a], all_pts[t.b], all_pts[t.c]) > 0:
-            return t
-        return Triangle(t.a, t.c, t.b)
 
-    # Hot-loop representation: triangles are plain (a, b, c) tuples in CCW
-    # order and edges are sorted (u, v) tuples — much cheaper to hash than
-    # dataclasses/frozensets. Edge -> incident triangles adjacency powers
-    # both the point-location walk and the cavity BFS, making an insertion
-    # roughly O(cavity size) instead of O(all triangles).
-    Tri = Tuple[int, int, int]
-    Edge = Tuple[int, int]
-    triangles: Set[Tri] = set()
-    edge_map: Dict[Edge, List[Tri]] = {}
+class _Mesh:
+    """The triangle slots of one Bowyer-Watson run (see the module doc).
 
-    def tri_edges(t: Tri) -> Tuple[Edge, Edge, Edge]:
-        a, b, c = t
-        return (
-            (a, b) if a < b else (b, a),
-            (b, c) if b < c else (c, b),
-            (c, a) if c < a else (a, c),
-        )
+    Slot ``t`` has the vertices ``corner[3t:3t + 3]``, the neighbours
+    ``across[3t:3t + 3]`` and ``circle[t]``: ``(cx, cy, r², band, a, b,
+    c)`` with ``(a, b, c)`` the reported order (see
+    :class:`Triangulation`), or None for a ghost. A triangle made by
+    inserting ``p`` over the rim edge ``(u, v)`` is stored as ``(u, v,
+    p)``. ``last`` is a real triangle of the latest insertion, where the
+    next walk starts.
+    """
 
-    def add(t: Tri) -> None:
-        triangles.add(t)
-        for e in tri_edges(t):
-            edge_map.setdefault(e, []).append(t)
+    def __init__(self, pts: List[Point]):
+        self.pts = pts
+        self.xs = xs = [p.x for p in pts]
+        self.ys = ys = [p.y for p in pts]
+        self.sq = [x * x + y * y for x, y in zip(xs, ys)]
+        self.mag = [max(abs(x), abs(y)) for x, y in zip(xs, ys)]
+        self.rank = rank = [0] * len(pts)
+        for r, (_x, _y, i) in enumerate(sorted(zip(xs, ys, range(len(pts))))):
+            rank[i] = r
+        self.corner: List[int] = []
+        self.across: List[int] = []
+        self.circle: List[Optional[tuple]] = []
+        order = _hilbert_order(xs, ys)
+        a, b = order[0], order[1]
+        for k in range(2, len(order)):
+            side = _orient_sign(pts[a], pts[b], pts[order[k]])
+            if side:
+                break
+        else:
+            return  # all collinear: no triangles
+        # Two ghosts back to back over the edge ab triangulate the plane
+        # with the vertex at infinity; the first true triangle is the
+        # insertion of a site off the line.
+        self.corner += (a, b, GHOST, b, a, GHOST)
+        self.across += (1, 1, 1, 0, 0, 0)
+        self.circle += (None, None)
+        self.insert(order[k], 0 if side > 0 else 1)
+        for site in order[2:k] + order[k + 1:]:
+            self.insert(site, self.locate(site))
 
-    def remove(t: Tri) -> None:
-        triangles.discard(t)
-        for e in tri_edges(t):
-            incident = edge_map.get(e)
-            if incident is not None:
-                try:
-                    incident.remove(t)
-                except ValueError:
-                    pass
-                if not incident:
-                    del edge_map[e]
+    def in_circle_exact(self, t: int, p: int) -> bool:
+        """Is site ``p`` strictly inside the circumcircle of slot ``t``?
 
-    def neighbor(t: Tri, e: Edge) -> Optional[Tri]:
-        for other in edge_map.get(e, ()):
-            if other != t:
-                return other
-        return None
+        The exact test, for a ghost or when the cached circle's float
+        comparison falls inside its error band.
+        """
+        pts = self.pts
+        tri = self.corner[3 * t:3 * t + 3]
+        if GHOST not in tri:
+            return _in_circumcircle(pts[p], *(pts[v] for v in tri))
+        g = tri.index(GHOST)
+        a, b = pts[tri[(g + 1) % 3]], pts[tri[(g + 2) % 3]]
+        side = _orient_sign(a, b, pts[p])
+        # On the line ab, p is inside iff strictly between a and b.
+        return side > 0 if side else min(a, b) < pts[p] < max(a, b)
 
-    def locate(p: Point, seed: Tri) -> Tri:
-        """Visibility walk from ``seed`` to a triangle containing ``p``."""
-        current = seed
-        for _ in range(4 * max(len(triangles), 1)):
-            moved = False
-            a, b, c = current
-            for u, v in ((a, b), (b, c), (c, a)):
-                if _orient_sign(all_pts[u], all_pts[v], p) < 0:
-                    nxt = neighbor(current, (u, v) if u < v else (v, u))
-                    if nxt is not None:
-                        current = nxt
-                        moved = True
-                        break
-            if not moved:
-                return current
-        # Pathological cycle: brute-force fallback.
-        for t in triangles:
-            a, b, c = t
-            if (
-                _orient_sign(all_pts[a], all_pts[b], p) >= 0
-                and _orient_sign(all_pts[b], all_pts[c], p) >= 0
-                and _orient_sign(all_pts[c], all_pts[a], p) >= 0
-            ):
+    def locate(self, p: int) -> int:
+        """Visibility walk from the last insertion to a triangle whose
+        circumcircle holds ``p``: a real triangle containing it, or the
+        ghost beyond the hull edge it lies outside of."""
+        corner, across, circle = self.corner, self.across, self.circle
+        xs, ys, pts = self.xs, self.ys, self.pts
+        px, py = xs[p], ys[p]
+        t = self.last
+        while True:
+            base = 3 * t
+            for k in (0, 1, 2):
+                # orient(u, v, p) < 0, filtered as in _orient_sign.
+                u, v = corner[base + k], corner[base + (k + 1) % 3]
+                left = (xs[u] - px) * (ys[v] - py)
+                right = (ys[u] - py) * (xs[v] - px)
+                bound = 3.33e-16 * (abs(left) + abs(right))
+                if left - right < -bound or (left - right <= bound and (
+                    _orient_sign(pts[u], pts[v], pts[p]) < 0
+                )):
+                    t = across[base + k]
+                    break
+            else:
                 return t
-        return current
+            if circle[t] is None:
+                return t
 
-    def ccw_tuple(a: int, b: int, c: int) -> Tri:
-        if _orient_sign(all_pts[a], all_pts[b], all_pts[c]) > 0:
-            return (a, b, c)
-        return (a, c, b)
+    def insert(self, p: int, seed: int) -> None:
+        """Replace the cavity of ``p`` (grown from ``seed``) by its fan."""
+        corner, across, circles = self.corner, self.across, self.circle
+        px, py = self.xs[p], self.ys[p]
+        cavity, removed = [seed], {seed}
+        rim: List[Tuple[int, int, int]] = []  # CCW edges (u, v), outside
+        for t in cavity:  # grows while iterated: breadth-first
+            base = 3 * t
+            for k in (0, 1, 2):
+                nb = across[base + k]
+                if nb in removed:
+                    continue
+                circle = circles[nb]
+                if circle is not None:
+                    dx, dy = px - circle[0], py - circle[1]
+                    diff = dx * dx + dy * dy - circle[2]
+                if circle is not None and abs(diff) > circle[3]:
+                    inside = diff < 0
+                else:  # a ghost, inside the band, or no centre (nan)
+                    inside = self.in_circle_exact(nb, p)
+                if inside:
+                    removed.add(nb)
+                    cavity.append(nb)
+                else:
+                    rim.append((corner[base + k], corner[base + (k + 1) % 3], nb))
+        # A star-shaped cavity of c triangles has c + 2 rim edges.
+        cavity += (len(circles), len(circles) + 1)
+        corner += (GHOST,) * 6
+        across += (GHOST,) * 6
+        circles += (None, None)
+        start: Dict[int, int] = {}
+        for t, (u, v, nb) in zip(cavity, rim):
+            corner[3 * t:3 * t + 3] = u, v, p
+            # Edge (u, v) faces nb's edge (v, u).
+            across[3 * t] = nb
+            across[3 * nb + corner[3 * nb:3 * nb + 3].index(v)] = t
+            start[u] = t
+            circles[t] = None if GHOST in (u, v) else self.circle_of(u, v, p)
+        self.last = next(t for t in cavity if circles[t] is not None)
+        # Around p the fan closes: edge (v, p) of one new triangle faces
+        # edge (p, v) of the one whose rim edge starts at v.
+        for t in cavity:
+            t2 = start[corner[3 * t + 1]]
+            across[3 * t + 1] = t2
+            across[3 * t2 + 2] = t
 
-    add(ccw_tuple(s0, s1, s2))
-    last: Tri = next(iter(triangles))
+    def circle_of(self, u: int, v: int, p: int) -> tuple:
+        """The cached circle and reported order of triangle ``(u, v, p)``.
 
-    # Insert in x-sorted order so the walk from the previous insertion's
-    # triangle is short.
-    order = sorted(range(n), key=lambda i: (pts[i].x, pts[i].y))
-    in_circle = _in_circumcircle
-    for idx in order:
-        p = all_pts[idx]
-        if last not in triangles:
-            last = next(iter(triangles))
-        seed = locate(p, last)
+        The reported order starts at the lower-numbered of the two
+        vertices that are not last in ``(x, y)`` order (``rank``) and
+        keeps the counter-clockwise turn.
+        """
+        rank = self.rank
+        ru, rv, rp = rank[u], rank[v], rank[p]
+        if rp > ru and rp > rv:
+            a, b, c = (u, v, p) if u < v else (v, p, u)
+        elif rv > ru:
+            a, b, c = (u, v, p) if u < p else (p, u, v)
+        else:
+            a, b, c = (v, p, u) if v < p else (p, u, v)
+        xs, ys, sq, mag = self.xs, self.ys, self.sq, self.mag
+        circle = _circle(
+            xs[a], ys[a], sq[a], xs[b], ys[b], sq[b], xs[c], ys[c], sq[c],
+            max(mag[a], mag[b], mag[c], 1.0),
+        )
+        # A degenerate triangle has no centre and always takes the exact
+        # in-circle test.
+        return (circle or _DEGENERATE) + (a, b, c)
 
-        # Cavity BFS: bad triangles form a connected region around p.
-        bad: List[Tri] = []
-        stack = [seed]
-        seen = {seed}
-        while stack:
-            t = stack.pop()
-            if not in_circle(p, all_pts[t[0]], all_pts[t[1]], all_pts[t[2]]):
-                continue
-            bad.append(t)
-            for e in tri_edges(t):
-                nxt = neighbor(t, e)
-                if nxt is not None and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if not bad:
-            # p exactly cocircular edge case: force the seed open so the
-            # insertion still proceeds.
-            bad = [seed]
-
-        edge_count: Dict[Edge, int] = {}
-        for t in bad:
-            for e in tri_edges(t):
-                edge_count[e] = edge_count.get(e, 0) + 1
-        for t in bad:
-            remove(t)
-        created: List[Tri] = []
-        for e, count in edge_count.items():
-            if count == 1:
-                t = ccw_tuple(e[0], e[1], idx)
-                add(t)
-                created.append(t)
-        if created:
-            last = created[0]
-
-    return [
-        Triangle(*t) for t in triangles if t[0] < n and t[1] < n and t[2] < n
-    ]
-
-
-def _circumdistance(p: Point, all_pts: List[Point], t: Triangle) -> float:
-    center = circumcenter(all_pts[t.a], all_pts[t.b], all_pts[t.c])
-    if center is None:
-        return math.inf
-    return center.distance(p)
+    def triangulation(self) -> Triangulation:
+        real = [c for c in self.circle if c is not None]
+        ghosts = [t for t, c in enumerate(self.circle) if c is None]
+        return Triangulation(
+            self.pts,
+            [v for c in real for v in c[4:]],
+            [None if math.isnan(c[0]) else Point(c[0], c[1]) for c in real],
+            {v for t in ghosts for v in self.corner[3 * t:3 * t + 3]} - {GHOST},
+        )

@@ -18,11 +18,8 @@ def farthest_pair(points: Iterable[Point]) -> Optional[Pair]:
     O(h) time.
     """
     pts = list(points)
-    if len(set(pts)) < 2:
-        return None
-    hull = convex_hull(pts)
-    pair = farthest_pair_on_hull(hull)
-    if pair is None:
+    pair = farthest_pair_on_hull(convex_hull(pts))
+    if pair is None and len(set(pts)) >= 2:
         # Degenerate inputs (near-duplicates, collinear clusters) can
         # collapse the hull below two vertices even though the input has
         # two distinct points; the O(n^2) scan still has an answer.

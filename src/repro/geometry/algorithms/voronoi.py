@@ -12,13 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence
 
-from repro.geometry.algorithms.delaunay import (
-    Triangulation,
-    circumcenter,
-    delaunay,
-)
+from repro.geometry.algorithms.delaunay import Triangulation, delaunay
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rectangle import Rectangle
@@ -72,9 +68,6 @@ class VoronoiDiagram:
     def region_of(self, site_index: int) -> VoronoiRegion:
         return self.regions[site_index]
 
-    def neighbors_of(self) -> Dict[int, Set[int]]:
-        return self.triangulation.neighbors_of()
-
 
 def voronoi(points: Sequence[Point]) -> VoronoiDiagram:
     """Voronoi diagram of distinct sites.
@@ -83,47 +76,59 @@ def voronoi(points: Sequence[Point]) -> VoronoiDiagram:
     where every region is unbounded — which is also the correct answer.
     """
     tri = delaunay(points)
-    pts = tri.points
-    per_site = tri.triangles_of_site()
+    regions = voronoi_regions(tri, range(len(tri.points)))
+    return VoronoiDiagram(sites=tri.points, regions=regions, triangulation=tri)
 
-    # A site is interior iff its incident triangles form a closed fan:
-    # every Delaunay edge at the site is shared by two incident triangles.
+
+def voronoi_regions(tri: Triangulation, sites: Iterable[int]) -> List[VoronoiRegion]:
+    """The regions of the given site rows of ``tri``, in that order.
+
+    A region is closed when the site is off the hull — its triangles wrap
+    all the way around it — and every one of its triangles has a
+    circumcentre; those centres, ordered CCW around the site, are its
+    vertices. Each triangle's centre was computed once, by the
+    triangulation.
+    """
+    pts, fans, centers, hull = tri.points, tri.fans, tri.centers, tri.hull
     regions: List[VoronoiRegion] = []
-    for i, site in enumerate(pts):
-        incident = per_site.get(i, [])
-        if len(incident) < 3:
+    for i in sites:
+        site = pts[i]
+        ring = [centers[t] for t in fans[i]]
+        if not ring or i in hull or any(c is None for c in ring):
             regions.append(VoronoiRegion(site=site, closed=False))
             continue
-        # Count, per neighbour edge (i, other), how many incident triangles
-        # contain it; a closed fan uses each exactly twice.
-        counts: Dict[int, int] = {}
-        for t in incident:
-            for v in t.vertices:
-                if v != i:
-                    counts[v] = counts.get(v, 0) + 1
-        if any(c != 2 for c in counts.values()):
-            regions.append(VoronoiRegion(site=site, closed=False))
-            continue
-        centers = []
-        ok = True
-        for t in incident:
-            c = circumcenter(pts[t.a], pts[t.b], pts[t.c])
-            if c is None:
-                ok = False
-                break
-            centers.append(c)
-        if not ok:
-            regions.append(VoronoiRegion(site=site, closed=False))
-            continue
-        # Order circumcenters CCW around the site.
-        centers.sort(key=lambda c: math.atan2(c.y - site.y, c.x - site.x))
-        radii = tuple(c.distance(site) for c in centers)
+        ring.sort(key=lambda c: math.atan2(c.y - site.y, c.x - site.x))
+        radii = tuple(c.distance(site) for c in ring)
         regions.append(
-            VoronoiRegion(
-                site=site,
-                closed=True,
-                vertices=tuple(centers),
-                radii=radii,
-            )
+            VoronoiRegion(site=site, closed=True, vertices=tuple(ring), radii=radii)
         )
-    return VoronoiDiagram(sites=pts, regions=regions, triangulation=tri)
+    return regions
+
+
+def safe_sites(tri: Triangulation, rect: Rectangle) -> List[int]:
+    """Site rows whose regions no site outside ``rect`` can change.
+
+    Corollary 1 (see :meth:`VoronoiRegion.dangerous_zone_inside`) on the
+    cached centres: a site is safe when its region is closed and, for each
+    of its triangles, the circle about the centre through the site lies
+    within ``rect`` — the same radius the region's ``radii`` hold.
+    """
+    pts, centers = tri.points, tri.centers
+    out = []
+    for i, fan in enumerate(tri.fans):
+        if not fan or i in tri.hull:
+            continue
+        site = pts[i]
+        for t in fan:
+            c = centers[t]
+            if c is None:
+                break
+            r = c.distance(site)
+            if (
+                c.x - r < rect.x1 or c.x + r > rect.x2
+                or c.y - r < rect.y1 or c.y + r > rect.y2
+            ):
+                break
+        else:
+            out.append(i)
+    return out

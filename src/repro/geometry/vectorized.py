@@ -37,7 +37,8 @@ The pair kernels at the bottom (:func:`join_rows`, :func:`pairs_owned`,
 answer in *row numbers*; the spatial join, kNN-join and closest-pair
 operations run on them and thaw records from the winners only. Their
 candidate expansions and distance tiles hold at most
-:data:`ELEMENT_BUDGET` elements, whatever the input.
+:data:`ELEMENT_BUDGET` elements, whatever the input. :func:`hull_rows`
+serves the convex hull and farthest-pair operations the same way.
 
 The ``REPRO_VECTORIZE`` environment variable (default on) is read
 dynamically on every call, so tests can flip modes without rebuilding
@@ -54,6 +55,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain
 from typing import Any, List, Optional, Sequence, Tuple
+
+from repro.geometry.common import EPS
 
 try:  # Optional dependency: everything below degrades to array('d').
     import numpy as _np
@@ -609,6 +612,95 @@ def closest_pair_rows(xs, ys) -> Optional[Tuple[int, int]]:
             best = float(dsq[at])
             pair = (int(order[at]), int(order[at + shift]))
     return pair
+
+
+def hull_rows(xs, ys) -> List[int]:
+    """Rows of the convex hull's vertices, counter-clockwise from the
+    lowest ``(x, y)``: what :func:`repro.geometry.convex_hull` returns.
+
+    Rows are sorted by ``(x, y)`` and exact duplicates dropped (the
+    first row of each point stays); up to two distinct points are the
+    answer as they are. Otherwise Andrew's monotone chain runs over the
+    rows with the cross product the hull always used, so collinear
+    boundary points are dropped, and vertices within ``EPS`` of their
+    neighbour collapse (a sliver is not a polygon). NumPy: an
+    Akl-Toussaint octagon first drops the rows strictly inside the
+    polygon of the extreme rows in eight directions, by more than a
+    rounding bound, so a row within rounding of the hull still reaches
+    the chain.
+    """
+    if is_ndarray(xs):
+        order = _np.lexsort((ys, xs))
+        sx, sy = xs[order], ys[order]
+        keep = _np.ones(len(order), dtype=bool)
+        keep[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])  # first of equals
+        if keep.sum() > 2:
+            keep[keep] = ~_octagon_interior(sx[keep], sy[keep])
+        rows, sx, sy = order[keep].tolist(), sx[keep].tolist(), sy[keep].tolist()
+    else:
+        first = {(xs[i], ys[i]): i for i in reversed(range(len(xs)))}
+        rows = [first[point] for point in sorted(first)]
+        sx, sy = [xs[i] for i in rows], [ys[i] for i in rows]
+    if len(rows) <= 2:
+        return rows
+    return [rows[at] for at in _monotone_chain(sx, sy)]
+
+
+def _octagon_interior(sx, sy):
+    """Mask of the points (sorted by x) strictly inside the polygon of
+    the extreme points in the eight compass directions, by more than
+    the rounding of the cross products that decide it.
+
+    A point strictly left of every edge of a closed loop of input points
+    lies inside their hull, so the mask is sound even when rounding
+    picks a not-quite-extreme point; a loop of fewer than three distinct
+    points has no such point.
+    """
+    plus, minus = sx + sy, sx - sy
+    extremes = [
+        0, int(plus.argmin()), int(sy.argmin()), int(minus.argmax()),
+        len(sx) - 1, int(plus.argmax()), int(sy.argmax()), int(minus.argmin()),
+    ]
+    loop = [e for i, e in enumerate(extremes) if e != extremes[i - 1]]
+    inside = _np.ones(len(sx), dtype=bool)
+    span = (sx[-1] - sx[0]) + (sy.max() - sy.min())
+    for a, b in zip(loop, loop[1:] + loop[:1]):
+        ex, ey = sx[b] - sx[a], sy[b] - sy[a]
+        cross = ex * (sy - sy[a]) - ey * (sx - sx[a])
+        inside &= cross > 1e-12 * (abs(ex) + abs(ey)) * span
+    return inside
+
+
+def _monotone_chain(sx: List[float], sy: List[float]) -> List[int]:
+    """Positions of the CCW hull of >= 3 distinct points sorted by
+    ``(x, y)`` (Andrew's monotone chain, near-duplicates collapsed)."""
+
+    def half(positions):
+        out: List[int] = []
+        for r in positions:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (sx[a] - sx[o]) * (sy[r] - sy[o]) - (sy[a] - sy[o]) * (
+                    sx[r] - sx[o]
+                ) > 0:
+                    break
+                out.pop()
+            out.append(r)
+        return out
+
+    m = len(sx)
+    hull = half(range(m))[:-1] + half(range(m - 1, -1, -1))[:-1]
+
+    def near(a: int, b: int) -> bool:
+        return abs(sx[a] - sx[b]) <= EPS and abs(sy[a] - sy[b]) <= EPS
+
+    cleaned: List[int] = []
+    for r in hull:
+        if not cleaned or not near(cleaned[-1], r):
+            cleaned.append(r)
+    while len(cleaned) >= 2 and near(cleaned[0], cleaned[-1]):
+        cleaned.pop()
+    return cleaned
 
 
 def _closest_pair_divide(xs, ys) -> Tuple[int, int]:

@@ -13,15 +13,15 @@ from __future__ import annotations
 from typing import List, Set
 
 from repro.core.result import OperationResult
-from repro.core.reader import spatial_reader
 from repro.core.splitter import global_index_of, spatial_splitter
-from repro.geometry import Point, Rectangle
-from repro.geometry.algorithms.convex_hull import convex_hull
+from repro.geometry import Rectangle
+from repro.geometry.algorithms.convex_hull import convex_hull, hull_of_columns
 from repro.geometry.algorithms.skyline import dominates
 from repro.observe.plan import PlanNode
-from repro.operations.common import as_points, plan_full_scan, plan_indexed_scan
+from repro.operations.common import plan_full_scan, plan_indexed_scan, point_columns
 from repro.index.global_index import Cell, GlobalIndex
 from repro.mapreduce import Counter, Job, JobRunner
+from repro.mapreduce.runtime import block_reader
 
 #: The four quadrant directions of the hull filter.
 _DIRECTIONS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -62,8 +62,8 @@ def convex_hull_filter(gindex: GlobalIndex) -> List[Cell]:
     return [c for c in gindex if c.cell_id in keep]
 
 
-def _map_local_hull(_key, records, ctx):
-    for p in convex_hull(as_points(records)):
+def _map_local_hull(_key, block, ctx):
+    for p in hull_of_columns(*point_columns(block)):
         ctx.emit(1, p)
 
 
@@ -79,11 +79,12 @@ def convex_hull_hadoop(runner: JobRunner, file_name: str) -> OperationResult:
         map_fn=_map_local_hull,
         combine_fn=_reduce_global_hull,
         reduce_fn=_reduce_global_hull,
+        reader=block_reader,
         name=f"hull-hadoop({file_name})",
     )
     result = runner.run(job)
     return OperationResult(
-        answer=_ccw(result.output), jobs=[result], system="hadoop"
+        answer=convex_hull(result.output), jobs=[result], system="hadoop"
     )
 
 
@@ -106,7 +107,7 @@ def convex_hull_spatial(
             combine_fn=_reduce_global_hull,
             reduce_fn=_reduce_global_hull,
             splitter=spatial_splitter(convex_hull_filter if prune else None),
-            reader=spatial_reader,
+            reader=block_reader,
             name=f"hull-spatial({file_name})",
         )
         result = runner.run(job)
@@ -114,12 +115,8 @@ def convex_hull_spatial(
         op_span.set(
             "partitions_pruned", result.counters.get(Counter.BLOCKS_PRUNED)
         )
-    return OperationResult(answer=_ccw(result.output), jobs=[result])
-
-
-def _ccw(points: List[Point]) -> List[Point]:
-    """Normalise the reducer's hull output to a clean CCW vertex list."""
-    return convex_hull(points)
+    # The reducer's hull, normalised to a clean CCW vertex list.
+    return OperationResult(answer=convex_hull(result.output), jobs=[result])
 
 
 # ----------------------------------------------------------------------

@@ -18,33 +18,33 @@ from typing import List, Tuple
 
 from repro.core.result import OperationResult
 from repro.core.splitter import global_index_of
-from repro.geometry.algorithms.convex_hull import convex_hull
+from repro.geometry import vectorized
+from repro.geometry.algorithms.convex_hull import convex_hull, hull_of_columns
 from repro.geometry.algorithms.farthest_pair import farthest_pair_on_hull
 from repro.observe.plan import PlanNode, estimate_job_cost
-from repro.operations.common import as_points, plan_full_scan
+from repro.operations.common import plan_full_scan, point_columns
+from repro.operations.convex_hull import _map_local_hull, _reduce_global_hull
 from repro.index.global_index import GlobalIndex
 from repro.mapreduce import Block, Job, JobRunner
+from repro.mapreduce.runtime import block_reader
 from repro.mapreduce.types import InputSplit
 
 
-def _map_local_hull(_key, records, ctx):
-    for p in convex_hull(as_points(records)):
-        ctx.emit(1, p)
+def _reduce_calipers(_key, points, ctx):
+    """Calipers on the hull of the local hulls (module-level: picklable)."""
+    pair = farthest_pair_on_hull(convex_hull(points))
+    if pair is not None:
+        ctx.emit(1, pair)
 
 
 def farthest_pair_hadoop(runner: JobRunner, file_name: str) -> OperationResult:
     """Unindexed farthest pair via hull-of-hulls."""
-
-    def reduce_fn(_key, points, ctx):
-        pair = farthest_pair_on_hull(convex_hull(points))
-        if pair is not None:
-            ctx.emit(1, pair)
-
     job = Job(
         input_file=file_name,
         map_fn=_map_local_hull,
-        combine_fn=lambda k, pts, ctx: [ctx.emit(1, p) for p in convex_hull(pts)],
-        reduce_fn=reduce_fn,
+        combine_fn=_reduce_global_hull,
+        reduce_fn=_reduce_calipers,
+        reader=block_reader,
         name=f"farthest-hadoop({file_name})",
     )
     result = runner.run(job)
@@ -76,6 +76,20 @@ def select_cell_pairs(gindex: GlobalIndex) -> List[Tuple[int, int]]:
     return selected
 
 
+def _map_cell_pair(cells, _block, ctx):
+    """Calipers on the hull of one cell pair's points (module-level:
+    picklable); ``cells`` holds each cell's ``(xs, ys)`` columns."""
+    xs, ys = (vectorized.concat(list(axis)) for axis in zip(*cells))
+    pair = farthest_pair_on_hull(hull_of_columns(xs, ys))
+    if pair is not None:
+        ctx.emit(1, pair)
+
+
+def _reduce_farthest(_key, candidate_pairs, ctx):
+    """The farthest of the per-pair candidates (module-level: picklable)."""
+    ctx.emit(1, max(candidate_pairs, key=lambda pr: pr[0].distance_sq(pr[1])))
+
+
 def farthest_pair_spatial(runner: JobRunner, file_name: str) -> OperationResult:
     """Indexed farthest pair with the cell-pair dominance filter."""
     fs = runner.fs
@@ -83,55 +97,32 @@ def farthest_pair_spatial(runner: JobRunner, file_name: str) -> OperationResult:
     if gindex is None:
         raise ValueError(f"{file_name!r} is not spatially indexed")
 
-    entry = fs.get(file_name)
-    blocks = {b.metadata["cell_id"]: b for b in entry.blocks}
-    pairs = select_cell_pairs(gindex)
-
-    pair_blocks: List[Block] = []
-    for left_id, right_id in pairs:
-        records = list(blocks[left_id].records)
-        if right_id != left_id:
-            records = records + list(blocks[right_id].records)
-        pair_blocks.append(
-            Block(records=records, metadata={"pair": (left_id, right_id)})
-        )
-    pairs_file = f"__fp_pairs__{file_name}"
-    if fs.exists(pairs_file):
-        fs.delete(pairs_file)
-    fs.create_file_from_blocks(pairs_file, pair_blocks)
-
-    def pair_splitter(fs_, job_):
-        entry_ = fs_.get(job_.input_file)
-        return [
-            InputSplit(
-                file=job_.input_file,
-                block_index=i,
-                block=block,
-                key=block.metadata["pair"],
-            )
-            for i, block in enumerate(entry_.blocks)
-        ]
-
-    def map_fn(_pair, records, ctx):
-        pair = farthest_pair_on_hull(convex_hull(as_points(records)))
-        if pair is not None:
-            ctx.emit(1, pair)
-
-    def reduce_fn(_key, candidate_pairs, ctx):
-        best = max(candidate_pairs, key=lambda pr: pr[0].distance_sq(pr[1]))
-        ctx.emit(1, best)
+    # One virtual split per surviving cell pair, carrying the two cells'
+    # point columns (one cell's for a pair of a cell with itself); its
+    # block stands for the rows the task reads. The driver reads the
+    # columns outside any split, so it verifies the file first.
+    runner.verify_driver_read(file_name)
+    blocks = {b.metadata["cell_id"]: b for b in fs.get(file_name).blocks}
+    columns = {cell_id: point_columns(b) for cell_id, b in blocks.items()}
+    splits: List[InputSplit] = []
+    for pair in select_cell_pairs(gindex):
+        cells = tuple(dict.fromkeys(pair))
+        splits.append(InputSplit(
+            file=file_name,
+            block_index=len(splits),
+            block=Block(records=range(sum(len(blocks[c]) for c in cells))),
+            key=tuple(columns[c] for c in cells),
+        ))
 
     job = Job(
-        input_file=pairs_file,
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
-        splitter=pair_splitter,
+        input_file=file_name,
+        map_fn=_map_cell_pair,
+        reduce_fn=_reduce_farthest,
+        splitter=lambda _fs, _job: splits,
+        reader=block_reader,
         name=f"farthest-spatial({file_name})",
     )
-    try:
-        result = runner.run(job)
-    finally:
-        fs.delete(pairs_file)
+    result = runner.run(job)
     answer = result.output[0] if result.output else None
     return OperationResult(answer=answer, jobs=[result])
 
@@ -181,12 +172,9 @@ def plan_farthest_pair(runner: JobRunner, file_name: str) -> PlanNode:
             },
         )
     )
-    records_in = []
-    for left_id, right_id in pairs:
-        n = cells[left_id].num_records
-        if right_id != left_id:
-            n += cells[right_id].num_records
-        records_in.append(n)
+    records_in = [
+        sum(cells[c].num_records for c in dict.fromkeys(pair)) for pair in pairs
+    ]
     root.add(
         PlanNode(
             f"job:farthest-spatial({file_name})",

@@ -65,6 +65,14 @@ def _reduce_global_skyline(_key, points, ctx):
         ctx.emit(1, p)
 
 
+def _map_os_skyline(_cell, records, ctx):
+    """Local skyline minus what the dominance power set dominates
+    (module-level: picklable)."""
+    for p in skyline(as_points(records)):
+        if not any(dominates(q, p) for q in ctx.config["sky"]):
+            ctx.write_output(p)
+
+
 def skyline_hadoop(runner: JobRunner, file_name: str) -> OperationResult:
     """Unindexed skyline: all blocks processed, single merging reducer."""
     job = Job(
@@ -133,15 +141,9 @@ def skyline_output_sensitive(
         power_points.extend((mbr.top_left, mbr.bottom_right))
     sky = skyline(power_points)
 
-    def map_fn(cell, records, ctx):
-        local = skyline(as_points(records))
-        for p in local:
-            if not any(dominates(q, p) for q in ctx.config["sky"]):
-                ctx.write_output(p)
-
     job = Job(
         input_file=file_name,
-        map_fn=map_fn,
+        map_fn=_map_os_skyline,
         splitter=spatial_splitter(skyline_filter),
         reader=spatial_reader,
         config={"sky": sky},

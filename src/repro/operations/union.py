@@ -50,6 +50,30 @@ def _reduce_global_union(_key, tagged_rings, ctx):
         ctx.emit(1, ring)
 
 
+def _map_spatial_union(cell, records, ctx):
+    """Local union of the polygons this partition owns (module-level:
+    picklable)."""
+    dedup = ctx.config["dedup"]
+    polygons: List[Polygon] = []
+    for poly in records:
+        if dedup and not cell.contains_point_left_inclusive(
+            Point(poly.mbr.x1, poly.mbr.y1)
+        ):
+            continue  # a replica: exactly one partition owns each polygon
+        polygons.append(poly)
+    for ring in polygon_union(polygons):
+        ctx.emit(1, (ctx.split.block_index, ring))
+
+
+def _map_enhanced_union(cell, records, ctx):
+    """Local union clipped to the partition (module-level: picklable)."""
+    for ring in polygon_union(records):
+        for a, b in ring.edges():
+            clipped = clip_segment(a, b, cell)
+            if clipped is not None:
+                ctx.write_output(clipped)
+
+
 def union_hadoop(runner: JobRunner, file_name: str) -> OperationResult:
     """Random-partitioned union with a single merging reducer."""
     job = Job(
@@ -68,21 +92,9 @@ def union_spatial(runner: JobRunner, file_name: str) -> OperationResult:
     if gindex is None:
         raise ValueError(f"{file_name!r} is not spatially indexed")
 
-    def map_fn(cell, records, ctx):
-        dedup = ctx.config["dedup"]
-        polygons: List[Polygon] = []
-        for poly in records:
-            if dedup and not cell.contains_point_left_inclusive(
-                Point(poly.mbr.x1, poly.mbr.y1)
-            ):
-                continue  # a replica: exactly one partition owns each polygon
-            polygons.append(poly)
-        for ring in polygon_union(polygons):
-            ctx.emit(1, (ctx.split.block_index, ring))
-
     job = Job(
         input_file=file_name,
-        map_fn=map_fn,
+        map_fn=_map_spatial_union,
         reduce_fn=_reduce_global_union,
         splitter=spatial_splitter(),
         reader=spatial_reader,
@@ -106,16 +118,9 @@ def union_enhanced(runner: JobRunner, file_name: str) -> OperationResult:
     if not gindex.disjoint:
         raise ValueError("the enhanced union needs a disjoint index")
 
-    def map_fn(cell, records, ctx):
-        for ring in polygon_union(records):
-            for a, b in ring.edges():
-                clipped = clip_segment(a, b, cell)
-                if clipped is not None:
-                    ctx.write_output(clipped)
-
     job = Job(
         input_file=file_name,
-        map_fn=map_fn,
+        map_fn=_map_enhanced_union,
         splitter=spatial_splitter(),
         reader=spatial_reader,
         name=f"union-enhanced({file_name})",

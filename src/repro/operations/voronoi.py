@@ -28,13 +28,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.core.result import OperationResult
-from repro.core.reader import spatial_reader
 from repro.core.splitter import global_index_of, spatial_splitter
-from repro.geometry import Point
-from repro.geometry.algorithms.voronoi import VoronoiRegion, voronoi
+from repro.geometry import Point, vectorized
+from repro.geometry.algorithms.delaunay import delaunay
+from repro.geometry.algorithms.voronoi import (
+    VoronoiRegion,
+    safe_sites,
+    voronoi_regions,
+)
 from repro.observe.plan import PlanNode
-from repro.operations.common import as_points, plan_indexed_scan
+from repro.operations.common import as_points, plan_indexed_scan, point_columns
 from repro.mapreduce import Job, JobRunner
+from repro.mapreduce.runtime import block_reader
 
 
 @dataclass
@@ -63,6 +68,41 @@ class VoronoiResult:
         return len(self.final_regions) / total if total else 0.0
 
 
+def _voronoi_map(cell, block, ctx):
+    """Local diagram; safe regions flushed, the rest shipped as columns
+    (module-level: picklable).
+
+    One record per partition: the non-safe sites and then their local
+    Delaunay neighbours (the support set that determines their regions)
+    as two coordinate columns, and how many of the rows are non-safe.
+    """
+    xs, ys = point_columns(block)
+    tri = delaunay(as_points(block.records))
+    safe = safe_sites(tri, cell)
+    for region in voronoi_regions(tri, safe):
+        ctx.write_output(region)  # safe: final, early-flushed
+    nonsafe = sorted(set(range(len(xs))).difference(safe))
+    corners, fans = tri.corners, tri.fans
+    support = {v for i in nonsafe for t in fans[i] for v in corners[3 * t:3 * t + 3]}
+    rows = nonsafe + sorted(support.difference(nonsafe))
+    if rows:
+        ctx.emit(1, (len(nonsafe), *(vectorized.take(col, rows) for col in (xs, ys))))
+
+
+def _voronoi_reduce(_key, parts, ctx):
+    """Merge the survivors; emit the non-safe sites' regions."""
+    nonsafe, survivors = set(), set()
+    for count, xs, ys in parts:
+        coords = list(zip(xs.tolist(), ys.tolist()))
+        nonsafe.update(coords[:count])
+        survivors.update(coords)
+    ordered = sorted(survivors)
+    tri = delaunay([Point(x, y) for x, y in ordered])
+    rows = [i for i, xy in enumerate(ordered) if xy in nonsafe]
+    for region in voronoi_regions(tri, rows):
+        ctx.emit(1, region)
+
+
 def voronoi_spatial(runner: JobRunner, file_name: str) -> OperationResult:
     """Distributed Voronoi diagram over a disjointly indexed point file."""
     gindex = global_index_of(runner.fs, file_name)
@@ -71,51 +111,12 @@ def voronoi_spatial(runner: JobRunner, file_name: str) -> OperationResult:
     if not gindex.disjoint:
         raise ValueError("the Voronoi pruning rule needs a disjoint index")
 
-    def map_fn(cell, records, ctx):
-        sites = as_points(records)
-        if len(set(sites)) != len(sites):
-            raise ValueError("Voronoi construction requires distinct sites")
-        if len(sites) < 3:
-            for s in sites:
-                ctx.emit(1, ("nonsafe", s))
-            return
-        local = voronoi(sites)
-        neighbors = local.neighbors_of()
-        nonsafe: List[int] = []
-        for i, region in enumerate(local.regions):
-            if region.dangerous_zone_inside(cell):
-                ctx.write_output(region)  # safe: final, early-flushed
-            else:
-                nonsafe.append(i)
-        support = set()
-        for i in nonsafe:
-            support.update(neighbors[i])
-        support.difference_update(nonsafe)
-        for i in nonsafe:
-            ctx.emit(1, ("nonsafe", sites[i]))
-        for i in support:
-            ctx.emit(1, ("support", sites[i]))
-
-    def reduce_fn(_key, tagged, ctx):
-        nonsafe = {s for tag, s in tagged if tag == "nonsafe"}
-        all_sites = {s for _tag, s in tagged}
-        if not all_sites:
-            return
-        if len(all_sites) < 3:
-            for s in nonsafe:
-                ctx.emit(1, VoronoiRegion(site=s, closed=False))
-            return
-        merged = voronoi(sorted(all_sites))
-        for region in merged.regions:
-            if region.site in nonsafe:
-                ctx.emit(1, region)
-
     job = Job(
         input_file=file_name,
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
+        map_fn=_voronoi_map,
+        reduce_fn=_voronoi_reduce,
         splitter=spatial_splitter(),
-        reader=spatial_reader,
+        reader=block_reader,
         name=f"voronoi({file_name})",
     )
     result = runner.run(job)
@@ -137,14 +138,15 @@ def voronoi_spatial(runner: JobRunner, file_name: str) -> OperationResult:
 def plan_voronoi(runner: JobRunner, file_name: str) -> PlanNode:
     """EXPLAIN plan for the Voronoi operation.
 
-    Non-safe sites live near partition boundaries, so the shuffle (and the
-    headline pruned fraction) is estimated with the same boundary-band
-    argument as the closest-pair candidate buffer: ~4*sqrt(n) per cell.
+    Non-safe sites live near partition boundaries, so the headline pruned
+    fraction is estimated with the same boundary-band argument as the
+    closest-pair candidate buffer: ~4*sqrt(n) sites per cell. Each
+    partition ships its survivors as one record.
     """
     gindex = global_index_of(runner.fs, file_name)
     if gindex is None:
         raise ValueError(f"{file_name!r} is not spatially indexed")
-    shuffle = sum(
+    survivors = sum(
         min(c.num_records, round(4 * math.sqrt(c.num_records)))
         for c in gindex
     )
@@ -156,11 +158,11 @@ def plan_voronoi(runner: JobRunner, file_name: str) -> PlanNode:
         list(gindex),
         map_desc="local VD, early-flush safe regions",
         reduce_desc="merge non-safe + support sites",
-        shuffle_records=shuffle,
+        shuffle_records=sum(1 for c in gindex if c.num_records),
     )
     total = gindex.total_records
     plan.estimated["pruned_fraction"] = (
-        round(1.0 - shuffle / total, 4) if total else 0.0
+        round(1.0 - survivors / total, 4) if total else 0.0
     )
     if not gindex.disjoint:
         plan.detail["note"] = "the safety test requires a disjoint index"

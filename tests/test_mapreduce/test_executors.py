@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.datagen import generate_points, generate_rectangles
+from repro.datagen import generate_points, generate_polygons, generate_rectangles
 from repro.geometry import Point, Rectangle
 from repro.index import build_index
 from repro.mapreduce import (
@@ -29,14 +29,20 @@ from repro.mapreduce.executor import WORKERS_ENV_VAR
 from repro.mapreduce.job import default_partitioner
 from repro.operations import (
     closest_pair_spatial,
+    farthest_pair_hadoop,
+    farthest_pair_spatial,
     knn_join_hadoop,
     knn_join_spatial,
     knn_spatial,
     range_count_spatial,
     range_query_hadoop,
     range_query_spatial,
+    skyline_output_sensitive,
     spatial_join_distributed,
     spatial_join_sjmr,
+    union_enhanced,
+    union_spatial,
+    voronoi_spatial,
 )
 
 SPACE = Rectangle(0, 0, 1000, 1000)
@@ -284,6 +290,14 @@ def _point_inputs(runner):
     build_index(runner, "sites", "sites_idx", "str")
 
 
+def _geometry_inputs(runner):
+    _point_inputs(runner)
+    runner.fs.create_file("polys", generate_polygons(
+        120, "uniform", seed=35, space=SPACE, avg_radius_fraction=0.03
+    ))
+    build_index(runner, "polys", "polys_idx", "grid", block_capacity=40)
+
+
 #: name -> (set-up, operation)
 PAIR_OPERATIONS = {
     "dj-same-technique": (
@@ -308,6 +322,18 @@ PAIR_OPERATIONS = {
     "closest-pair": (
         _point_inputs, lambda r: closest_pair_spatial(r, "pts_idx"),
     ),
+    "voronoi": (_geometry_inputs, lambda r: voronoi_spatial(r, "pts_idx")),
+    "farthest-pair": (
+        _geometry_inputs, lambda r: farthest_pair_spatial(r, "pts_idx"),
+    ),
+    "farthest-pair-hadoop": (
+        _geometry_inputs, lambda r: farthest_pair_hadoop(r, "pts"),
+    ),
+    "skyline-output-sensitive": (
+        _geometry_inputs, lambda r: skyline_output_sensitive(r, "pts_idx"),
+    ),
+    "union": (_geometry_inputs, lambda r: union_spatial(r, "polys_idx")),
+    "union-enhanced": (_geometry_inputs, lambda r: union_enhanced(r, "polys_idx")),
 }
 
 
