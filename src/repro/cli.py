@@ -18,7 +18,7 @@ HDFS between invocations, so a session looks like::
     python -m repro -w ws.pkl metrics --format prom
     python -m repro -w ws.pkl --profile rangequery pts_idx --window 0,0,1e5,1e5
     python -m repro -w ws.pkl profile --flamegraph phases.svg
-    python -m repro sentinel --baseline BENCH_e14.json
+    python -m repro sentinel --baseline BENCH_e15.json
 
 Every query command prints the answer summary plus the cost line the
 benchmarks use (blocks read, records shuffled, simulated makespan);

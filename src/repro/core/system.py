@@ -183,20 +183,15 @@ class SpatialHadoop:
     def openmetrics(self, prefix: str = "repro_") -> str:
         """Current metrics in OpenMetrics/Prometheus text exposition.
 
-        Labels every sample with the execution backend (``workers``) and
-        whether the vectorized kernels are active, so scrapes from
-        different backends stay distinguishable in one store.
+        Labels every sample with the execution backend (``workers``), so
+        scrapes from different backends stay distinguishable in one store.
         """
-        from repro.geometry import vectorized
         from repro.observe import render_openmetrics
 
         return render_openmetrics(
             self.metrics.snapshot(),
             prefix=prefix,
-            labels={
-                "workers": str(self.runner.workers),
-                "vectorized": vectorized.mode(),
-            },
+            labels={"workers": str(self.runner.workers)},
         )
 
     def enable_profiling(self) -> None:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.geometry import vectorized
 from repro.geometry.point import Point
 
@@ -15,15 +17,15 @@ def closest_pair(points: Iterable[Point]) -> Optional[Pair]:
 
     The points become two coordinate columns and
     :func:`repro.geometry.vectorized.closest_pair_rows` picks the rows:
-    an x-sorted shifted-difference sweep on NumPy columns, the classic
-    O(n log n) divide and conquer otherwise. Duplicate points are allowed
-    and trivially form a zero-distance closest pair.
+    an x-sorted shifted-difference sweep, handing over to the classic
+    O(n log n) divide and conquer when many points share an x. Duplicate
+    points are allowed and trivially form a zero-distance closest pair.
     """
     pts: List[Point] = list(points)
     n = len(pts)
     rows = vectorized.closest_pair_rows(
-        vectorized.column_from_iter([p.x for p in pts], n),
-        vectorized.column_from_iter([p.y for p in pts], n),
+        np.fromiter([p.x for p in pts], dtype=np.float64, count=n),
+        np.fromiter([p.y for p in pts], dtype=np.float64, count=n),
     )
     return None if rows is None else (pts[rows[0]], pts[rows[1]])
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence
 
+import numpy as np
+
 from repro.geometry import vectorized
 from repro.geometry.point import Point
 
@@ -26,8 +28,8 @@ def convex_hull(points: Iterable[Point]) -> List[Point]:
     pts: List[Point] = list(points)
     n = len(pts)
     rows = vectorized.hull_rows(
-        vectorized.column_from_iter([p.x for p in pts], n),
-        vectorized.column_from_iter([p.y for p in pts], n),
+        np.fromiter([p.x for p in pts], dtype=np.float64, count=n),
+        np.fromiter([p.y for p in pts], dtype=np.float64, count=n),
     )
     return [pts[r] for r in rows]
 

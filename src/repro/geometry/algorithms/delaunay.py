@@ -38,8 +38,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.geometry.curves import hilbert_value
 from repro.geometry.point import Point
-from repro.index.partitioners.space_curves import hilbert_value
 
 #: The symbolic vertex at infinity of the ghost triangles.
 GHOST = -1

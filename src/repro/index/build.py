@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Type
 
-from repro.geometry import Point, Rectangle, vectorized
+import numpy as np
+
+from repro.geometry import Point, Rectangle
 from repro.index.global_index import Cell, GlobalIndex
 from repro.index.partitioners.base import Partitioner
 from repro.index.partitioners.grid import GridPartitioner
@@ -26,13 +28,7 @@ from repro.index.partitioners.space_curves import (
     ZCurvePartitioner,
 )
 from repro.index.partitioners.str_ import StrPartitioner, StrPlusPartitioner
-from repro.index.rtree import (
-    RTree,
-    as_list,
-    block_columns,
-    columns_mbr,
-    str_order,
-)
+from repro.index.rtree import RTree, block_columns, columns_mbr, str_order
 from repro.index.sampler import reservoir_sample
 from repro.mapreduce import Block, Job, JobResult, JobRunner
 from repro.mapreduce.runtime import block_reader, default_splitter
@@ -84,7 +80,7 @@ def _sample_map(_key, block, ctx):
         8, ctx.config["sample_size"] // max(1, ctx.config["num_blocks"])
     )
     picked = reservoir_sample(range(n), per_block, seed=ctx.split.block_index)
-    x1, y1, x2, y2 = (vectorized.take(col, picked).tolist() for col in cols)
+    x1, y1, x2, y2 = (col[picked].tolist() for col in cols)
     centres = [
         Point((a + b) / 2.0, (c + d) / 2.0)
         for a, b, c, d in zip(x1, x2, y1, y2)
@@ -136,14 +132,14 @@ def _pack_cell(refs, source_blocks, source_columns, build_local_index: bool):
     # Points have degenerate MBRs: their (x, y) pair serves as both corners.
     repeat = 2 if kind == "point" else 1
     cols = [
-        vectorized.concat(
-            [vectorized.take(source_columns[b][k], offsets) for b, offsets in refs]
+        np.concatenate(
+            [source_columns[b][k][offsets] for b, offsets in refs]
         )
         for k in range(4 // repeat)
     ]
     order = str_order(*(cols * repeat))
-    records = list(map(records.__getitem__, as_list(order)))
-    cols = [vectorized.take(col, order) for col in cols]
+    records = list(map(records.__getitem__, order.tolist()))
+    cols = [col[order] for col in cols]
     block = Block(records=records)
     if kind is not None:
         block.columnar = ColumnarPayload(kind, len(records), tuple(cols))

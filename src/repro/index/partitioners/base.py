@@ -14,16 +14,11 @@ cell count and the exact file MBR (``space``). It must then route any record
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from array import array
 from typing import Any, ClassVar, List, Tuple
 
-from repro.geometry import Point, Rectangle
-from repro.geometry.vectorized import is_ndarray
+import numpy as np
 
-try:
-    import numpy as np
-except Exception:  # pragma: no cover - exercised on numpy-free installs
-    np = None
+from repro.geometry import Point, Rectangle
 
 #: Fraction by which the space MBR is expanded on the top/right so that
 #: records sitting exactly on the global maximum boundary still fall into
@@ -50,13 +45,12 @@ class Partitioner(ABC):
     """Routes records to global-index cells.
 
     :meth:`assign` routes one MBR; :meth:`partition_columns` routes a whole
-    split from its MBR columns and is what the index build calls. On NumPy
-    columns it runs the technique's array kernels — ``_point_cells(xs,
-    ys)``, one cell id per point, and for disjoint techniques
-    ``_overlapping_cells(x1, y1, x2, y2)``, the ``(row, cell)`` pairs of
-    extended shapes — built only from IEEE-exact operations so they agree
-    with :meth:`assign` element for element; on ``array('d')`` columns it
-    loops over :meth:`assign`.
+    split from its MBR columns and is what the index build calls. It runs
+    the technique's array kernels — ``_point_cells(xs, ys)``, one cell id
+    per point, and for disjoint techniques ``_overlapping_cells(x1, y1,
+    x2, y2)``, the ``(row, cell)`` pairs of extended shapes — built only
+    from IEEE-exact operations so they agree with :meth:`assign` element
+    for element.
     """
 
     technique: ClassVar[str] = "abstract"
@@ -93,14 +87,7 @@ class Partitioner(ABC):
         A row of a disjoint technique appears under every cell its MBR
         overlaps (replication), otherwise under the cell of its centre.
         """
-        n = len(x1)
-        if not is_ndarray(x1):
-            groups: dict = {}
-            for i in range(n):
-                for cell in self.assign(Rectangle(x1[i], y1[i], x2[i], y2[i])):
-                    groups.setdefault(cell, array("q")).append(i)
-            return sorted(groups.items())
-        rows = np.arange(n)
+        rows = np.arange(len(x1))
         cells = self._point_cells((x1 + x2) / 2.0, (y1 + y2) / 2.0)
         if self.disjoint:
             extended = (x2 - x1 > 0) | (y2 - y1 > 0)

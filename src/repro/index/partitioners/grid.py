@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.geometry import Point, Rectangle
 from repro.geometry.vectorized import expand_ranges
-from repro.index.partitioners.base import Partitioner, expand_space, np
+from repro.index.partitioners.base import Partitioner, expand_space
 
 
 class GridPartitioner(Partitioner):

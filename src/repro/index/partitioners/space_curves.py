@@ -13,49 +13,13 @@ import bisect
 import math
 from typing import Callable, List, Sequence
 
+import numpy as np
+
 from repro.geometry import Point, Rectangle
-from repro.index.partitioners.base import Partitioner, expand_space, np
+from repro.geometry.curves import CURVE_ORDER, hilbert_value, z_value
+from repro.index.partitioners.base import Partitioner, expand_space
 
-CURVE_ORDER = 16  # bits per dimension
 _CURVE_SIDE = 1 << CURVE_ORDER
-
-
-def _interleave(v):
-    """Spread the low 16 bits of ``v`` (an int or int array) to even bits."""
-    v = v & 0xFFFF
-    v = (v | (v << 8)) & 0x00FF00FF
-    v = (v | (v << 4)) & 0x0F0F0F0F
-    v = (v | (v << 2)) & 0x33333333
-    v = (v | (v << 1)) & 0x55555555
-    return v
-
-
-def z_value(ix, iy):
-    """Morton (Z-order) code of grid coordinates (ints or int arrays)."""
-    return _interleave(ix) | (_interleave(iy) << 1)
-
-
-def hilbert_value(ix, iy, order: int = CURVE_ORDER):
-    """Hilbert-curve position of grid coordinates (classic xy2d).
-
-    Branch-free integer arithmetic, so the same code serves one pair of
-    ints and two int64 arrays: ``rx``/``ry`` are the 0/1 quadrant bits,
-    ``flip`` and ``swap`` the 0/1 conditions of the quadrant rotation.
-    """
-    x, y = ix, iy
-    d = 0 * ix
-    s = 1 << (order - 1)
-    while s > 0:
-        rx = (x & s) // s
-        ry = (y & s) // s
-        d = d + s * s * ((3 * rx) ^ ry)
-        flip = rx * (1 - ry)
-        x = x + flip * (s - 1 - 2 * x)
-        y = y + flip * (s - 1 - 2 * y)
-        swap = 1 - ry
-        x, y = x + swap * (y - x), y + swap * (x - y)
-        s //= 2
-    return d
 
 
 class _CurvePartitioner(Partitioner):
@@ -73,14 +37,11 @@ class _CurvePartitioner(Partitioner):
         cls, sample: Sequence[Point], num_cells: int, space: Rectangle
     ):
         self = cls(space, [])
-        if np is None:
-            values = sorted(self._value_of(p) for p in sample)
-        else:
-            xs, ys = (
-                np.array([getattr(p, axis) for p in sample], dtype=float)
-                for axis in "xy"
-            )
-            values = np.sort(self._curve_values(xs, ys)).tolist()
+        xs, ys = (
+            np.array([getattr(p, axis) for p in sample], dtype=float)
+            for axis in "xy"
+        )
+        values = np.sort(self._curve_values(xs, ys)).tolist()
         num_cells = max(1, num_cells)
         if values and num_cells > 1:
             per_cell = math.ceil(len(values) / num_cells)

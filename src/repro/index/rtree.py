@@ -12,9 +12,7 @@ the entries). Blocks hold a few thousand rows, so one leaf level under
 the root MBR is all a query descends; no higher level is kept. Queries
 answer with **row numbers**: the index build stores a block's records in
 packed order (:func:`str_order`), so row ``i`` of the tree is
-``block.records[i]`` and no record reference lives in the tree. Columns
-may be NumPy arrays or ``array('d')``/``memoryview`` buffers; every
-kernel picks its backend from the column type.
+``block.records[i]`` and no record reference lives in the tree.
 
 The tree is static (bulk-load only), which matches how SpatialHadoop uses
 local indexes — blocks are immutable once written.
@@ -28,15 +26,11 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import Any, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry import Point, Rectangle, vectorized
-from repro.geometry.vectorized import is_ndarray, take
 from repro.index.partitioners.base import shape_mbr
 from repro.mapreduce.columnar import _phase
-
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 DEFAULT_NODE_CAPACITY = 32
 
@@ -45,16 +39,12 @@ Columns = Tuple[Any, Any, Any, Any]  # x1, y1, x2, y2
 def mbr_columns(records: Sequence[Any]) -> Columns:
     """The MBRs of ``records`` as four columns: one ``shape_mbr`` each."""
     mbrs = [shape_mbr(r) for r in records]
-    n = len(mbrs)
     return tuple(
-        vectorized.column_from_iter([getattr(m, name) for m in mbrs], n)
+        np.fromiter(
+            [getattr(m, name) for m in mbrs], dtype=np.float64, count=len(mbrs)
+        )
         for name in ("x1", "y1", "x2", "y2")
     )
-
-
-def as_list(rows) -> List[int]:
-    """Row numbers as a plain list of ints (from an array or a list)."""
-    return rows.tolist() if hasattr(rows, "tolist") else rows
 
 
 def block_columns(block: Any) -> Columns:
@@ -76,43 +66,26 @@ def str_order(x1, y1, x2, y2, capacity: int = DEFAULT_NODE_CAPACITY):
 
     Rows are sorted by centre x and cut into vertical slices holding a
     whole number of leaves, then each slice is sorted by centre y; both
-    sorts are stable, so equal centres keep their input order and the
-    permutation is the same on both backends.
+    sorts are stable, so equal centres keep their input order.
     """
     n = len(x1)
     leaves = max(1, math.ceil(n / capacity))
     per_slice = capacity * math.ceil(leaves / math.ceil(math.sqrt(leaves)))
-    if is_ndarray(x1):
-        cx, cy = x1 + x2, y1 + y2
-        by_x = _np.argsort(cx, kind="stable")
-        slice_of = _np.arange(n) // per_slice
-        return by_x[_np.lexsort((cy[by_x], slice_of))]
-    cx = [x1[i] + x2[i] for i in range(n)]
-    cy = [y1[i] + y2[i] for i in range(n)]
-    by_x = sorted(range(n), key=cx.__getitem__)
-    order: List[int] = []
-    for s in range(0, n, per_slice):
-        order.extend(sorted(by_x[s:s + per_slice], key=cy.__getitem__))
-    return order
+    cx, cy = x1 + x2, y1 + y2
+    by_x = np.argsort(cx, kind="stable")
+    slice_of = np.arange(n) // per_slice
+    return by_x[np.lexsort((cy[by_x], slice_of))]
 
 
 def _pack_level(cols: Columns, capacity: int) -> Columns:
     """MBR columns of the runs of ``capacity`` consecutive rows."""
     x1, y1, x2, y2 = cols
-    if is_ndarray(x1):
-        starts = _np.arange(0, len(x1), capacity)
-        return (
-            _np.minimum.reduceat(x1, starts),
-            _np.minimum.reduceat(y1, starts),
-            _np.maximum.reduceat(x2, starts),
-            _np.maximum.reduceat(y2, starts),
-        )
-    starts = range(0, len(x1), capacity)
-    return tuple(
-        vectorized.column_from_iter(
-            [pick(col[s:s + capacity]) for s in starts], len(starts)
-        )
-        for col, pick in ((x1, min), (y1, min), (x2, max), (y2, max))
+    starts = np.arange(0, len(x1), capacity)
+    return (
+        np.minimum.reduceat(x1, starts),
+        np.minimum.reduceat(y1, starts),
+        np.maximum.reduceat(x2, starts),
+        np.maximum.reduceat(y2, starts),
     )
 
 
@@ -145,7 +118,7 @@ class RTree:
         """Index shapes in any order; rows answer as positions in ``shapes``."""
         cols = mbr_columns(shapes)
         order = str_order(*cols, node_capacity)
-        tree = cls.from_columns(*(take(c, order) for c in cols), node_capacity)
+        tree = cls.from_columns(*(c[order] for c in cols), node_capacity)
         tree._rows = order
         return tree
 
@@ -170,22 +143,13 @@ class RTree:
     def _leaf_rows(self, leaves: List[int]):
         """The rows of the given leaves (ascending), ascending."""
         cap, n = self.node_capacity, len(self)
-        if is_ndarray(self.columns[0]):
-            rows = (_np.asarray(leaves)[:, None] * cap + _np.arange(cap)).ravel()
-            short = leaves[-1] * cap + cap - n  # only the last leaf can be
-            return rows[:-short] if short > 0 else rows
-        return [
-            i
-            for leaf in leaves
-            for i in range(leaf * cap, min(n, leaf * cap + cap))
-        ]
+        rows = (np.asarray(leaves)[:, None] * cap + np.arange(cap)).ravel()
+        short = leaves[-1] * cap + cap - n  # only the last leaf can be
+        return rows[:-short] if short > 0 else rows
 
     def _answer(self, rows, picked: List[int]) -> List[int]:
         """``rows[picked]`` as the caller's row numbers."""
-        if is_ndarray(rows):
-            rows = rows[picked].tolist()
-        else:
-            rows = [rows[i] for i in picked]
+        rows = rows[picked].tolist()
         if self._rows is not None:
             rows = [int(self._rows[i]) for i in rows]
         return rows
@@ -207,7 +171,7 @@ class RTree:
             if not leaves:
                 return []
             rows = self._leaf_rows(leaves)
-            cols = [take(col, rows) for col in self.columns]
+            cols = [col[rows] for col in self.columns]
             if owner is None:
                 hits = vectorized.rects_intersect(*cols, rect)
             else:
@@ -240,7 +204,7 @@ class RTree:
 
         def candidates(leaves):
             rows = self._leaf_rows(sorted(leaves))
-            cols = [take(col, rows) for col in self.columns]
+            cols = [col[rows] for col in self.columns]
             return rows, cols, vectorized.rect_min_distance_sq(*cols, qx, qy)
 
         rows, cols, dsq = candidates(by_distance[:first])
@@ -252,7 +216,7 @@ class RTree:
             if more:
                 rows, cols, dsq = candidates(by_distance[:first] + more)
         top = vectorized.topk_by_distance(dsq, k)
-        x1, y1, x2, y2 = ([float(v) for v in take(col, top)] for col in cols)
+        x1, y1, x2, y2 = (col[top].tolist() for col in cols)
         return [
             (
                 math.hypot(

@@ -2,15 +2,15 @@
 
 A sealed block whose records are homogeneously :class:`Point` or
 :class:`Rectangle` gets a :class:`ColumnarPayload`: the coordinates
-transposed into flat float64 columns (NumPy arrays when available,
-``array('d')`` otherwise). The payload serves three masters:
+transposed into flat float64 NumPy columns. The payload serves three
+masters:
 
 * **Batch kernels** — ``repro.geometry.vectorized`` filters a whole block
   with one mask instead of one Python call per record.
 * **Durability** — :func:`block_payload_checksum` CRCs the raw column
   bytes (with a small header), so checksums cover the columnar bytes
-  directly and are independent of pickle details *and* of which backend
-  built the columns (both produce the same native float64 bytes).
+  directly and are independent of pickle details (any float64 buffer of
+  the same coordinates has the same bytes).
 * **Zero-copy dispatch** — ``repro.mapreduce.shm`` writes the columns
   into a shared-memory arena with :meth:`ColumnarPayload.write_into` and
   reconstructs zero-copy views in workers with
@@ -24,17 +24,13 @@ falls back to the scalar path.
 from __future__ import annotations
 
 import zlib
-from array import array
 from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.geometry import vectorized
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rectangle
-
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 #: Column names per payload kind, in buffer order.
 KIND_COLUMNS = {
@@ -43,8 +39,6 @@ KIND_COLUMNS = {
 }
 
 _FLOAT_SIZE = 8
-
-_column_from_iter = vectorized.column_from_iter
 
 _profiler = None
 
@@ -65,13 +59,18 @@ def _phase(name: str):
     return _profiler.phase(name)
 
 
+def _column(values: List[float]):
+    # fromiter with a known count beats np.array on a list of floats.
+    return np.fromiter(values, dtype=np.float64, count=len(values))
+
+
 class ColumnarPayload:
     """Flat float64 columns for one block's records.
 
     ``kind`` is ``"point"`` (columns x, y) or ``"rect"`` (columns x1, y1,
-    x2, y2); ``count`` is the record count. Columns may be owned
-    (``array('d')``/ndarray) or zero-copy views over an external buffer
-    such as a shared-memory segment.
+    x2, y2); ``count`` is the record count. Columns are owned arrays or
+    zero-copy views over an external buffer such as a shared-memory
+    segment.
     """
 
     __slots__ = ("kind", "count", "columns")
@@ -100,18 +99,18 @@ class ColumnarPayload:
         # per item, which dominates at bulk sizes.
         kinds = set(map(type, records))
         if kinds == {Point}:
-            xs = _column_from_iter([r.x for r in records], n)
-            ys = _column_from_iter([r.y for r in records], n)
+            xs = _column([r.x for r in records])
+            ys = _column([r.y for r in records])
             return cls("point", n, (xs, ys))
         if kinds == {Rectangle}:
             return cls(
                 "rect",
                 n,
                 (
-                    _column_from_iter([r.x1 for r in records], n),
-                    _column_from_iter([r.y1 for r in records], n),
-                    _column_from_iter([r.x2 for r in records], n),
-                    _column_from_iter([r.y2 for r in records], n),
+                    _column([r.x1 for r in records]),
+                    _column([r.y1 for r in records]),
+                    _column([r.x2 for r in records]),
+                    _column([r.y2 for r in records]),
                 ),
             )
         return None
@@ -121,26 +120,15 @@ class ColumnarPayload:
         cls, kind: str, count: int, buf, offset: int = 0
     ) -> "ColumnarPayload":
         """Zero-copy payload over ``buf`` (columns laid out consecutively)."""
-        ncols = len(KIND_COLUMNS[kind])
-        if _np is not None:
-            cols = tuple(
-                _np.frombuffer(
-                    buf,
-                    dtype=_np.float64,
-                    count=count,
-                    offset=offset + i * count * _FLOAT_SIZE,
-                )
-                for i in range(ncols)
+        cols = tuple(
+            np.frombuffer(
+                buf,
+                dtype=np.float64,
+                count=count,
+                offset=offset + i * count * _FLOAT_SIZE,
             )
-        else:
-            view = memoryview(buf)
-            cols = tuple(
-                view[
-                    offset + i * count * _FLOAT_SIZE:
-                    offset + (i + 1) * count * _FLOAT_SIZE
-                ].cast("d")
-                for i in range(ncols)
-            )
+            for i in range(len(KIND_COLUMNS[kind]))
+        )
         return cls(kind, count, cols)
 
     @classmethod
@@ -150,14 +138,11 @@ class ColumnarPayload:
         payload = cls.from_buffer(kind, count, raw)
         # Rehydrate into owned columns so the pickled copy does not pin
         # the transport bytes (and stays writable-agnostic).
-        if _np is not None:
-            payload.columns = tuple(c.copy() for c in payload.columns)
-        else:
-            payload.columns = tuple(array("d", c) for c in payload.columns)
+        payload.columns = tuple(c.copy() for c in payload.columns)
         return payload
 
     def __reduce__(self):
-        # Portable pickle: raw bytes, independent of the column backend.
+        # Portable pickle: raw bytes, independent of NumPy's pickle format.
         return (
             ColumnarPayload._from_portable,
             (self.kind, self.count, self.tobytes()),
@@ -171,28 +156,20 @@ class ColumnarPayload:
         return self.count * _FLOAT_SIZE * len(self.columns)
 
     def tobytes(self) -> bytes:
-        return b"".join(self._column_bytes(c) for c in self.columns)
-
-    @staticmethod
-    def _column_bytes(col) -> bytes:
-        if _np is not None and isinstance(col, _np.ndarray):
-            return col.tobytes()
-        if isinstance(col, memoryview):
-            return col.tobytes()
-        return col.tobytes()
+        return b"".join(col.tobytes() for col in self.columns)
 
     def checksum(self) -> int:
         """CRC-32 over a kind/count header plus the raw column bytes."""
         crc = zlib.crc32(f"{self.kind}:{self.count}".encode("ascii"))
         for col in self.columns:
-            crc = zlib.crc32(self._column_bytes(col), crc)
+            crc = zlib.crc32(col.tobytes(), crc)
         return crc
 
     def write_into(self, buf, offset: int = 0) -> int:
         """Copy the columns into ``buf`` consecutively; returns end offset."""
         view = memoryview(buf)
         for col in self.columns:
-            raw = self._column_bytes(col)
+            raw = col.tobytes()
             view[offset:offset + len(raw)] = raw
             offset += len(raw)
         return offset
@@ -203,9 +180,9 @@ class ColumnarPayload:
     def materialize(self) -> List[Any]:
         """Rebuild the record objects, in order.
 
-        Coordinates go through ``float()`` so ndarray-backed columns
-        yield plain-float records (``np.float64`` attributes would leak
-        into answers and print differently than the scalar path).
+        Coordinates go through ``float()`` so the records hold plain
+        floats (``np.float64`` attributes would leak into answers and
+        print differently than the scalar path).
         """
         with _phase("columnar-decode"):
             if self.kind == "point":
@@ -262,12 +239,12 @@ class ColumnarPayload:
 def payload_of(block, expected_count: Optional[int] = None):
     """The block's usable columnar payload, or None.
 
-    None when the block has no payload (legacy pickle, heterogeneous
-    records), when vectorization is disabled, or when the payload has
-    gone stale relative to the record list it was sealed over.
+    None when the block has no payload (heterogeneous records, or a
+    block sealed before payloads existed), or when the payload has gone
+    stale relative to the record list it was sealed over.
     """
     payload = getattr(block, "columnar", None)
-    if payload is None or not vectorized.enabled():
+    if payload is None:
         return None
     if expected_count is not None and payload.count != expected_count:
         return None
@@ -279,9 +256,8 @@ def block_payload_checksum(block) -> int:
 
     Columnarizable records are checksummed over their raw column bytes
     (rebuilt fresh, so in-place mutation is detected); everything else
-    falls back to the pickle-based record checksum. Deliberately
-    *independent* of ``REPRO_VECTORIZE``: a workspace sealed in one mode
-    must pass fsck in the other.
+    falls back to the pickle-based record checksum. A block sealed
+    without a payload attached checks the same way.
     """
     from repro.mapreduce.storage import checksum_records
 

@@ -116,14 +116,12 @@ def _prepare_shipped(chunks: Sequence[Any]):
     """Shared-memory rewrite of a wave's chunks, or a transparent no-op.
 
     Returns ``(shipped, arena)``; the caller must ``arena.destroy()``
-    once every result is in. Any failure here (or shipping being
-    disabled) degrades to pickling the original chunks.
+    once every result is in. Any failure here degrades to pickling the
+    original chunks.
     """
     try:
         from repro.mapreduce import shm
 
-        if not shm.enabled():
-            return list(chunks), None
         return shm.prepare_chunks(chunks)
     except Exception:
         return list(chunks), None
@@ -350,21 +348,28 @@ class ParallelExecutor(Executor):
         submit_s = prepare_s
         while pending:
             pool = self._ensure_pool()
+            futures: List[Any] = []
+            broken: List[int] = []
+            unpicklable: List[int] = []
             try:
                 submit_t0 = perf_counter()
-                futures = [(i, submit_one(pool, i)) for i in pending]
+                for i in pending:
+                    futures.append((i, submit_one(pool, i)))
                 submit_s += perf_counter() - submit_t0
-            except _PICKLE_ERRORS + _BROKEN_POOL_ERRORS:
+            except _BROKEN_POOL_ERRORS:
+                # The pool broke before it took the whole wave (died
+                # while idle, or an early chunk killed its worker): the
+                # chunks not handed over are lost with it, like the ones
+                # in flight.
+                broken = pending[len(futures):]
+            except _PICKLE_ERRORS:
                 # Submission itself failed (rare: _can_ship probed only
-                # the first chunk, or the pool died while idle). Run the
-                # remainder in-process.
+                # the first chunk). Run the remainder in-process.
                 self.fallbacks += 1
                 recovered = True
                 for i in pending:
                     results[i] = fn(chunks[i])
                 break
-            broken: List[int] = []
-            unpicklable: List[int] = []
             for i, future in futures:
                 # Cooperative cancellation point: a deadline or signal
                 # stops the driver between task results, not mid-pickle.
@@ -395,6 +400,7 @@ class ParallelExecutor(Executor):
                 break
             # A worker died mid-wave and the pool is broken. Rebuild it
             # (once per wave) and re-dispatch only the lost chunks.
+            broken.sort()
             self.pool_rebuilds += 1
             wave_rebuilds += 1
             recovered = True

@@ -36,10 +36,7 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as np
 
 from repro.mapreduce.checkpoint import (
     CancellationToken,
@@ -112,9 +109,7 @@ _CORRUPTED_RESULT = "\x00corrupted-task-result\x00"
 
 
 #: Values sized by their buffer length, never memoised by type.
-_BUFFER_TYPES: Tuple[type, ...] = (array, memoryview) + (
-    (_np.ndarray,) if _np is not None else ()
-)
+_BUFFER_TYPES: Tuple[type, ...] = (np.ndarray, array, memoryview)
 
 #: Flat charge for a buffer's object header (what ``sys.getsizeof`` adds
 #: on top of the bytes of an ``ndarray`` or ``array``).

@@ -27,39 +27,23 @@ Lifecycle is strictly wave-scoped and deterministic:
 A module-level registry of created segment names backs the leak tests:
 :func:`live_segments` must be empty once no wave is in flight.
 
-Shipping is opt-out via ``REPRO_SHM=0`` and implies vectorized mode —
-without the batch kernels the stand-ins would just add materialization
-cost. Chunks that do not match the map-wave payload shape, and splits
-whose blocks carry no usable payload, pass through untouched.
+Chunks that do not match the map-wave payload shape, and splits whose
+blocks carry no usable payload, pass through untouched.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.geometry import vectorized
 from repro.mapreduce.columnar import ColumnarPayload, payload_of
-
-#: Set to ``0``/``false``/``off``/``no`` to pickle records the plain way.
-SHM_ENV_VAR = "REPRO_SHM"
-
-_OFF_VALUES = {"0", "false", "off", "no"}
 
 #: Names of segments created (and not yet destroyed) by this process.
 _CREATED: set = set()
 
 #: Per-process cache of attached segments, keyed by segment name.
 _ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
-
-
-def enabled() -> bool:
-    """Shared-memory shipping on? Requires vectorized mode."""
-    if os.environ.get(SHM_ENV_VAR, "").strip().lower() in _OFF_VALUES:
-        return False
-    return vectorized.enabled()
 
 
 def live_segments() -> List[str]:
@@ -279,15 +263,15 @@ def prepare_chunks(
     """Rewrite a wave's chunks to ship columnar blocks via shared memory.
 
     Returns ``(shipped, arena)``. When nothing is eligible — reduce
-    wave, no columnar payloads, shipping disabled — ``shipped`` is the
-    original chunks and ``arena`` is None. Otherwise every split whose
+    wave, no columnar payloads — ``shipped`` is the original chunks and
+    ``arena`` is None. Otherwise every split whose
     block carries a usable payload is rebuilt around a :class:`ShmBlock`
     (blocks deduplicated by identity, so a block read by several splits
     is written once), and the caller owns the arena: it must call
     ``arena.destroy()`` once all chunk results are in.
     """
     chunks = list(chunks)
-    if not enabled() or not all(_is_map_chunk(c) for c in chunks):
+    if not all(_is_map_chunk(c) for c in chunks):
         return chunks, None
 
     payloads: Dict[int, ColumnarPayload] = {}

@@ -140,23 +140,20 @@ class StorageManager:
         """Checksum ``block`` and place its replicas (write path).
 
         Homogeneous point/rectangle blocks get a columnar payload here
-        (when vectorized execution is on) and their checksum is computed
-        over the columnar bytes, so replica verification and fsck cover
-        exactly what the batch kernels read.
+        and their checksum is computed over the columnar bytes, so
+        replica verification and fsck cover exactly what the batch
+        kernels read.
 
         Also used to *adopt* blocks from workspaces pickled before the
         storage layer existed; sealing is idempotent for placed blocks.
         """
-        from repro.geometry import vectorized
         from repro.mapreduce.columnar import ColumnarPayload
 
         if getattr(block, "replicas", None):
             return
-        payload = getattr(block, "columnar", None)
-        if payload is None:
-            payload = ColumnarPayload.from_records(block.records)
-            if vectorized.enabled():
-                block.columnar = payload
+        if getattr(block, "columnar", None) is None:
+            block.columnar = ColumnarPayload.from_records(block.records)
+        payload = block.columnar
         if payload is not None:
             block.checksum = payload.checksum()
         else:

@@ -64,7 +64,6 @@ def collect_bundle(
     (``Explanation.to_dict()``), since only the caller knows which
     queries matter.
     """
-    from repro.geometry import vectorized
     from repro.mapreduce.storage import run_fsck
 
     runner = sh.runner
@@ -78,7 +77,6 @@ def collect_bundle(
             "name": name,
             "created_unix": round(time.time(), 3),
             "workers": runner.workers,
-            "vectorized": vectorized.mode(),
             "num_nodes": sh.cluster.num_nodes,
         },
         "files": [
@@ -251,8 +249,7 @@ def inspect_bundle(doc: Dict[str, Any], path: Optional[str] = None) -> str:
         + (f" {path}" if path else "")
         + f" (format v{doc.get('bundle_version', '?')}) ===",
         f"  name: {meta.get('name', '?')}   workers: "
-        f"{meta.get('workers', '?')}   vectorized: "
-        f"{meta.get('vectorized', '?')}   nodes: "
+        f"{meta.get('workers', '?')}   nodes: "
         f"{meta.get('num_nodes', '?')}",
     ]
     files = doc.get("files") or []

@@ -164,14 +164,7 @@ def build_plan(sh: Any, query: Query) -> PlanNode:
     """The plan tree for ``query`` against SpatialHadoop instance ``sh``."""
     from repro import operations as ops
 
-    runner = sh.runner
-    plan = _dispatch_plan(ops, runner, query)
-    # Execution-mode stamp: which kernel path the blocks will take
-    # ("off" = scalar, "numpy"/"array" = batch kernels by backend).
-    from repro.geometry import vectorized
-
-    plan.detail["vectorized"] = vectorized.mode()
-    return plan
+    return _dispatch_plan(ops, sh.runner, query)
 
 
 def _dispatch_plan(ops, runner: Any, query: Query) -> PlanNode:

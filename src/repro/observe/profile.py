@@ -19,7 +19,7 @@ R-tree, so the design is dominated by two constraints:
   lazily inside the instrumented function.
 
 Phase timings are **wall-clock and volatile**: they differ between
-serial and parallel runs, between vectorize modes, between machines.
+serial and parallel runs, between machines.
 They therefore never ride the counters channel (which the backend
 equivalence tests compare bit-for-bit) — tasks ship them as a separate
 trailing element of the task result tuple, and everything downstream

@@ -6,7 +6,7 @@ Two export surfaces for the :class:`~repro.observe.metrics.MetricsRegistry`:
 OpenMetrics text format. Counters, gauges and ``le``-bucket histograms
 map directly: counters become ``repro_<name>_total``, histograms emit
 cumulative ``_bucket{le=...}`` series plus ``_sum`` / ``_count``, and
-optional labels (``executor``, ``vectorized``, ``operation``…) are
+optional labels (``workers``, ``tenant``, ``operation``…) are
 rendered onto every sample. Names are sanitized defensively (dots and
 dashes become underscores) even though the registry validates names at
 registration, because workspaces pickled before validation existed may
@@ -23,8 +23,8 @@ sequence number instead of wall-clock timestamps, and timing-derived
 series (task-duration histograms, makespan gauges, profiler phase
 gauges) are segregated into a ``volatile`` section that the normalized
 export drops. The result: the exported JSONL is **bit-identical**
-between a serial run and ``workers=N``, and between ``REPRO_VECTORIZE``
-modes — a property the test suite asserts. The log is plain data, so it
+between a serial run and ``workers=N`` — a property the test suite
+asserts. The log is plain data, so it
 pickles with workspaces and accumulates across CLI invocations.
 """
 

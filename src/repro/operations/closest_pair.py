@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.result import OperationResult
 from repro.core.splitter import global_index_of, spatial_splitter
 from repro.geometry import Point, vectorized
@@ -41,13 +43,13 @@ def _closest_pair_map(cell, block, ctx):
         delta = math.hypot(xs[i] - xs[j], ys[i] - ys[j])
         near = vectorized.points_near_boundary(xs, ys, cell, delta)
         keep = sorted({i, j}.union(near))
-    ctx.emit(1, (vectorized.take(xs, keep), vectorized.take(ys, keep)))
+    ctx.emit(1, (xs[keep], ys[keep]))
 
 
 def _closest_pair_reduce(_key, columns, ctx):
     """Closest pair of the survivors (module-level: picklable)."""
-    xs = vectorized.concat([c[0] for c in columns])
-    ys = vectorized.concat([c[1] for c in columns])
+    xs = np.concatenate([c[0] for c in columns])
+    ys = np.concatenate([c[1] for c in columns])
     pair = vectorized.closest_pair_rows(xs, ys)
     if pair is not None:
         ctx.emit(1, tuple(Point(float(xs[i]), float(ys[i])) for i in pair))

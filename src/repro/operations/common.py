@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.geometry import Point
-from repro.geometry.vectorized import is_ndarray
 from repro.index.rtree import block_columns
 from repro.observe.plan import PlanNode, estimate_job_cost
 
@@ -40,9 +39,7 @@ def point_columns(block: Any) -> Tuple[Any, Any]:
     """
     x1, y1, x2, y2 = block_columns(block)
     for low, high in ((x1, x2), (y1, y2)):
-        if low is not high and not (
-            bool((low == high).all()) if is_ndarray(low) else low == high
-        ):
+        if low is not high and not (low == high).all():
             raise TypeError("operation defined on points only")
     return x1, y1
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.core.result import OperationResult
 from repro.core.splitter import global_index_of
-from repro.geometry import vectorized
 from repro.geometry.algorithms.convex_hull import convex_hull, hull_of_columns
 from repro.geometry.algorithms.farthest_pair import farthest_pair_on_hull
 from repro.observe.plan import PlanNode, estimate_job_cost
@@ -79,7 +80,7 @@ def select_cell_pairs(gindex: GlobalIndex) -> List[Tuple[int, int]]:
 def _map_cell_pair(cells, _block, ctx):
     """Calipers on the hull of one cell pair's points (module-level:
     picklable); ``cells`` holds each cell's ``(xs, ys)`` columns."""
-    xs, ys = (vectorized.concat(list(axis)) for axis in zip(*cells))
+    xs, ys = (np.concatenate(axis) for axis in zip(*cells))
     pair = farthest_pair_on_hull(hull_of_columns(xs, ys))
     if pair is not None:
         ctx.emit(1, pair)

@@ -21,9 +21,11 @@ from typing import Any, List, Optional, Tuple
 
 from repro.core.result import OperationResult
 from repro.core.splitter import global_index_of
+import numpy as np
+
 from repro.geometry import Rectangle, vectorized
 from repro.index.partitioners.grid import GridPartitioner
-from repro.index.rtree import as_list, block_columns, mbr_columns
+from repro.index.rtree import block_columns, mbr_columns
 from repro.mapreduce import Block, Job, JobRunner
 from repro.mapreduce.runtime import block_reader
 from repro.mapreduce.types import InputSplit
@@ -32,7 +34,7 @@ from repro.observe.plan import PlanNode, estimate_job_cost
 
 def _thaw(records: List[Any], rows) -> Any:
     """The records at the given row numbers, lazily."""
-    return map(records.__getitem__, as_list(rows))
+    return map(records.__getitem__, rows.tolist())
 
 
 def _origin_records(blocks: List[Block], origin) -> List[Any]:
@@ -40,7 +42,7 @@ def _origin_records(blocks: List[Block], origin) -> List[Any]:
     return [
         blocks[block].records[offset]
         for block, offsets in origin
-        for offset in as_list(offsets)
+        for offset in offsets.tolist()
     ]
 
 
@@ -69,7 +71,7 @@ def _sjmr_map(_key, block, ctx):
     g: GridPartitioner = ctx.config["grid"]
     for cell_id, offsets in g.partition_columns(*cols):
         part = (ctx.split.block_index, offsets) + tuple(
-            vectorized.take(col, offsets) for col in cols
+            col[offsets] for col in cols
         )
         for side in sides:
             ctx.emit(cell_id, (side,) + part)
@@ -86,7 +88,7 @@ def _sjmr_reduce(cell_id, parts, ctx):
     if not left or not right:
         return
     lcols, rcols = (
-        tuple(vectorized.concat([p[c] for p in group]) for c in range(3, 7))
+        tuple(np.concatenate([p[c] for p in group]) for c in range(3, 7))
         for group in (left, right)
     )
     li, ri = vectorized.pairs_owned(

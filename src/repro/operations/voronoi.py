@@ -29,7 +29,7 @@ from typing import Dict, List
 
 from repro.core.result import OperationResult
 from repro.core.splitter import global_index_of, spatial_splitter
-from repro.geometry import Point, vectorized
+from repro.geometry import Point
 from repro.geometry.algorithms.delaunay import delaunay
 from repro.geometry.algorithms.voronoi import (
     VoronoiRegion,
@@ -86,7 +86,7 @@ def _voronoi_map(cell, block, ctx):
     support = {v for i in nonsafe for t in fans[i] for v in corners[3 * t:3 * t + 3]}
     rows = nonsafe + sorted(support.difference(nonsafe))
     if rows:
-        ctx.emit(1, (len(nonsafe), *(vectorized.take(col, rows) for col in (xs, ys))))
+        ctx.emit(1, (len(nonsafe), xs[rows], ys[rows]))
 
 
 def _voronoi_reduce(_key, parts, ctx):

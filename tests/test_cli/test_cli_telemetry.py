@@ -33,7 +33,7 @@ class TestMetricsCommand:
         families = parse_exposition(out)  # raises on any format violation
         assert "repro_jobs_total" in families
         labels = families["repro_jobs_total"]["samples"][0][0]
-        assert "workers" in labels and "vectorized" in labels
+        assert set(labels) == {"workers"}
 
     def test_json_output(self, indexed_ws, capsys):
         assert run(indexed_ws, "metrics", "--format", "json") == 0
@@ -194,12 +194,8 @@ class TestTelemetryFlag:
         assert fresh[-1]["counters"]["JOBS_TOTAL"] >= 6
 
 
-def _scrape_bytes(tmp_path, monkeypatch, tag, workers=None, vectorize=None):
+def _scrape_bytes(tmp_path, monkeypatch, tag, workers=None):
     """One full generate/index/query session; returns the scrape log bytes."""
-    if vectorize is not None:
-        monkeypatch.setenv("REPRO_VECTORIZE", vectorize)
-    else:
-        monkeypatch.delenv("REPRO_VECTORIZE", raising=False)
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     ws = str(tmp_path / f"ws_{tag}.pkl")
     log = tmp_path / f"scrapes_{tag}.jsonl"
@@ -222,10 +218,3 @@ class TestScrapeDeterminism:
         serial = _scrape_bytes(tmp_path, monkeypatch, "serial")
         parallel = _scrape_bytes(tmp_path, monkeypatch, "par", workers=2)
         assert serial == parallel
-
-    def test_bit_identical_across_vectorize_modes(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        vec = _scrape_bytes(tmp_path, monkeypatch, "vec", vectorize="1")
-        scalar = _scrape_bytes(tmp_path, monkeypatch, "scalar", vectorize="0")
-        assert vec == scalar

@@ -29,11 +29,11 @@ from hypothesis import strategies as st
 from repro.geometry import Point, Rectangle
 from repro.geometry.algorithms.delaunay import _in_circumcircle, delaunay
 from repro.geometry.algorithms.voronoi import safe_sites, voronoi
-from repro.geometry.vectorized import hull_rows
+from repro.geometry import vectorized
 from repro.index import build_index
 from repro.mapreduce import FileSystem, JobRunner
 from repro.operations import farthest_pair_hadoop, farthest_pair_spatial
-from tests.oracles import scalar_delaunay
+from tests.oracles import scalar_delaunay, scalar_kernels
 from tests.oracles.scalar_delaunay import scalar_voronoi
 from tests.oracles.scalar_hull import convex_hull as scalar_hull
 
@@ -248,11 +248,14 @@ def brute_hull(points):
     return vertices
 
 
-def columns(points, backend):
+def hull_rows(points, backend):
+    """The NumPy kernel, or the ``array('d')`` loop it replaced."""
     xs, ys = [p.x for p in points], [p.y for p in points]
     if backend == "numpy":
-        return np.array(xs, dtype=float), np.array(ys, dtype=float)
-    return array("d", xs), array("d", ys)
+        return vectorized.hull_rows(
+            np.array(xs, dtype=float), np.array(ys, dtype=float)
+        )
+    return scalar_kernels.hull_rows(array("d", xs), array("d", ys))
 
 
 lattice_points = st.lists(
@@ -268,7 +271,7 @@ collinear_points = st.lists(
 @given(st.one_of(lattice_points, collinear_points))
 @settings(max_examples=80, deadline=None)
 def test_hull_rows_equal_brute_force(backend, points):
-    rows = hull_rows(*columns(points, backend))
+    rows = hull_rows(points, backend)
     hull = [points[r] for r in rows]
     assert hull == scalar_hull(points)
     assert set(hull) == brute_hull(points)
@@ -283,7 +286,7 @@ def test_hull_rows_random_floats(seed):
     points = [Point(rng.gauss(0, 1e5), rng.gauss(0, 1e5)) for _ in range(n)]
     want = scalar_hull(points)
     for backend in ("numpy", "array"):
-        assert [points[r] for r in hull_rows(*columns(points, backend))] == want
+        assert [points[r] for r in hull_rows(points, backend)] == want
 
 
 # ----------------------------------------------------------------------

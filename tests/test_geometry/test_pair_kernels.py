@@ -1,13 +1,15 @@
 """Property tests: pair kernels == NumPy brute force, on both backends.
 
 ``join_rows``, ``pairs_owned``, ``knn_rows`` and ``closest_pair_rows``
-run on NumPy columns and on ``array('d')`` columns; both must agree with
-a brute force written here over every pair of rows, and with each other.
-Small integer grids make the hard cases common: touching edges and
-corners (closed intervals), zero-area rectangles and points, exact
-duplicates, all-equal ``x1``, collinear points and distance ties. A tiny
-element budget, passed through the kernel's own argument, forces the
-tiling and must change no answer.
+run as the NumPy kernels on NumPy columns and as the ``array('d')``
+loops they replaced (``tests/oracles/scalar_kernels.py``) on
+``array('d')`` columns; both must agree with a brute force written here
+over every pair of rows, and with each other. Small integer grids make
+the hard cases common: touching edges and corners (closed intervals),
+zero-area rectangles and points, exact duplicates, all-equal ``x1``,
+collinear points and distance ties. A tiny element budget, passed
+through the kernel's own argument, forces the tiling and must change no
+answer.
 """
 
 import math
@@ -16,14 +18,12 @@ from array import array
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import Rectangle
-from repro.geometry.vectorized import (
-    closest_pair_rows,
-    join_rows,
-    knn_rows,
-    pairs_owned,
-    points_near_boundary,
-)
+from repro.geometry import Rectangle, vectorized
+from repro.geometry.vectorized import closest_pair_rows, join_rows, pairs_owned
+from tests.oracles import scalar_kernels
+
+#: The implementation that serves each column type.
+BACKENDS = {"numpy": vectorized, "array": scalar_kernels}
 
 grid = st.integers(0, 6).map(float)
 unit = st.floats(0, 1, allow_nan=False, width=32)
@@ -74,8 +74,8 @@ class TestJoinRows:
     @settings(max_examples=150, deadline=None)
     def test_matches_bruteforce_on_both_backends(self, left, right):
         want = brute_join(left, right)
-        for backend in ("numpy", "array"):
-            got = join_rows(
+        for backend, kernels in BACKENDS.items():
+            got = kernels.join_rows(
                 columns(left, 4, backend), columns(right, 4, backend)
             )
             assert pairs_of(*got) == want, backend
@@ -96,8 +96,8 @@ class TestJoinRows:
             (1.0, 1.0, 1.0, 1.0),   # a point on the corner
             (1.5, 0.0, 2.0, 1.0),   # apart
         ]
-        for backend in ("numpy", "array"):
-            got = join_rows(
+        for backend, kernels in BACKENDS.items():
+            got = kernels.join_rows(
                 columns(left, 4, backend), columns(right, 4, backend)
             )
             assert pairs_of(*got) == [(0, 0), (0, 1), (0, 2)]
@@ -116,11 +116,11 @@ class TestPairsOwned:
             if cell.x1 <= max(left[i][0], right[j][0]) < cell.x2
             and cell.y1 <= max(left[i][1], right[j][1]) < cell.y2
         ]
-        for backend in ("numpy", "array"):
+        for backend, kernels in BACKENDS.items():
             lcols = columns(left, 4, backend)
             rcols = columns(right, 4, backend)
-            got = pairs_owned(
-                lcols, rcols, *join_rows(lcols, rcols), cell
+            got = kernels.pairs_owned(
+                lcols, rcols, *kernels.join_rows(lcols, rcols), cell
             )
             assert pairs_of(*got) == want, backend
 
@@ -176,7 +176,7 @@ def run_knn(cells, queries, k, backend, **kwargs):
             # payload's ``mbr_columns`` does.
             x2, y2 = x1, y1
         cell_columns.append((x1, y1, x2, y2))
-    return knn_rows(
+    return BACKENDS[backend].knn_rows(
         qx, qy, columns(bounds, 4, backend), cell_columns, k, **kwargs
     )
 
@@ -242,9 +242,9 @@ class TestKnnRows:
 
     def test_cells_without_rows(self):
         bounds = [(0.0, 0.0, 1.0, 1.0), (5.0, 5.0, 6.0, 6.0)]
-        for backend in ("numpy", "array"):
+        for backend, kernels in BACKENDS.items():
             qx, qy = columns([(0.5, 0.5), (9.0, 9.0)], 2, backend)
-            rows, distances, visits = knn_rows(
+            rows, distances, visits = kernels.knn_rows(
                 qx, qy, columns(bounds, 4, backend),
                 [columns([], 4, backend), columns([(5.0, 5.0, 5.0, 6.0)], 4, backend)],
                 2,
@@ -252,7 +252,7 @@ class TestKnnRows:
             assert rows == [[0], [0]]
             assert distances == [[math.hypot(4.5, 4.5)], [math.hypot(4.0, 3.0)]]
             assert visits == [2, 2]  # never k found: every cell is read
-            rows, distances, visits = knn_rows(
+            rows, distances, visits = kernels.knn_rows(
                 qx, qy, columns(bounds[:1], 4, backend),
                 [columns([], 4, backend)], 2,
             )
@@ -269,8 +269,8 @@ class TestClosestPairRows:
     @settings(max_examples=200, deadline=None)
     def test_matches_bruteforce_on_both_backends(self, points):
         n = len(points)
-        for backend in ("numpy", "array"):
-            got = closest_pair_rows(*columns(points, 2, backend))
+        for backend, kernels in BACKENDS.items():
+            got = kernels.closest_pair_rows(*columns(points, 2, backend))
             if n < 2:
                 assert got is None
                 continue
@@ -291,8 +291,8 @@ class TestClosestPairRows:
 
     def test_duplicates_are_distance_zero(self):
         points = [(3.0, 1.0), (0.0, 0.0), (5.0, 5.0), (3.0, 1.0)]
-        for backend in ("numpy", "array"):
-            got = closest_pair_rows(*columns(points, 2, backend))
+        for backend, kernels in BACKENDS.items():
+            got = kernels.closest_pair_rows(*columns(points, 2, backend))
             assert sorted(got) == [0, 3]
 
 
@@ -306,6 +306,6 @@ class TestPointsNearBoundary:
             if x - cell.x1 < delta or cell.x2 - x < delta
             or y - cell.y1 < delta or cell.y2 - y < delta
         ]
-        for backend in ("numpy", "array"):
+        for backend, kernels in BACKENDS.items():
             xs, ys = columns(points, 2, backend)
-            assert points_near_boundary(xs, ys, cell, delta) == want
+            assert kernels.points_near_boundary(xs, ys, cell, delta) == want

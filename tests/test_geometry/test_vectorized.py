@@ -3,18 +3,19 @@
 Random inputs (stdlib ``random``, fixed seeds) plus the degenerate
 shapes that break naive vectorization — empty inputs, a single point,
 coordinates exactly on query boundaries, duplicate distances — are fed
-to every kernel twice: once through the backend under test and once
+to every kernel twice: once through the kernel under test and once
 through a hand-written scalar loop mirroring the pre-vectorization code.
 Results must match exactly (indices, order, ties).
 """
 
 import random
+from array import array
 
+import numpy as np
 import pytest
 
-from repro.geometry import Point, Rectangle, vectorized
+from repro.geometry import Point, Rectangle
 from repro.geometry.vectorized import (
-    column_from_iter,
     point_distance_sq,
     points_in_rect,
     points_in_rect_owned,
@@ -23,6 +24,7 @@ from repro.geometry.vectorized import (
     rects_intersect_owned,
     topk_by_distance,
 )
+from tests.oracles import scalar_kernels
 
 RECT = Rectangle(0.25, 0.25, 0.75, 0.75)
 CELL = Rectangle(0.0, 0.0, 0.5, 0.5)
@@ -50,21 +52,20 @@ def random_rects(rng, n):
     return rects
 
 
+def column(values):
+    return np.array(list(values), dtype=np.float64)
+
+
 def point_columns(pts):
-    n = len(pts)
-    return (
-        column_from_iter((p.x for p in pts), n),
-        column_from_iter((p.y for p in pts), n),
-    )
+    return column(p.x for p in pts), column(p.y for p in pts)
 
 
 def rect_columns(rects):
-    n = len(rects)
     return (
-        column_from_iter((r.x1 for r in rects), n),
-        column_from_iter((r.y1 for r in rects), n),
-        column_from_iter((r.x2 for r in rects), n),
-        column_from_iter((r.y2 for r in rects), n),
+        column(r.x1 for r in rects),
+        column(r.y1 for r in rects),
+        column(r.x2 for r in rects),
+        column(r.y2 for r in rects),
     )
 
 
@@ -204,35 +205,28 @@ class TestTopK:
         rng = random.Random(seed)
         # Coarse quantization forces plenty of exact distance ties.
         dsq = [round(rng.random(), 2) for _ in range(200)]
-        col = column_from_iter(iter(dsq), len(dsq))
-        assert topk_by_distance(col, k) == oracle_topk(dsq, k)
+        assert topk_by_distance(column(dsq), k) == oracle_topk(dsq, k)
 
     def test_all_equal_distances_break_ties_by_index(self):
-        dsq = [5.0] * 8
-        col = column_from_iter(iter(dsq), len(dsq))
-        assert topk_by_distance(col, 3) == [0, 1, 2]
+        assert topk_by_distance(column([5.0] * 8), 3) == [0, 1, 2]
 
 
 class TestBackendParity:
-    """NumPy and array('d') backends agree with each other exactly."""
+    """The NumPy kernels agree exactly with the ``array('d')`` loops they
+    replaced (``tests/oracles/scalar_kernels.py``)."""
 
-    @pytest.mark.skipif(
-        not vectorized.has_numpy(), reason="needs numpy for cross-check"
-    )
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_off_mode_equals_on_mode(self, seed, monkeypatch):
+    def test_off_mode_equals_on_mode(self, seed):
         pts = random_points(random.Random(seed), 250)
         q = Point(0.5, 0.5)
 
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "1")
         xs, ys = point_columns(pts)
         on_hits = points_in_rect(xs, ys, RECT)
-        on_dsq = [float(d) for d in point_distance_sq(xs, ys, q.x, q.y)]
+        on_dsq = point_distance_sq(xs, ys, q.x, q.y).tolist()
 
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "0")
-        xs2, ys2 = point_columns(pts)
-        off_hits = points_in_rect(xs2, ys2, RECT)
-        off_dsq = list(point_distance_sq(xs2, ys2, q.x, q.y))
+        xs2, ys2 = array("d", xs.tolist()), array("d", ys.tolist())
+        off_hits = scalar_kernels.points_in_rect(xs2, ys2, RECT)
+        off_dsq = scalar_kernels.point_distance_sq(xs2, ys2, q.x, q.y)
 
         assert on_hits == off_hits
         assert on_dsq == off_dsq

@@ -12,10 +12,11 @@ import pytest
 
 from repro import Feature
 from repro.datagen import generate_points, generate_polygons, generate_rectangles
-from repro.geometry import Point, Rectangle, vectorized
+from repro.geometry import Point, Rectangle
 from repro.index import PARTITIONERS, build_index
 from repro.index.rtree import mbr_columns
 from repro.mapreduce import Counter, FileSystem, JobRunner
+from tests.oracles import scalar_kernels
 from tests.oracles.scalar_index_build import scalar_build
 
 CAPACITY = 120
@@ -153,16 +154,17 @@ def test_derived_columns_travel_with_their_own_split_only():
 @pytest.mark.parametrize("technique", TECHNIQUES)
 @pytest.mark.parametrize("kind", ["points", "rectangles"])
 def test_array_columns_route_like_numpy_columns(kind, technique):
-    """``partition_columns`` on ``array('d')`` columns (the scalar loop)
-    and on NumPy columns (the kernels) give the same offsets per cell."""
+    """``array('d')`` columns routed record by record through ``assign``
+    (the loop ``partition_columns`` used to have for them) and NumPy
+    columns routed by the kernels give the same offsets per cell."""
     records = _records(kind)
     cols = mbr_columns(records)
     space = Rectangle(*(f(c) for f, c in zip((min, min, max, max), cols)))
     sample = [r.mbr.center for r in records[::7]]
     partitioner = PARTITIONERS[technique].create(sample, 12, space)
     fast = partitioner.partition_columns(*cols)
-    plain = partitioner.partition_columns(
-        *(array("d", col.tolist()) for col in cols)
+    plain = scalar_kernels.partition_columns(
+        partitioner, *(array("d", col.tolist()) for col in cols)
     )
     assert [(c, rows.tolist()) for c, rows in fast] == [
         (c, rows.tolist()) for c, rows in plain
@@ -205,16 +207,3 @@ class TestEdgeCases:
             assert "local_index" not in block.metadata
             assert "local_index_crc" not in block.metadata
             assert block.columnar.count == len(block.records)
-
-    def test_scalar_mode_builds_the_same_file(self, monkeypatch):
-        """The build reads columns whatever ``REPRO_VECTORIZE`` says."""
-        records = _records("rectangles")
-        fs_on, _ = _build(records, "str+")
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "0")
-        fs_off, _ = _build(records, "str+")
-        on, off = fs_on.get("out").blocks, fs_off.get("out").blocks
-        assert [b.records for b in on] == [b.records for b in off]
-        assert [b.metadata["local_index_crc"] for b in on] == [
-            b.metadata["local_index_crc"] for b in off
-        ]
-        assert [b.checksum for b in on] == [b.checksum for b in off]

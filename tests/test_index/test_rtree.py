@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point, Rectangle
 from repro.index import RTree
-from repro.geometry.vectorized import take
-from repro.index.rtree import as_list, mbr_columns, str_order
+from repro.index.rtree import mbr_columns, str_order
+from tests.oracles import scalar_kernels
 
 # A coarse lattice forces duplicates, shared coordinates and exact ties.
 lattice = st.integers(-20, 20).map(float)
@@ -30,25 +30,21 @@ windows = st.builds(
     coords, coords, extents, st.floats(0, 500, allow_nan=False),
 )
 capacities = st.sampled_from([2, 3, 8, 32])
-backends = st.sampled_from(["numpy", "array"])
 
 
 def tree_of(shapes, capacity=8):
     return RTree.from_shapes(shapes, node_capacity=capacity)
 
 
-def packed_tree(shapes, capacity, backend):
+def packed_tree(shapes, capacity):
     """The tree the index build makes: rows stored in packed order.
 
-    Returns the tree and the shapes in row order, on NumPy or
-    ``array('d')`` columns.
+    Returns the tree and the shapes in row order.
     """
     cols = mbr_columns(shapes)
-    if backend == "array":
-        cols = [array("d", col.tolist()) for col in cols]
     order = str_order(*cols, capacity)
-    cols = [take(col, order) for col in cols]
-    shapes = [shapes[i] for i in as_list(order)]
+    cols = [col[order] for col in cols]
+    shapes = [shapes[i] for i in order.tolist()]
     return RTree.from_columns(*cols, node_capacity=capacity), shapes
 
 
@@ -96,7 +92,7 @@ class TestConstruction:
             Rectangle(x, y, x + random.random(), y + random.random())
             for x, y in ((random.random(), random.random()) for _ in range(301))
         ]
-        t, _ = packed_tree(shapes, 4, "numpy")
+        t, _ = packed_tree(shapes, 4)
         x1, y1, x2, y2 = t.columns
         assert len(t.leaves[0]) == 76  # 75 full leaves and one short
         for j in range(76):
@@ -110,7 +106,7 @@ class TestConstruction:
     def test_leaves_are_contiguous_runs_of_an_str_tiling(self):
         random.seed(4)
         pts = [Point(random.random(), random.random()) for _ in range(640)]
-        t, ordered = packed_tree(pts, 16, "numpy")
+        t, ordered = packed_tree(pts, 16)
         # 40 leaves in 7 vertical slices of 6 leaves: slices are ordered
         # by x, rows of one slice by y.
         per_slice = 6 * 16
@@ -123,15 +119,18 @@ class TestConstruction:
     @given(st.lists(st.one_of(points, rects), max_size=120), capacities)
     @settings(max_examples=50, deadline=None)
     def test_packing_order_is_the_same_on_both_backends(self, shapes, capacity):
+        """NumPy packing == the ``array('d')`` loop it replaced."""
         cols = mbr_columns(shapes)
         plain = [array("d", col.tolist()) for col in cols]
-        assert as_list(str_order(*cols, capacity)) == str_order(*plain, capacity)
+        assert str_order(*cols, capacity).tolist() == scalar_kernels.str_order(
+            *plain, capacity
+        )
 
     def test_checksum_covers_entries_and_leaves(self):
         pts = [Point(float(i), float(i % 7)) for i in range(100)]
-        a, _ = packed_tree(pts, 8, "numpy")
-        b, _ = packed_tree(pts, 8, "array")
-        assert a.checksum() == b.checksum()  # raw bytes: backend-free
+        a, _ = packed_tree(pts, 8)
+        b, _ = packed_tree(pts, 8)
+        assert a.checksum() == b.checksum()
         a.columns[0][17] += 1.0
         assert a.checksum() != b.checksum()
         a.columns[0][17] -= 1.0
@@ -151,19 +150,19 @@ class TestSearch:
         assert tree_of(rs).search(Rectangle(3.5, 3.5, 4.5, 4.5)) == [2, 3, 4]
 
     @given(st.lists(st.one_of(points, rects), max_size=150), windows,
-           capacities, backends)
+           capacities)
     @settings(max_examples=150, deadline=None)
-    def test_search_equals_bruteforce(self, shapes, q, capacity, backend):
-        t, ordered = packed_tree(shapes, capacity, backend)
+    def test_search_equals_bruteforce(self, shapes, q, capacity):
+        t, ordered = packed_tree(shapes, capacity)
         assert t.search(q) == brute_search(ordered, q)
 
     @given(st.lists(rects, min_size=1, max_size=80), windows, windows,
-           capacities, backends)
+           capacities)
     @settings(max_examples=100, deadline=None)
     def test_owner_filters_by_reference_point(
-        self, shapes, q, cell, capacity, backend
+        self, shapes, q, cell, capacity
     ):
-        t, ordered = packed_tree(shapes, capacity, backend)
+        t, ordered = packed_tree(shapes, capacity)
         want = [
             i
             for i in brute_search(ordered, q)
@@ -190,10 +189,10 @@ class TestKnn:
         assert [pts[row] for _, row in result] == [Point(0, 0), Point(1, 1)]
 
     @given(st.lists(st.one_of(points, rects), min_size=1, max_size=150),
-           points, st.integers(1, 200), capacities, backends)
+           points, st.integers(1, 200), capacities)
     @settings(max_examples=150, deadline=None)
-    def test_knn_equals_bruteforce(self, shapes, p, k, capacity, backend):
-        t, ordered = packed_tree(shapes, capacity, backend)
+    def test_knn_equals_bruteforce(self, shapes, p, k, capacity):
+        t, ordered = packed_tree(shapes, capacity)
         result = t.knn(p, k)
         # Ranked by (squared distance, row), so ties are decided too.
         assert [row for _, row in result] == brute_knn(ordered, p, k)

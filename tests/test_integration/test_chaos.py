@@ -18,6 +18,7 @@ from repro.datagen import (
     generate_rectangles,
 )
 from repro.geometry import Point, Rectangle
+from repro.mapreduce import shm
 
 #: The scripted chaos: first attempts of map task 1 die with their worker,
 #: map task 0 and reduce task 0 crash/corrupt, and a seeded 8% background
@@ -140,6 +141,26 @@ class TestChaosParallelBackend:
         finally:
             chaotic.runner.close()
             clean.runner.close()
+
+    @pytest.mark.parametrize("faults", [None, CHAOS], ids=["clean", "chaos"])
+    def test_every_operation_through_shm(self, faults):
+        """Every operation on two workers — blocks shipped through the
+        shared-memory arena — answers like the clean serial run, with the
+        same counters and rounds, and leaves no segment behind."""
+        clean = build_workspace()
+        pooled = build_workspace(faults=faults, workers=2)
+        try:
+            for name, run in OPERATIONS.items():
+                want, got = run(clean), run(pooled)
+                assert normalize(name, got.answer) == normalize(
+                    name, want.answer
+                ), name
+                assert got.counters.as_dict() == want.counters.as_dict(), name
+                assert got.rounds == want.rounds, name
+        finally:
+            pooled.runner.close()
+            clean.runner.close()
+        assert shm.live_segments() == []
 
 
 #: Storage chaos: a datanode dies, and three blocks (one per layer —

@@ -1,10 +1,10 @@
 """Columnar block payloads: construction, durability, storage adoption."""
 
 import pickle
+import zlib
+from array import array
 
-import pytest
-
-from repro.geometry import Point, Rectangle, vectorized
+from repro.geometry import Point, Rectangle
 from repro.mapreduce import Block, FileSystem
 from repro.mapreduce.columnar import (
     ColumnarPayload,
@@ -67,12 +67,14 @@ class TestBytesAndChecksum:
         assert clone.materialize() == POINTS
         assert clone.checksum() == payload.checksum()
 
-    def test_checksum_is_backend_independent(self, monkeypatch):
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "1")
-        preferred = ColumnarPayload.from_records(POINTS).checksum()
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "0")
-        fallback = ColumnarPayload.from_records(POINTS).checksum()
-        assert preferred == fallback
+    def test_checksum_is_backend_independent(self):
+        """The CRC is the one an ``array('d')`` payload was stamped with,
+        so blocks sealed before NumPy was required still verify."""
+        crc = zlib.crc32(f"point:{len(POINTS)}".encode("ascii"))
+        for axis in ("x", "y"):
+            column = array("d", [getattr(p, axis) for p in POINTS])
+            crc = zlib.crc32(column.tobytes(), crc)
+        assert ColumnarPayload.from_records(POINTS).checksum() == crc
 
     def test_checksum_separates_kind_and_count(self):
         # Same raw bytes, different record interpretation: the header
@@ -90,32 +92,13 @@ class TestStorageAdoption:
         fs.create_file("pts", list(POINTS))
         return fs
 
-    def test_seal_attaches_payload_when_enabled(self, monkeypatch):
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "1")
+    def test_seal_attaches_payload_when_enabled(self):
         fs = self.build_fs()
         for block in fs.get("pts").blocks:
             payload = getattr(block, "columnar", None)
             assert payload is not None
             assert block.checksum == payload.checksum()
-
-    def test_seal_skips_payload_when_disabled(self, monkeypatch):
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "0")
-        fs = self.build_fs()
-        for block in fs.get("pts").blocks:
-            assert getattr(block, "columnar", None) is None
-            # Checksums still cover the columnar bytes: sealing mode must
-            # not change what fsck verifies later.
             assert block.checksum == block_payload_checksum(block)
-
-    @pytest.mark.parametrize("seal_mode,check_mode", [
-        ("1", "0"), ("0", "1"), ("1", "1"), ("0", "0"),
-    ])
-    def test_fsck_passes_across_modes(self, monkeypatch, seal_mode, check_mode):
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, seal_mode)
-        fs = self.build_fs()
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, check_mode)
-        report = run_fsck(fs)
-        assert report.healthy, report.issues
 
     def test_fsck_accepts_legacy_record_checksums(self):
         fs = self.build_fs()
@@ -125,8 +108,7 @@ class TestStorageAdoption:
         report = run_fsck(fs)
         assert report.healthy, report.issues
 
-    def test_fsck_still_detects_mutation(self, monkeypatch):
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "1")
+    def test_fsck_still_detects_mutation(self):
         fs = self.build_fs()
         block = fs.get("pts").blocks[0]
         block.records[0] = Point(-999.0, -999.0)
@@ -141,21 +123,14 @@ class TestPayloadOf:
             columnar=ColumnarPayload.from_records(POINTS),
         )
 
-    def test_returns_payload_when_fresh(self, monkeypatch):
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "1")
+    def test_returns_payload_when_fresh(self):
         block = self.make_block()
         assert payload_of(block, len(POINTS)) is block.columnar
 
-    def test_none_when_disabled(self, monkeypatch):
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "0")
-        assert payload_of(self.make_block(), len(POINTS)) is None
-
-    def test_none_when_stale(self, monkeypatch):
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "1")
+    def test_none_when_stale(self):
         block = self.make_block()
         block.records.append(Point(0.0, 0.0))
         assert payload_of(block, len(block.records)) is None
 
-    def test_none_without_payload(self, monkeypatch):
-        monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, "1")
+    def test_none_without_payload(self):
         assert payload_of(Block(records=list(POINTS)), len(POINTS)) is None

@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -67,6 +69,33 @@ def executor():
     ex.close()
 
 
+class BrokenDuringSubmission:
+    """A pool whose worker dies while the wave is being handed over: it
+    takes ``accept`` chunks (which then fail as broken) and refuses the
+    rest, deterministically."""
+
+    def __init__(self, accept):
+        self.accept = accept
+
+    def submit(self, fn, *args):
+        if self.accept == 0:
+            raise BrokenProcessPool("a worker died during submission")
+        self.accept -= 1
+        future = Future()
+        future.set_exception(BrokenProcessPool("a worker died"))
+        return future
+
+
+def break_first_pool(ex, monkeypatch, accept):
+    """Make ``ex``'s next pool break during submission; later pools are
+    real."""
+    fake = [BrokenDuringSubmission(accept)]
+    real = ex._ensure_pool
+    monkeypatch.setattr(
+        ex, "_ensure_pool", lambda: fake.pop() if fake else real()
+    )
+
+
 class TestPoolRebuild:
     def test_rebuild_keeps_completed_results(self, executor, tmp_path):
         """A worker kill loses only its chunk; the rest survive."""
@@ -97,6 +126,19 @@ class TestPoolRebuild:
         # Driver-side submit timing rides along for the profiler.
         assert dispatch.pop("submit_s") >= 0.0
         assert dispatch == {"chunks": 4, "mode": "pool"}
+
+    def test_breakage_during_submission_is_a_rebuild(
+        self, executor, tmp_path, monkeypatch
+    ):
+        """Chunks the dead pool never took are lost like those in flight:
+        the pool is rebuilt and all of them re-dispatched."""
+        break_first_pool(executor, monkeypatch, accept=1)
+        chunks, _ = make_chunks(4, tmp_path, log=False)
+        assert executor.map_chunks(run_chunk, chunks) == [0, 10, 20, 30]
+        assert executor.pool_rebuilds == 1
+        assert executor.fallbacks == 0
+        assert executor.last_dispatch["mode"] == "pool"
+        assert executor.last_dispatch["recovered"] is True
 
 
 class TestPartialPickleFallback:
@@ -147,6 +189,22 @@ class TestBlacklist:
                 "mode": "in-process",
                 "blacklisted": True,
             }
+        finally:
+            ex.close()
+
+    def test_breakage_during_submission_counts_toward_it(
+        self, tmp_path, monkeypatch
+    ):
+        """The kill of the test above, landing before the wave was fully
+        submitted, still blacklists the pool."""
+        ex = ParallelExecutor(2)
+        try:
+            ex.pool_rebuilds = BLACKLIST_REBUILDS - 1
+            break_first_pool(ex, monkeypatch, accept=0)
+            chunks, _ = make_chunks(4, tmp_path, log=False)
+            assert ex.map_chunks(run_chunk, chunks) == [0, 10, 20, 30]
+            assert ex.blacklisted
+            assert ex.fallbacks == 0
         finally:
             ex.close()
 

@@ -3,8 +3,6 @@
 import gc
 import pickle
 
-import pytest
-
 from repro import SpatialHadoop
 from repro.datagen import generate_points
 from repro.geometry import Point, Rectangle
@@ -12,12 +10,6 @@ from repro.mapreduce import shm
 from repro.mapreduce.columnar import ColumnarPayload
 from repro.mapreduce.shm import ShmArena, ShmBlock, prepare_chunks
 from repro.mapreduce.types import InputSplit
-
-
-@pytest.fixture(autouse=True)
-def shm_on(monkeypatch):
-    monkeypatch.setenv("REPRO_VECTORIZE", "1")
-    monkeypatch.setenv("REPRO_SHM", "1")
 
 
 def build_system(**kwargs):
@@ -49,14 +41,6 @@ class TestPrepareChunks:
         # Tuple records never get a columnar payload.
         sh.load("pairs", [("a", i) for i in range(50)])
         chunk = map_chunk_for(sh.fs, "pairs")
-        shipped, arena = prepare_chunks([chunk])
-        assert arena is None
-        assert shipped == [chunk]
-
-    def test_disabled_env_passes_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        sh = build_system()
-        chunk = map_chunk_for(sh.fs, "pts")
         shipped, arena = prepare_chunks([chunk])
         assert arena is None
         assert shipped == [chunk]

@@ -3,8 +3,7 @@
 The centrepiece mirrors the tracer's: the *normalized* event log of a
 workload (volatile records dropped, timestamps replaced by ordinals)
 must be bit-identical whether the waves ran serially or across worker
-processes, and regardless of the vectorize backend — because the driver
-emits every record in split/bucket order.
+processes — because the driver emits every record in split/bucket order.
 """
 
 import json
@@ -230,20 +229,6 @@ class TestSerialParallelEquivalence:
         assert normalized_bytes(serial) == normalized_bytes(parallel)
         # ... and the raw logs differ only in volatile records/timing.
         assert len(serial.records()) >= len(serial.normalized_records())
-
-    @pytest.mark.parametrize("mode", ["0", "1"])
-    def test_bit_identical_across_vectorize_modes(self, monkeypatch, mode):
-        monkeypatch.setenv("REPRO_VECTORIZE", mode)
-        _, serial = run_workload(workers=1)
-        _, parallel = run_workload(workers=2)
-        assert normalized_bytes(serial) == normalized_bytes(parallel)
-
-    def test_vectorize_modes_agree_with_each_other(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTORIZE", "1")
-        _, vec = run_workload(workers=1)
-        monkeypatch.setenv("REPRO_VECTORIZE", "0")
-        _, scalar = run_workload(workers=1)
-        assert normalized_bytes(vec) == normalized_bytes(scalar)
 
 
 class TestRuntimeEmissions:
