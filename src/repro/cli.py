@@ -1131,7 +1131,7 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
     if cmd == "logs":
         from repro.observe.log import render_report
 
-        log = getattr(sh.runner, "eventlog", None)
+        log = sh.runner.eventlog
         if log is None:
             print(
                 "event log is not armed for this workspace — run any "

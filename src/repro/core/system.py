@@ -99,18 +99,6 @@ class SpatialHadoop:
             **runner_kwargs,
         )
 
-    def __setstate__(self, state):
-        # Workspaces pickled before the observability layer existed must
-        # keep loading: attach default (empty) history/metrics/tracer.
-        self.__dict__.update(state)
-        if "history" not in state:
-            self.history = JobHistory()
-            self.metrics = MetricsRegistry()
-            self.tracer = NullTracer()
-            self.runner.history = self.history
-            self.runner.metrics = self.metrics
-            self.runner.tracer = self.tracer
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -146,7 +134,7 @@ class SpatialHadoop:
         """
         from repro.observe import TelemetryLog
 
-        if getattr(self.runner, "telemetry", None) is None:
+        if self.runner.telemetry is None:
             self.runner.telemetry = TelemetryLog()
         return self.runner.telemetry
 
@@ -162,7 +150,7 @@ class SpatialHadoop:
         """
         from repro.observe.log import EventLog
 
-        log = getattr(self.runner, "eventlog", None)
+        log = self.runner.eventlog
         if log is None:
             log = self.runner.eventlog = EventLog(level=level or "info")
         elif level is not None:
@@ -176,7 +164,7 @@ class SpatialHadoop:
     def _log_event(self, level: str, component: str, event: str,
                    **attrs: Any) -> None:
         """Facade-side emission; free when no log is attached."""
-        log = getattr(self.runner, "eventlog", None)
+        log = self.runner.eventlog
         if log is not None:
             log.emit(level, component, event, **attrs)
 

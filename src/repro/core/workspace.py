@@ -17,12 +17,14 @@ reader never observes a half-written workspace. Loading verifies magic,
 version, length and CRC before unpickling and raises a structured
 :class:`WorkspaceError` subclass (never a raw ``UnpicklingError``).
 
-The version byte names the layout of the pickled objects. v3 stores each
-block's local index as a packed-array R-tree; a v2 file holds object
-R-trees this release has no classes for, so it is refused with a
-:class:`WorkspaceVersionError` that says how to rebuild, not with an
-``AttributeError`` deep in unpickling. Headerless plain pickles (written
-before the header existed) still load through the legacy path.
+The version byte names the layout of the pickled objects, and it is the
+only place that knows about older layouts. v4 stores each block's local
+index as a packed-array R-tree, and every homogeneous point / rectangle
+block carries its columnar payload with a checksum over the columns.
+Any other version is refused with a :class:`WorkspaceVersionError` that
+says how to rebuild, and a file without the magic with a
+:class:`WorkspaceCorruptError` — never an ``AttributeError`` deep in
+unpickling.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from pathlib import Path
 from typing import Any, Optional, Type
 
 MAGIC = b"REPROWS\n"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 #: Header after the magic: version (u8), payload CRC-32 (u32), length (u64).
 _HEADER = struct.Struct(">BIQ")
 
@@ -105,8 +107,8 @@ def load_workspace(
 ) -> Any:
     """Load a workspace from ``path``, verifying header and checksum.
 
-    Accepts current-format files and legacy headerless pickles. Raises
-    :class:`WorkspaceCorruptError` on truncation/bit-rot,
+    Accepts current-format files only. Raises
+    :class:`WorkspaceCorruptError` on a missing magic or truncation/bit-rot,
     :class:`WorkspaceVersionError` on any other format version, and
     :class:`WorkspaceTypeError` when the decoded object is not an
     instance of ``expected_type``.
@@ -117,11 +119,7 @@ def load_workspace(
     except OSError as exc:
         raise WorkspaceError(f"cannot read workspace {path}: {exc}") from exc
 
-    if raw.startswith(MAGIC):
-        obj = _load_framed(path, raw)
-    else:
-        obj = _load_legacy(path, raw)
-
+    obj = _load_framed(path, raw)
     if expected_type is not None and not isinstance(obj, expected_type):
         raise WorkspaceTypeError(
             f"{path} is not a repro workspace "
@@ -131,23 +129,24 @@ def load_workspace(
 
 
 def _load_framed(path: Path, raw: bytes) -> Any:
+    if not raw.startswith(MAGIC):
+        raise WorkspaceCorruptError(
+            f"workspace {path} has no workspace magic ({MAGIC!r}); it is "
+            "not a repro workspace, or predates the versioned format — "
+            "recreate it"
+        )
     header_end = len(MAGIC) + _HEADER.size
     if len(raw) < header_end:
         raise WorkspaceCorruptError(
             f"workspace {path} is truncated (incomplete header)"
         )
     version, crc, length = _HEADER.unpack(raw[len(MAGIC):header_end])
-    if version > FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise WorkspaceVersionError(
-            f"workspace {path} uses format v{version}; this release "
-            f"reads up to v{FORMAT_VERSION}"
-        )
-    if version < FORMAT_VERSION:
-        raise WorkspaceVersionError(
-            f"workspace {path} uses format v{version}, whose local indexes "
-            f"are object R-trees; this release reads v{FORMAT_VERSION} "
-            "(packed-array indexes). Recreate the workspace: reload the "
-            "data and rebuild the index with 'repro index'"
+            f"workspace {path} uses format v{version}; this release reads "
+            f"only v{FORMAT_VERSION} (packed-array indexes, checksummed "
+            "columnar blocks). Recreate the workspace: reload the data "
+            "and rebuild the index with 'repro index'"
         )
     payload = raw[header_end:]
     if len(payload) != length:
@@ -168,18 +167,6 @@ def _load_framed(path: Path, raw: bytes) -> Any:
             f"workspace {path} passed its checksum but failed to "
             f"decode ({type(exc).__name__}: {exc}); it was likely "
             "written by an incompatible release"
-        ) from exc
-
-
-def _load_legacy(path: Path, raw: bytes) -> Any:
-    # Headerless files are bare pickles with no integrity data; decode
-    # failures here mean truncation or corruption we cannot distinguish.
-    try:
-        return pickle.loads(raw)
-    except Exception as exc:
-        raise WorkspaceCorruptError(
-            f"workspace {path} is corrupt or truncated "
-            f"({type(exc).__name__}: {exc})"
         ) from exc
 
 

@@ -85,7 +85,7 @@ def _sample_map(_key, block, ctx):
         Point((a + b) / 2.0, (c + d) / 2.0)
         for a, b, c, d in zip(x1, x2, y1, y2)
     ]
-    derived = cols if getattr(block, "columnar", None) is None else None
+    derived = cols if block.columnar is None else None
     ctx.write_output(
         (ctx.split.block_index, columns_mbr(*cols), centres, derived)
     )
@@ -125,8 +125,7 @@ def _pack_cell(refs, source_blocks, source_columns, build_local_index: bool):
         for offset in offsets.tolist()
     ]
     kinds = {
-        getattr(getattr(source_blocks[b], "columnar", None), "kind", None)
-        for b, _ in refs
+        getattr(source_blocks[b].columnar, "kind", None) for b, _ in refs
     }
     kind = kinds.pop() if len(kinds) == 1 else None
     # Points have degenerate MBRs: their (x, y) pair serves as both corners.

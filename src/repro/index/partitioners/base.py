@@ -5,8 +5,9 @@ cell count and the exact file MBR (``space``). It must then route any record
 — sampled or not — to its cell(s):
 
 * **disjoint** techniques tile the space with half-open cells; a point maps
-  to exactly one cell and an extended shape is *replicated* to every cell it
-  overlaps (query-time duplicate avoidance undoes the replication);
+  to exactly one cell and an extended shape is *replicated* to every cell
+  whose boundary rectangle its MBR intersects, boundaries included
+  (query-time duplicate avoidance undoes the replication);
 * **overlapping** techniques assign every record to exactly one cell (by
   its centre); the resulting partition MBRs may overlap.
 """
@@ -142,14 +143,12 @@ class TreePartitioner(Partitioner):
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if not node.rect.intersects_open(mbr):
+            if not node.rect.intersects(mbr):
                 continue
             if node.children:
                 stack.extend(node.children)
             else:
                 out.append(node.cell_id)
-        if not out:  # degenerate MBR on a split line: route by the corner
-            out.append(self.assign_point(mbr.bottom_left))
         return out
 
     def cell_rect(self, cell_id: int) -> Rectangle:
@@ -173,14 +172,15 @@ class TreePartitioner(Partitioner):
         return cells
 
     def _overlapping_cells(self, x1, y1, x2, y2):
-        owners, cells = [], []
+        owners = [np.empty(0, np.intp)]
+        cells = [np.empty(0, np.intp)]
         stack = [(self._root, np.arange(len(x1)))]
         while stack:
             node, rows = stack.pop()
             r = node.rect
             rows = rows[
-                (r.x1 < x2[rows]) & (x1[rows] < r.x2)
-                & (r.y1 < y2[rows]) & (y1[rows] < r.y2)
+                (r.x1 <= x2[rows]) & (x1[rows] <= r.x2)
+                & (r.y1 <= y2[rows]) & (y1[rows] <= r.y2)
             ]
             if not rows.size:
                 continue
@@ -189,8 +189,4 @@ class TreePartitioner(Partitioner):
             else:
                 owners.append(rows)
                 cells.append(np.full(rows.size, node.cell_id, dtype=np.intp))
-        owner = np.concatenate(owners) if owners else np.empty(0, np.intp)
-        orphans = np.setdiff1d(np.arange(len(x1)), owner)
-        owners.append(orphans)
-        cells.append(self._point_cells(x1[orphans], y1[orphans]))
         return np.concatenate(owners), np.concatenate(cells)

@@ -49,7 +49,7 @@ def mbr_columns(records: Sequence[Any]) -> Columns:
 
 def block_columns(block: Any) -> Columns:
     """A block's MBR columns: its columnar payload's, else derived."""
-    payload = getattr(block, "columnar", None)
+    payload = block.columnar
     if payload is not None and payload.count == len(block):
         return payload.mbr_columns()
     return mbr_columns(block.records)

@@ -11,19 +11,19 @@ The design leans on a property the runner already guarantees: waves are
 deterministic. Given the same workspace, command and fault plan, the
 driver executes the same sequence of waves with the same inputs, and the
 merge of a wave's task results back into counters, traces, history and
-telemetry is a pure function of the wave's ``(datas, attempts, summary)``
-triple. So a checkpoint does not need to freeze the whole driver — it
-only needs to journal each wave's result triple. A resumed run re-issues
-the original command and the runner *replays* journaled waves instead of
-executing them; every downstream effect (counters, history records,
-normalized traces, operation answers) is then bit-identical to an
-uninterrupted run by construction.
+telemetry is a pure function of the wave's ``(results, attempts,
+summary)`` triple. So a checkpoint does not need to freeze the whole
+driver — it only needs to journal each wave's result triple. A resumed
+run re-issues the original command and the runner *replays* journaled
+waves instead of executing them; every downstream effect (counters,
+history records, normalized traces, operation answers) is then
+bit-identical to an uninterrupted run by construction.
 
 On disk, a checkpointed run is a directory::
 
     <workspace>.ckpt/
         MANIFEST.json        # run config, status, fired driver faults
-        wave-00000.ckpt      # wave 0's (datas, attempts, summary)
+        wave-00000.ckpt      # wave 0's (results, attempts, summary)
         wave-00001.ckpt      # ...
 
 Wave files use the workspace framing discipline (magic + version +
@@ -70,10 +70,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.workspace import atomic_write
+from repro.mapreduce.types import TaskResult
 
 #: Wave-file magic; deliberately the same length as the workspace magic.
 MAGIC = b"REPROCKP"
-FORMAT_VERSION = 1
+#: v2 journals task results as :class:`TaskResult` objects; any other
+#: version reads as a corrupt wave (a cache miss that re-executes).
+FORMAT_VERSION = 2
 #: Header after the magic: version (u8), payload CRC-32 (u32), length (u64).
 _HEADER = struct.Struct(">BIQ")
 
@@ -264,12 +267,17 @@ def _pack_list(lst: list) -> Any:
 def _pack(obj: Any) -> Any:
     """Shallow structural walk swapping bulk record lists for columns.
 
-    Tuples (the per-task data records) and small dicts (the wave record
-    itself, counter maps) are walked; lists first try the bulk encodings
-    and are only walked element-wise while small. Scalars and everything
-    exotic pass through to plain pickle.
+    A task result's emitted pairs and output records are packed; tuples
+    and small dicts (the wave record itself) are walked; lists first try
+    the bulk encodings and are only walked element-wise while small.
+    Scalars and everything exotic pass through to plain pickle.
     """
     t = type(obj)
+    if t is TaskResult:
+        return TaskResult(
+            obj.records_in, obj.counters, _pack(obj.emitted),
+            _pack(obj.output), obj.seconds, obj.events, obj.phases,
+        )
     if t is tuple:
         return tuple(_pack(e) for e in obj)
     if t is list:
@@ -346,10 +354,10 @@ def read_checkpoint_file(path: Path) -> Any:
             f"checkpoint {path} is truncated (incomplete header)"
         )
     version, crc, length = _HEADER.unpack(raw[len(MAGIC):header_end])
-    if version > FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise CheckpointCorruptError(
             f"checkpoint {path} uses format v{version}; this release "
-            f"reads up to v{FORMAT_VERSION}"
+            f"reads v{FORMAT_VERSION}"
         )
     payload = raw[header_end:]
     if len(payload) != length:

@@ -239,11 +239,11 @@ class ColumnarPayload:
 def payload_of(block, expected_count: Optional[int] = None):
     """The block's usable columnar payload, or None.
 
-    None when the block has no payload (heterogeneous records, or a
-    block sealed before payloads existed), or when the payload has gone
-    stale relative to the record list it was sealed over.
+    None when the block has no payload (records other than homogeneous
+    points or rectangles), or when the payload has gone stale relative to
+    the record list it was sealed over.
     """
-    payload = getattr(block, "columnar", None)
+    payload = block.columnar
     if payload is None:
         return None
     if expected_count is not None and payload.count != expected_count:
@@ -256,8 +256,7 @@ def block_payload_checksum(block) -> int:
 
     Columnarizable records are checksummed over their raw column bytes
     (rebuilt fresh, so in-place mutation is detected); everything else
-    falls back to the pickle-based record checksum. A block sealed
-    without a payload attached checks the same way.
+    falls back to the pickle-based record checksum.
     """
     from repro.mapreduce.storage import checksum_records
 

@@ -160,6 +160,8 @@ class Executor:
     name = "abstract"
     #: Worker processes this executor uses (1 for serial).
     workers = 1
+    #: Broken pools thrown away and re-created (always 0 for serial).
+    pool_rebuilds = 0
     #: How the most recent wave was dispatched: ``{"chunks": int,
     #: "mode": "in-process" | "pool"}``. Observability only — the trace
     #: attaches it to wave spans as *volatile* diagnostics, because
@@ -225,12 +227,6 @@ class ParallelExecutor(Executor):
         state = self.__dict__.copy()
         state["_pool"] = None
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Executors pickled before degraded-mode recovery existed.
-        self.__dict__.setdefault("pool_rebuilds", 0)
-        self.__dict__.setdefault("blacklisted", False)
 
     # -- pool management --------------------------------------------------
     def _ensure_pool(self):

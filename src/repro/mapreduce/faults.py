@@ -519,8 +519,8 @@ class FaultPlan:
         ]
         parts.extend(f"random:{r.kind}:{r.rate}:{r.seed}" for r in self.random)
         parts.extend(s.describe() for s in self.storage)
-        parts.extend(d.describe() for d in getattr(self, "driver", ()))
-        parts.extend(s.describe() for s in getattr(self, "service", ()))
+        parts.extend(d.describe() for d in self.driver)
+        parts.extend(s.describe() for s in self.service)
         return ",".join(parts) or "<empty>"
 
     def driver_at(self, wave_index: int) -> List[Tuple[int, DriverFault]]:
@@ -532,7 +532,7 @@ class FaultPlan:
         """
         return [
             (pos, fault)
-            for pos, fault in enumerate(getattr(self, "driver", ()))
+            for pos, fault in enumerate(self.driver)
             if fault.matches(wave_index)
         ]
 
@@ -541,7 +541,7 @@ class FaultPlan:
         return int(
             sum(
                 f.amount
-                for f in getattr(self, "service", ())
+                for f in self.service
                 if f.kind == "burst" and f.tenant == tenant
             )
         )
@@ -550,7 +550,7 @@ class FaultPlan:
         """Extra simulated seconds every request of ``tenant`` is charged."""
         return sum(
             f.amount
-            for f in getattr(self, "service", ())
+            for f in self.service
             if f.kind == "slowtenant" and f.tenant == tenant
         )
 

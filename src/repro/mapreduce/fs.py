@@ -38,16 +38,16 @@ class Block:
 
     ``checksum`` (payload CRC-32) and ``replicas`` (where the block's
     copies live) are stamped by :meth:`StorageManager.seal_block` when
-    the block enters the file system; blocks from workspaces pickled
-    before the storage layer existed are adopted lazily on first read.
+    the block enters the file system; every block in a namespace is
+    sealed.
 
-    ``columnar`` is the optional vectorized-execution payload (see
+    ``columnar`` is the vectorized-execution payload (see
     :mod:`repro.mapreduce.columnar`): the record coordinates transposed
-    into flat float64 columns, attached at seal time when the records
-    are homogeneously points or rectangles. The checksum covers the
-    columnar bytes directly for such blocks. Access it through
-    ``getattr(block, "columnar", None)`` — blocks unpickled from older
-    workspaces lack the attribute entirely.
+    into flat float64 columns. Seal time attaches it whenever the
+    records are homogeneously points or rectangles, and the checksum
+    then covers the columnar bytes; it is ``None`` for every other
+    block (features, polygons, tuples), whose checksum covers the
+    pickled records.
     """
 
     records: List[Any]
@@ -108,20 +108,6 @@ class FileSystem:
         self.storage = StorageManager(
             num_nodes=num_datanodes, replication=replication
         )
-
-    def __setstate__(self, state):
-        # Workspaces pickled before the durable storage layer existed
-        # must keep loading: attach a default manager and adopt (seal +
-        # place) every existing block.
-        self.__dict__.update(state)
-        if "storage" not in state:
-            self.storage = StorageManager()
-            for entry in self._files.values():
-                self.storage.seal_file(entry)
-        # Workspaces pickled before namespace versioning existed.
-        if "_versions" not in state:
-            self._versions = {name: 1 for name in self._files}
-            self._mutation_count = len(self._files)
 
     # ------------------------------------------------------------------
     # Namespace operations

@@ -28,6 +28,7 @@ testing all of this.
 
 from __future__ import annotations
 
+import os
 import pickle
 import sys
 import time
@@ -73,7 +74,7 @@ from repro.mapreduce.job import (
     ReduceContext,
     default_partitioner,
 )
-from repro.mapreduce.types import InputSplit
+from repro.mapreduce.types import InputSplit, TaskFailure, TaskResult
 from repro.observe.history import JobHistory
 from repro.observe.metrics import (
     BACKOFF_SECONDS_BUCKETS,
@@ -103,8 +104,8 @@ DEFAULT_SLOW_TASK_FACTOR = 2.0
 #: Below this many tasks a median is meaningless; no speculation.
 MIN_SPECULATION_TASKS = 3
 
-#: Marker returned by an attempt the fault plan scripted to corrupt —
-#: deliberately not a valid task-result tuple.
+#: What an attempt the fault plan scripted to corrupt returns instead of
+#: its TaskResult: the driver rejects anything else as corrupt.
 _CORRUPTED_RESULT = "\x00corrupted-task-result\x00"
 
 
@@ -248,36 +249,31 @@ class _WavePolicy:
 # executor can ship them to worker processes; the serial executor calls
 # the very same code, which is what guarantees backend equivalence.
 #
-# Each chunk is a list of (wave_index, attempt, item) triples, and each
-# task yields a *marker*:
-#
-#   ("ok",  wave_index, attempt, data)                      — data is the
-#       usual 8-tuple (task_id, records_in, counters_dict, emitted,
-#       output, seconds, events, phases);
-#   ("err", wave_index, attempt, outcome, error, seconds)   — the attempt
-#       failed; ``error`` is the exception (wrapped if unpicklable).
-#
-# Exceptions never propagate out of a chunk: the driver's wave supervisor
-# decides whether an attempt is retried or fails the job.
+# A chunk is ``(job, wave, tasks)`` with tasks of ``(wave_index, attempt,
+# item)``: a split for the map wave, a ``(bucket, groups)`` pair for the
+# reduce wave. It returns one value per task, in order: a TaskResult, or
+# a TaskFailure whose error is wrapped if unpicklable. Exceptions never
+# propagate out of a chunk: the driver's wave supervisor decides whether
+# an attempt is retried or fails the job.
 # ----------------------------------------------------------------------
 def _noop_map(_key: Any, _records: Any, _ctx: Any) -> None:  # pragma: no cover
     """Placeholder map function for reduce-wave job shipping."""
 
 
-def _shipped_job(
-    job: Job, wave: str, faults: Optional[FaultPlan] = None,
-    profile: bool = False, log_level: Optional[int] = None,
-) -> Job:
+def _shipped_job(job: Job, wave: str, policy: _WavePolicy) -> Job:
     """A copy of ``job`` stripped to what one wave's tasks actually need.
 
-    Driver-only hooks (splitter, reader, commit, partitioner) never run
-    inside a task, so dropping them keeps per-chunk pickling small and —
-    more importantly — lets a job with an unpicklable driver hook still
-    run its waves in parallel. The resolved fault plan, the profiling
-    decision and the event-log threshold ride along in the config so
-    worker processes consult the same script as the driver.
+    Driver-only hooks (splitter, commit, partitioner) never run inside a
+    task, so dropping them keeps per-chunk pickling small and — more
+    importantly — lets a job with an unpicklable driver hook still run
+    its waves in parallel. The map wave keeps the reader. The resolved
+    fault plan, the profiling decision and the event-log threshold ride
+    along in the config so worker processes consult the same script as
+    the driver.
     """
     config = job.config
+    faults, profile = policy.faults, policy.profile
+    log_level = policy.log_level
     if (
         faults is not None
         or config.get("faults") is not None
@@ -291,15 +287,16 @@ def _shipped_job(
         config.pop("log_level", None)
         if log_level is not None:
             config["log_level"] = log_level
+    is_map = wave == "map"
     return replace(
         job,
         splitter=None,
-        reader=None,
+        reader=(job.reader or default_reader) if is_map else None,
         commit_fn=None,
         partitioner=default_partitioner,
-        map_fn=job.map_fn if wave == "map" else _noop_map,
-        combine_fn=job.combine_fn if wave == "map" else None,
-        reduce_fn=job.reduce_fn if wave == "reduce" else None,
+        map_fn=job.map_fn if is_map else _noop_map,
+        combine_fn=job.combine_fn if is_map else None,
+        reduce_fn=None if is_map else job.reduce_fn,
         config=config,
     )
 
@@ -326,62 +323,57 @@ def _combine(
     return ctx._emitted
 
 
-def _map_task_data(job: Job, reader, split: InputSplit):
-    """Execute one map task; returns its 8-tuple result."""
-    counters = Counters()
+def _map_body(job: Job, split: InputSplit, counters: Counters):
+    """One map task: read the split, map it, combine; ``(records, ctx)``."""
     ctx = MapContext(job, counters, split)
-    with _profiler.task_scope(job.config.get("profile", False)) as phases:
-        started = _task_clock()
-        key, records = reader(split)
-        job.map_fn(key, records, ctx)
-        emitted = ctx._emitted
-        raw_emitted = len(emitted)
-        if job.combine_fn is not None and emitted:
-            emitted = _combine(job, counters, emitted)
-        elapsed = _task_clock() - started
+    key, records = job.reader(split)
+    job.map_fn(key, records, ctx)
+    emitted = ctx._emitted
+    if job.combine_fn is not None and emitted:
+        ctx._emitted = _combine(job, counters, emitted)
     counters.increment(Counter.MAP_INPUT_RECORDS, len(records))
-    counters.increment(Counter.MAP_OUTPUT_RECORDS, raw_emitted)
-    return (
-        f"map-{split.block_index}",
-        len(records),
-        counters.as_dict(),
-        emitted,
-        ctx._output,
-        elapsed,
-        ctx._events,
-        dict(phases),
-    )
+    counters.increment(Counter.MAP_OUTPUT_RECORDS, len(emitted))
+    return len(records), ctx
 
 
-def _reduce_task_data(job: Job, task_index: int, items):
-    """Execute one reduce task; returns its 8-tuple result."""
-    counters = Counters()
+def _reduce_body(job: Job, item, counters: Counters):
+    """One reduce task over its key groups; ``(records, ctx)``."""
+    task_index, groups = item
     ctx = ReduceContext(job, counters, task_index)
-    with _profiler.task_scope(job.config.get("profile", False)) as phases:
-        started = _task_clock()
-        # Hadoop sorts by key before reducing; keep that contract for
-        # reducers that rely on key order.
-        for k, values in _sorted_items(items):
-            job.reduce_fn(k, values, ctx)  # type: ignore[misc]
-        elapsed = _task_clock() - started
-    records_in = sum(len(values) for _, values in items)
+    # Hadoop sorts by key before reducing; keep that contract for
+    # reducers that rely on key order.
+    for k, values in _sorted_items(groups):
+        job.reduce_fn(k, values, ctx)  # type: ignore[misc]
+    records_in = sum(len(values) for _, values in groups)
     counters.increment(Counter.REDUCE_INPUT_RECORDS, records_in)
     counters.increment(
         Counter.REDUCE_OUTPUT_RECORDS, len(ctx._emitted) + len(ctx._output)
     )
-    return (
-        task_index,
-        records_in,
-        counters.as_dict(),
-        ctx._emitted,
-        ctx._output,
-        elapsed,
-        ctx._events,
-        dict(phases),
+    return records_in, ctx
+
+
+_BODIES = {"map": _map_body, "reduce": _reduce_body}
+
+
+def _task_id(wave: str, item: Any) -> str:
+    """A task's name: its block (map) or its bucket (reduce)."""
+    return f"map-{item.block_index}" if wave == "map" else f"reduce-{item[0]}"
+
+
+def _run_task(job: Job, wave: str, item: Any) -> TaskResult:
+    """Execute one task of ``wave``, timed and profiled."""
+    counters = Counters()
+    with _profiler.task_scope(job.config.get("profile", False)) as phases:
+        started = _task_clock()
+        records_in, ctx = _BODIES[wave](job, item, counters)
+        elapsed = _task_clock() - started
+    return TaskResult(
+        records_in, counters.as_dict(), ctx._emitted, ctx._output, elapsed,
+        ctx._events, dict(phases),
     )
 
 
-def _run_attempt(job: Job, wave: str, index: int, attempt: int, body):
+def _run_attempt(job: Job, wave: str, index: int, attempt: int, item: Any):
     """One task attempt, fault plan consulted, exceptions captured.
 
     A scripted ``kill`` terminates the worker process for real
@@ -391,34 +383,28 @@ def _run_attempt(job: Job, wave: str, index: int, attempt: int, body):
     """
     plan = job.config.get("faults")
     spec = plan.lookup(wave, index, attempt) if plan is not None else None
-    if spec is not None:
-        if spec.kind == "kill":
-            if in_worker_process():
-                import os
-
-                os._exit(137)
-            error = WorkerKilled(
-                f"injected worker kill at {wave}[{index}] attempt {attempt}"
-            )
-            return ("err", index, attempt, "worker-lost", error, 0.0)
-        if spec.kind == "crash":
-            error = InjectedFault(
-                f"injected crash at {wave}[{index}] attempt {attempt}"
-            )
-            return ("err", index, attempt, "crash", error, 0.0)
+    if spec is not None and spec.kind == "kill":
+        if in_worker_process():
+            os._exit(137)
+        return TaskFailure("worker-lost", WorkerKilled(
+            f"injected worker kill at {wave}[{index}] attempt {attempt}"
+        ))
+    if spec is not None and spec.kind == "crash":
+        return TaskFailure("crash", InjectedFault(
+            f"injected crash at {wave}[{index}] attempt {attempt}"
+        ))
     try:
-        data = body()
+        result = _run_task(job, wave, item)
     except Exception as exc:  # noqa: BLE001 - supervisor decides the fate
-        return ("err", index, attempt, "crash", _shippable_error(exc), 0.0)
-    if spec is not None:
-        if spec.kind == "hang":
-            # Inflate the CPU charge: the attempt "ran" for spec.seconds
-            # longer, which trips per-attempt timeouts and makes the
-            # task a straggler for speculation.
-            data = data[:5] + (data[5] + spec.seconds,) + data[6:]
-        elif spec.kind == "corrupt":
-            return ("ok", index, attempt, _CORRUPTED_RESULT)
-    return ("ok", index, attempt, data)
+        return TaskFailure("crash", _shippable_error(exc))
+    if spec is not None and spec.kind == "hang":
+        # Inflate the CPU charge: the attempt "ran" for spec.seconds
+        # longer, which trips per-attempt timeouts and makes the task a
+        # straggler for speculation.
+        result.seconds += spec.seconds
+    elif spec is not None and spec.kind == "corrupt":
+        return _CORRUPTED_RESULT
+    return result
 
 
 def _shippable_error(exc: Exception) -> Exception:
@@ -430,60 +416,45 @@ def _shippable_error(exc: Exception) -> Exception:
         return RemoteTaskError(f"{type(exc).__name__}: {exc}")
 
 
-def _run_map_chunk(payload):
-    """Execute one chunk of map-task attempts; one marker per attempt.
+def _run_chunk(payload):
+    """Execute one chunk of task attempts; one result per attempt.
 
     The ``check_active`` poll is the cooperative-cancellation task
     boundary: in the driver process (serial backend, pool fallbacks) it
     raises between tasks when a signal or deadline asked the run to
     stop; worker processes never arm a token, so there it is a no-op.
     """
-    job, reader, tasks = payload
-    markers = []
-    for index, attempt, split in tasks:
+    job, wave, tasks = payload
+    results = []
+    for index, attempt, item in tasks:
         check_active()
-        markers.append(
-            _run_attempt(
-                job, "map", index, attempt,
-                lambda: _map_task_data(job, reader, split),
-            )
-        )
-    return markers
+        results.append(_run_attempt(job, wave, index, attempt, item))
+    return results
 
 
-def _run_reduce_chunk(payload):
-    """Execute one chunk of reduce-task attempts; one marker per attempt."""
-    job, tasks = payload
-    markers = []
-    for index, attempt, (task_index, items) in tasks:
-        check_active()
-        markers.append(
-            _run_attempt(
-                job, "reduce", index, attempt,
-                lambda: _reduce_task_data(job, task_index, items),
-            )
-        )
-    return markers
+def _as_failure(result: Any, attempt: int) -> Optional[TaskFailure]:
+    """``None`` for a TaskResult, else the attempt's failure form.
 
-
-def _valid_task_data(data: Any) -> bool:
-    """Driver-side result validation: is this a well-formed task result?
-
-    Catches corrupted results (injected or real) before they can poison
-    the merge; an invalid result fails the attempt, which is then
-    retried like any other failure.
+    Anything that is neither a TaskResult nor a TaskFailure is a
+    corrupted result (injected or real): it fails the attempt before it
+    can poison the merge, and the attempt is retried like any other.
     """
-    return (
-        isinstance(data, tuple)
-        and len(data) == 8
-        and isinstance(data[1], int)
-        and isinstance(data[2], dict)
-        and isinstance(data[3], list)
-        and isinstance(data[4], list)
-        and isinstance(data[5], float)
-        and isinstance(data[6], list)
-        and isinstance(data[7], dict)
-    )
+    if type(result) is TaskResult:
+        return None
+    if type(result) is TaskFailure:
+        return result
+    return TaskFailure("corrupt", TaskCorrupted(
+        f"task attempt {attempt} returned an invalid result"
+    ))
+
+
+#: Fault-summary key counting each failure outcome.
+_SUMMARY_KEYS = {
+    "crash": "crashes",
+    "worker-lost": "worker_lost",
+    "timeout": "timeouts",
+    "corrupt": "corrupt",
+}
 
 
 def _chunked(items: Sequence[Any], num_chunks: int) -> List[Sequence[Any]]:
@@ -600,29 +571,6 @@ class JobRunner:
         state["_wave_ordinal"] = 0
         state["_driver_fired"] = set()
         return state
-
-    def __setstate__(self, state):
-        # Workspaces pickled before the observability / fault-tolerance
-        # layers existed must keep loading; fill in the defaults.
-        self.__dict__.update(state)
-        self.__dict__.setdefault("tracer", _NULL_TRACER)
-        self.__dict__.setdefault("metrics", None)
-        self.__dict__.setdefault("history", None)
-        self.__dict__.setdefault("progress", None)
-        self.__dict__.setdefault("max_attempts", DEFAULT_MAX_ATTEMPTS)
-        self.__dict__.setdefault("task_timeout", None)
-        self.__dict__.setdefault("speculative", False)
-        self.__dict__.setdefault("slow_task_factor", DEFAULT_SLOW_TASK_FACTOR)
-        self.__dict__.setdefault("faults", None)
-        self.__dict__.setdefault("_storage_fired", set())
-        self.__dict__.setdefault("_pending_repair_s", 0.0)
-        self.__dict__.setdefault("profile", None)
-        self.__dict__.setdefault("telemetry", None)
-        self.__dict__.setdefault("eventlog", None)
-        self.__dict__.setdefault("checkpoint", None)
-        self.__dict__.setdefault("cancellation", None)
-        self.__dict__.setdefault("_wave_ordinal", 0)
-        self.__dict__.setdefault("_driver_fired", set())
 
     def set_tracer(self, tracer) -> None:
         """Swap the tracer (pass ``None`` to disable tracing)."""
@@ -821,12 +769,11 @@ class JobRunner:
     def _run_traced(self, job: Job, job_span) -> JobResult:
         counters = Counters()
         splitter = job.splitter or default_splitter
-        reader = job.reader or default_reader
         executor = self._executor_for(job)
         policy = self._policy_for(job)
         tracer = self.tracer
         telemetry = self.telemetry
-        rebuilds_before = getattr(executor, "pool_rebuilds", 0)
+        rebuilds_before = executor.pool_rebuilds
         #: Phase attribution for the whole job, filled when profiling.
         profile: Dict[str, Dict[str, float]] = {}
 
@@ -856,8 +803,10 @@ class JobRunner:
                 )
 
         output: List[Any] = []
-        map_stats, intermediate, fault_summary = self._run_map_wave(
-            job, splits, reader, counters, output, executor, policy, profile
+        intermediate: List[Tuple[Any, Any]] = []
+        map_stats, fault_summary = self._run_wave(
+            job, "map", splits, intermediate.extend,
+            counters, output, executor, policy, profile,
         )
         if telemetry is not None:
             telemetry.scrape(
@@ -882,8 +831,11 @@ class JobRunner:
             tracer.event(
                 "shuffle", records=shuffle_records, bytes=shuffle_bytes
             )
-            reduce_stats, reduce_summary = self._run_reduce_wave(
-                job, intermediate, counters, output, executor, policy, profile
+            # Reduce emit() goes to the job output (no later stage).
+            reduce_stats, reduce_summary = self._run_wave(
+                job, "reduce", _reduce_tasks(job, intermediate),
+                lambda pairs: output.extend(v for _, v in pairs),
+                counters, output, executor, policy, profile,
             )
             _merge_summary(fault_summary, reduce_summary)
             if telemetry is not None:
@@ -910,7 +862,7 @@ class JobRunner:
 
         counters.increment(Counter.OUTPUT_RECORDS, len(output))
         job_span.set("output_records", len(output))
-        rebuilds = getattr(executor, "pool_rebuilds", 0) - rebuilds_before
+        rebuilds = executor.pool_rebuilds - rebuilds_before
         if rebuilds:
             fault_summary["pool_rebuilds"] = rebuilds
             if self.eventlog is not None:
@@ -1012,11 +964,9 @@ class JobRunner:
         job that observed the loss.
         """
         plan = self.faults
-        if plan is None or not getattr(plan, "storage", None):
+        if plan is None or not plan.storage:
             return 0.0
-        storage = getattr(self.fs, "storage", None)
-        if storage is None:
-            return 0.0
+        storage = self.fs.storage
         repair_s = 0.0
         for index, fault in enumerate(plan.storage):
             if index in self._storage_fired:
@@ -1100,18 +1050,16 @@ class JobRunner:
         self,
         wave: str,
         items: Sequence[Any],
-        make_payload: Callable[[List[Tuple[int, int, Any]]], Any],
-        chunk_fn,
+        job: Job,
         executor: Executor,
         policy: _WavePolicy,
-        task_label: Callable[[int], str],
     ):
         """Run every task of one wave to a successful attempt.
 
-        Returns ``(datas, attempts, summary)``: the winning 7-tuple per
-        task (wave order), the attempt history per task, and the wave's
-        fault-activity counts. Raises the original task error once a
-        task exhausts ``max_attempts``.
+        Returns ``(results, attempts, summary)``: the winning
+        :class:`TaskResult` per task (wave order), the attempt history per
+        task, and the wave's fault-activity counts. Raises the original
+        task error once a task exhausts ``max_attempts``.
 
         Retries are batched: each round re-dispatches every task that
         failed the previous round, with its simulated backoff charged to
@@ -1137,7 +1085,7 @@ class JobRunner:
                 self._check_cancel()
                 return cached
         n = len(items)
-        datas: List[Any] = [None] * n
+        results: List[Any] = [None] * n
         attempts: List[List[TaskAttempt]] = [[] for _ in range(n)]
         backoff_due: Dict[int, float] = {}
         summary = _new_summary()
@@ -1145,33 +1093,34 @@ class JobRunner:
         pending: List[Tuple[int, int]] = [(i, 0) for i in range(n)]
         while pending:
             failed: List[Tuple[int, Exception]] = []
-            tasks = [(i, attempt, items[i]) for i, attempt in pending]
             self._count_injections(wave, pending, policy, summary)
-            for marker in self._dispatch(executor, chunk_fn, make_payload,
-                                         tasks):
-                self._absorb(marker, datas, attempts, backoff_due, failed,
-                             policy, summary)
+            dispatched = self._dispatch(executor, job, wave, items, pending)
+            for (i, attempt), result in zip(pending, dispatched):
+                self._absorb(i, attempt, result, results, attempts,
+                             backoff_due, failed, policy, summary)
             pending = []
             for i, error in failed:
                 next_attempt = len(attempts[i])
                 if next_attempt >= policy.max_attempts:
                     raise error
-                wait = retry_backoff(task_label(i), next_attempt, plan_seed)
+                wait = retry_backoff(
+                    _task_id(wave, items[i]), next_attempt, plan_seed
+                )
                 backoff_due[i] = wait
                 summary["retries"] += 1
                 summary["backoff_s"] += wait
                 pending.append((i, next_attempt))
         if policy.speculative and n >= MIN_SPECULATION_TASKS:
-            self._speculate(wave, items, datas, attempts, make_payload,
-                            chunk_fn, executor, policy, summary)
+            self._speculate(wave, items, results, attempts, job, executor,
+                            policy, summary)
         self._wave_ordinal = index + 1
         if ckpt is not None and ckpt.commit(
-            index, fingerprint, (datas, attempts, summary)
+            index, fingerprint, (results, attempts, summary)
         ):
             self._note_checkpoint("committed", index, wave)
         self._fire_driver_faults(index, policy)
         self._check_cancel()
-        return datas, attempts, summary
+        return results, attempts, summary
 
     def _note_checkpoint(self, action: str, index: int, wave: str) -> None:
         """Record one checkpoint commit/replay across the observability
@@ -1205,7 +1154,7 @@ class JobRunner:
         fault at an already-survived wave it does re-execute.
         """
         plan = policy.faults
-        if plan is None or not getattr(plan, "driver", ()):
+        if plan is None or not plan.driver:
             return
         ckpt = self.checkpoint
         for pos, fault in plan.driver_at(index):
@@ -1249,7 +1198,7 @@ class JobRunner:
     def _count_injections(wave, pending, policy, summary) -> None:
         """Count scripted faults about to fire in this dispatch round.
 
-        Counted driver-side from the plan (not from failure markers)
+        Counted driver-side from the plan (not from failed results)
         so every kind registers — including ``hang``, whose only
         worker-side trace is an inflated CPU charge, and ``kill``,
         whose chunk may be transparently re-dispatched by the pool.
@@ -1260,86 +1209,54 @@ class JobRunner:
             if policy.faults.lookup(wave, i, attempt) is not None:
                 summary["faults_injected"] += 1
 
-    def _dispatch(self, executor, chunk_fn, make_payload, tasks):
-        """One round of task attempts through the executor; flat markers."""
+    def _dispatch(self, executor, job, wave, items, pending):
+        """One round of attempts through the executor; results in order."""
+        tasks = [(i, attempt, items[i]) for i, attempt in pending]
         num_chunks = (
             executor.workers * CHUNKS_PER_WORKER
             if executor.workers > 1
             else 1
         )
         payloads = [
-            make_payload(list(chunk)) for chunk in _chunked(tasks, num_chunks)
+            (job, wave, chunk) for chunk in _chunked(tasks, num_chunks)
         ]
-        markers = []
-        for chunk_result in executor.map_chunks(chunk_fn, payloads):
-            markers.extend(chunk_result)
-        return markers
-
-    def _absorb(
-        self, marker, datas, attempts, backoff_due, failed, policy, summary
-    ) -> None:
-        """Fold one attempt marker into the wave state."""
-        if marker[0] == "ok":
-            _, i, attempt, data = marker
-            if not _valid_task_data(data):
-                summary["corrupt"] += 1
-                error: Exception = TaskCorrupted(
-                    f"task attempt {attempt} returned an invalid result"
-                )
-                self._record_failure(
-                    i, attempt, "corrupt", error, 0.0,
-                    attempts, backoff_due, failed,
-                )
-                return
-            seconds = data[5]
-            timeout = policy.task_timeout
-            if timeout is not None and seconds > timeout:
-                summary["timeouts"] += 1
-                error = TaskTimeoutError(
-                    f"task attempt {attempt} charged {seconds:.3f}s CPU, "
-                    f"over the {timeout:.3f}s per-attempt timeout"
-                )
-                self._record_failure(
-                    i, attempt, "timeout", error, seconds,
-                    attempts, backoff_due, failed,
-                )
-                return
-            datas[i] = data
-            attempts[i].append(
-                TaskAttempt(
-                    attempt=attempt,
-                    outcome="success",
-                    seconds=seconds,
-                    backoff_s=backoff_due.pop(i, 0.0),
-                )
-            )
-        else:
-            _, i, attempt, outcome, error, seconds = marker
-            summary["worker_lost" if outcome == "worker-lost" else
-                    "crashes"] += 1
-            self._record_failure(
-                i, attempt, outcome, error, seconds,
-                attempts, backoff_due, failed,
-            )
+        results = []
+        for chunk_results in executor.map_chunks(_run_chunk, payloads):
+            results.extend(chunk_results)
+        return results
 
     @staticmethod
-    def _record_failure(
-        i, attempt, outcome, error, seconds, attempts, backoff_due, failed
+    def _absorb(
+        i, attempt, result, results, attempts, backoff_due, failed, policy,
+        summary,
     ) -> None:
-        attempts[i].append(
-            TaskAttempt(
-                attempt=attempt,
-                outcome=outcome,
-                seconds=seconds,
+        """Fold one attempt's result into the wave state."""
+        failure = _as_failure(result, attempt)
+        timeout = policy.task_timeout
+        if (
+            failure is None and timeout is not None
+            and result.seconds > timeout
+        ):
+            failure = TaskFailure("timeout", TaskTimeoutError(
+                f"task attempt {attempt} charged {result.seconds:.3f}s CPU, "
+                f"over the {timeout:.3f}s per-attempt timeout"
+            ), result.seconds)
+        if failure is None:
+            results[i] = result
+            attempts[i].append(TaskAttempt(
+                attempt=attempt, outcome="success", seconds=result.seconds,
                 backoff_s=backoff_due.pop(i, 0.0),
-                error=f"{type(error).__name__}: {error}",
-            )
-        )
-        failed.append((i, error))
+            ))
+            return
+        summary[_SUMMARY_KEYS[failure.outcome]] += 1
+        attempts[i].append(TaskAttempt(
+            attempt=attempt, outcome=failure.outcome, seconds=failure.seconds,
+            backoff_s=backoff_due.pop(i, 0.0), error=_describe(failure.error),
+        ))
+        failed.append((i, failure.error))
 
     def _speculate(
-        self, wave, items, datas, attempts, make_payload, chunk_fn,
-        executor, policy, summary,
+        self, wave, items, results, attempts, job, executor, policy, summary,
     ) -> None:
         """Backup attempts for stragglers; the faster copy wins.
 
@@ -1358,226 +1275,115 @@ class JobRunner:
         if median <= 0:
             return
         threshold = policy.slow_task_factor * median
-        stragglers = [i for i in range(n) if winners[i] > threshold]
-        if not stragglers:
+        pending = [
+            (i, len(attempts[i])) for i in range(n) if winners[i] > threshold
+        ]
+        if not pending:
             return
-        summary["speculative"] += len(stragglers)
-        tasks = [(i, len(attempts[i]), items[i]) for i in stragglers]
-        self._count_injections(
-            wave, [(i, a) for i, a, _ in tasks], policy, summary
-        )
-        for marker in self._dispatch(executor, chunk_fn, make_payload, tasks):
-            self._absorb_backup(marker, datas, attempts)
+        summary["speculative"] += len(pending)
+        self._count_injections(wave, pending, policy, summary)
+        dispatched = self._dispatch(executor, job, wave, items, pending)
+        for (i, attempt), result in zip(pending, dispatched):
+            self._absorb_backup(i, attempt, result, results, attempts)
 
     @staticmethod
-    def _absorb_backup(marker, datas, attempts) -> None:
-        """Fold one speculative-backup marker in; failures are free.
+    def _absorb_backup(i, attempt, result, results, attempts) -> None:
+        """Fold one speculative-backup result in; failures are free.
 
         The primary attempt already succeeded, so a failed or corrupted
         backup is recorded and ignored — speculation can never make a
         wave fail.
         """
-        i, attempt = marker[1], marker[2]
-        if marker[0] == "ok" and _valid_task_data(marker[3]):
-            data = marker[3]
-            seconds = data[5]
-            primary = attempts[i][-1]
-            if seconds < primary.seconds:
-                primary.outcome = "speculative-lost"
-                attempts[i].append(
-                    TaskAttempt(
-                        attempt=attempt,
-                        outcome="success",
-                        seconds=seconds,
-                        speculative=True,
-                    )
-                )
-                datas[i] = data
-            else:
-                attempts[i].append(
-                    TaskAttempt(
-                        attempt=attempt,
-                        outcome="speculative-lost",
-                        seconds=seconds,
-                        speculative=True,
-                    )
-                )
-        else:
-            outcome = marker[3] if marker[0] == "err" else "corrupt"
-            error = marker[4] if marker[0] == "err" else None
-            seconds = marker[5] if marker[0] == "err" else 0.0
-            attempts[i].append(
-                TaskAttempt(
-                    attempt=attempt,
-                    outcome=outcome,
-                    seconds=seconds,
-                    speculative=True,
-                    error=f"{type(error).__name__}: {error}" if error else "",
-                )
-            )
+        failure = _as_failure(result, attempt)
+        if failure is not None:
+            attempts[i].append(TaskAttempt(
+                attempt=attempt, outcome=failure.outcome,
+                seconds=failure.seconds, speculative=True,
+                error=_describe(failure.error),
+            ))
+            return
+        primary = attempts[i][-1]
+        won = result.seconds < primary.seconds
+        if won:
+            primary.outcome = "speculative-lost"
+            results[i] = result
+        attempts[i].append(TaskAttempt(
+            attempt=attempt, outcome="success" if won else "speculative-lost",
+            seconds=result.seconds, speculative=True,
+        ))
 
     # ------------------------------------------------------------------
-    def _run_map_wave(
+    def _run_wave(
         self,
         job: Job,
-        splits: List[InputSplit],
-        reader,
+        wave: str,
+        items: Sequence[Any],
+        sink: Callable[[List[Tuple[Any, Any]]], Any],
         counters: Counters,
         output: List[Any],
         executor: Executor,
         policy: _WavePolicy,
-        profile: Optional[Dict[str, Dict[str, float]]] = None,
+        profile: Dict[str, Dict[str, float]],
     ):
-        intermediate: List[Tuple[Any, Any]] = []
-        stats: List[TaskStats] = []
-        summary = _new_summary()
-        counters.increment(Counter.MAP_TASKS, len(splits))
-        if not splits:
-            return stats, intermediate, summary
+        """Run one wave and fold its task results into the job, in order.
 
+        ``items`` are the tasks' inputs (splits, or reduce buckets);
+        ``sink`` receives each task's emitted pairs — the shuffle after
+        the map wave, the job output after the reduce wave. Returns the
+        per-task stats and the wave's fault summary.
+        """
+        counters.increment(
+            Counter.MAP_TASKS if wave == "map" else Counter.REDUCE_TASKS,
+            len(items),
+        )
+        stats: List[TaskStats] = []
+        if not items:
+            return stats, _new_summary()
         tracer = self.tracer
         progress = self.progress
         log = self.eventlog
         if progress is not None:
-            progress.wave_started(job.name, "map", len(splits))
-        with tracer.span("wave:map", kind="wave", tasks=len(splits)) as wave:
-            shipped = _shipped_job(
-                job, wave="map", faults=policy.faults,
-                profile=policy.profile, log_level=policy.log_level,
-            )
-            datas, attempts, summary = self._execute_wave(
-                wave="map",
-                items=splits,
-                make_payload=lambda tasks: (shipped, reader, tasks),
-                chunk_fn=_run_map_chunk,
-                executor=executor,
-                policy=policy,
-                task_label=lambda i: f"map-{splits[i].block_index}",
+            progress.wave_started(job.name, wave, len(items))
+        with tracer.span(
+            f"wave:{wave}", kind="wave", tasks=len(items)
+        ) as span:
+            results, attempts, summary = self._execute_wave(
+                wave, items, _shipped_job(job, wave, policy), executor, policy
             )
             self._trace_dispatch(executor)
             self._charge_dispatch(executor, policy, profile)
-            _annotate_wave(wave, summary)
-            cursor = wave.start
-            for i, data in enumerate(datas):
-                task_id, records_in, cdict, emitted, out, secs, events = data[:7]
-                counters.merge_dict(cdict)
-                if policy.profile and profile is not None and data[7]:
-                    _profiler.merge_into(profile, data[7], "map")
-                stats.append(
-                    TaskStats(
-                        task_id=task_id,
-                        records_in=records_in,
-                        records_out=len(emitted) + len(out),
-                        seconds=secs,
-                        attempts=_final_attempts(attempts[i]),
-                    )
+            _annotate_wave(span, summary)
+            cursor = span.start
+            for item, result, history in zip(items, results, attempts):
+                counters.merge_dict(result.counters)
+                if policy.profile and result.phases:
+                    _profiler.merge_into(profile, result.phases, wave)
+                task = TaskStats(
+                    task_id=_task_id(wave, item),
+                    records_in=result.records_in,
+                    records_out=len(result.emitted) + len(result.output),
+                    seconds=result.seconds,
+                    attempts=_final_attempts(history),
                 )
+                stats.append(task)
                 span_id = None
                 if tracer.enabled:
                     cursor, span_id = self._trace_task(
-                        task_id, records_in, stats[-1].records_out,
-                        secs, events, cursor, stats[-1].attempts,
+                        task, result.events, cursor
                     )
-                if log is not None and events:
+                if log is not None and result.events:
                     log.absorb(
-                        events, job=job.name, wave="map",
-                        task=task_id, span=span_id,
+                        result.events, job=job.name, wave=wave,
+                        task=task.task_id, span=span_id,
                     )
                 if progress is not None:
                     progress.task_finished(
-                        "map", len(stats), len(splits),
-                        records_in, stats[-1].records_out,
+                        wave, len(stats), len(items),
+                        task.records_in, task.records_out,
                     )
-                intermediate.extend(emitted)
-                output.extend(out)
-            self._log_wave(job.name, "map", len(stats), summary)
-        return stats, intermediate, summary
-
-    def _run_reduce_wave(
-        self,
-        job: Job,
-        intermediate: List[Tuple[Any, Any]],
-        counters: Counters,
-        output: List[Any],
-        executor: Executor,
-        policy: _WavePolicy,
-        profile: Optional[Dict[str, Dict[str, float]]] = None,
-    ):
-        num_reducers = max(1, job.num_reducers)
-        buckets: List[Dict[Any, List[Any]]] = [{} for _ in range(num_reducers)]
-        for k, v in intermediate:
-            index = job.partitioner(k, num_reducers) if num_reducers > 1 else 0
-            buckets[index].setdefault(k, []).append(v)
-
-        tasks = [
-            (task_index, list(bucket.items()))
-            for task_index, bucket in enumerate(buckets)
-            if bucket
-        ]
-        counters.increment(Counter.REDUCE_TASKS, len(tasks))
-        stats: List[TaskStats] = []
-        summary = _new_summary()
-        if not tasks:
-            return stats, summary
-
-        tracer = self.tracer
-        progress = self.progress
-        log = self.eventlog
-        if progress is not None:
-            progress.wave_started(job.name, "reduce", len(tasks))
-        with tracer.span("wave:reduce", kind="wave", tasks=len(tasks)) as wave:
-            shipped = _shipped_job(
-                job, wave="reduce", faults=policy.faults,
-                profile=policy.profile, log_level=policy.log_level,
-            )
-            datas, attempts, summary = self._execute_wave(
-                wave="reduce",
-                items=tasks,
-                make_payload=lambda ts: (shipped, ts),
-                chunk_fn=_run_reduce_chunk,
-                executor=executor,
-                policy=policy,
-                task_label=lambda i: f"reduce-{tasks[i][0]}",
-            )
-            self._trace_dispatch(executor)
-            self._charge_dispatch(executor, policy, profile)
-            _annotate_wave(wave, summary)
-            cursor = wave.start
-            for i, data in enumerate(datas):
-                task_index, records_in, cdict, emitted, out, secs, events = data[:7]
-                counters.merge_dict(cdict)
-                if policy.profile and profile is not None and data[7]:
-                    _profiler.merge_into(profile, data[7], "reduce")
-                stats.append(
-                    TaskStats(
-                        task_id=f"reduce-{task_index}",
-                        records_in=records_in,
-                        records_out=len(emitted) + len(out),
-                        seconds=secs,
-                        attempts=_final_attempts(attempts[i]),
-                    )
-                )
-                span_id = None
-                if tracer.enabled:
-                    cursor, span_id = self._trace_task(
-                        f"reduce-{task_index}", records_in,
-                        stats[-1].records_out, secs, events, cursor,
-                        stats[-1].attempts,
-                    )
-                if log is not None and events:
-                    log.absorb(
-                        events, job=job.name, wave="reduce",
-                        task=f"reduce-{task_index}", span=span_id,
-                    )
-                if progress is not None:
-                    progress.task_finished(
-                        "reduce", len(stats), len(tasks),
-                        records_in, stats[-1].records_out,
-                    )
-                # Reduce emit() goes to the job output (no later stage).
-                output.extend(v for _, v in emitted)
-                output.extend(out)
-            self._log_wave(job.name, "reduce", len(stats), summary)
+                sink(result.emitted)
+                output.extend(result.output)
+            self._log_wave(job.name, wave, len(stats), summary)
         return stats, summary
 
     # ------------------------------------------------------------------
@@ -1590,16 +1396,19 @@ class JobRunner:
     # wins is timing-dependent by nature.
     # ------------------------------------------------------------------
     def _trace_task(
-        self, task_id, records_in, records_out, secs, events, cursor,
-        attempts=(),
+        self, task: TaskStats, events, cursor
     ) -> Tuple[float, int]:
-        attrs = {"records_in": records_in, "records_out": records_out}
+        attrs = {
+            "records_in": task.records_in, "records_out": task.records_out
+        }
+        attempts = task.attempts
         if attempts:
             attrs["attempts"] = sum(
                 1 for a in attempts if not a.speculative
             )
         span_id = self.tracer.add_span(
-            f"task:{task_id}", "task", cursor, cursor + secs, **attrs
+            f"task:{task.task_id}", "task", cursor, cursor + task.seconds,
+            **attrs
         )
         offset = cursor
         for a in attempts:
@@ -1610,7 +1419,7 @@ class JobRunner:
             if a.error:
                 a_attrs["error"] = a.error
             self.tracer.add_span(
-                f"attempt:{task_id}#{a.attempt}", "attempt",
+                f"attempt:{task.task_id}#{a.attempt}", "attempt",
                 start, start + a.seconds,
                 parent_id=span_id, volatile=a.speculative, **a_attrs,
             )
@@ -1622,7 +1431,7 @@ class JobRunner:
             self.tracer.event(
                 event["name"], parent_id=span_id, **event["attrs"]
             )
-        return cursor + secs, span_id
+        return cursor + task.seconds, span_id
 
     def _log_wave(self, job_name, wave, tasks, summary) -> None:
         """Wave-boundary event-log records (after task logs absorbed).
@@ -1726,6 +1535,26 @@ def _annotate_wave(wave_span, summary: Dict[str, float]) -> None:
             wave_span.set(f"tasks_{key}", int(summary[key]))
 
 
+def _describe(error: Exception) -> str:
+    return f"{type(error).__name__}: {error}"
+
+
+def _reduce_tasks(
+    job: Job, intermediate: List[Tuple[Any, Any]]
+) -> List[Tuple[int, List[Tuple[Any, List[Any]]]]]:
+    """The shuffle: non-empty reduce buckets as ``(bucket, groups)`` items."""
+    num_reducers = max(1, job.num_reducers)
+    buckets: List[Dict[Any, List[Any]]] = [{} for _ in range(num_reducers)]
+    for k, v in intermediate:
+        index = job.partitioner(k, num_reducers) if num_reducers > 1 else 0
+        buckets[index].setdefault(k, []).append(v)
+    return [
+        (task_index, list(bucket.items()))
+        for task_index, bucket in enumerate(buckets)
+        if bucket
+    ]
+
+
 def _final_attempts(records: List[TaskAttempt]) -> List[TaskAttempt]:
     """Attempt history worth keeping: anything beyond one clean success."""
     if (
@@ -1754,11 +1583,3 @@ def _sorted_items(
     except TypeError:
         return items
 
-
-def _sorted_keys(bucket: Dict[Any, List[Any]]) -> List[Any]:
-    """Keys in sorted order when comparable, insertion order otherwise."""
-    keys = list(bucket.keys())
-    try:
-        return sorted(keys)
-    except TypeError:
-        return keys

@@ -240,9 +240,10 @@ class ShmBlock:
 def _is_map_chunk(chunk: Any) -> bool:
     """Does this chunk match the map-wave payload shape?
 
-    Map chunks are ``(job, reader, tasks)`` with tasks of
-    ``(index, attempt, InputSplit)``; reduce chunks are 2-tuples and pass
-    through untouched (their payloads are shuffled pairs, not blocks).
+    Runtime chunks are ``(job, wave, tasks)`` with tasks of ``(index,
+    attempt, item)``. A map chunk's items are input splits;
+    reduce items are shuffled key groups, not blocks, so reduce chunks
+    pass through untouched.
     """
     if not (isinstance(chunk, tuple) and len(chunk) == 3):
         return False
@@ -308,10 +309,10 @@ def prepare_chunks(
             )
         shipped = []
         for chunk in chunks:
-            job, reader, tasks = chunk
+            job, wave, tasks = chunk
             shipped.append((
                 job,
-                reader,
+                wave,
                 [
                     (
                         index,

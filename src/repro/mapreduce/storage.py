@@ -142,16 +142,13 @@ class StorageManager:
         Homogeneous point/rectangle blocks get a columnar payload here
         and their checksum is computed over the columnar bytes, so
         replica verification and fsck cover exactly what the batch
-        kernels read.
-
-        Also used to *adopt* blocks from workspaces pickled before the
-        storage layer existed; sealing is idempotent for placed blocks.
+        kernels read. Sealing is idempotent for placed blocks.
         """
         from repro.mapreduce.columnar import ColumnarPayload
 
-        if getattr(block, "replicas", None):
+        if block.replicas:
             return
-        if getattr(block, "columnar", None) is None:
+        if block.columnar is None:
             block.columnar = ColumnarPayload.from_records(block.records)
         payload = block.columnar
         if payload is not None:
@@ -185,7 +182,7 @@ class StorageManager:
     def healthy_replicas(self, block: Any) -> List[Replica]:
         return [
             r
-            for r in getattr(block, "replicas", None) or ()
+            for r in block.replicas
             if self.is_alive(r.node) and not r.corrupt
         ]
 
@@ -195,12 +192,13 @@ class StorageManager:
         Returns ``(failovers, corrupt_seen)``: how many replicas were
         skipped before a healthy one answered, and how many of those were
         skipped for a failed checksum (vs a dead node). Raises
-        :class:`BlockUnavailableError` when no copy survives.
+        :class:`BlockUnavailableError` when no copy survives. A block
+        with no replica map is not stored at all — a splitter's stand-in
+        for a virtual split, whose inputs the driver verified — so there
+        is nothing to route.
         """
-        replicas = getattr(block, "replicas", None)
+        replicas = block.replicas
         if not replicas:
-            # Legacy block (pre-storage workspace): adopt it on first read.
-            self.seal_block(block)
             return 0, 0
         failovers = 0
         corrupt_seen = 0
@@ -223,10 +221,7 @@ class StorageManager:
     # -- failure injection ----------------------------------------------
     def corrupt_replica(self, block: Any, replica: int = 0) -> bool:
         """Mark one stored copy of ``block`` as failing its checksum."""
-        replicas = getattr(block, "replicas", None)
-        if not replicas:
-            self.seal_block(block)
-            replicas = block.replicas
+        replicas = block.replicas
         if not 0 <= replica < len(replicas):
             return False
         replicas[replica].corrupt = True
@@ -408,19 +403,6 @@ def run_fsck(
         report.files_checked += 1
         for index, block in enumerate(entry.blocks):
             report.blocks_checked += 1
-            if not getattr(block, "replicas", None):
-                storage.seal_block(block)
-                report.issues.append(
-                    FsckIssue(
-                        file=name,
-                        block=index,
-                        code="unplaced-block",
-                        message="no replica map (pre-storage workspace); "
-                        "sealed and placed",
-                        repaired=True,
-                    )
-                )
-                continue
             corrupt_detected += _check_block(
                 name, index, block, storage, repair, report
             )
@@ -455,14 +437,11 @@ def _check_block(name, index, block, storage, repair, report) -> int:
     from repro.mapreduce.columnar import block_payload_checksum
 
     corrupt_seen = 0
-    stored = getattr(block, "checksum", None)
+    stored = block.checksum
     # Rebuilt fresh from the current records (columnar bytes for
     # homogeneous blocks, pickled records otherwise) so in-place
-    # mutation is detected either way. Blocks sealed before the
-    # columnar format may carry the legacy pickle CRC; accept it.
+    # mutation is detected either way.
     actual = block_payload_checksum(block)
-    if stored != actual and stored == checksum_records(block.records):
-        actual = stored
     if stored != actual:
         if repair:
             block.checksum = actual
@@ -591,7 +570,7 @@ def _rebuild_local_index(block, stored, actual) -> bool:
         return False
     if crc not in (stored, actual):
         return False
-    if getattr(block, "columnar", None) is not None:
+    if block.columnar is not None:
         block.columnar = ColumnarPayload.from_records(block.records)
     block.metadata["local_index"] = rebuilt
     block.metadata["local_index_crc"] = crc

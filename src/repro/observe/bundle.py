@@ -67,8 +67,8 @@ def collect_bundle(
     from repro.mapreduce.storage import run_fsck
 
     runner = sh.runner
-    telemetry = getattr(runner, "telemetry", None)
-    eventlog = getattr(runner, "eventlog", None)
+    telemetry = runner.telemetry
+    eventlog = runner.eventlog
     tracer = sh.tracer
 
     doc: Dict[str, Any] = {
@@ -84,7 +84,7 @@ def collect_bundle(
             for file_name in sh.fs.list_files()
         ],
         "metrics": sh.metrics.snapshot(),
-        "telemetry": list(getattr(telemetry, "records", []) or []),
+        "telemetry": [] if telemetry is None else list(telemetry.records),
         "history": sh.history.to_dict(),
         "eventlog": (
             None

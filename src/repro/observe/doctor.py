@@ -254,14 +254,8 @@ def diagnose(
 
 
 def _durability_findings(fs: Any, file_name: str, entry: Any) -> List[Finding]:
-    """Storage-health findings: blocks short of their replica target.
-
-    ``getattr`` keeps the doctor working against file systems pickled
-    before the durable storage layer existed (no findings, no crash).
-    """
-    storage = getattr(fs, "storage", None)
-    if storage is None:
-        return []
+    """Storage-health findings: blocks short of their replica target."""
+    storage = fs.storage
     target = storage.target_replication
     short = 0
     worst = target

@@ -41,14 +41,13 @@ class JobRecord:
     #: Simulated-cost breakdown: overhead / map / shuffle / reduce / total.
     cost: Dict[str, float] = field(default_factory=dict)
     #: Fault-tolerance activity (see JobResult.fault_summary); empty for
-    #: clean runs and for records pickled before fault tolerance existed.
+    #: clean runs.
     fault_summary: Dict[str, float] = field(default_factory=dict)
     #: The job's input files — lets the doctor map retry-prone tasks back
     #: to the partitions of a diagnosed index.
     input_files: List[str] = field(default_factory=list)
     #: Per-phase wall-time attribution (``{"map/kernel": {"s":..,"n":..}}``)
-    #: — populated only for jobs run with profiling on; empty otherwise
-    #: (and for records pickled before the profiler existed).
+    #: — populated only for jobs run with profiling on; empty otherwise.
     phase_profile: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
@@ -79,13 +78,8 @@ class JobRecord:
 
     def tasks_with_attempts(self) -> List[TaskStats]:
         """Tasks whose attempt history is non-trivial (retried, timed
-        out, speculated ...), across both waves. ``getattr`` keeps
-        records pickled before fault tolerance existed loading."""
-        return [
-            t
-            for t in self.map_tasks + self.reduce_tasks
-            if getattr(t, "attempts", None)
-        ]
+        out, speculated ...), across both waves."""
+        return [t for t in self.map_tasks + self.reduce_tasks if t.attempts]
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobRecord":
@@ -131,12 +125,12 @@ class JobRecord:
             "map_tasks": [asdict(t) for t in self.map_tasks],
             "reduce_tasks": [asdict(t) for t in self.reduce_tasks],
             "cost": dict(self.cost),
-            "fault_summary": dict(getattr(self, "fault_summary", {}) or {}),
+            "fault_summary": dict(self.fault_summary),
             "input_files": list(self.input_files),
             "phase_profile": {
                 key: dict(entry)
                 for key, entry in sorted(
-                    (getattr(self, "phase_profile", {}) or {}).items()
+                    self.phase_profile.items()
                 )
             },
         }
@@ -149,8 +143,10 @@ class JobHistory:
         self.limit = limit
         self._records: Deque[JobRecord] = deque(maxlen=limit)
         self._next_id = 1
-        #: Summaries of fsck runs (bounded like the job records).
+        #: Summaries of fsck runs and of crash recoveries (bounded like
+        #: the job records).
         self._fsck_runs: Deque[Dict[str, Any]] = deque(maxlen=limit)
+        self._recoveries: Deque[Dict[str, Any]] = deque(maxlen=limit)
 
     # -- recording ------------------------------------------------------
     def record(
@@ -178,32 +174,20 @@ class JobHistory:
         return rec
 
     def record_fsck(self, summary: Dict[str, Any]) -> None:
-        """Retain one fsck run's summary for the history report.
-
-        ``getattr`` keeps histories pickled before the storage layer
-        existed working when this is called on them.
-        """
-        if not hasattr(self, "_fsck_runs"):
-            self._fsck_runs = deque(maxlen=self.limit)
+        """Retain one fsck run's summary for the history report."""
         self._fsck_runs.append(dict(summary))
 
     @property
     def fsck_runs(self) -> List[Dict[str, Any]]:
-        return list(getattr(self, "_fsck_runs", []))
+        return list(self._fsck_runs)
 
     def record_recovery(self, summary: Dict[str, Any]) -> None:
-        """Retain one crash-recovery (resume) summary for the report.
-
-        ``getattr`` keeps histories pickled before the checkpoint layer
-        existed working when this is called on them.
-        """
-        if not hasattr(self, "_recoveries"):
-            self._recoveries = deque(maxlen=self.limit)
+        """Retain one crash-recovery (resume) summary for the report."""
         self._recoveries.append(dict(summary))
 
     @property
     def recoveries(self) -> List[Dict[str, Any]]:
-        return list(getattr(self, "_recoveries", []))
+        return list(self._recoveries)
 
     # -- access ---------------------------------------------------------
     def __len__(self) -> int:
@@ -377,14 +361,14 @@ class JobHistory:
                         f"{a.outcome + marker:<17} "
                         f"{a.backoff_s:>9.3f}  {a.seconds:>10.6f}"
                     )
-        fault = getattr(rec, "fault_summary", None)
+        fault = rec.fault_summary
         if fault:
             parts = ", ".join(
                 f"{key}={value:g}" for key, value in sorted(fault.items())
             )
             lines.append(f"  fault summary: {parts}")
 
-        phases = getattr(rec, "phase_profile", None)
+        phases = rec.phase_profile
         if phases:
             lines.append("  phase breakdown (profiled):")
             lines.append(_profile.render_report(phases, indent="    ").rstrip())

@@ -9,8 +9,7 @@ cumulative ``_bucket{le=...}`` series plus ``_sum`` / ``_count``, and
 optional labels (``workers``, ``tenant``, ``operation``…) are
 rendered onto every sample. Names are sanitized defensively (dots and
 dashes become underscores) even though the registry validates names at
-registration, because workspaces pickled before validation existed may
-carry anything. :func:`parse_exposition` is the matching strict parser,
+registration. :func:`parse_exposition` is the matching strict parser,
 used by the tests and CI to lint the page — it verifies name charset,
 sample syntax, histogram bucket monotonicity and sum/count consistency,
 and the ``# EOF`` terminator.

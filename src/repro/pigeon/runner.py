@@ -125,10 +125,15 @@ class _Runner:
         window = constant_overlap_window(stmt.predicate)
         # The compile step: record which physical plan the planner chose,
         # so traces show *why* a FILTER was (or was not) index-accelerated.
+        # A window over a heap file is a scan, as EXPLAIN reports it.
+        indexed = (
+            window is not None
+            and "global_index" in self.sh.fs.get(source).metadata
+        )
         self.sh.tracer.event(
             "pigeon:plan",
             kind="pigeon-compile",
-            plan="indexed-range" if window is not None else "scan-filter",
+            plan="indexed-range" if indexed else "scan-filter",
         )
         if window is not None:
             op = self.sh.range_query(source, window)

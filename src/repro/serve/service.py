@@ -196,7 +196,7 @@ class QueryService:
 
     def _fire_burst(self, request: Request) -> None:
         """Apply a ``burst:<tenant>:<n>`` service fault, at most once."""
-        plan = getattr(self.sh.runner, "faults", None)
+        plan = self.sh.runner.faults
         if plan is None or request.tenant in self._burst_fired:
             return
         count = plan.burst_for(request.tenant)
@@ -328,7 +328,7 @@ class QueryService:
             arrival_s=request.arrival_s,
             synthetic=request.synthetic,
         )
-        plan_faults = getattr(self.sh.runner, "faults", None)
+        plan_faults = self.sh.runner.faults
         slow_extra = (
             plan_faults.slowdown_for(request.tenant) if plan_faults else 0.0
         )
@@ -397,7 +397,7 @@ class QueryService:
             if request.deadline_s is not None
             else None
         )
-        previous_token = getattr(self.sh.runner, "cancellation", None)
+        previous_token = self.sh.runner.cancellation
         token = None
         if remaining is not None:
             token = CancellationToken(deadline_s=remaining)
@@ -615,7 +615,7 @@ class QueryService:
         self.sh._log_event(level, "serve", event, **attrs)
 
     def _scrape(self, event: str) -> None:
-        telemetry = getattr(self.sh.runner, "telemetry", None)
+        telemetry = self.sh.runner.telemetry
         if telemetry is not None:
             telemetry.scrape(event, self.sh.metrics)
 

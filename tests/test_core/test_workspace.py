@@ -120,19 +120,39 @@ class TestCorruption:
 
 
 class TestCompatibility:
-    def test_legacy_plain_pickle_still_loads(self, tmp_path):
-        sh = build("grid")
-        path = tmp_path / "legacy.pkl"
-        path.write_bytes(pickle.dumps(sh))
+    def test_headerless_pickle_is_refused(self, tmp_path):
+        path = tmp_path / "plain.pkl"
+        path.write_bytes(pickle.dumps(build("grid")))
         assert not is_workspace_file(path)
-        sh2 = load_workspace(path, expected_type=SpatialHadoop)
-        assert sh2.fs.num_records("pts") == 900
+        with pytest.raises(WorkspaceCorruptError, match="no workspace magic"):
+            load_workspace(path, expected_type=SpatialHadoop)
+
+    def test_v3_header_is_refused_with_a_rebuild_hint(self, tmp_path):
+        # v3 blocks may lack their columnar payload and column checksum.
+        path = tmp_path / "ws.pkl"
+        save_workspace(build("grid"), path)
+        raw = bytearray(path.read_bytes())
+        raw[len(MAGIC)] = 3
+        path.write_bytes(bytes(raw))
+        with pytest.raises(WorkspaceVersionError, match="rebuild the index"):
+            load_workspace(path)
 
     def test_corrupt_legacy_pickle_raises_structured_error(self, tmp_path):
         path = tmp_path / "legacy.pkl"
         path.write_bytes(b"not a pickle at all")
         with pytest.raises(WorkspaceCorruptError):
             load_workspace(path)
+
+    def test_v4_round_trip_passes_fsck(self, tmp_path):
+        sh = build("kdtree")
+        path = tmp_path / "ws.pkl"
+        save_workspace(sh, path)
+        sh2 = load_workspace(path, expected_type=SpatialHadoop)
+        report = sh2.fsck()
+        assert report.healthy and not report.issues
+        for block in sh2.fs.get("pts").blocks:
+            assert block.columnar is not None
+            assert block.checksum == block.columnar.checksum()
 
     def test_foreign_object_raises_type_error(self, tmp_path):
         path = tmp_path / "other.pkl"

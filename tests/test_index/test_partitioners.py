@@ -107,14 +107,15 @@ class TestDisjointTechniques:
                 assert p.cell_rect(cid).intersects(rect)
 
     def test_replication_complete(self, name):
-        # Every cell whose open interior intersects the record is included.
+        # Every cell whose closed rectangle meets the record is included:
+        # boundary contact counts, as in the closed query predicates.
         p = make(name)
         for rect in generate_rectangles(
             100, "uniform", seed=13, space=SPACE, avg_side_fraction=0.15
         ):
             cells = set(p.assign(rect))
             for cid in range(p.num_cells()):
-                if p.cell_rect(cid).intersects_open(rect):
+                if p.cell_rect(cid).intersects(rect):
                     assert cid in cells
 
     def test_bad_cell_id_raises(self, name):

@@ -5,12 +5,14 @@ journal/replay/crash machinery."""
 import json
 import pickle
 import signal
+import zlib
 
 import pytest
 
 from repro import SpatialHadoop
 from repro.datagen import generate_points
 from repro.geometry import Point, Rectangle
+from repro.mapreduce import checkpoint
 from repro.mapreduce.checkpoint import (
     MAGIC,
     CancellationToken,
@@ -29,6 +31,7 @@ from repro.mapreduce.checkpoint import (
     write_checkpoint_file,
 )
 from repro.mapreduce.faults import DriverFault, FaultPlan
+from repro.mapreduce.job import Job
 
 
 # ----------------------------------------------------------------------
@@ -382,3 +385,67 @@ class TestExecutorShutdownGuards:
             sh.runner.close()
         assert seen["arena_live"]
         assert shm.live_segments() == []
+
+
+def _write_every_record(_key, records, ctx):
+    for record in records:
+        ctx.write_output(record)
+
+
+def _as_v1_layout(payload):
+    """A wave payload as the v1 journal stored it: 8-tuples per task."""
+    results, attempts, summary = payload
+    tuples = [
+        (f"map-{i}", r.records_in, r.counters, r.emitted, r.output,
+         r.seconds, r.events, r.phases)
+        for i, r in enumerate(results)
+    ]
+    return (tuples, attempts, summary)
+
+
+class TestJournalFormat:
+    def test_task_results_journal_as_packed_columns(self, tmp_path):
+        sh = SpatialHadoop(num_nodes=2, block_capacity=500,
+                           job_overhead_s=0.01)
+        points = [Point(float(i), float(i % 7)) for i in range(200)]
+        sh.load("pts", points)
+        directory = tmp_path / "run.ckpt"
+        sh.enable_checkpoints(directory)
+        sh.runner.run(Job(input_file="pts", map_fn=_write_every_record,
+                          name="copy"))
+        path = directory / "wave-00000.ckpt"
+        raw = path.read_bytes()
+        # The output records crossed the journal as float columns, not
+        # as 200 pickled Point objects.
+        assert b"_thaw_records" in raw
+        assert b"Point" not in raw
+        results, _, _ = read_checkpoint_file(path)["payload"]
+        assert results[0].output == points
+
+    def test_v1_wave_file_is_a_cache_miss(self, tmp_path):
+        directory = tmp_path / "run.ckpt"
+        clean = small_workspace().range_query("pts_idx", WINDOW)
+        crashed = small_workspace()
+        crashed.runner.set_faults("crashdriver:0")
+        crashed.enable_checkpoints(directory)
+        with pytest.raises(DriverCrashed):
+            crashed.range_query("pts_idx", WINDOW)
+
+        # Rewrite wave 0 the way the previous release framed it.
+        path = directory / "wave-00000.ckpt"
+        record = read_checkpoint_file(path)
+        record["payload"] = _as_v1_layout(record["payload"])
+        body = pickle.dumps(record)
+        path.write_bytes(MAGIC + checkpoint._HEADER.pack(
+            1, zlib.crc32(body) & 0xFFFFFFFF, len(body)) + body)
+
+        # Attached without resume()'s fsck pass, which would delete it.
+        resumed = small_workspace()
+        resumed.runner.set_faults("crashdriver:0")
+        manager = CheckpointManager.load(directory)
+        resumed.runner.set_checkpoint(manager)
+        got = resumed.range_query("pts_idx", WINDOW)
+        assert got.answer == clean.answer
+        assert got.counters.as_dict() == clean.counters.as_dict()
+        assert [index for index, _ in manager.corrupt_skipped] == [0]
+        assert "v1" in manager.corrupt_skipped[0][1]

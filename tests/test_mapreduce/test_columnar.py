@@ -11,7 +11,7 @@ from repro.mapreduce.columnar import (
     block_payload_checksum,
     payload_of,
 )
-from repro.mapreduce.storage import checksum_records, run_fsck
+from repro.mapreduce.storage import run_fsck
 
 POINTS = [Point(float(i), float(i) * 2.0) for i in range(40)]
 RECTS = [
@@ -99,14 +99,6 @@ class TestStorageAdoption:
             assert payload is not None
             assert block.checksum == payload.checksum()
             assert block.checksum == block_payload_checksum(block)
-
-    def test_fsck_accepts_legacy_record_checksums(self):
-        fs = self.build_fs()
-        for block in fs.get("pts").blocks:
-            block.checksum = checksum_records(block.records)
-            block.columnar = None
-        report = run_fsck(fs)
-        assert report.healthy, report.issues
 
     def test_fsck_still_detects_mutation(self):
         fs = self.build_fs()

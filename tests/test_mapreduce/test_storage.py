@@ -87,15 +87,6 @@ class TestReadPath:
         with pytest.raises(BlockUnavailableError):
             fs.read_records("f")
 
-    def test_legacy_block_adopted_on_read(self):
-        fs = make_fs()
-        fs.create_file("f", [1, 2, 3])
-        # Simulate a pre-storage block: strip its durability state.
-        block = fs.get("f").blocks[0]
-        block.replicas = []
-        block.checksum = None
-        assert fs.verify_file_read("f") == (0, 0)
-        assert block.replicas and block.checksum is not None
 
 
 class TestLoseNode:
@@ -182,15 +173,6 @@ class TestFsck:
         report = run_fsck(fs, repair=True)
         assert report.count("lost-block") == 1
         assert not report.healthy
-
-    def test_adopts_unplaced_legacy_blocks(self):
-        fs = make_fs()
-        entry = fs.create_file("f", [1, 2, 3])
-        entry.blocks[0].replicas = []
-        report = run_fsck(fs)
-        assert report.count("unplaced-block") == 1
-        assert report.healthy  # adoption counts as repaired
-        assert entry.blocks[0].replicas
 
     def test_repairs_corrupt_local_index(self):
         from repro.core.system import SpatialHadoop

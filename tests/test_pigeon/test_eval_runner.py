@@ -109,6 +109,29 @@ class TestRunner:
         ]
         assert len(res.dumped["w"]) == len(expected)
 
+    @pytest.mark.parametrize("index", [False, True])
+    def test_filter_plan_trace_agrees_with_explain(self, sh, index):
+        from repro.observe.explain import explain_pigeon
+
+        script = (
+            "p = LOAD 'pois';"
+            + (" p = INDEX p USING grid;" if index else "")
+            + " w = FILTER p BY Overlaps(geom, MakeBox(0, 0, 250, 250));"
+            + " DUMP w;"
+        )
+        tracer = sh.enable_tracing()
+        run_script(sh, script)
+        traced = [
+            r["attrs"]["plan"] for r in tracer.records()
+            if r["name"] == "pigeon:plan"
+        ]
+        (filter_node,) = [
+            n for n in explain_pigeon(sh, script).plan.children
+            if n.name.startswith("FILTER")
+        ]
+        assert traced == [filter_node.detail["plan"]]
+        assert traced == ["indexed-range" if index else "scan-filter"]
+
     def test_range_statement(self, sh):
         res = run_script(
             sh,
