@@ -20,6 +20,10 @@ Queries use a small text language (one line, shell friendly)::
     knnjoin <left> <right> [k]      skyline|hull|closestpair|
                                     farthestpair|union|voronoi <file>
 
+The operations are the entries of :mod:`repro.operations.table`; the
+parser, the planner dispatch and the executor dispatch below look them
+up there.
+
 NOTE: this module imports the operations layer, which imports
 ``repro.observe.plan`` — so it is deliberately NOT re-exported from
 ``repro.observe``'s package initialiser. Import it as a module::
@@ -30,24 +34,21 @@ NOTE: this module imports the operations layer, which imports
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro import operations
 from repro.geometry import Point, Rectangle
 from repro.observe.plan import PLAN_VERSION, PlanNode, attach_error
+from repro.operations.table import OPERATIONS, Operation
 
 #: Default k for knn / knnjoin queries that do not spell one out.
 DEFAULT_K = 10
 
-#: Operations that take a single file and no further arguments.
-_UNARY_OPS = {
-    "skyline": "Skyline",
-    "hull": "ConvexHull",
-    "closestpair": "ClosestPair",
-    "farthestpair": "FarthestPair",
-    "union": "Union",
-    "voronoi": "Voronoi",
-}
+#: Shape argument -> (coordinates it reads, the shape they make).
+_SHAPES = {"window": (4, Rectangle), "point": (2, Point)}
+_USAGE = {"window": "<x1,y1,x2,y2>", "point": "<x,y>", "k": "[k]"}
 
 
 class ExplainQueryError(ValueError):
@@ -68,60 +69,61 @@ class Query:
     def file(self) -> str:
         return self.files[0]
 
+    def arguments(self) -> Tuple[Any, ...]:
+        """The files, then the operation's arguments: what both its
+        facade method and its planner take after the runner."""
+        args = OPERATIONS[self.op].args
+        return (*self.files, *(getattr(self, name) for name in args))
+
 
 def parse_query(text: str) -> Query:
     """Parse the one-line query language (see the module docstring)."""
     tokens = text.replace("(", " ").replace(")", " ").split()
     if not tokens:
         raise ExplainQueryError("empty query")
-    op = tokens[0].lower()
-    args = tokens[1:]
-
-    def numbers(parts: List[str], count: int) -> List[float]:
-        flat: List[str] = []
-        for part in parts:
-            flat.extend(p for p in part.split(",") if p)
-        if len(flat) != count:
-            raise ExplainQueryError(
-                f"{op!r} needs {count} coordinate(s), found {len(flat)}"
-            )
+    name = tokens[0].lower()
+    operation = OPERATIONS.get(name)
+    if operation is None:
+        raise ExplainQueryError(
+            f"unknown operation {name!r}; expected one of: "
+            + ", ".join(OPERATIONS)
+        )
+    files = tokens[1:1 + operation.files]
+    numbers = [
+        p for part in tokens[1 + operation.files:] for p in part.split(",") if p
+    ]
+    # A shape argument (window or point) comes first in ``args``.
+    shape = operation.args[0] if operation.args else None
+    coords, make = _SHAPES.get(shape, (0, None))
+    if len(files) < operation.files or (coords and not numbers):
+        raise _usage(operation)
+    query = Query(op=name, files=files)
+    # A trailing k only when more numbers remain than the shape reads.
+    if "k" in operation.args and len(numbers) > coords:
+        k = numbers.pop()
+        if not k.isdigit():
+            raise ExplainQueryError(f"k must be a whole number, found {k!r}")
+        query.k = int(k)
+    if not coords and numbers:
+        raise _usage(operation)
+    if len(numbers) != coords:
+        raise ExplainQueryError(
+            f"{name!r} needs {coords} coordinate(s), found {len(numbers)}"
+        )
+    if coords:
         try:
-            return [float(p) for p in flat]
+            values = [float(p) for p in numbers]
         except ValueError as exc:
-            raise ExplainQueryError(f"bad coordinate in {parts!r}") from exc
+            raise ExplainQueryError(f"bad coordinate in {numbers!r}") from exc
+        setattr(query, shape, make(*values))
+    return query
 
-    if op in ("range", "count"):
-        if len(args) < 2:
-            raise ExplainQueryError(f"usage: {op} <file> <x1,y1,x2,y2>")
-        x1, y1, x2, y2 = numbers(args[1:], 4)
-        return Query(op=op, files=[args[0]], window=Rectangle(x1, y1, x2, y2))
-    if op == "knn":
-        if len(args) < 2:
-            raise ExplainQueryError("usage: knn <file> <x,y> [k]")
-        k = DEFAULT_K
-        coords = args[1:]
-        if len(coords) > 1 and coords[-1].isdigit() and "," not in coords[-1]:
-            k = int(coords[-1])
-            coords = coords[:-1]
-        x, y = numbers(coords, 2)
-        return Query(op=op, files=[args[0]], point=Point(x, y), k=k)
-    if op in ("sjoin", "knnjoin"):
-        if len(args) < 2:
-            raise ExplainQueryError(f"usage: {op} <left> <right>" + (
-                " [k]" if op == "knnjoin" else ""
-            ))
-        k = DEFAULT_K
-        if op == "knnjoin" and len(args) >= 3 and args[2].isdigit():
-            k = int(args[2])
-        return Query(op=op, files=[args[0], args[1]], k=k)
-    if op in _UNARY_OPS:
-        if len(args) != 1:
-            raise ExplainQueryError(f"usage: {op} <file>")
-        return Query(op=op, files=[args[0]])
-    raise ExplainQueryError(
-        f"unknown operation {op!r}; expected one of: range, count, knn, "
-        f"sjoin, knnjoin, {', '.join(sorted(_UNARY_OPS))}"
-    )
+
+def _usage(operation: Operation) -> ExplainQueryError:
+    files = ["<file>"] if operation.files == 1 else ["<left>", "<right>"]
+    return ExplainQueryError(" ".join(
+        ["usage:", operation.name, *files, *map(_USAGE.get, operation.args)]
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -162,56 +164,13 @@ class Explanation:
 # ----------------------------------------------------------------------
 def build_plan(sh: Any, query: Query) -> PlanNode:
     """The plan tree for ``query`` against SpatialHadoop instance ``sh``."""
-    from repro import operations as ops
-
-    return _dispatch_plan(ops, sh.runner, query)
-
-
-def _dispatch_plan(ops, runner: Any, query: Query) -> PlanNode:
-    if query.op == "range":
-        return ops.plan_range_query(runner, query.file, query.window)
-    if query.op == "count":
-        return ops.plan_range_count(runner, query.file, query.window)
-    if query.op == "knn":
-        return ops.plan_knn(runner, query.file, query.point, query.k)
-    if query.op == "sjoin":
-        return ops.plan_spatial_join(runner, query.files[0], query.files[1])
-    if query.op == "knnjoin":
-        return ops.plan_knn_join(
-            runner, query.files[0], query.files[1], query.k
-        )
-    planner = {
-        "skyline": ops.plan_skyline,
-        "hull": ops.plan_convex_hull,
-        "closestpair": ops.plan_closest_pair,
-        "farthestpair": ops.plan_farthest_pair,
-        "union": ops.plan_union,
-        "voronoi": ops.plan_voronoi,
-    }[query.op]
-    return planner(runner, query.file)
+    planner = getattr(operations, OPERATIONS[query.op].planner)
+    return planner(sh.runner, *query.arguments())
 
 
 def execute_query(sh: Any, query: Query) -> Any:
     """Run ``query`` through the normal facade dispatch."""
-    if query.op == "range":
-        return sh.range_query(query.file, query.window)
-    if query.op == "count":
-        return sh.range_count(query.file, query.window)
-    if query.op == "knn":
-        return sh.knn(query.file, query.point, query.k)
-    if query.op == "sjoin":
-        return sh.spatial_join(query.files[0], query.files[1])
-    if query.op == "knnjoin":
-        return sh.knn_join(query.files[0], query.files[1], query.k)
-    method = {
-        "skyline": sh.skyline,
-        "hull": sh.convex_hull,
-        "closestpair": sh.closest_pair,
-        "farthestpair": sh.farthest_pair,
-        "union": sh.union,
-        "voronoi": sh.voronoi,
-    }[query.op]
-    return method(query.file)
+    return getattr(sh, OPERATIONS[query.op].method)(*query.arguments())
 
 
 def explain_query(sh: Any, text: str) -> Explanation:
@@ -227,24 +186,31 @@ def analyze_query(sh: Any, text: str) -> Explanation:
     """ANALYZE: plan, execute, and annotate the plan with actuals."""
     query = parse_query(text)
     plan = build_plan(sh, query)
-
-    own_tracer = not sh.tracer.enabled
-    if own_tracer:
-        sh.enable_tracing()
-    base = len(sh.tracer.records())
-    try:
+    with _traced(sh):
+        base = len(sh.tracer.records())
         result = execute_query(sh, query)
         trace = sh.tracer.records()[base:]
-    finally:
-        if own_tracer:
-            sh.disable_tracing()
 
     annotate_plan(plan, result, trace, sh.runner.cluster)
     _record_analyze_metrics(sh.metrics, plan)
     return Explanation(query=text, plan=plan, analyzed=True, result=result)
 
 
-def _rows_of(answer: Any) -> int:
+@contextmanager
+def _traced(sh: Any) -> Iterator[None]:
+    """Run the body under a live tracer, restoring a null one after."""
+    own_tracer = not sh.tracer.enabled
+    if own_tracer:
+        sh.enable_tracing()
+    try:
+        yield
+    finally:
+        if own_tracer:
+            sh.disable_tracing()
+
+
+def rows_of(answer: Any) -> int:
+    """Output rows of an operation's answer (a count is its own rows)."""
     if answer is None:
         return 0
     if isinstance(answer, (int, float)):
@@ -377,7 +343,7 @@ def annotate_plan(
             node.actual["executed"] = False
 
     # Root: rounds, output rows, selectivity, operation-level times.
-    rows = _rows_of(result.answer)
+    rows = rows_of(result.answer)
     plan.actual["rounds"] = len(jobs)
     attach_error(plan, "rounds")
     for key in ("matches", "count"):
@@ -428,203 +394,58 @@ def _record_analyze_metrics(metrics: Any, plan: PlanNode) -> None:
 # ----------------------------------------------------------------------
 # Pigeon scripts
 # ----------------------------------------------------------------------
-#: Statement types whose execution appends to ScriptResult.operations.
-_OP_STATEMENTS = (
-    "Index", "Filter", "Foreach", "RangeQuery", "Knn", "SpatialJoin",
-    "UnaryOperation",
-)
-
-
 def explain_pigeon(sh: Any, script: str, analyze: bool = False) -> Explanation:
-    """EXPLAIN (or ANALYZE) every statement of a Pigeon script.
+    """EXPLAIN (or ANALYZE) a Pigeon script: render its compiled steps.
 
-    EXPLAIN tracks relations symbolically: a LOAD binds its real file, so
-    statements over loaded relations get full operation subplans; derived
-    relations (the output of a FILTER, say) do not exist yet at plan
-    time, so their statements report the chosen strategy and what is
-    known (e.g. the predicted partition count of an INDEX).
+    The steps are the ones :func:`repro.pigeon.runner.compile_script`
+    hands the runner, so each node reports the strategy the run will
+    take. A step whose input files exist before the script runs also gets
+    its operation's full plan; ANALYZE runs the steps and annotates each
+    node with what its step produced.
     """
-    from repro.pigeon import ast
-    from repro.pigeon.eval import constant_overlap_window
-    from repro.pigeon.parser import parse
+    from repro.pigeon.runner import ScriptRunner, compile_script
 
-    parsed = parse(script)
+    steps = compile_script(sh, script)
     root = PlanNode("PigeonScript", kind="script")
-    # relation -> (backing file if it already exists in fs, else None,
-    #              predicted record count or None, indexed?)
-    rels: Dict[str, Tuple[Optional[str], Optional[int], bool]] = {}
-    fs = sh.fs
-    runner = sh.runner
-
-    def known_indexed(file_name: Optional[str]) -> bool:
-        return (
-            file_name is not None
-            and fs.exists(file_name)
-            and "global_index" in fs.get(file_name).metadata
-        )
-
-    for stmt in parsed.statements:
-        kind_name = type(stmt).__name__
-        node = root.add(
-            PlanNode(
-                f"{kind_name.upper()} "
-                f"{getattr(stmt, 'target', getattr(stmt, 'source', ''))}",
-                kind="statement",
-                detail={"statement": kind_name.lower()},
-            )
-        )
-        if isinstance(stmt, ast.Load):
-            exists = fs.exists(stmt.file_name)
-            records = fs.num_records(stmt.file_name) if exists else None
-            rels[stmt.target] = (
-                stmt.file_name if exists else None,
-                records,
-                known_indexed(stmt.file_name),
-            )
-            node.detail["file"] = stmt.file_name
-            if records is not None:
-                node.estimated["records"] = records
-            continue
-        if isinstance(stmt, ast.Index):
-            file_name, records, _ = rels.get(stmt.source, (None, None, False))
-            node.detail["technique"] = stmt.technique
-            if records is not None:
-                capacity = fs.default_block_capacity
-                node.estimated["records"] = records
-                node.estimated["partitions"] = max(
-                    1, -(-records // capacity)
-                )
-            rels[stmt.target] = (None, records, True)
-            continue
-        if isinstance(stmt, ast.Filter):
-            file_name, records, indexed = rels.get(
-                stmt.source, (None, None, False)
-            )
-            window = constant_overlap_window(stmt.predicate)
-            accelerable = window is not None and (
-                indexed or known_indexed(file_name)
-            )
-            node.detail["plan"] = (
-                "indexed-range" if accelerable else "scan-filter"
-            )
-            if window is not None:
-                node.detail["window"] = str(window)
-            if known_indexed(file_name) and window is not None:
-                from repro.operations import plan_range_query
-
-                node.add(plan_range_query(runner, file_name, window))
-            rels[stmt.target] = (None, None, False)
-            continue
-        if isinstance(stmt, ast.RangeQuery):
-            file_name, _, _ = rels.get(stmt.source, (None, None, False))
-            window = Rectangle(stmt.x1, stmt.y1, stmt.x2, stmt.y2)
-            node.detail["window"] = str(window)
-            if file_name is not None and fs.exists(file_name):
-                from repro.operations import plan_range_query
-
-                node.add(plan_range_query(runner, file_name, window))
-            else:
-                node.detail["plan"] = "on derived relation (planned at run time)"
-            rels[stmt.target] = (None, None, False)
-            continue
-        if isinstance(stmt, ast.Knn):
-            file_name, _, _ = rels.get(stmt.source, (None, None, False))
-            node.detail["point"] = f"({stmt.x}, {stmt.y})"
-            node.detail["k"] = stmt.k
-            if file_name is not None and fs.exists(file_name):
-                from repro.operations import plan_knn
-
-                node.add(
-                    plan_knn(runner, file_name, Point(stmt.x, stmt.y), stmt.k)
-                )
-            rels[stmt.target] = (None, None, False)
-            continue
-        if isinstance(stmt, ast.SpatialJoin):
-            left, _, _ = rels.get(stmt.left, (None, None, False))
-            right, _, _ = rels.get(stmt.right, (None, None, False))
-            if (
-                left is not None and right is not None
-                and fs.exists(left) and fs.exists(right)
-            ):
-                from repro.operations import plan_spatial_join
-
-                node.add(plan_spatial_join(runner, left, right))
-            else:
-                node.detail["plan"] = "sjmr or dj, resolved at run time"
-            rels[stmt.target] = (None, None, False)
-            continue
-        if isinstance(stmt, ast.UnaryOperation):
-            file_name, _, _ = rels.get(stmt.source, (None, None, False))
-            node.detail["operation"] = stmt.operation
-            op_key = {
-                "SKYLINE": "skyline",
-                "CONVEXHULL": "hull",
-                "UNION": "union",
-                "CLOSESTPAIR": "closestpair",
-                "FARTHESTPAIR": "farthestpair",
-                "VORONOI": "voronoi",
-            }.get(stmt.operation)
-            if (
-                op_key is not None
-                and file_name is not None
-                and fs.exists(file_name)
-            ):
-                try:
-                    node.add(
-                        build_plan(sh, Query(op=op_key, files=[file_name]))
-                    )
-                except ValueError as exc:
-                    node.detail["note"] = str(exc)
-            rels[stmt.target] = (None, None, False)
-            continue
-        if isinstance(stmt, (ast.Store, ast.Dump)):
-            node.detail["source"] = stmt.source
-            continue
-        if isinstance(stmt, ast.Foreach):
-            node.detail["expressions"] = len(stmt.expressions)
-            rels[stmt.target] = (None, None, False)
-            continue
-
+    for step in steps:
+        node = root.add(PlanNode(
+            step.label, kind="statement", detail=dict(step.detail),
+            estimated=dict(step.estimated),
+        ))
+        if step.plannable:
+            try:
+                node.add(build_plan(sh, step.query))
+            except ValueError as exc:
+                node.detail["note"] = str(exc)
     explanation = Explanation(query=script.strip(), plan=root)
     if not analyze:
         return explanation
 
-    from repro.pigeon.runner import run_script
-
-    own_tracer = not sh.tracer.enabled
-    if own_tracer:
-        sh.enable_tracing()
-    try:
-        script_result = run_script(sh, script)
-    finally:
-        if own_tracer:
-            sh.disable_tracing()
-
-    # Zip op-producing statements with the per-statement operation results.
-    producing = [
-        n
-        for n, stmt in zip(root.children, parsed.statements)
-        if type(stmt).__name__ in _OP_STATEMENTS
-    ]
-    for node, op in zip(producing, script_result.operations):
-        c = op.counters
-        node.actual.update(
-            {
-                "rounds": len(op.jobs),
-                "records_read": c.get("MAP_INPUT_RECORDS"),
-                "partitions_scanned": c.get("BLOCKS_READ"),
-                "partitions_pruned": c.get("BLOCKS_PRUNED"),
-                "output_rows": _rows_of(op.answer),
-                "makespan_s": op.makespan,
-            }
-        )
+    runner = ScriptRunner(sh)
+    with _traced(sh):
+        for step, node in zip(steps, root.children):
+            op = runner.execute(step)
+            if op is None:
+                continue
+            c = op.counters
+            node.actual.update(
+                {
+                    "rounds": len(op.jobs),
+                    "records_read": c.get("MAP_INPUT_RECORDS"),
+                    "partitions_scanned": c.get("BLOCKS_READ"),
+                    "partitions_pruned": c.get("BLOCKS_PRUNED"),
+                    "output_rows": rows_of(op.answer),
+                    "makespan_s": op.makespan,
+                }
+            )
+    result = runner.result
     root.actual.update(
         {
-            "statements": len(parsed.statements),
-            "jobs": sum(len(op.jobs) for op in script_result.operations),
-            "makespan_s": script_result.total_makespan,
+            "statements": len(steps),
+            "jobs": sum(len(op.jobs) for op in result.operations),
+            "makespan_s": result.total_makespan,
         }
     )
     explanation.analyzed = True
-    explanation.result = script_result
+    explanation.result = result
     return explanation

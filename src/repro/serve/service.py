@@ -384,7 +384,7 @@ class QueryService:
                 Response(
                     outcome=OUTCOME_SERVED,
                     answer=self._summarize(cached.answer),
-                    rows=_rows_of(cached.answer),
+                    rows=explain.rows_of(cached.answer),
                     cache_hit=True,
                     result=cached,
                     **base,
@@ -450,7 +450,7 @@ class QueryService:
             Response(
                 outcome=OUTCOME_SERVED,
                 answer=self._summarize(result.answer),
-                rows=_rows_of(result.answer),
+                rows=explain.rows_of(result.answer),
                 result=result,
                 **base,
             ),
@@ -645,17 +645,3 @@ class QueryService:
             "virtual_now_s": round(self.now, 6),
         }
 
-
-def _rows_of(answer: Any) -> int:
-    if answer is None:
-        return 0
-    if isinstance(answer, bool):
-        return int(answer)
-    if isinstance(answer, (int, float)):
-        return int(answer)
-    if hasattr(answer, "regions"):
-        return len(answer.regions)
-    try:
-        return len(answer)
-    except TypeError:
-        return 1

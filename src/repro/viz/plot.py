@@ -42,20 +42,6 @@ def plot(
         if window.width <= 0 or window.height <= 0:
             window = window.expand(max(window.margin, 1.0) * 0.01)
 
-    def map_fn(_key, records, ctx):
-        canvas = Canvas(ctx.config["w"], ctx.config["h"], ctx.config["window"])
-        for record in records:
-            if ctx.config["window"].intersects(shape_mbr(record)):
-                canvas.draw_shape(record)
-        if canvas.total_hits:
-            ctx.emit(1, canvas)
-
-    def reduce_fn(_key, canvases, ctx):
-        merged = Canvas(ctx.config["w"], ctx.config["h"], ctx.config["window"])
-        for canvas in canvases:
-            merged.merge(canvas)
-        ctx.emit(1, merged)
-
     splitter = None
     if gindex is not None:
         from repro.core.splitter import overlapping_filter, spatial_splitter
@@ -64,8 +50,8 @@ def plot(
 
     job = Job(
         input_file=file_name,
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
+        map_fn=_plot_map,
+        reduce_fn=_plot_reduce,
         splitter=splitter,
         config={"w": width, "h": height, "window": window},
         name=f"plot({file_name})",
@@ -73,3 +59,19 @@ def plot(
     result = runner.run(job)
     canvas = result.output[0] if result.output else Canvas(width, height, window)
     return OperationResult(answer=canvas, jobs=[result])
+
+
+def _plot_map(_key, records, ctx):
+    canvas = Canvas(ctx.config["w"], ctx.config["h"], ctx.config["window"])
+    for record in records:
+        if ctx.config["window"].intersects(shape_mbr(record)):
+            canvas.draw_shape(record)
+    if canvas.total_hits:
+        ctx.emit(1, canvas)
+
+
+def _plot_reduce(_key, canvases, ctx):
+    merged = Canvas(ctx.config["w"], ctx.config["h"], ctx.config["window"])
+    for canvas in canvases:
+        merged.merge(canvas)
+    ctx.emit(1, merged)

@@ -86,42 +86,12 @@ def plot_pyramid(
     if world.width <= 0 or world.height <= 0:
         world = world.expand(max(world.margin, 1.0) * 0.01)
 
-    def tiles_overlapping(mbr: Rectangle, level: int):
-        n = 1 << level
-        tw = world.width / n
-        th = world.height / n
-        x1 = max(0, min(n - 1, int((mbr.x1 - world.x1) / tw)))
-        x2 = max(0, min(n - 1, int((mbr.x2 - world.x1) / tw)))
-        y1 = max(0, min(n - 1, int((mbr.y1 - world.y1) / th)))
-        y2 = max(0, min(n - 1, int((mbr.y2 - world.y1) / th)))
-        for tx in range(x1, x2 + 1):
-            for ty in range(y1, y2 + 1):
-                yield (level, tx, ty)
-
-    def map_fn(_key, records, ctx):
-        for record in records:
-            mbr = shape_mbr(record)
-            if not world.intersects(mbr):
-                continue
-            for level in range(ctx.config["levels"]):
-                for tile_id in tiles_overlapping(mbr, level):
-                    ctx.emit(tile_id, record)
-
-    def reduce_fn(tile_id, records, ctx):
-        level, tx, ty = tile_id
-        size = ctx.config["tile_size"]
-        canvas = Canvas(size, size, tile_rect(world, level, tx, ty))
-        for record in records:
-            canvas.draw_shape(record)
-        if canvas.total_hits:
-            ctx.emit(tile_id, (tile_id, canvas))
-
     job = Job(
         input_file=file_name,
-        map_fn=map_fn,
-        reduce_fn=reduce_fn,
+        map_fn=_pyramid_map,
+        reduce_fn=_pyramid_reduce,
         num_reducers=4 ** (levels - 1),
-        config={"levels": levels, "tile_size": tile_size},
+        config={"levels": levels, "tile_size": tile_size, "world": world},
         name=f"pyramid({file_name})",
     )
     result = runner.run(job)
@@ -132,3 +102,37 @@ def plot_pyramid(
         tiles=dict(result.output),
     )
     return OperationResult(answer=pyramid, jobs=[result])
+
+
+def _tiles_overlapping(world: Rectangle, mbr: Rectangle, level: int):
+    n = 1 << level
+    tw = world.width / n
+    th = world.height / n
+    x1 = max(0, min(n - 1, int((mbr.x1 - world.x1) / tw)))
+    x2 = max(0, min(n - 1, int((mbr.x2 - world.x1) / tw)))
+    y1 = max(0, min(n - 1, int((mbr.y1 - world.y1) / th)))
+    y2 = max(0, min(n - 1, int((mbr.y2 - world.y1) / th)))
+    for tx in range(x1, x2 + 1):
+        for ty in range(y1, y2 + 1):
+            yield (level, tx, ty)
+
+
+def _pyramid_map(_key, records, ctx):
+    world = ctx.config["world"]
+    for record in records:
+        mbr = shape_mbr(record)
+        if not world.intersects(mbr):
+            continue
+        for level in range(ctx.config["levels"]):
+            for tile_id in _tiles_overlapping(world, mbr, level):
+                ctx.emit(tile_id, record)
+
+
+def _pyramid_reduce(tile_id, records, ctx):
+    level, tx, ty = tile_id
+    size = ctx.config["tile_size"]
+    canvas = Canvas(size, size, tile_rect(ctx.config["world"], level, tx, ty))
+    for record in records:
+        canvas.draw_shape(record)
+    if canvas.total_hits:
+        ctx.emit(tile_id, (tile_id, canvas))

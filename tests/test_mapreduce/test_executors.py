@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from repro import Feature, SpatialHadoop
 from repro.datagen import generate_points, generate_polygons, generate_rectangles
 from repro.geometry import Point, Rectangle
 from repro.index import build_index
@@ -44,6 +45,8 @@ from repro.operations import (
     union_spatial,
     voronoi_spatial,
 )
+from repro.pigeon import run_script
+from repro.viz import plot, plot_pyramid
 
 SPACE = Rectangle(0, 0, 1000, 1000)
 QUERY = Rectangle(120, 140, 420, 460)
@@ -337,22 +340,79 @@ PAIR_OPERATIONS = {
 }
 
 
-class TestPairOperationsRunOnThePool:
-    """Module-level map/reduce functions ship: no wave of a pair operation
-    falls back in-process, and its answer is the serial one, in order."""
+#: name -> (set-up, operation) for the jobs that draw pictures.
+VIZ_OPERATIONS = {
+    "plot": (_point_inputs, lambda r: plot(r, "pts", width=32, height=16)),
+    "plot-indexed": (
+        _point_inputs,
+        lambda r: plot(r, "pts_idx", width=32, height=16, window=QUERY),
+    ),
+    "pyramid": (
+        _point_inputs, lambda r: plot_pyramid(r, "pts", levels=3, tile_size=8),
+    ),
+}
 
-    @pytest.mark.parametrize("name", sorted(PAIR_OPERATIONS))
+PIGEON_SCRIPT = """
+    p = LOAD 'pois';
+    c = FILTER p BY cat == 'cafe' AND X(geom) < 800;
+    n = FOREACH c GENERATE name, Area(geom) AS a;
+    DUMP c;
+    DUMP n;
+"""
+
+
+def answer_view(result):
+    """The answer in a form ``==`` compares by value: canvases by counts."""
+    answer = result.answer
+    if hasattr(answer, "tiles"):
+        return {tile: canvas.counts for tile, canvas in answer.tiles.items()}
+    return getattr(answer, "counts", answer)
+
+
+class TestPairOperationsRunOnThePool:
+    """Module-level map/reduce functions ship: no wave of a pair operation,
+    a plot or a Pigeon scan falls back in-process, and its answer is the
+    serial one, in order."""
+
+    OPERATIONS = {**PAIR_OPERATIONS, **VIZ_OPERATIONS}
+
+    @pytest.mark.parametrize("name", sorted(OPERATIONS))
     def test_no_fallback_and_pooled(self, name):
+        set_up, operation = self.OPERATIONS[name]
         serial, parallel = make_runner(workers=1), make_runner(workers=2)
         try:
-            self.check(serial, parallel, *PAIR_OPERATIONS[name])
+            set_up(serial)
+            set_up(parallel)
+            self.check(
+                parallel.executor,
+                lambda: answer_view(operation(parallel)),
+                lambda: answer_view(operation(serial)),
+            )
         finally:
             parallel.close()
 
-    def check(self, serial, parallel, set_up, operation):
-        set_up(serial)
-        set_up(parallel)
-        executor = parallel.executor
+    def test_pigeon_filter_and_foreach(self):
+        serial, parallel = (
+            SpatialHadoop(num_nodes=4, block_capacity=150, workers=workers)
+            for workers in (1, 2)
+        )
+        points = generate_points(1200, "uniform", seed=36, space=SPACE)
+        for sh in (serial, parallel):
+            sh.fs.create_file("pois", [
+                Feature(p, {"name": f"poi{i}", "cat": ("cafe", "shop")[i % 2]})
+                for i, p in enumerate(points)
+            ])
+        try:
+            self.check(
+                parallel.runner.executor,
+                lambda: run_script(parallel, PIGEON_SCRIPT).dumped,
+                lambda: run_script(serial, PIGEON_SCRIPT).dumped,
+            )
+        finally:
+            parallel.runner.close()
+
+    @staticmethod
+    def check(executor, run_parallel, run_serial):
         dispatches = []
         map_chunks = executor.map_chunks
 
@@ -363,10 +423,10 @@ class TestPairOperationsRunOnThePool:
 
         executor.map_chunks = recording
         try:
-            got = operation(parallel)
+            got = run_parallel()
         finally:
             del executor.map_chunks
-        assert got.answer == operation(serial).answer
+        assert got == run_serial()
         assert executor.fallbacks == 0
         # A wave of one chunk has nothing to overlap and stays in the
         # driver by design; every other wave went to the workers.

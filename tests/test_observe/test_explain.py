@@ -42,6 +42,24 @@ class TestParseQuery:
         q = parse_query("knnjoin a b 4")
         assert q.k == 4
 
+    @pytest.mark.parametrize("text", ["knn pts (5, 5)", "knn pts 5 5"])
+    def test_knn_two_numbers_are_the_point(self, text):
+        q = parse_query(text)
+        assert (q.point.x, q.point.y, q.k) == (5.0, 5.0, explain.DEFAULT_K)
+
+    def test_knn_trailing_k_after_parenthesised_point(self):
+        q = parse_query("knn pts (5, 6) 3")
+        assert (q.point.x, q.point.y, q.k) == (5.0, 6.0, 3)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["sjoin a b c d", "sjoin a b 3", "knnjoin a b x", "knnjoin a b 3 4",
+         "knn pts 5,5 2.5", "skyline a b"],
+    )
+    def test_rejects_extra_arguments(self, bad):
+        with pytest.raises(ExplainQueryError):
+            parse_query(bad)
+
     def test_unary(self):
         for op in ("skyline", "hull", "closestpair", "farthestpair",
                    "union", "voronoi"):
@@ -196,6 +214,32 @@ class TestExplainPigeon:
         assert nodes["FILTER b"].actual["rounds"] == 1
         assert nodes["UNARYOPERATION s"].actual["output_rows"] > 0
         json.loads(e.to_json())
+
+    def test_analyze_rounds_are_each_statements_own(self):
+        from repro.pigeon import run_script
+
+        script = """
+            a = LOAD 'pts';
+            i = INDEX a USING grid;
+            w = FILTER i BY Overlaps(geom, MakeBox(0, 0, 600000, 600000));
+            x = FILTER w BY X(geom) > 100000;
+            f = FOREACH x GENERATE X(geom) AS x;
+            n = KNN i POINT(500000, 500000) K 5;
+            j = SJOIN w, x;
+            s = SKYLINE i;
+            STORE s INTO 'sky';
+        """
+        ran = run_script(make_system(), script)
+        expected = [op.rounds for op in ran.operations]
+        e = explain.explain_pigeon(make_system(), script, analyze=True)
+        annotated = [n for n in e.plan.children if "rounds" in n.actual]
+        assert [n.name for n in annotated] == [
+            "INDEX i", "FILTER w", "FILTER x", "FOREACH f", "KNN n",
+            "SPATIALJOIN j", "UNARYOPERATION s",
+        ]
+        assert [n.actual["rounds"] for n in annotated] == expected
+        assert all(rounds >= 1 for rounds in expected)
+        assert len(set(expected)) > 1  # rounds tell the statements apart
 
 
 class TestAnalyzeFaultActuals:

@@ -109,28 +109,34 @@ class TestRunner:
         ]
         assert len(res.dumped["w"]) == len(expected)
 
-    @pytest.mark.parametrize("index", [False, True])
+    # "stored": 'idx' is a grid index when EXPLAIN runs, but the script
+    # overwrites it with a heap file before it FILTERs it.
+    @pytest.mark.parametrize("index", [False, True, "stored"])
     def test_filter_plan_trace_agrees_with_explain(self, sh, index):
         from repro.observe.explain import explain_pigeon
 
+        if index == "stored":
+            sh.index("pois", "idx", technique="grid")
         script = (
             "p = LOAD 'pois';"
-            + (" p = INDEX p USING grid;" if index else "")
+            + (" p = INDEX p USING grid;" if index is True else "")
+            + (" STORE p INTO 'idx'; p = LOAD 'idx';"
+               if index == "stored" else "")
             + " w = FILTER p BY Overlaps(geom, MakeBox(0, 0, 250, 250));"
             + " DUMP w;"
         )
+        (filter_node,) = [
+            n for n in explain_pigeon(sh, script).plan.children
+            if n.name.startswith("FILTER")
+        ]
         tracer = sh.enable_tracing()
         run_script(sh, script)
         traced = [
             r["attrs"]["plan"] for r in tracer.records()
             if r["name"] == "pigeon:plan"
         ]
-        (filter_node,) = [
-            n for n in explain_pigeon(sh, script).plan.children
-            if n.name.startswith("FILTER")
-        ]
         assert traced == [filter_node.detail["plan"]]
-        assert traced == ["indexed-range" if index else "scan-filter"]
+        assert traced == ["indexed-range" if index is True else "scan-filter"]
 
     def test_range_statement(self, sh):
         res = run_script(

@@ -97,6 +97,14 @@ class TestBasicServing:
             service.config.error_cost_s
         )
 
+    @pytest.mark.parametrize(
+        "text", ["sjoin pts pts_idx pts pts", "knnjoin pts pts_idx x"]
+    )
+    def test_extra_join_arguments_are_a_typed_error(self, shared_ws, text):
+        response = shared_ws.serve().query("alice", text)
+        assert response.outcome == "error"
+        assert response.error_type == "ExplainQueryError"
+
     def test_missing_file_is_a_typed_error(self, shared_ws):
         service = shared_ws.serve()
         response = service.query("alice", "range nope 0,0,1,1")
