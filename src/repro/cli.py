@@ -18,22 +18,31 @@ HDFS between invocations, so a session looks like::
     python -m repro -w ws.pkl metrics --format prom
     python -m repro -w ws.pkl --profile rangequery pts_idx --window 0,0,1e5,1e5
     python -m repro -w ws.pkl profile --flamegraph phases.svg
-    python -m repro sentinel --baseline BENCH_e15.json
+    python -m repro sentinel --baseline before.json --current after.json
 
-Every query command prints the answer summary plus the cost line the
-benchmarks use (blocks read, records shuffled, simulated makespan);
-``-v`` adds the full sorted counter table. The global ``--trace FILE``
-flag records a structured span trace of the invocation (JSON-lines,
-plus a Chrome ``trace_event`` file for chrome://tracing / Perfetto),
-and the ``history`` subcommand renders the Hadoop-JobHistory-style
-report of the jobs the workspace has run.
+The query commands are generated from the operation table
+(:mod:`repro.operations.table`), the same one the query language of
+``explain``, ``query`` and ``serve`` reads: one command per operation
+(``range`` and ``count`` keep the shell's names ``rangequery`` and
+``rangecount``), its input files as positionals, ``--window`` /
+``--point`` / ``--k`` for its arguments, and the same default ``k``.
+Each prints the answer summary plus the cost line the benchmarks use
+(blocks read, records shuffled, simulated makespan); ``-v`` adds the
+full sorted counter table. Report commands take ``--format`` and share
+one output path.
+
+The global ``--trace FILE`` flag records a structured span trace of the
+invocation (JSON-lines, plus a Chrome ``trace_event`` file for
+chrome://tracing / Perfetto), and the ``history`` subcommand renders the
+Hadoop-JobHistory-style report of the jobs the workspace has run.
 
 The telemetry pipeline rides on three more pieces: ``--telemetry FILE``
 appends wave-boundary metric scrapes (normalized JSONL, bit-identical
 between serial and ``--workers N`` runs), ``metrics`` exports the
 workspace metrics as Prometheus/OpenMetrics text, ``--profile`` +
 ``profile`` break job time into per-task phases (flamegraph-ready) and
-``sentinel`` gates CI on perf drift against a ``BENCH_*.json`` baseline.
+``sentinel`` gates CI on perf drift between two benchmark snapshots
+(nested JSON trees of numbers).
 
 The flight recorder closes the loop: ``--log-level LEVEL`` arms a
 structured event log that persists with the workspace (``repro logs``
@@ -47,10 +56,11 @@ self-contained HTML ops dashboard.
 from __future__ import annotations
 
 import argparse
+import json
 import signal
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import SpatialHadoop
 from repro.core.result import OperationResult
@@ -62,7 +72,6 @@ from repro.core.workspace import (
     save_workspace,
 )
 from repro.datagen import generate_points, generate_polygons, generate_rectangles
-from repro.geometry import Point, Rectangle
 from repro.index.build import PARTITIONERS
 from repro.mapreduce.checkpoint import (
     CancellationToken,
@@ -73,6 +82,18 @@ from repro.mapreduce.checkpoint import (
     RunCancelled,
     default_checkpoint_dir,
 )
+from repro.observe.explain import (
+    DEFAULT_K,
+    USAGE,
+    ExplainQueryError,
+    Query,
+    execute_query,
+    explain_pigeon,
+    parse_shape,
+    rows_of,
+)
+from repro.operations.table import OPERATIONS
+from repro.serve import Overloaded, ServiceConfig, parse_quota_spec
 
 #: Exit codes for interrupted runs (sysexits / shell conventions):
 #: an injected driver crash, a blown ``--deadline`` (mirrors
@@ -84,6 +105,22 @@ EXIT_SIGINT = 130
 EXIT_OVERLOADED = 75
 
 
+#: CLI verb of each query-language operation: its name, except where the
+#: shadoop shell spells it differently.
+_VERBS = {"range": "rangequery", "count": "rangecount"}
+_OPERATION_OF = {_VERBS.get(name, name): op for name, op in OPERATIONS.items()}
+#: Positional file arguments of a one- and a two-file operation.
+_FILES = {1: ("file",), 2: ("left", "right")}
+#: Boolean flags passed through to an operation's facade method.
+_OPTIONS = {"union": ("enhanced",)}
+
+#: ``generate --shape`` -> the generator of that shape.
+_GENERATORS = {"point": generate_points, "rect": generate_rectangles,
+               "polygon": generate_polygons}
+#: Command verbs that change the workspace (it is saved after them).
+_SAVES = frozenset({"generate", "index", "pigeon", "fsck", "rm"})
+
+
 def _load_workspace(path: Path, num_nodes: int) -> SpatialHadoop:
     if path.exists():
         # Structured errors (corrupt / truncated / wrong type / newer
@@ -92,30 +129,71 @@ def _load_workspace(path: Path, num_nodes: int) -> SpatialHadoop:
     return SpatialHadoop(num_nodes=num_nodes, job_overhead_s=0.05)
 
 
-def _save_workspace(sh: SpatialHadoop, path: Path) -> None:
-    save_workspace(sh, path)
+def _shape_type(shape: str) -> Callable[[str], Any]:
+    """``type=`` of ``--window`` / ``--point``: the query language's shape
+    parser; a malformed value exits with the form the flag expects."""
+    def parse(text: str) -> Any:
+        try:
+            return parse_shape(shape, text.split(","))
+        except ExplainQueryError:
+            expects = USAGE[shape][1:-1]
+            raise SystemExit(f"--{shape} expects {expects}") from None
+    return parse
 
 
-def _parse_window(text: str) -> Rectangle:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise SystemExit("--window expects x1,y1,x2,y2")
-    return Rectangle(*parts)
+def _pair(kind: str, answer: Any, digits: int) -> List[str]:
+    a, b = answer
+    return [f"{kind} pair: {a} — {b} (distance {a.distance(b):.{digits}f})"]
 
 
-def _parse_point(text: str) -> Point:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 2:
-        raise SystemExit("--point expects x,y")
-    return Point(*parts)
+#: The answer lines of each operation, before its cost line.
+_ANSWERS: Dict[str, Callable[[argparse.Namespace, Any], List[str]]] = {
+    "range": lambda args, a: [f"{len(a)} records match"],
+    "count": lambda args, a: [f"count: {a}"],
+    "knn": lambda args, a: [f"{d:12.3f}  {record}" for d, record in a],
+    "sjoin": lambda args, a: [f"{len(a)} overlapping pairs"],
+    "knnjoin": lambda args, a: [f"{len(a)} rows, k={args.k}"],
+    "skyline": lambda args, a: [
+        f"skyline has {len(a)} points:", *(f"  {p}" for p in a)
+    ],
+    "hull": lambda args, a: [f"convex hull has {len(a)} vertices"],
+    "closestpair": lambda args, a: _pair("closest", a, 6),
+    "farthestpair": lambda args, a: _pair("farthest", a, 3),
+    "union": lambda args, a: [
+        f"union boundary: {len(a)} segments" if args.enhanced
+        else f"union: {len(a)} rings"
+    ],
+    "voronoi": lambda args, a: [
+        f"voronoi diagram: {len(a.regions)} regions, "
+        f"{100 * a.pruned_fraction:.1f}% finalised before the merge"
+    ],
+}
 
 
-def _cost_line(op: OperationResult) -> str:
-    return (
-        f"[cost] blocks read: {op.blocks_read}, shuffled records: "
-        f"{op.counters['SHUFFLE_RECORDS']}, rounds: {op.rounds}, "
-        f"simulated: {op.makespan:.3f}s"
+def _given(**options: Any) -> Dict[str, Any]:
+    """The keyword arguments whose flags the user set (not ``None``)."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
+def _add_format(p: argparse.ArgumentParser, default: str,
+                choices=("text", "json")) -> None:
+    p.add_argument(
+        "--format", choices=choices, default=choices[0],
+        help=f"output format (default: {default})",
     )
+
+
+def _emit(args: argparse.Namespace, doc: Callable[[], Any],
+          text: Callable[[], str]) -> None:
+    """Print a report verb's output in the ``--format`` asked for; ``doc``
+    gives the JSON document, or its text when the report renders its own."""
+    if args.format == "json":
+        out = doc()
+        if not isinstance(out, str):
+            out = json.dumps(out, indent=2, default=str)
+    else:
+        out = text()
+    print(out, end="" if out.endswith("\n") else "\n")
 
 
 def _print_counter_table(counters, indent: str = "  ") -> None:
@@ -129,7 +207,11 @@ def _print_counter_table(counters, indent: str = "  ") -> None:
 
 
 def _print_cost(op: OperationResult, verbose: bool) -> None:
-    print(_cost_line(op))
+    print(
+        f"[cost] blocks read: {op.blocks_read}, shuffled records: "
+        f"{op.counters['SHUFFLE_RECORDS']}, rounds: {op.rounds}, "
+        f"simulated: {op.makespan:.3f}s"
+    )
     if verbose:
         print("[counters]")
         _print_counter_table(op.counters)
@@ -227,9 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--distribution", default="uniform")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--shape", choices=("point", "rect", "polygon"), default="point"
-    )
+    p.add_argument("--shape", choices=tuple(_GENERATORS), default="point")
 
     p = sub.add_parser("index", help="build a spatial index")
     p.add_argument("input")
@@ -237,35 +317,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--technique", default="str", choices=sorted(PARTITIONERS))
     p.add_argument("--block-capacity", type=int, default=None)
 
-    p = sub.add_parser("rangequery", help="range query")
-    p.add_argument("file")
-    p.add_argument("--window", required=True)
-
-    p = sub.add_parser("knn", help="k nearest neighbours")
-    p.add_argument("file")
-    p.add_argument("--point", required=True)
-    p.add_argument("--k", type=int, default=10)
-
-    p = sub.add_parser("sjoin", help="spatial join of two files")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("knnjoin", help="kNN join: k nearest S per R record")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--k", type=int, default=3)
-
-    p = sub.add_parser("rangecount", help="COUNT records in a window")
-    p.add_argument("file")
-    p.add_argument("--window", required=True)
-
-    for name in ("skyline", "hull", "closestpair", "farthestpair", "voronoi"):
-        p = sub.add_parser(name, help=f"{name} operation")
-        p.add_argument("file")
-
-    p = sub.add_parser("union", help="polygon union")
-    p.add_argument("file")
-    p.add_argument("--enhanced", action="store_true")
+    for verb, op in _OPERATION_OF.items():
+        p = sub.add_parser(verb, help=op.method.replace("_", " "))
+        for name in _FILES[op.files]:
+            p.add_argument(name)
+        for field in op.args:
+            if field == "k":
+                p.add_argument("--k", type=int, default=DEFAULT_K)
+            else:
+                p.add_argument(f"--{field}", required=True,
+                               type=_shape_type(field))
+        for flag in _OPTIONS.get(op.name, ()):
+            p.add_argument(f"--{flag}", action="store_true")
 
     p = sub.add_parser("plot", help="rasterise a file")
     p.add_argument("file")
@@ -301,20 +364,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--pigeon", action="store_true",
         help="the query is a Pigeon script (a file path, or inline text)",
     )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text tree)",
-    )
+    _add_format(p, "text tree")
 
     p = sub.add_parser(
         "doctor",
         help="diagnose an indexed file: skew, overlap hot-spots, fill",
     )
     p.add_argument("file")
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text report)",
-    )
+    _add_format(p, "text report")
     p.add_argument(
         "--heatmap", default=None, metavar="PATH",
         help="write a per-partition record-density heatmap "
@@ -336,10 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also audit this crash-recovery checkpoint journal "
              "(default: the workspace's <workspace>.ckpt, if present)",
     )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text report)",
-    )
+    _add_format(p, "text report")
 
     p = sub.add_parser(
         "resume",
@@ -369,20 +423,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--last", type=int, default=None, metavar="N",
         help="only the N most recent jobs (default: all retained)",
     )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text report)",
-    )
+    _add_format(p, "text report")
 
     p = sub.add_parser(
         "metrics",
         help="export the workspace metrics registry",
     )
-    p.add_argument(
-        "--format", choices=("prom", "json"), default="prom",
-        help="'prom' = Prometheus/OpenMetrics text exposition "
-             "(default), 'json' = raw snapshot",
-    )
+    _add_format(p, "Prometheus/OpenMetrics text exposition",
+                choices=("prom", "json"))
 
     p = sub.add_parser(
         "profile",
@@ -416,10 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=None, metavar="PCT",
         help="symmetric drift tolerance in percent (default: 20)",
     )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text report)",
-    )
+    _add_format(p, "text report")
 
     p = sub.add_parser(
         "logs",
@@ -447,10 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "dropped, timestamps replaced by ordinals); ignores the "
              "filter flags",
     )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text lines)",
-    )
+    _add_format(p, "text lines")
 
     p = sub.add_parser(
         "bundle",
@@ -483,10 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="timing deltas below this many seconds are never culprits "
              "(default: 0.001)",
     )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text culprit table)",
-    )
+    _add_format(p, "text culprit table")
 
     p = sub.add_parser(
         "report",
@@ -530,18 +569,20 @@ def _build_parser() -> argparse.ArgumentParser:
              "from the cluster model's serving slots)",
     )
     p.add_argument(
-        "--breaker-threshold", type=int, default=3, metavar="N",
+        "--breaker-threshold", type=int, default=None, metavar="N",
         help="consecutive failures that trip a dataset's circuit "
-             "breaker open (default: 3)",
+             f"breaker open (default: {ServiceConfig.breaker_threshold})",
     )
     p.add_argument(
-        "--breaker-cooldown", type=float, default=120.0, metavar="SECONDS",
+        "--breaker-cooldown", type=float, default=None, metavar="SECONDS",
         help="simulated seconds an open breaker waits before letting a "
-             "half-open probe through (default: 120)",
+             "half-open probe through "
+             f"(default: {ServiceConfig.breaker_cooldown_s:g})",
     )
     p.add_argument(
-        "--cache-capacity", type=int, default=128, metavar="N",
-        help="LRU result-cache entries (default: 128)",
+        "--cache-capacity", type=int, default=None, metavar="N",
+        help="LRU result-cache entries "
+             f"(default: {ServiceConfig.cache_capacity})",
     )
     p.add_argument(
         "--summary", default=None, metavar="FILE",
@@ -570,13 +611,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_resume_hint(manager) -> None:
+def _fail(error: Any, code: int = 1) -> int:
+    """Report ``error`` on stderr; returns the exit code ``code``."""
+    print(f"error: {error}", file=sys.stderr)
+    return code
+
+
+def _stopped(manager, error: Any, code: int,
+             reason: Optional[str] = None) -> int:
+    """Report a run stopped before it finished: mark the journal (when
+    ``reason`` is given) and say how to resume it."""
+    _fail(error)
     if manager is not None:
+        if reason is not None:
+            manager.interrupt(reason)
         print(
             f"[checkpoint] partial run journaled — continue with: "
             f"repro resume {manager.directory}",
             file=sys.stderr,
         )
+    return code
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
@@ -607,10 +661,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     try:
         manager = CheckpointManager.load(directory)
     except CheckpointNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     except CheckpointCorruptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _fail(exc)
         print(
             "hint: audit the journal with 'repro fsck --checkpoint-dir "
             f"{directory}' (--repair discards corrupt wave files)",
@@ -618,11 +671,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         )
         return 1
     if not manager.argv:
-        print(
-            f"error: manifest at {directory} records no command to re-run",
-            file=sys.stderr,
-        )
-        return 1
+        return _fail(f"manifest at {directory} records no command to re-run")
     print(
         f"[resume] re-running: repro {' '.join(manager.argv)}",
         file=sys.stderr,
@@ -642,14 +691,11 @@ def main(
     if args.command == "resume":
         return _cmd_resume(args)
     if args.nodes <= 0:
-        print("error: --nodes must be a positive integer", file=sys.stderr)
-        return 1
+        return _fail("--nodes must be a positive integer")
     if args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 1
+        return _fail("--workers must be >= 1")
     if args.deadline is not None and args.deadline < 0:
-        print("error: --deadline must be >= 0", file=sys.stderr)
-        return 1
+        return _fail("--deadline must be >= 0")
     path = Path(args.workspace)
     try:
         sh = _load_workspace(path, args.nodes)
@@ -657,23 +703,17 @@ def main(
         # Ctrl-C during workspace load, before the cooperative signal
         # handlers are installed. Nothing has run and nothing is dirty,
         # so honour the same exit contract the handlers do.
-        print("error: interrupted while loading the workspace",
-              file=sys.stderr)
-        return EXIT_SIGINT
-    except WorkspaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # e.g. a malformed REPRO_WORKERS value
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("interrupted while loading the workspace", EXIT_SIGINT)
+    # ValueError: e.g. a malformed REPRO_WORKERS value.
+    except (WorkspaceError, ValueError) as exc:
+        return _fail(exc)
     if args.workers is not None:
         # A per-invocation execution choice, not a workspace property:
         # workspaces saved under --workers replay fine without it.
         sh.runner.set_workers(args.workers)
     if args.max_attempts is not None:
         if args.max_attempts < 1:
-            print("error: --max-attempts must be >= 1", file=sys.stderr)
-            return 1
+            return _fail("--max-attempts must be >= 1")
         sh.runner.max_attempts = args.max_attempts
     if args.task_timeout is not None:
         sh.runner.task_timeout = args.task_timeout
@@ -685,8 +725,7 @@ def main(
     try:
         sh.runner.set_faults(args.faults)
     except ValueError as exc:
-        print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"bad --faults spec: {exc}")
     # Crash recovery. Arm AFTER set_faults (which resets the runner's
     # fired-fault memory): resume merges the journal's already-fired
     # driver faults back in so the crash that killed the original
@@ -696,8 +735,7 @@ def main(
         try:
             manager = sh.resume(_resume)
         except (CheckpointCorruptError, CheckpointNotFoundError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _fail(exc)
     elif args.checkpoint is not None:
         manager = sh.enable_checkpoints(
             args.checkpoint,
@@ -721,9 +759,9 @@ def main(
     if args.profile:
         sh.enable_profiling()
     telemetry = sh.telemetry() if args.telemetry else None
-    jobs_before = sh.history.total_recorded
+    history = sh.history
+    jobs_before = history.total_recorded
     scrapes_before = len(telemetry) if telemetry is not None else 0
-    mutated = False
 
     # Graceful shutdown: the first SIGINT/SIGTERM requests a cooperative
     # stop at the next task boundary (pools drained, shm destroyed, a
@@ -752,39 +790,25 @@ def main(
     # recorded command against the original on-disk state, which is
     # what makes the continuation bit-identical.
     try:
-        mutated = _dispatch(sh, args)
+        code = _dispatch(sh, args)
     except DriverCrashed as exc:
         # Injected driver crash: the journal was already marked
         # interrupted (the fault fires only after its wave committed).
-        print(f"error: {exc}", file=sys.stderr)
-        _print_resume_hint(manager)
-        return EXIT_DRIVER_CRASH
+        return _stopped(manager, exc, EXIT_DRIVER_CRASH)
     except DeadlineExceeded as exc:
-        if manager is not None:
-            manager.interrupt(str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        _print_resume_hint(manager)
-        return EXIT_DEADLINE
+        return _stopped(manager, exc, EXIT_DEADLINE, reason=str(exc))
     except RunCancelled as exc:
-        if manager is not None:
-            manager.interrupt(str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        _print_resume_hint(manager)
-        return 128 + (token.signum or signal.SIGINT)
+        return _stopped(manager, exc, 128 + (token.signum or signal.SIGINT),
+                        reason=str(exc))
     except KeyboardInterrupt:
-        if manager is not None:
-            manager.interrupt("keyboard interrupt")
-        print("error: interrupted", file=sys.stderr)
-        _print_resume_hint(manager)
-        return EXIT_SIGINT
+        return _stopped(manager, "interrupted", EXIT_SIGINT,
+                        reason="keyboard interrupt")
     except (FileNotFoundError, FileExistsError, ValueError, BundleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     except RuntimeError as exc:
         # A job failed outright — e.g. a task exhausted its attempts
         # under an injected fault plan. Report, don't traceback.
-        print(f"error: job failed: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"job failed: {exc}")
     finally:
         for sig, handler in previous_handlers.items():
             try:
@@ -829,35 +853,45 @@ def main(
     if manager is not None:
         if _resume is not None:
             sh.history.record_recovery(manager.recovery_summary())
-            mutated = True
         manager.finish()
         sh.runner.set_checkpoint(None)
 
     # Query commands don't mutate the file system, but they do append to
-    # the job history — persist that too so `repro history` accumulates.
-    # Arming the event log also persists (the log rides the workspace).
-    if mutated or sh.history.total_recorded > jobs_before or args.log_level:
-        _save_workspace(sh, path)
-    # Gate commands (sentinel) report their verdict via the exit code.
-    return getattr(args, "exit_code", 0)
+    # the job history (bundle import replaces it) — persist that too so
+    # `repro history` accumulates. Arming the event log also persists
+    # (the log rides the workspace), and so does a resume's record.
+    if (args.command in _SAVES or sh.history is not history
+            or sh.history.total_recorded > jobs_before
+            or args.log_level or _resume is not None):
+        save_workspace(sh, path)
+    return code
 
 
-def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
-    """Run one subcommand; returns True when the workspace changed."""
+def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> int:
+    """Run one subcommand; returns its exit code."""
     cmd = args.command
+    operation = _OPERATION_OF.get(cmd)
+    if operation is not None:
+        name = operation.name
+        files = [getattr(args, f) for f in _FILES[operation.files]]
+        arguments = {f: getattr(args, f) for f in operation.args}
+        query = Query(name, files, **arguments)
+        options = {f: getattr(args, f) for f in _OPTIONS.get(name, ())}
+        op = execute_query(sh, query, **options)
+        render = _ANSWERS.get(name, lambda args, a: [f"{rows_of(a)} rows"])
+        for line in render(args, op.answer):
+            print(line)
+        _print_cost(op, args.verbose)
+        return 0
+
     if cmd == "generate":
-        if args.shape == "point":
-            records = generate_points(args.n, args.distribution, seed=args.seed)
-        elif args.shape == "rect":
-            records = generate_rectangles(args.n, args.distribution, seed=args.seed)
-        else:
-            records = generate_polygons(args.n, args.distribution, seed=args.seed)
-        sh.load(args.file, records)
+        generate = _GENERATORS[args.shape]
+        sh.load(args.file, generate(args.n, args.distribution, seed=args.seed))
         print(
             f"generated {args.n} {args.distribution} {args.shape}s "
             f"into '{args.file}' ({sh.fs.num_blocks(args.file)} blocks)"
         )
-        return True
+        return 0
 
     if cmd == "index":
         result = sh.index(
@@ -871,85 +905,7 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
             f"replication {result.replication:.3f}, "
             f"simulated {result.makespan:.3f}s"
         )
-        return True
-
-    if cmd == "rangequery":
-        op = sh.range_query(args.file, _parse_window(args.window))
-        print(f"{len(op.answer)} records match")
-        _print_cost(op, args.verbose)
-        return False
-
-    if cmd == "knn":
-        op = sh.knn(args.file, _parse_point(args.point), args.k)
-        for distance, record in op.answer:
-            print(f"{distance:12.3f}  {record}")
-        _print_cost(op, args.verbose)
-        return False
-
-    if cmd == "sjoin":
-        op = sh.spatial_join(args.left, args.right)
-        print(f"{len(op.answer)} overlapping pairs")
-        _print_cost(op, args.verbose)
-        return False
-
-    if cmd == "knnjoin":
-        op = sh.knn_join(args.left, args.right, args.k)
-        print(f"{len(op.answer)} rows, k={args.k}")
-        _print_cost(op, args.verbose)
-        return False
-
-    if cmd == "rangecount":
-        op = sh.range_count(args.file, _parse_window(args.window))
-        print(f"count: {op.answer}")
-        _print_cost(op, args.verbose)
-        return False
-
-    if cmd == "skyline":
-        op = sh.skyline(args.file)
-        print(f"skyline has {len(op.answer)} points:")
-        for p in op.answer:
-            print(f"  {p}")
-        _print_cost(op, args.verbose)
-        return False
-
-    if cmd == "hull":
-        op = sh.convex_hull(args.file)
-        print(f"convex hull has {len(op.answer)} vertices")
-        _print_cost(op, args.verbose)
-        return False
-
-    if cmd == "closestpair":
-        op = sh.closest_pair(args.file)
-        a, b = op.answer
-        print(f"closest pair: {a} — {b} (distance {a.distance(b):.6f})")
-        _print_cost(op, args.verbose)
-        return False
-
-    if cmd == "farthestpair":
-        op = sh.farthest_pair(args.file)
-        a, b = op.answer
-        print(f"farthest pair: {a} — {b} (distance {a.distance(b):.3f})")
-        _print_cost(op, args.verbose)
-        return False
-
-    if cmd == "voronoi":
-        op = sh.voronoi(args.file)
-        res = op.answer
-        print(
-            f"voronoi diagram: {len(res.regions)} regions, "
-            f"{100 * res.pruned_fraction:.1f}% finalised before the merge"
-        )
-        _print_cost(op, args.verbose)
-        return False
-
-    if cmd == "union":
-        op = sh.union(args.file, enhanced=args.enhanced)
-        if args.enhanced:
-            print(f"union boundary: {len(op.answer)} segments")
-        else:
-            print(f"union: {len(op.answer)} rings")
-        _print_cost(op, args.verbose)
-        return False
+        return 0
 
     if cmd == "plot":
         from repro.viz import plot as viz_plot
@@ -961,7 +917,7 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
         if args.ascii or not args.out:
             print(op.answer.to_ascii())
         _print_cost(op, args.verbose)
-        return False
+        return 0
 
     if cmd == "pigeon":
         from repro.pigeon import run_script
@@ -978,7 +934,7 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
             f"[cost] {result.total_rounds} MapReduce rounds, "
             f"simulated {result.total_makespan:.3f}s"
         )
-        return True  # scripts may STORE new files
+        return 0
 
     if cmd == "ls":
         for name in sh.fs.list_files():
@@ -988,7 +944,7 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
                 f"{name:30s} {entry.num_records:>10d} records "
                 f"{entry.num_blocks:>5d} blocks  {indexed}"
             )
-        return False
+        return 0
 
     if cmd == "info":
         entry = sh.fs.get(args.file)
@@ -1008,36 +964,24 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
             snapshot = sh.metrics.snapshot()
             print("workspace metrics:")
             _print_counter_table(snapshot["counters"])
-        return False
+        return 0
 
     if cmd == "explain":
-        from repro.observe import explain as explain_mod
-
         text = " ".join(args.query)
         if args.pigeon:
             script_path = Path(text)
             script = script_path.read_text() if script_path.exists() else text
-            explanation = explain_mod.explain_pigeon(
-                sh, script, analyze=args.analyze
-            )
+            explanation = explain_pigeon(sh, script, analyze=args.analyze)
         elif args.analyze:
             explanation = sh.analyze(text)
         else:
             explanation = sh.explain(text)
-        if args.format == "json":
-            print(explanation.to_json())
-        else:
-            print(explanation.render())
-        return False
+        _emit(args, explanation.to_json, explanation.render)
+        return 0
 
     if cmd == "doctor":
         diagnosis = sh.doctor(args.file, block_capacity=args.block_capacity)
-        if args.format == "json":
-            import json
-
-            print(json.dumps(diagnosis.to_dict(), indent=2, default=str))
-        else:
-            print(diagnosis.render())
+        _emit(args, diagnosis.to_dict, diagnosis.render)
         if args.heatmap:
             from repro.viz import write_heatmap
 
@@ -1045,7 +989,7 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
                 global_index_of(sh.fs, args.file), args.heatmap
             )
             print(f"wrote {fmt} heatmap to {args.heatmap}", file=sys.stderr)
-        return False
+        return 0
 
     if cmd == "fsck":
         ckpt_dir = args.checkpoint_dir
@@ -1054,32 +998,18 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
             if candidate.is_dir():
                 ckpt_dir = str(candidate)
         report = sh.fsck(repair=args.repair, checkpoint_dir=ckpt_dir)
-        if args.format == "json":
-            import json
-
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.render())
         # fsck always mutates history; --repair also heals the fs.
-        return True
+        _emit(args, report.to_dict, report.render)
+        return 0
 
     if cmd == "history":
-        if args.format == "json":
-            import json
-
-            print(json.dumps(sh.history.to_dict(last=args.last), indent=2))
-        else:
-            print(sh.history.report(last=args.last), end="")
-        return False
+        _emit(args, lambda: sh.history.to_dict(last=args.last),
+              lambda: sh.history.report(last=args.last))
+        return 0
 
     if cmd == "metrics":
-        if args.format == "json":
-            import json
-
-            print(json.dumps(sh.metrics.snapshot(), indent=2))
-        else:
-            print(sh.openmetrics(), end="")
-        return False
+        _emit(args, sh.metrics.snapshot, sh.openmetrics)
+        return 0
 
     if cmd == "profile":
         from repro.observe import profile as profile_mod
@@ -1104,29 +1034,18 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
                     "no profiled jobs in range — run queries with "
                     "--profile (or REPRO_PROFILE=1) first"
                 )
-            write_flamegraph(
-                profile_mod.collapse(merged), args.flamegraph
-            )
+            write_flamegraph(profile_mod.collapse(merged), args.flamegraph)
             print(f"wrote flamegraph to {args.flamegraph}", file=sys.stderr)
-        return False
+        return 0
 
     if cmd == "sentinel":
         from repro.observe import sentinel as sentinel_mod
 
-        kwargs = {}
-        if args.tolerance is not None:
-            kwargs["tolerance_pct"] = args.tolerance
         report = sentinel_mod.compare_files(
-            args.baseline, args.current, **kwargs
+            args.baseline, args.current, **_given(tolerance_pct=args.tolerance)
         )
-        if args.format == "json":
-            import json
-
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.render())
-        args.exit_code = report.exit_code
-        return False
+        _emit(args, report.to_dict, report.render)
+        return report.exit_code
 
     if cmd == "logs":
         from repro.observe.log import render_report
@@ -1137,7 +1056,7 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
                 "event log is not armed for this workspace — run any "
                 "command with --log-level first (e.g. --log-level info)"
             )
-            return False
+            return 0
         if args.normalize:
             records = log.normalized_records()
             if args.last is not None:
@@ -1151,13 +1070,9 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
                 grep=args.grep,
                 last=args.last,
             )
-        if args.format == "json":
-            import json
-
-            print(json.dumps(records, indent=2, default=str))
-        else:
-            print(render_report(records, dropped=log.dropped))
-        return False
+        _emit(args, lambda: records,
+              lambda: render_report(records, dropped=log.dropped))
+        return 0
 
     if cmd == "bundle":
         from repro.observe import bundle as bundle_mod
@@ -1170,11 +1085,11 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
                 f"exported run bundle '{name}' -> {args.file} "
                 f"({size} bytes)"
             )
-            return False
+            return 0
         if args.action == "inspect":
             doc = bundle_mod.read_bundle(args.file)
             print(bundle_mod.inspect_bundle(doc, args.file))
-            return False
+            return 0
         # import: replace this workspace's history/telemetry/event log.
         doc = bundle_mod.read_bundle(args.file)
         restored = bundle_mod.import_bundle(sh, doc)
@@ -1184,23 +1099,16 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
             f"{restored['scrapes']} scrape(s), "
             f"{restored['events']} event(s)"
         )
-        return True
+        return 0
 
     if cmd == "diff":
         from repro.observe import diff as diff_mod
 
-        kwargs = {}
-        if args.tolerance is not None:
-            kwargs["tolerance_pct"] = args.tolerance
-        if args.abs_floor is not None:
-            kwargs["abs_floor_s"] = args.abs_floor
-        report = diff_mod.diff_bundles(args.a, args.b, **kwargs)
-        if args.format == "json":
-            print(report.to_json())
-        else:
-            print(report.render(), end="")
-        args.exit_code = report.exit_code
-        return False
+        report = diff_mod.diff_bundles(args.a, args.b, **_given(
+            tolerance_pct=args.tolerance, abs_floor_s=args.abs_floor
+        ))
+        _emit(args, report.to_json, report.render)
+        return report.exit_code
 
     if cmd == "report":
         from repro.observe import bundle as bundle_mod
@@ -1211,9 +1119,7 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
             doc = bundle_mod.read_bundle(args.bundle)
             label = str(args.bundle)
         else:
-            doc = bundle_mod.collect_bundle(
-                sh, name=Path(args.workspace).stem
-            )
+            doc = bundle_mod.collect_bundle(sh, name=Path(args.workspace).stem)
             label = "current workspace"
         diff_doc = None
         if args.vs:
@@ -1223,37 +1129,29 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
             ).to_dict()
         write_dashboard(doc, args.out, diff=diff_doc)
         print(f"wrote ops dashboard for {label} -> {args.out}")
-        return False
+        return 0
 
     if cmd == "serve":
         return _cmd_serve(sh, args)
 
     if cmd == "query":
-        from repro.serve import Overloaded
-
         service = sh.serve()
         try:
             response = service.query(
                 args.tenant, " ".join(args.query), deadline_s=args.deadline
             )
         except Overloaded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            args.exit_code = EXIT_OVERLOADED
-            return False
+            return _fail(exc, EXIT_OVERLOADED)
         finally:
             service.shutdown()
         print(response.to_json())
-        if response.outcome == "deadline":
-            args.exit_code = EXIT_DEADLINE
-        elif response.outcome == "error":
-            args.exit_code = 1
-        return False
+        return {"deadline": EXIT_DEADLINE, "error": 1}.get(response.outcome, 0)
 
     if cmd == "rm":
         if not sh.fs.delete(args.file):
             raise FileNotFoundError(f"no such file: {args.file!r}")
         print(f"deleted '{args.file}'")
-        return True
+        return 0
 
     raise SystemExit(f"unknown command {cmd!r}")  # pragma: no cover
 
@@ -1262,7 +1160,7 @@ class _GracefulShutdown(Exception):
     """Raised by the serve loop's SIGTERM handler to trigger a drain."""
 
 
-def _cmd_serve(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
+def _cmd_serve(sh: SpatialHadoop, args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: a line-oriented service session.
 
     Requests come from ``--script`` or stdin; each terminal response is
@@ -1271,19 +1169,15 @@ def _cmd_serve(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
     history accumulated by served queries triggers the save in
     :func:`main`), and the exit code is 0.
     """
-    import json
-
-    from repro.serve import ServiceConfig, parse_quota_spec
-
     quotas = {}
     for spec in args.quota:
         quotas.update(parse_quota_spec(spec))
-    config = ServiceConfig(
+    config = ServiceConfig(**_given(
         max_inflight=args.max_inflight,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         cache_capacity=args.cache_capacity,
-    )
+    ))
     service = sh.serve(config=config, quotas=quotas)
 
     def _on_term(signum: int, _frame) -> None:
@@ -1333,16 +1227,11 @@ def _cmd_serve(sh: SpatialHadoop, args: argparse.Namespace) -> bool:
         "[serve] {requests} request(s): {served} served, {degraded} "
         "degraded, {overloaded} overloaded, {deadline} deadline, "
         "{error} error; cache hit ratio {ratio:.2f}".format(
-            ratio=summary["cache"]["hit_ratio"], **{
-                k: summary[k] for k in (
-                    "requests", "served", "degraded", "overloaded",
-                    "deadline", "error",
-                )
-            }
+            ratio=summary["cache"]["hit_ratio"], **summary
         ),
         file=sys.stderr,
     )
-    return False
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,9 +27,9 @@ pool breaks too, the remaining chunks run in-process. Repeated breakage
 across waves blacklists the pool entirely. The ``pool_rebuilds`` counter
 records every rebuild.
 
-The worker count is resolved from, in decreasing priority: an explicit
-``Job.config["workers"]`` entry, the ``JobRunner(workers=...)`` argument,
-the ``REPRO_WORKERS`` environment variable, and finally 1 (serial).
+The worker count is resolved from, in decreasing priority: the
+``JobRunner(workers=...)`` argument, the ``REPRO_WORKERS`` environment
+variable, and finally 1 (serial).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import BrokenExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -56,6 +57,10 @@ MAX_REBUILDS_PER_WAVE = 1
 #: Cumulative pool rebuilds after which the pool is blacklisted and every
 #: later wave runs in-process (the environment, not the wave, is broken).
 BLACKLIST_REBUILDS = 5
+
+#: Seconds the driver waits for a chunk's result before it checks that
+#: the pool still has a live worker to deliver it.
+RESULT_POLL_S = 1.0
 
 #: Errors that *can* mean "result or submission failed to pickle". The
 #: pool survives these; only the offending chunks re-run in-process.
@@ -110,6 +115,29 @@ def _is_serialization_error(exc: BaseException) -> bool:
             return True
         tb = tb.tb_next
     return False
+
+
+def _pool_alive(pool: Any) -> bool:
+    """Has ``pool`` a live worker process left to complete a future?"""
+    processes = getattr(pool, "_processes", None) or {}
+    return any(process.is_alive() for process in list(processes.values()))
+
+
+def _result(future: Any, pool: Any) -> Any:
+    """``future.result()``, waited for in ``RESULT_POLL_S`` slices.
+
+    A future whose pool has lost every worker never completes (the pool
+    may not have noticed the deaths); it raises ``BrokenExecutor``
+    instead, so the wave rebuilds the pool rather than hang.
+    """
+    while True:
+        try:
+            return future.result(timeout=RESULT_POLL_S)
+        except FutureTimeout:
+            if future.done():  # the task itself raised a TimeoutError
+                raise
+            if not _pool_alive(pool):
+                raise BrokenExecutor("no live worker left in the pool")
 
 
 def _prepare_shipped(chunks: Sequence[Any]):
@@ -374,7 +402,7 @@ class ParallelExecutor(Executor):
                 # runner's close(wait=False) on the cleanup path.
                 check_active()
                 try:
-                    results[i] = future.result()
+                    results[i] = _result(future, pool)
                 except _BROKEN_POOL_ERRORS:
                     broken.append(i)
                 except _PICKLE_ERRORS as exc:

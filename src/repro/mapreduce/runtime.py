@@ -52,7 +52,6 @@ from repro.mapreduce.executor import (
     CHUNKS_PER_WORKER,
     Executor,
     make_executor,
-    resolve_workers,
 )
 from repro.mapreduce.faults import (
     DEFAULT_HANG_SECONDS,
@@ -478,8 +477,7 @@ class JobRunner:
     ``workers`` selects the execution backend: 1 (the default) runs tasks
     serially in-process, >1 fans each wave out over that many worker
     processes. When ``workers`` is omitted, the ``REPRO_WORKERS``
-    environment variable is consulted. Individual jobs may override the
-    backend with ``Job.config["workers"]``.
+    environment variable is consulted.
 
     ``tracer``, ``metrics`` and ``history`` attach the observability
     layer: a :class:`~repro.observe.Tracer` receives job/wave/task spans,
@@ -492,9 +490,8 @@ class JobRunner:
     task before the job fails), ``task_timeout`` (per-attempt CPU-second
     budget), ``speculative`` / ``slow_task_factor`` (backup attempts for
     stragglers) and ``faults`` (a :class:`FaultPlan`, a spec string, or
-    ``None`` to defer to ``$REPRO_FAULTS``). Jobs may override each knob
-    via ``Job.config``. Fault plans are per-invocation chaos tooling and
-    are never pickled with a workspace.
+    ``None`` to defer to ``$REPRO_FAULTS``). Fault plans are
+    per-invocation chaos tooling and are never pickled with a workspace.
     """
 
     def __init__(
@@ -538,7 +535,6 @@ class JobRunner:
         #: Optional live progress sink (see repro.observe.progress). Holds
         #: an open stream, so it is attached per-invocation, never pickled.
         self.progress = None
-        self._job_executors: Dict[int, Executor] = {}
         #: Storage faults from the plan that already fired (fire-once).
         self._storage_fired: set = set()
         #: Repair seconds from faults fired during a driver-side read
@@ -643,48 +639,17 @@ class JobRunner:
     def close(self) -> None:
         """Shut down any worker pools this runner created."""
         self.executor.close()
-        for executor in self._job_executors.values():
-            executor.close()
-        self._job_executors.clear()
 
-    def _executor_for(self, job: Job) -> Executor:
-        """The backend for ``job``: its config override, or the default."""
-        override = job.config.get("workers")
-        if override is None:
-            return self.executor
-        count = resolve_workers(override)
-        if count == self.executor.workers:
-            return self.executor
-        cached = self._job_executors.get(count)
-        if cached is None:
-            cached = self._job_executors[count] = make_executor(count)
-        return cached
-
-    def _policy_for(self, job: Job) -> _WavePolicy:
-        """Fault-tolerance knobs for ``job``: config overrides runner."""
-        cfg = job.config
-        faults = self.faults
-        if "faults" in cfg:
-            raw = cfg["faults"]
-            if raw is None:
-                faults = None
-            elif isinstance(raw, FaultPlan):
-                faults = raw
-            else:
-                faults = FaultPlan.parse(raw)
-        profile = cfg.get("profile")
-        if profile is None:
-            profile = _profiler.resolve(self.profile)
+    def _policy(self) -> _WavePolicy:
+        """The runner's fault-tolerance and profiling knobs, resolved."""
         log = self.eventlog
         return _WavePolicy(
-            max_attempts=max(1, int(cfg.get("max_attempts", self.max_attempts))),
-            task_timeout=cfg.get("task_timeout", self.task_timeout),
-            speculative=bool(cfg.get("speculative", self.speculative)),
-            slow_task_factor=float(
-                cfg.get("slow_task_factor", self.slow_task_factor)
-            ),
-            faults=faults,
-            profile=bool(profile),
+            max_attempts=max(1, int(self.max_attempts)),
+            task_timeout=self.task_timeout,
+            speculative=bool(self.speculative),
+            slow_task_factor=float(self.slow_task_factor),
+            faults=self.faults,
+            profile=bool(_profiler.resolve(self.profile)),
             log_level=log.threshold if log is not None else None,
         )
 
@@ -769,8 +734,8 @@ class JobRunner:
     def _run_traced(self, job: Job, job_span) -> JobResult:
         counters = Counters()
         splitter = job.splitter or default_splitter
-        executor = self._executor_for(job)
-        policy = self._policy_for(job)
+        executor = self.executor
+        policy = self._policy()
         tracer = self.tracer
         telemetry = self.telemetry
         rebuilds_before = executor.pool_rebuilds

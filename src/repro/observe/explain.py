@@ -48,7 +48,8 @@ DEFAULT_K = 10
 
 #: Shape argument -> (coordinates it reads, the shape they make).
 _SHAPES = {"window": (4, Rectangle), "point": (2, Point)}
-_USAGE = {"window": "<x1,y1,x2,y2>", "point": "<x,y>", "k": "[k]"}
+#: Query-line spelling of each argument.
+USAGE = {"window": "<x1,y1,x2,y2>", "point": "<x,y>", "k": "[k]"}
 
 
 class ExplainQueryError(ValueError):
@@ -94,7 +95,7 @@ def parse_query(text: str) -> Query:
     ]
     # A shape argument (window or point) comes first in ``args``.
     shape = operation.args[0] if operation.args else None
-    coords, make = _SHAPES.get(shape, (0, None))
+    coords = _SHAPES.get(shape, (0,))[0]
     if len(files) < operation.files or (coords and not numbers):
         raise _usage(operation)
     query = Query(op=name, files=files)
@@ -106,23 +107,30 @@ def parse_query(text: str) -> Query:
         query.k = int(k)
     if not coords and numbers:
         raise _usage(operation)
+    if coords:
+        setattr(query, shape, parse_shape(shape, numbers, name))
+    return query
+
+
+def parse_shape(shape: str, numbers: List[str], op: str = "") -> Any:
+    """The ``window`` or ``point`` whose coordinates ``numbers`` spell."""
+    coords, make = _SHAPES[shape]
     if len(numbers) != coords:
         raise ExplainQueryError(
-            f"{name!r} needs {coords} coordinate(s), found {len(numbers)}"
+            f"{op or shape!r} needs {coords} coordinate(s), "
+            f"found {len(numbers)}"
         )
-    if coords:
-        try:
-            values = [float(p) for p in numbers]
-        except ValueError as exc:
-            raise ExplainQueryError(f"bad coordinate in {numbers!r}") from exc
-        setattr(query, shape, make(*values))
-    return query
+    try:
+        values = [float(p) for p in numbers]
+    except ValueError as exc:
+        raise ExplainQueryError(f"bad coordinate in {numbers!r}") from exc
+    return make(*values)
 
 
 def _usage(operation: Operation) -> ExplainQueryError:
     files = ["<file>"] if operation.files == 1 else ["<left>", "<right>"]
     return ExplainQueryError(" ".join(
-        ["usage:", operation.name, *files, *map(_USAGE.get, operation.args)]
+        ["usage:", operation.name, *files, *map(USAGE.get, operation.args)]
     ))
 
 
@@ -168,9 +176,11 @@ def build_plan(sh: Any, query: Query) -> PlanNode:
     return planner(sh.runner, *query.arguments())
 
 
-def execute_query(sh: Any, query: Query) -> Any:
-    """Run ``query`` through the normal facade dispatch."""
-    return getattr(sh, OPERATIONS[query.op].method)(*query.arguments())
+def execute_query(sh: Any, query: Query, **options: Any) -> Any:
+    """Run ``query`` through the normal facade dispatch; ``options`` are
+    keyword arguments of the facade method (``union(enhanced=True)``)."""
+    method = getattr(sh, OPERATIONS[query.op].method)
+    return method(*query.arguments(), **options)
 
 
 def explain_query(sh: Any, text: str) -> Explanation:

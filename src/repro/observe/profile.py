@@ -10,8 +10,8 @@ R-tree, so the design is dominated by two constraints:
 * **Near-zero cost when off.** The collector is a module-global that is
   ``None`` unless a profiled task is in flight; every instrumented site
   guards on that before touching a clock. Profiling is opt-in — the
-  ``REPRO_PROFILE`` environment variable, ``JobRunner(profile=True)``,
-  ``Job.config["profile"]`` or the CLI ``--profile`` flag.
+  ``REPRO_PROFILE`` environment variable, ``JobRunner(profile=True)``
+  or the CLI ``--profile`` flag.
 * **No imports from the rest of the package.** The hot modules this
   instruments are reached from ``repro.mapreduce.__init__``; importing
   the observability package from them would close an import cycle.

@@ -17,6 +17,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.mapreduce import ParallelExecutor, SerialExecutor
+from repro.mapreduce import executor as executor_module
 from repro.mapreduce.executor import BLACKLIST_REBUILDS
 
 
@@ -86,10 +87,20 @@ class BrokenDuringSubmission:
         return future
 
 
-def break_first_pool(ex, monkeypatch, accept):
-    """Make ``ex``'s next pool break during submission; later pools are
-    real."""
-    fake = [BrokenDuringSubmission(accept)]
+class WorkerlessPool:
+    """A pool that lost every worker without noticing: it takes the wave,
+    reports no live worker process, and its futures never complete."""
+
+    _processes: dict = {}
+
+    def submit(self, fn, *args):
+        return Future()
+
+
+def break_first_pool(ex, monkeypatch, accept=0, pool=None):
+    """Make ``ex``'s next pool ``pool`` (default: one that breaks during
+    submission); later pools are real."""
+    fake = [pool or BrokenDuringSubmission(accept)]
     real = ex._ensure_pool
     monkeypatch.setattr(
         ex, "_ensure_pool", lambda: fake.pop() if fake else real()
@@ -139,6 +150,27 @@ class TestPoolRebuild:
         assert executor.fallbacks == 0
         assert executor.last_dispatch["mode"] == "pool"
         assert executor.last_dispatch["recovered"] is True
+
+    def test_pool_without_live_workers_is_a_rebuild(
+        self, executor, tmp_path, monkeypatch
+    ):
+        """A result no live worker is left to deliver is a broken chunk:
+        the driver stops waiting, rebuilds the pool and re-dispatches."""
+        monkeypatch.setattr(executor_module, "RESULT_POLL_S", 0.01)
+        break_first_pool(executor, monkeypatch, pool=WorkerlessPool())
+        chunks, _ = make_chunks(4, tmp_path, log=False)
+        assert executor.map_chunks(run_chunk, chunks) == [0, 10, 20, 30]
+        assert executor.pool_rebuilds == 1
+        assert executor.fallbacks == 0
+        assert executor.last_dispatch["recovered"] is True
+
+    def test_a_task_timeout_error_is_the_task_outcome(self):
+        """Only a pending future is polled: a task that raised TimeoutError
+        surfaces it at once."""
+        future = Future()
+        future.set_exception(TimeoutError("the task's own timeout"))
+        with pytest.raises(TimeoutError, match="the task's own"):
+            executor_module._result(future, WorkerlessPool())
 
 
 class TestPartialPickleFallback:

@@ -107,16 +107,6 @@ class TestExecutorSelection:
         monkeypatch.delenv(WORKERS_ENV_VAR)
         assert resolve_workers(None) == 1
 
-    def test_job_config_overrides_runner_backend(self):
-        runner = make_runner(workers=PARALLEL_WORKERS)
-        try:
-            from repro.mapreduce import Job
-
-            job = Job(input_file="x", map_fn=None, config={"workers": 1})
-            assert isinstance(runner._executor_for(job), SerialExecutor)
-        finally:
-            runner.close()
-
     def test_set_workers_swaps_backend(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         runner = make_runner(workers=None)

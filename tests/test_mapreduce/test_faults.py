@@ -57,13 +57,12 @@ def make_runner(workers=1, **kwargs):
     return JobRunner(fs, cluster, workers=workers, **kwargs)
 
 
-def make_job(**config):
+def make_job():
     return Job(
         "nums",
         mod_map,
         reduce_fn=sum_reduce,
         num_reducers=3,
-        config=config,
         name="modsum",
     )
 
@@ -324,18 +323,6 @@ class TestFaultyRunsMatchCleanRuns:
         runner = make_runner(max_attempts=2)
         with pytest.raises(ValueError, match="broken for real"):
             runner.run(Job("nums", failing_map, name="broken"))
-
-    def test_job_config_overrides_runner_plan(self):
-        runner = make_runner(faults="crash:map:*:*")
-        result = runner.run(make_job(faults=None))
-        assert result.fault_summary == {}
-        with pytest.raises(InjectedFault):
-            runner.run(make_job())
-
-    def test_job_config_supplies_its_own_plan(self):
-        runner = make_runner()
-        result = runner.run(make_job(faults="crash:map:0"))
-        assert result.fault_summary["crashes"] == 1
 
     def test_pickled_runner_drops_fault_plan(self):
         runner = make_runner(faults="crash:map:0", max_attempts=7)
