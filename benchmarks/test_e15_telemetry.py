@@ -71,7 +71,7 @@ def time_modes(
         for _ in range(REPS):
             order = order[::-1]
             for profiled in order:
-                sh.runner.profile = profiled
+                sh.runner.recorder.profile = profiled
                 jobs_before = sh.history.total_recorded
                 start = time.perf_counter()
                 answer = measure(sh)
@@ -201,14 +201,14 @@ class TestE15EventLogOverhead:
             for _ in range(REPS):
                 order = order[::-1]
                 for armed in order:
-                    sh.runner.eventlog = log if armed else None
+                    sh.runner.recorder.eventlog = log if armed else None
                     start = time.perf_counter()
                     answer = self.measure(sh)
                     times[armed].append(time.perf_counter() - start)
                     assert answer == baseline, (
                         "logging must not change answers"
                     )
-            sh.runner.eventlog = None
+            sh.runner.recorder.eventlog = None
             off_s = statistics.median(times[False])
             on_s = statistics.median(times[True])
             overhead_pct = 100.0 * (on_s - off_s) / off_s

@@ -823,7 +823,7 @@ def main(
         if args.profile:
             # Like --workers, a per-invocation choice: the saved
             # workspace replays unprofiled (env/explicit API re-enable).
-            sh.runner.profile = None
+            sh.runner.recorder.profile = None
         if telemetry is not None:
             written = telemetry.export_jsonl(args.telemetry)
             new = len(telemetry) - scrapes_before
@@ -1050,7 +1050,7 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> int:
     if cmd == "logs":
         from repro.observe.log import render_report
 
-        log = sh.runner.eventlog
+        log = sh.runner.recorder.eventlog
         if log is None:
             print(
                 "event log is not armed for this workspace — run any "

@@ -26,7 +26,8 @@ from repro.geometry.wkt import WKTParseError, parse_wkt
 from repro.index.build import IndexBuildResult, build_index
 from repro.mapreduce import ClusterModel, FileSystem, JobRunner
 from repro.mapreduce.storage import FsckReport, run_fsck
-from repro.observe import JobHistory, MetricsRegistry, NullTracer, Tracer
+from repro.observe import JobHistory, MetricsRegistry, Recorder, Tracer
+from repro.observe.recorder import NULL_TRACER
 
 if TYPE_CHECKING:  # lazy imports below avoid the observe -> explain cycle
     from repro.mapreduce.checkpoint import (
@@ -77,12 +78,6 @@ class SpatialHadoop:
         self.cluster = ClusterModel(
             num_nodes=num_nodes, job_overhead_s=job_overhead_s
         )
-        #: The observability layer: every job the runner finishes lands in
-        #: ``history`` and ``metrics``; ``tracer`` is a no-op until
-        #: :meth:`enable_tracing` swaps in a live one.
-        self.tracer = NullTracer()
-        self.metrics = MetricsRegistry()
-        self.history = JobHistory()
         runner_kwargs: dict = {}
         if max_attempts is not None:
             runner_kwargs["max_attempts"] = max_attempts
@@ -90,9 +85,7 @@ class SpatialHadoop:
             self.fs,
             self.cluster,
             workers=workers,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            history=self.history,
+            recorder=Recorder(metrics=MetricsRegistry(), history=JobHistory()),
             task_timeout=task_timeout,
             speculative=speculative,
             faults=faults,
@@ -100,24 +93,35 @@ class SpatialHadoop:
         )
 
     # ------------------------------------------------------------------
-    # Observability
+    # Observability: every channel lives on the runner's one recorder.
+    # Every job the runner finishes lands in ``history`` and ``metrics``;
+    # ``tracer`` is a no-op until :meth:`enable_tracing` sets a live one.
     # ------------------------------------------------------------------
+    @property
+    def tracer(self):
+        return self.runner.recorder.tracer
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        return self.runner.recorder.metrics
+
+    @property
+    def history(self) -> JobHistory:
+        return self.runner.recorder.history
+
     def enable_tracing(self) -> Tracer:
         """Start span tracing and return the live tracer.
 
-        Replaces the no-op default on both the facade and the runner, so
-        every subsequent job, index build, operation and Pigeon statement
+        Every subsequent job, index build, operation and Pigeon statement
         records spans. Call :meth:`disable_tracing` to go back to the
         zero-overhead default.
         """
         if not self.tracer.enabled:
-            self.tracer = Tracer()
-            self.runner.set_tracer(self.tracer)
+            self.runner.recorder.tracer = Tracer()
         return self.tracer
 
     def disable_tracing(self) -> None:
-        self.tracer = NullTracer()
-        self.runner.set_tracer(self.tracer)
+        self.runner.recorder.tracer = NULL_TRACER
 
     def history_report(self, last: Optional[int] = None) -> str:
         """The Hadoop-JobHistory-style text report of retained jobs."""
@@ -134,9 +138,10 @@ class SpatialHadoop:
         """
         from repro.observe import TelemetryLog
 
-        if self.runner.telemetry is None:
-            self.runner.telemetry = TelemetryLog()
-        return self.runner.telemetry
+        recorder = self.runner.recorder
+        if recorder.telemetry is None:
+            recorder.telemetry = TelemetryLog()
+        return recorder.telemetry
 
     def eventlog(self, level: Optional[str] = None) -> "EventLog":
         """The structured event log, attaching one if none exists.
@@ -150,23 +155,17 @@ class SpatialHadoop:
         """
         from repro.observe.log import EventLog
 
-        log = self.runner.eventlog
+        recorder = self.runner.recorder
+        log = recorder.eventlog
         if log is None:
-            log = self.runner.eventlog = EventLog(level=level or "info")
+            log = recorder.eventlog = EventLog(level=level or "info")
         elif level is not None:
             log.level = level
         return log
 
     def disable_eventlog(self) -> None:
         """Detach the event log (subsequent jobs emit nothing)."""
-        self.runner.eventlog = None
-
-    def _log_event(self, level: str, component: str, event: str,
-                   **attrs: Any) -> None:
-        """Facade-side emission; free when no log is attached."""
-        log = self.runner.eventlog
-        if log is not None:
-            log.emit(level, component, event, **attrs)
+        self.runner.recorder.eventlog = None
 
     def openmetrics(self, prefix: str = "repro_") -> str:
         """Current metrics in OpenMetrics/Prometheus text exposition.
@@ -190,10 +189,10 @@ class SpatialHadoop:
         ``JobResult``, the history report and ANALYZE actuals. Costs a
         few timer reads per task phase; off by default.
         """
-        self.runner.profile = True
+        self.runner.recorder.profile = True
 
     def disable_profiling(self) -> None:
-        self.runner.profile = False
+        self.runner.recorder.profile = False
 
     def enable_progress(self, stream: Any = None) -> "ProgressReporter":
         """Stream live wave/task progress to ``stream`` (default stderr).
@@ -204,12 +203,11 @@ class SpatialHadoop:
         """
         from repro.observe import ProgressReporter
 
-        reporter = ProgressReporter(stream=stream)
-        self.runner.set_progress(reporter)
+        reporter = self.runner.recorder.progress = ProgressReporter(stream)
         return reporter
 
     def disable_progress(self) -> None:
-        self.runner.set_progress(None)
+        self.runner.recorder.progress = None
 
     # ------------------------------------------------------------------
     # Crash recovery: wave checkpointing, resume, deadlines
@@ -243,7 +241,7 @@ class SpatialHadoop:
             deadline=deadline,
         )
         self.runner.set_checkpoint(manager)
-        self._log_event(
+        self.runner.recorder.log(
             "info", "checkpoint", "checkpoints-enabled",
             volatile=True, directory=str(manager.directory),
         )
@@ -271,7 +269,7 @@ class SpatialHadoop:
         manager = CheckpointManager.load(directory)
         self.runner.set_checkpoint(manager)
         self.metrics.inc("RESUMES")
-        self._log_event(
+        self.runner.recorder.log(
             "info", "checkpoint", "run-resumed", volatile=True,
             directory=str(manager.directory),
             waves_available=manager.waves_available,
@@ -396,7 +394,7 @@ class SpatialHadoop:
                     self.fs.delete(side)
                 self.fs.create_file(side, quarantined)
         entry = self.fs.get(name)
-        self._log_event(
+        self.runner.recorder.log(
             "warn" if quarantined else "info", "fs", "file-loaded",
             file=name, records=entry.num_records, blocks=entry.num_blocks,
             bad_records=len(quarantined),
@@ -413,7 +411,7 @@ class SpatialHadoop:
         result = build_index(
             self.runner, input_file, output_file, technique, **kwargs
         )
-        self._log_event(
+        self.runner.recorder.log(
             "info", "index", "index-built",
             file=output_file, technique=technique,
             cells=len(result.global_index.cells),
@@ -448,7 +446,7 @@ class SpatialHadoop:
             checkpoint_dir=checkpoint_dir,
         )
         self.history.record_fsck(report.summary())
-        self._log_event(
+        self.runner.recorder.log(
             "info" if report.healthy else "warn", "storage",
             "fsck-completed", healthy=report.healthy,
             issues=len(report.issues), repaired=report.repaired_count,

@@ -18,29 +18,30 @@ version, length and CRC before unpickling and raises a structured
 :class:`WorkspaceError` subclass (never a raw ``UnpicklingError``).
 
 The version byte names the layout of the pickled objects, and it is the
-only place that knows about older layouts. v4 stores each block's local
-index as a packed-array R-tree, and every homogeneous point / rectangle
-block carries its columnar payload with a checksum over the columns.
-Any other version is refused with a :class:`WorkspaceVersionError` that
-says how to rebuild, and a file without the magic with a
-:class:`WorkspaceCorruptError` — never an ``AttributeError`` deep in
-unpickling.
+only place that knows about older layouts. v5 stores each block's local
+index as a packed-array R-tree, every homogeneous point / rectangle
+block carries its columnar payload with a checksum over the columns, and
+the job runner holds its observability channels in one
+:class:`~repro.observe.recorder.Recorder`. Any other version is refused
+with a :class:`WorkspaceVersionError` that says how to rebuild, and a
+file without the magic with a :class:`WorkspaceCorruptError` — never an
+``AttributeError`` deep in unpickling.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Optional, Type
+from typing import Any, Optional, Tuple, Type
 
 MAGIC = b"REPROWS\n"
-FORMAT_VERSION = 4
-#: Header after the magic: version (u8), payload CRC-32 (u32), length (u64).
-_HEADER = struct.Struct(">BIQ")
+FORMAT_VERSION = 5
+#: Header after a frame's magic: version (u8), payload CRC-32 (u32),
+#: payload length (u64).
+FRAME_HEADER = struct.Struct(">BIQ")
 
 
 class WorkspaceError(Exception):
@@ -65,7 +66,6 @@ def atomic_write(path: Path, *chunks: bytes, sync: bool = True) -> None:
     The bytes land in a sibling temp file first, are flushed and
     ``fsync``-ed, then renamed over the destination — so a crash at any
     point leaves either the old file or the new one, never a torn one.
-    Shared by workspace persistence and run-bundle export.
 
     ``sync=False`` skips the fsync (the rename is still atomic against
     *process* death, which keeps the page cache; only power loss can
@@ -92,14 +92,67 @@ def atomic_write(path: Path, *chunks: bytes, sync: bool = True) -> None:
         raise
 
 
+def write_framed(path: Path, magic: bytes, version: int, payload: bytes,
+                 sync: bool = True) -> int:
+    """Atomically write one framed file; returns the bytes written.
+
+    The frame is ``magic | version (u8) | payload crc32 (u32 BE) |
+    payload length (u64 BE) | payload`` — shared by workspaces, run
+    bundles and checkpoint wave files, which differ only in their magic,
+    payload codec, fsync choice and version rule.
+    """
+    header = magic + FRAME_HEADER.pack(
+        version, zlib.crc32(payload) & 0xFFFFFFFF, len(payload)
+    )
+    atomic_write(path, header, payload, sync=sync)
+    return len(header) + len(payload)
+
+
+def read_framed(path: Path, magic: bytes, what: str,
+                error: Type[Exception]) -> Tuple[int, bytes]:
+    """Read one framed file: ``(version, payload)``, length and CRC checked.
+
+    Every failure — unreadable, bad magic, truncated, checksum mismatch —
+    raises ``error`` naming ``what`` the file should have been. The
+    version is returned unjudged: each format applies its own rule.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not raw.startswith(magic):
+        raise error(
+            f"{path} has no {what} magic ({magic!r}): bad magic — it is not "
+            f"a repro {what}, or predates the versioned format"
+        )
+    header_end = len(magic) + FRAME_HEADER.size
+    if len(raw) < header_end:
+        raise error(f"{what} {path} is truncated (incomplete header)")
+    version, crc, length = FRAME_HEADER.unpack(raw[len(magic):header_end])
+    payload = raw[header_end:]
+    if len(payload) != length:
+        raise error(
+            f"{what} {path} is truncated: header promises {length} "
+            f"payload bytes, file has {len(payload)}"
+        )
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        raise error(f"{what} {path} failed its checksum — the file is corrupt")
+    return version, payload
+
+
+def has_magic(path: Path, magic: bytes) -> bool:
+    """Cheap sniff: does ``path`` start with ``magic``?"""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(len(magic)) == magic
+    except OSError:
+        return False
+
+
 def save_workspace(sh: Any, path: Path) -> None:
     """Atomically persist ``sh`` to ``path`` in the current format."""
-    path = Path(path)
     payload = pickle.dumps(sh, protocol=pickle.HIGHEST_PROTOCOL)
-    header = MAGIC + _HEADER.pack(
-        FORMAT_VERSION, zlib.crc32(payload) & 0xFFFFFFFF, len(payload)
-    )
-    atomic_write(path, header, payload)
+    write_framed(path, MAGIC, FORMAT_VERSION, payload)
 
 
 def load_workspace(
@@ -113,67 +166,27 @@ def load_workspace(
     :class:`WorkspaceTypeError` when the decoded object is not an
     instance of ``expected_type``.
     """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise WorkspaceError(f"cannot read workspace {path}: {exc}") from exc
-
-    obj = _load_framed(path, raw)
-    if expected_type is not None and not isinstance(obj, expected_type):
-        raise WorkspaceTypeError(
-            f"{path} is not a repro workspace "
-            f"(contains {type(obj).__name__})"
-        )
-    return obj
-
-
-def _load_framed(path: Path, raw: bytes) -> Any:
-    if not raw.startswith(MAGIC):
-        raise WorkspaceCorruptError(
-            f"workspace {path} has no workspace magic ({MAGIC!r}); it is "
-            "not a repro workspace, or predates the versioned format — "
-            "recreate it"
-        )
-    header_end = len(MAGIC) + _HEADER.size
-    if len(raw) < header_end:
-        raise WorkspaceCorruptError(
-            f"workspace {path} is truncated (incomplete header)"
-        )
-    version, crc, length = _HEADER.unpack(raw[len(MAGIC):header_end])
+    version, payload = read_framed(
+        path, MAGIC, "workspace", WorkspaceCorruptError
+    )
     if version != FORMAT_VERSION:
         raise WorkspaceVersionError(
             f"workspace {path} uses format v{version}; this release reads "
-            f"only v{FORMAT_VERSION} (packed-array indexes, checksummed "
-            "columnar blocks). Recreate the workspace: reload the data "
-            "and rebuild the index with 'repro index'"
-        )
-    payload = raw[header_end:]
-    if len(payload) != length:
-        raise WorkspaceCorruptError(
-            f"workspace {path} is truncated: header promises {length} "
-            f"payload bytes, file has {len(payload)}"
-        )
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise WorkspaceCorruptError(
-            f"workspace {path} failed its checksum — the file is "
-            "corrupt (run 'repro fsck --repair' after restoring a "
-            "good copy, or recreate the workspace)"
+            f"only v{FORMAT_VERSION} (one observability recorder per "
+            "runner). Recreate the workspace: reload the data and rebuild "
+            "the index with 'repro index'"
         )
     try:
-        return pickle.loads(payload)
+        obj = pickle.loads(payload)
     except Exception as exc:
         raise WorkspaceCorruptError(
             f"workspace {path} passed its checksum but failed to "
             f"decode ({type(exc).__name__}: {exc}); it was likely "
             "written by an incompatible release"
         ) from exc
-
-
-def is_workspace_file(path: Path) -> bool:
-    """Cheap sniff: does ``path`` start with the workspace magic?"""
-    try:
-        with io.open(path, "rb") as fh:
-            return fh.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
+    if expected_type is not None and not isinstance(obj, expected_type):
+        raise WorkspaceTypeError(
+            f"{path} is not a repro workspace "
+            f"(contains {type(obj).__name__})"
+        )
+    return obj

@@ -190,7 +190,7 @@ def build_index(
         )
     fs = runner.fs
     capacity = block_capacity or fs.default_block_capacity
-    tracer = runner.tracer
+    tracer = runner.recorder.tracer
 
     with tracer.span(
         f"index:{technique}({input_file})",

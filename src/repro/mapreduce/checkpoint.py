@@ -26,10 +26,10 @@ On disk, a checkpointed run is a directory::
         wave-00000.ckpt      # wave 0's (results, attempts, summary)
         wave-00001.ckpt      # ...
 
-Wave files use the workspace framing discipline (magic + version +
-CRC-32 + length header around a pickle payload) and are committed with
-:func:`repro.core.workspace.atomic_write` — temp + fsync + rename — so a
-crash leaves either a complete checkpoint or none. Commits are
+Wave files use the workspace frame (magic + version + CRC-32 + length
+header around a pickle payload, :func:`repro.core.workspace.write_framed`)
+and are committed atomically — temp + rename — so a crash leaves either
+a complete checkpoint or none. Commits are
 idempotent: re-committing wave N simply replaces wave N. The manifest
 records the command, workspace, fault-plan spec and the *fault-plan
 position* (which driver faults already fired), so a resumed run does not
@@ -63,13 +63,12 @@ import json
 import os
 import pickle
 import shutil
-import struct
 import time
-import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.workspace import atomic_write
+from repro.core.workspace import FRAME_HEADER as _HEADER
+from repro.core.workspace import atomic_write, read_framed, write_framed
 from repro.mapreduce.types import TaskResult
 
 #: Wave-file magic; deliberately the same length as the workspace magic.
@@ -77,8 +76,6 @@ MAGIC = b"REPROCKP"
 #: v2 journals task results as :class:`TaskResult` objects; any other
 #: version reads as a corrupt wave (a cache miss that re-executes).
 FORMAT_VERSION = 2
-#: Header after the magic: version (u8), payload CRC-32 (u32), length (u64).
-_HEADER = struct.Struct(">BIQ")
 
 #: Manifest schema version.
 MANIFEST_VERSION = 1
@@ -321,10 +318,7 @@ def write_checkpoint_file(path: Path, obj: Any) -> None:
         payload = pickle.dumps(
             _pack(obj), protocol=pickle.HIGHEST_PROTOCOL
         )
-        header = MAGIC + _HEADER.pack(
-            FORMAT_VERSION, zlib.crc32(payload) & 0xFFFFFFFF, len(payload)
-        )
-        atomic_write(path, header, payload, sync=False)
+        write_framed(path, MAGIC, FORMAT_VERSION, payload, sync=False)
     finally:
         if was_enabled:
             gc.enable()
@@ -337,37 +331,13 @@ def read_checkpoint_file(path: Path) -> Any:
     cause spelled out — callers that *tolerate* corruption (the replay
     path, fsck) catch that one type.
     """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointCorruptError(
-            f"cannot read checkpoint {path}: {exc}"
-        ) from exc
-    header_end = len(MAGIC) + _HEADER.size
-    if not raw.startswith(MAGIC):
-        raise CheckpointCorruptError(
-            f"checkpoint {path} has no checkpoint magic"
-        )
-    if len(raw) < header_end:
-        raise CheckpointCorruptError(
-            f"checkpoint {path} is truncated (incomplete header)"
-        )
-    version, crc, length = _HEADER.unpack(raw[len(MAGIC):header_end])
+    version, payload = read_framed(
+        path, MAGIC, "checkpoint", CheckpointCorruptError
+    )
     if version != FORMAT_VERSION:
         raise CheckpointCorruptError(
             f"checkpoint {path} uses format v{version}; this release "
             f"reads v{FORMAT_VERSION}"
-        )
-    payload = raw[header_end:]
-    if len(payload) != length:
-        raise CheckpointCorruptError(
-            f"checkpoint {path} is truncated: header promises {length} "
-            f"payload bytes, file has {len(payload)}"
-        )
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise CheckpointCorruptError(
-            f"checkpoint {path} failed its checksum — the file is corrupt"
         )
     try:
         return pickle.loads(payload)

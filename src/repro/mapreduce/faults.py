@@ -87,8 +87,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Environment variable holding a fault-plan spec (chaos CI hook).
 FAULTS_ENV_VAR = "REPRO_FAULTS"
@@ -603,3 +604,52 @@ def _float_field(entry: str, fields: List[str], pos: int, name: str) -> float:
         raise ValueError(
             f"bad {name} in fault entry {entry!r}"
         ) from None
+
+
+#: Fault-summary key counting each failure outcome.
+_FAILURE_KEYS = {
+    "crash": "crashes",
+    "worker-lost": "worker_lost",
+    "timeout": "timeouts",
+    "corrupt": "corrupt",
+}
+
+#: Fault-summary keys in report order.
+_SUMMARY_ORDER = ("retries", "timeouts", "corrupt", "worker_lost", "crashes",
+                  "speculative", "faults_injected", "backoff_s")
+
+
+def fault_summary(plan: Optional[FaultPlan], waves) -> Dict[str, float]:
+    """Fault activity of ``waves``, counted from their attempt records.
+
+    ``waves`` holds ``(wave, attempts)`` pairs, one list of
+    :class:`~repro.mapreduce.cluster.TaskAttempt` records per task. Failure outcomes and ``retries`` count primary attempts
+    (speculative backups never fail a wave), ``speculative`` counts
+    backups, and ``faults_injected`` every recorded attempt the plan
+    scripted — including ``hang``, whose only trace is an inflated CPU
+    charge. ``backoff_s`` sums each wave in dispatch order (by attempt,
+    then task) so the float total is the same on every backend. Zero
+    entries are omitted.
+    """
+    tally: Dict[str, float] = defaultdict(int)
+    backoff = 0.0
+    for wave, attempts in waves:
+        waits = []
+        for i, history in enumerate(attempts):
+            for a in history:
+                if plan is not None and plan.lookup(wave, i, a.attempt):
+                    tally["faults_injected"] += 1
+                if a.speculative:
+                    tally["speculative"] += 1
+                elif a.outcome in _FAILURE_KEYS:
+                    tally["retries"] += 1
+                    tally[_FAILURE_KEYS[a.outcome]] += 1
+                if a.backoff_s:
+                    waits.append((a.attempt, i, a.backoff_s))
+        if waits:
+            backoff += sum(wait for _, _, wait in sorted(waits))
+    if backoff:
+        tally["backoff_s"] = backoff
+    if not tally:
+        return {}
+    return {key: tally[key] for key in _SUMMARY_ORDER if key in tally}

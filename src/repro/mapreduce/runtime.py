@@ -61,6 +61,7 @@ from repro.mapreduce.faults import (
     TaskCorrupted,
     TaskTimeoutError,
     WorkerKilled,
+    fault_summary,
     in_worker_process,
     resolve_faults,
     retry_backoff,
@@ -74,23 +75,13 @@ from repro.mapreduce.job import (
     default_partitioner,
 )
 from repro.mapreduce.types import InputSplit, TaskFailure, TaskResult
-from repro.observe.history import JobHistory
-from repro.observe.metrics import (
-    BACKOFF_SECONDS_BUCKETS,
-    SHUFFLE_BYTES_BUCKETS,
-    TASK_DURATION_BUCKETS,
-    MetricsRegistry,
-)
 from repro.observe import profile as _profiler
-from repro.observe.trace import NullTracer
+from repro.observe.recorder import Recorder
 
 #: Per-task clock: CPU seconds of the calling process. Worker processes
 #: time their own CPU, so real parallelism cannot corrupt the simulated
 #: makespan (wall-clock in an oversubscribed pool would).
 _task_clock = time.process_time
-
-#: Shared no-op tracer: tracing must cost nothing until enabled.
-_NULL_TRACER = NullTracer()
 
 #: Hadoop's ``mapreduce.map.maxattempts`` default: a task may run this
 #: many times in total before the job fails.
@@ -270,22 +261,13 @@ def _shipped_job(job: Job, wave: str, policy: _WavePolicy) -> Job:
     along in the config so worker processes consult the same script as
     the driver.
     """
-    config = job.config
-    faults, profile = policy.faults, policy.profile
-    log_level = policy.log_level
-    if (
-        faults is not None
-        or config.get("faults") is not None
-        or profile != bool(config.get("profile", False))
-        or log_level != config.get("log_level")
-    ):
-        config = {k: v for k, v in config.items() if k != "faults"}
-        if faults is not None:
-            config["faults"] = faults
-        config["profile"] = profile
-        config.pop("log_level", None)
-        if log_level is not None:
-            config["log_level"] = log_level
+    config = {k: v for k, v in job.config.items()
+              if k not in ("faults", "profile", "log_level")}
+    config["profile"] = policy.profile
+    if policy.faults is not None:
+        config["faults"] = policy.faults
+    if policy.log_level is not None:
+        config["log_level"] = policy.log_level
     is_map = wave == "map"
     return replace(
         job,
@@ -447,15 +429,6 @@ def _as_failure(result: Any, attempt: int) -> Optional[TaskFailure]:
     ))
 
 
-#: Fault-summary key counting each failure outcome.
-_SUMMARY_KEYS = {
-    "crash": "crashes",
-    "worker-lost": "worker_lost",
-    "timeout": "timeouts",
-    "corrupt": "corrupt",
-}
-
-
 def _chunked(items: Sequence[Any], num_chunks: int) -> List[Sequence[Any]]:
     """Split ``items`` into at most ``num_chunks`` contiguous runs."""
     if not items:
@@ -479,12 +452,12 @@ class JobRunner:
     processes. When ``workers`` is omitted, the ``REPRO_WORKERS``
     environment variable is consulted.
 
-    ``tracer``, ``metrics`` and ``history`` attach the observability
-    layer: a :class:`~repro.observe.Tracer` receives job/wave/task spans,
-    a :class:`~repro.observe.MetricsRegistry` accumulates counters plus
-    task-duration and shuffle-bytes histograms, and a
-    :class:`~repro.observe.JobHistory` retains every finished job. All
-    three default to off/no-op, which costs nothing per job.
+    ``recorder`` is the observability layer (see
+    :class:`~repro.observe.recorder.Recorder`): it receives every job
+    start, finished wave, job end and driver fact, and writes them to
+    the tracer, event log, metrics, job history, telemetry and progress
+    channels it holds. The default records nothing, which costs nothing
+    per job.
 
     Fault tolerance is controlled by ``max_attempts`` (total tries per
     task before the job fails), ``task_timeout`` (per-attempt CPU-second
@@ -500,41 +473,22 @@ class JobRunner:
         cluster: Optional[ClusterModel] = None,
         workers: Optional[int] = None,
         executor: Optional[Executor] = None,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-        history: Optional[JobHistory] = None,
+        recorder: Optional[Recorder] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         task_timeout: Optional[float] = None,
         speculative: bool = False,
         slow_task_factor: float = DEFAULT_SLOW_TASK_FACTOR,
         faults=None,
-        profile: Optional[bool] = None,
     ):
         self.fs = fs
         self.cluster = cluster or ClusterModel()
         self.executor = executor if executor is not None else make_executor(workers)
-        self.tracer = tracer if tracer is not None else _NULL_TRACER
-        self.metrics = metrics
-        self.history = history
+        self.recorder = recorder if recorder is not None else Recorder()
         self.max_attempts = max(1, int(max_attempts))
         self.task_timeout = task_timeout
         self.speculative = bool(speculative)
         self.slow_task_factor = float(slow_task_factor)
         self.faults = resolve_faults(faults)
-        #: Profiling default: True/False forces it; None defers to
-        #: ``$REPRO_PROFILE`` (read per job, so tests can flip it).
-        self.profile = profile
-        #: Optional telemetry scrape log (see repro.observe.telemetry).
-        #: Plain data — unlike the tracer/progress hooks it *is* pickled,
-        #: so the time-series accumulates across workspace invocations.
-        self.telemetry = None
-        #: Optional structured event log (see repro.observe.log). Plain
-        #: data, ring-buffer bounded, pickled like the telemetry log so
-        #: the flight recorder survives across workspace invocations.
-        self.eventlog = None
-        #: Optional live progress sink (see repro.observe.progress). Holds
-        #: an open stream, so it is attached per-invocation, never pickled.
-        self.progress = None
         #: Storage faults from the plan that already fired (fire-once).
         self._storage_fired: set = set()
         #: Repair seconds from faults fired during a driver-side read
@@ -555,10 +509,9 @@ class JobRunner:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        # Per-invocation attachments: the progress reporter holds an open
-        # stream, and fault plans are chaos tooling — neither belongs in
-        # a persisted workspace.
-        state["progress"] = None
+        # Per-invocation attachments: fault plans are chaos tooling, and
+        # checkpoints and cancellation belong to one command — none of
+        # them belongs in a persisted workspace.
         state["faults"] = None
         state["_storage_fired"] = set()
         state["_pending_repair_s"] = 0.0
@@ -567,14 +520,6 @@ class JobRunner:
         state["_wave_ordinal"] = 0
         state["_driver_fired"] = set()
         return state
-
-    def set_tracer(self, tracer) -> None:
-        """Swap the tracer (pass ``None`` to disable tracing)."""
-        self.tracer = tracer if tracer is not None else _NULL_TRACER
-
-    def set_progress(self, reporter) -> None:
-        """Attach a progress reporter (pass ``None`` to detach)."""
-        self.progress = reporter
 
     def set_faults(self, faults) -> None:
         """Attach a fault plan (a :class:`FaultPlan`, spec string or None)."""
@@ -608,16 +553,7 @@ class JobRunner:
         entry, so a deadline or signal stops *between* rounds even when
         the individual waves are tiny.
         """
-        if self.eventlog is not None:
-            self.eventlog.emit(
-                "debug", "runtime", "round-boundary",
-                op=operation, round=round_index,
-            )
-        if self.tracer.enabled:
-            self.tracer.event(
-                "round-boundary", kind="checkpoint", volatile=True,
-                op=operation, round=round_index,
-            )
+        self.recorder.note("round-boundary", op=operation, round=round_index)
         self._check_cancel()
 
     def _check_cancel(self) -> None:
@@ -642,14 +578,14 @@ class JobRunner:
 
     def _policy(self) -> _WavePolicy:
         """The runner's fault-tolerance and profiling knobs, resolved."""
-        log = self.eventlog
+        log = self.recorder.eventlog
         return _WavePolicy(
             max_attempts=max(1, int(self.max_attempts)),
             task_timeout=self.task_timeout,
             speculative=bool(self.speculative),
             slow_task_factor=float(self.slow_task_factor),
             faults=self.faults,
-            profile=bool(_profiler.resolve(self.profile)),
+            profile=bool(_profiler.resolve(self.recorder.profile)),
             log_level=log.threshold if log is not None else None,
         )
 
@@ -673,81 +609,34 @@ class JobRunner:
             set_active_token(None)
 
     def _run_job(self, job: Job) -> JobResult:
-        tracer = self.tracer
-        log = self.eventlog
+        recorder = self.recorder
         repair_s = self._apply_storage_faults() + self._pending_repair_s
         self._pending_repair_s = 0.0
-        if self.telemetry is not None:
-            self.telemetry.scrape("job-start", self.metrics, job=job.name)
-        if self.progress is not None:
-            self.progress.job_started(job.name, list(job.input_files))
-        if log is not None:
-            log.emit(
-                "info", "runtime", "job-started", job=job.name,
-                files=",".join(job.input_files), reducers=job.num_reducers,
-            )
-        with tracer.span(
-            f"job:{job.name}",
-            kind="job",
-            files=list(job.input_files),
-            reducers=job.num_reducers,
-        ) as job_span:
-            result = self._run_traced(job, job_span)
+        with recorder.job_started(job) as job_span:
+            result = self._run_traced(job)
+            job_span.set("output_records", len(result.output))
         if repair_s > 0:
             # Re-replication after a datanode loss competes with the job
             # for cluster I/O; charge it to this job's simulated time.
             result.makespan += repair_s
             result.fault_summary["storage_repair_s"] = repair_s
-        if log is not None:
-            log.emit(
-                "info", "runtime", "job-finished", job=job.name,
-                output_records=len(result.output),
-                tasks=len(result.map_tasks) + len(result.reduce_tasks),
-            )
-            # The makespan derives from measured CPU seconds: volatile.
-            log.emit(
-                "debug", "runtime", "job-timing", job=job.name,
-                volatile=True, makespan_s=round(result.makespan, 6),
-            )
-        if self.progress is not None:
-            self.progress.job_finished(job.name, result)
-        if self.metrics is not None:
-            self._record_metrics(result)
-        if self.history is not None:
-            self.history.record(
-                job.name,
-                result,
-                cost=self.cluster.job_cost(
-                    result.map_tasks,
-                    result.reduce_tasks,
-                    result.shuffle_records,
-                ),
-                input_files=list(job.input_files),
-            )
-        if self.telemetry is not None:
-            self.telemetry.scrape(
-                "job-end", self.metrics, job=job.name,
-                counters=result.counters.as_dict(),
-            )
+        recorder.job_finished(job, result, self.cluster)
         return result
 
-    def _run_traced(self, job: Job, job_span) -> JobResult:
+    def _run_traced(self, job: Job) -> JobResult:
         counters = Counters()
         splitter = job.splitter or default_splitter
         executor = self.executor
         policy = self._policy()
-        tracer = self.tracer
-        telemetry = self.telemetry
+        tracer = self.recorder.tracer
         rebuilds_before = executor.pool_rebuilds
         #: Phase attribution for the whole job, filled when profiling.
         profile: Dict[str, Dict[str, float]] = {}
 
-        entries: Dict[str, Any] = {}
         for file_name in job.input_files:
-            entry = entries.get(file_name)
-            if entry is None:
-                entry = entries[file_name] = self.fs.get(file_name)
-            counters.increment(Counter.BLOCKS_TOTAL, entry.num_blocks)
+            counters.increment(
+                Counter.BLOCKS_TOTAL, self.fs.get(file_name).num_blocks
+            )
 
         with tracer.span("split", kind="phase") as split_span:
             split_t0 = perf_counter() if policy.profile else 0.0
@@ -759,25 +648,21 @@ class JobRunner:
             split_span.set("splits", len(splits))
             split_span.set("blocks_total", counters.get(Counter.BLOCKS_TOTAL))
             split_span.set("blocks_pruned", max(0, pruned))
-            self._verify_split_reads(splits, split_span, job.name)
+            self._verify_reads(
+                (self.fs.verify_block_read(s.file, s.block_index, s.block)
+                 for s in splits),
+                split_span, job=job.name,
+            )
             if policy.profile:
-                _profiler.merge_into(
-                    profile,
-                    {"split-fetch": [perf_counter() - split_t0, 1]},
-                    "driver",
-                )
+                _charge_driver(profile, "split-fetch", perf_counter() - split_t0)
 
         output: List[Any] = []
         intermediate: List[Tuple[Any, Any]] = []
-        map_stats, fault_summary = self._run_wave(
+        map_stats, map_attempts = self._run_wave(
             job, "map", splits, intermediate.extend,
             counters, output, executor, policy, profile,
         )
-        if telemetry is not None:
-            telemetry.scrape(
-                "wave:map", self.metrics, job=job.name,
-                counters=counters.as_dict(),
-            )
+        waves = [("map", map_attempts)]
 
         reduce_stats: List[TaskStats] = []
         shuffle_records = 0
@@ -786,28 +671,20 @@ class JobRunner:
             shuffle_t0 = perf_counter() if policy.profile else 0.0
             shuffle_bytes = _RecordSizer().total(intermediate)
             if policy.profile:
-                _profiler.merge_into(
-                    profile,
-                    {"shuffle-serialize": [perf_counter() - shuffle_t0, 1]},
-                    "driver",
-                )
+                _charge_driver(profile, "shuffle-serialize",
+                               perf_counter() - shuffle_t0)
             counters.increment(Counter.SHUFFLE_RECORDS, shuffle_records)
             counters.increment(Counter.SHUFFLE_BYTES, shuffle_bytes)
             tracer.event(
                 "shuffle", records=shuffle_records, bytes=shuffle_bytes
             )
             # Reduce emit() goes to the job output (no later stage).
-            reduce_stats, reduce_summary = self._run_wave(
+            reduce_stats, reduce_attempts = self._run_wave(
                 job, "reduce", _reduce_tasks(job, intermediate),
                 lambda pairs: output.extend(v for _, v in pairs),
                 counters, output, executor, policy, profile,
             )
-            _merge_summary(fault_summary, reduce_summary)
-            if telemetry is not None:
-                telemetry.scrape(
-                    "wave:reduce", self.metrics, job=job.name,
-                    counters=counters.as_dict(),
-                )
+            waves.append(("reduce", reduce_attempts))
         else:
             # Map-only job: emitted pairs join the direct output.
             output.extend(v for _, v in intermediate)
@@ -819,24 +696,14 @@ class JobRunner:
                 job.commit_fn(commit_ctx)
                 commit_span.set("output_records", len(output))
                 if policy.profile:
-                    _profiler.merge_into(
-                        profile,
-                        {"commit": [perf_counter() - commit_t0, 1]},
-                        "driver",
-                    )
+                    _charge_driver(profile, "commit", perf_counter() - commit_t0)
 
         counters.increment(Counter.OUTPUT_RECORDS, len(output))
-        job_span.set("output_records", len(output))
+        summary = fault_summary(policy.faults, waves)
         rebuilds = executor.pool_rebuilds - rebuilds_before
         if rebuilds:
-            fault_summary["pool_rebuilds"] = rebuilds
-            if self.eventlog is not None:
-                # Pool health is backend-dependent by nature: volatile.
-                self.eventlog.emit(
-                    "warn", "executor", "pool-rebuilt", job=job.name,
-                    volatile=True, rebuilds=rebuilds,
-                )
-        fault_summary = {k: v for k, v in fault_summary.items() if v}
+            summary["pool_rebuilds"] = rebuilds
+            self.recorder.note("pool-rebuilt", job=job.name, rebuilds=rebuilds)
         makespan = self.cluster.job_makespan(
             map_stats, reduce_stats, shuffle_records
         )
@@ -846,55 +713,19 @@ class JobRunner:
             map_tasks=map_stats,
             reduce_tasks=reduce_stats,
             makespan=makespan,
-            fault_summary=fault_summary,
+            fault_summary=summary,
             phase_profile=profile,
         )
-
-    def _verify_split_reads(self, splits, split_span, job_name=None) -> None:
-        """Checksum-verify every block about to be read (HDFS read path).
-
-        A replica on a dead node or with a failed checksum is skipped and
-        the read fails over to the next healthy copy; only the
-        ``READ_FAILOVERS`` / ``BLOCKS_CORRUPT_DETECTED`` metrics and the
-        trace notice — the data handed to the map wave is identical, so
-        job output and counters stay bit-identical under storage chaos. A
-        block with no healthy replica fails the job with a
-        :class:`~repro.mapreduce.storage.BlockUnavailableError`.
-        """
-        failovers = 0
-        corrupt = 0
-        for split in splits:
-            f, c = self.fs.verify_block_read(
-                split.file, split.block_index, split.block
-            )
-            failovers += f
-            corrupt += c
-        if not failovers and not corrupt:
-            return
-        split_span.set("read_failovers", failovers)
-        if corrupt:
-            split_span.set("corrupt_replicas_detected", corrupt)
-        if self.eventlog is not None:
-            # Which replicas are unhealthy is plan-deterministic, so
-            # failover counts are part of the normalized log.
-            self.eventlog.emit(
-                "warn", "storage", "read-failover", job=job_name,
-                failovers=failovers, corrupt=corrupt,
-            )
-        if self.metrics is not None:
-            self.metrics.inc("READ_FAILOVERS", failovers)
-            if corrupt:
-                self.metrics.inc("BLOCKS_CORRUPT_DETECTED", corrupt)
 
     def verify_driver_read(self, *names: str) -> None:
         """Checksum-verify whole files the driver reads outside a job.
 
         Index-aware operations (the distributed join, kNN join) read
         partition records directly in the driver rather than through
-        map-input splits. Those reads must go through the same HDFS
-        read path as :meth:`_verify_split_reads`: pending storage
-        faults fire first, unhealthy replicas fail over to healthy
-        copies, and a block with no surviving copy raises
+        map-input splits. Those reads take the same HDFS read path as a
+        job's splits: pending storage faults fire first, unhealthy
+        replicas fail over to healthy copies, and a block with no
+        surviving copy raises
         :class:`~repro.mapreduce.storage.BlockUnavailableError` instead
         of silently serving rotten data. Repair traffic from a fired
         ``losenode`` is banked and charged to the next job's makespan,
@@ -902,23 +733,28 @@ class JobRunner:
         observed the loss.
         """
         self._pending_repair_s += self._apply_storage_faults()
-        failovers = 0
-        corrupt = 0
-        for name in names:
-            f, c = self.fs.verify_file_read(name)
+        self._verify_reads(
+            map(self.fs.verify_file_read, names), files=",".join(names)
+        )
+
+    def _verify_reads(self, checks, span=None, **where: str) -> None:
+        """Sum a read's per-block ``(failovers, corrupt)`` replica checks.
+
+        The HDFS read path: a replica on a dead node or with a failed
+        checksum is skipped and the read fails over to the next healthy
+        copy. Only the ``read-failover`` fact notices — the data read is
+        identical, so job output and counters stay bit-identical under
+        storage chaos. A block with no healthy replica raises
+        :class:`~repro.mapreduce.storage.BlockUnavailableError` from the
+        check itself.
+        """
+        failovers = corrupt = 0
+        for f, c in checks:
             failovers += f
             corrupt += c
-        if not failovers and not corrupt:
-            return
-        if self.eventlog is not None:
-            self.eventlog.emit(
-                "warn", "storage", "read-failover",
-                files=",".join(names), failovers=failovers, corrupt=corrupt,
-            )
-        if self.metrics is not None:
-            self.metrics.inc("READ_FAILOVERS", failovers)
-            if corrupt:
-                self.metrics.inc("BLOCKS_CORRUPT_DETECTED", corrupt)
+        if failovers or corrupt:
+            self.recorder.note("read-failover", span, **where,
+                               failovers=failovers, corrupt=corrupt)
 
     def _apply_storage_faults(self) -> float:
         """Fire any pending storage faults from the plan (fire-once).
@@ -943,15 +779,8 @@ class JobRunner:
                     io_seconds=self.cluster.per_record_io_s,
                 )
                 repair_s += seconds
-                if self.eventlog is not None:
-                    self.eventlog.emit(
-                        "warn", "storage", "datanode-lost",
-                        node=fault.node, replicas_repaired=repaired,
-                    )
-                if self.metrics is not None:
-                    self.metrics.inc("DATANODES_LOST")
-                    if repaired:
-                        self.metrics.inc("REPLICAS_REPAIRED", repaired)
+                self.recorder.note("datanode-lost", node=fault.node,
+                                   replicas_repaired=repaired)
             elif fault.kind == "corruptblock" and self.fs.exists(fault.file):
                 blocks = self.fs.get(fault.file).blocks
                 if fault.block < len(blocks):
@@ -960,53 +789,6 @@ class JobRunner:
                         blocks[fault.block], fault.replica
                     )
         return repair_s
-
-    def _record_metrics(self, result: JobResult) -> None:
-        """Fold one finished job into the metrics registry."""
-        metrics = self.metrics
-        metrics.inc("JOBS_TOTAL")
-        metrics.merge_counters(result.counters)
-        duration = metrics.histogram(
-            "task_duration_seconds", TASK_DURATION_BUCKETS
-        )
-        for task in result.map_tasks:
-            duration.observe(task.seconds)
-        for task in result.reduce_tasks:
-            duration.observe(task.seconds)
-        if result.reduce_tasks:
-            metrics.observe(
-                "shuffle_bytes",
-                result.counters.get(Counter.SHUFFLE_BYTES),
-                SHUFFLE_BYTES_BUCKETS,
-            )
-        metrics.set_gauge("last_job_makespan_s", result.makespan)
-        # Cumulative per-phase wall seconds. ``profile_`` names are
-        # volatile by convention (see repro.observe.telemetry): scrape
-        # logs segregate them, keeping the normalized series
-        # backend-independent.
-        for key, entry in result.phase_profile.items():
-            name = "profile_" + key.replace("/", "_").replace("-", "_") + "_s"
-            metrics.add_gauge(name, entry["s"])
-        fault = result.fault_summary
-        if fault:
-            for key, name in (
-                ("retries", "TASKS_RETRIED"),
-                ("speculative", "TASKS_SPECULATIVE"),
-                ("timeouts", "TASKS_TIMED_OUT"),
-                ("worker_lost", "TASKS_WORKER_LOST"),
-                ("corrupt", "TASKS_CORRUPTED"),
-                ("crashes", "TASK_CRASHES"),
-                ("faults_injected", "FAULTS_INJECTED"),
-                ("pool_rebuilds", "POOL_REBUILDS"),
-            ):
-                if fault.get(key):
-                    metrics.inc(name, int(fault[key]))
-            if fault.get("backoff_s"):
-                metrics.observe(
-                    "retry_backoff_seconds",
-                    fault["backoff_s"],
-                    BACKOFF_SECONDS_BUCKETS,
-                )
 
     # ------------------------------------------------------------------
     # The wave supervisor: retries, timeouts, validation, speculation.
@@ -1021,20 +803,20 @@ class JobRunner:
     ):
         """Run every task of one wave to a successful attempt.
 
-        Returns ``(results, attempts, summary)``: the winning
-        :class:`TaskResult` per task (wave order), the attempt history per
-        task, and the wave's fault-activity counts. Raises the original
-        task error once a task exhausts ``max_attempts``.
+        Returns ``(results, attempts)``: the winning :class:`TaskResult`
+        per task (wave order) and the attempt history per task. Raises
+        the original task error once a task exhausts ``max_attempts``.
 
         Retries are batched: each round re-dispatches every task that
         failed the previous round, with its simulated backoff charged to
         the attempt record (and hence the makespan) rather than slept.
 
         When a checkpoint manager is armed, a journaled wave is
-        *replayed* — its recorded result triple returned without
+        *replayed* — its recorded results and attempts returned without
         executing anything — and an executed wave is journaled on its
-        way out. Because waves are deterministic and all downstream
-        merging is a pure function of the triple, a resumed run is
+        way out, as the triple ``(results, attempts, fault summary)``.
+        Because waves are deterministic and all downstream merging is a
+        pure function of the results and attempts, a resumed run is
         bit-identical to an uninterrupted one. Driver faults
         (``crashdriver`` / ``hangdriver``) fire after the commit, and
         the cancellation token is polled at every wave boundary.
@@ -1046,68 +828,43 @@ class JobRunner:
             cached = ckpt.replay(index, fingerprint)
             if cached is not None:
                 self._wave_ordinal = index + 1
-                self._note_checkpoint("replayed", index, wave)
+                self.recorder.note("checkpoint", action="replayed",
+                                   wave=index, wave_kind=wave)
                 self._check_cancel()
-                return cached
+                return cached[:2]
         n = len(items)
         results: List[Any] = [None] * n
         attempts: List[List[TaskAttempt]] = [[] for _ in range(n)]
         backoff_due: Dict[int, float] = {}
-        summary = _new_summary()
         plan_seed = policy.faults.seed if policy.faults is not None else 0
         pending: List[Tuple[int, int]] = [(i, 0) for i in range(n)]
         while pending:
             failed: List[Tuple[int, Exception]] = []
-            self._count_injections(wave, pending, policy, summary)
             dispatched = self._dispatch(executor, job, wave, items, pending)
             for (i, attempt), result in zip(pending, dispatched):
                 self._absorb(i, attempt, result, results, attempts,
-                             backoff_due, failed, policy, summary)
+                             backoff_due, failed, policy)
             pending = []
             for i, error in failed:
                 next_attempt = len(attempts[i])
                 if next_attempt >= policy.max_attempts:
                     raise error
-                wait = retry_backoff(
+                backoff_due[i] = retry_backoff(
                     _task_id(wave, items[i]), next_attempt, plan_seed
                 )
-                backoff_due[i] = wait
-                summary["retries"] += 1
-                summary["backoff_s"] += wait
                 pending.append((i, next_attempt))
         if policy.speculative and n >= MIN_SPECULATION_TASKS:
             self._speculate(wave, items, results, attempts, job, executor,
-                            policy, summary)
+                            policy)
         self._wave_ordinal = index + 1
-        if ckpt is not None and ckpt.commit(
-            index, fingerprint, (results, attempts, summary)
-        ):
-            self._note_checkpoint("committed", index, wave)
+        if ckpt is not None and ckpt.commit(index, fingerprint, (
+            results, attempts, fault_summary(policy.faults, [(wave, attempts)])
+        )):
+            self.recorder.note("checkpoint", action="committed",
+                               wave=index, wave_kind=wave)
         self._fire_driver_faults(index, policy)
         self._check_cancel()
-        return results, attempts, summary
-
-    def _note_checkpoint(self, action: str, index: int, wave: str) -> None:
-        """Record one checkpoint commit/replay across the observability
-        layer. Everything here is flagged volatile: whether a wave was
-        journaled or replayed is exactly what differs between a clean
-        run and a resumed one, so it must never enter the normalized
-        trace/log the determinism contract compares."""
-        if self.metrics is not None:
-            self.metrics.inc(
-                "CHECKPOINTS_WRITTEN" if action == "committed"
-                else "CHECKPOINTS_REPLAYED"
-            )
-        if self.tracer.enabled:
-            self.tracer.event(
-                "checkpoint", kind="checkpoint", volatile=True,
-                action=action, wave=index, kind_of_wave=wave,
-            )
-        if self.eventlog is not None:
-            self.eventlog.emit(
-                "debug", "checkpoint", f"wave-{action}", volatile=True,
-                wave=index, wave_kind=wave,
-            )
+        return results, attempts
 
     def _fire_driver_faults(self, index: int, policy: _WavePolicy) -> None:
         """Fire scripted driver faults at executed wave ``index``.
@@ -1129,19 +886,14 @@ class JobRunner:
             self._driver_fired.add(key)
             if ckpt is not None:
                 ckpt.mark_fired(key)
-            if self.metrics is not None:
-                self.metrics.inc("DRIVER_FAULTS_INJECTED")
             if fault.kind == "hangdriver":
                 seconds = (
                     fault.arg if fault.arg is not None else DEFAULT_HANG_SECONDS
                 )
                 if self.cancellation is not None:
                     self.cancellation.add_hang(seconds)
-                if self.eventlog is not None:
-                    self.eventlog.emit(
-                        "warn", "checkpoint", "driver-hang-injected",
-                        volatile=True, wave=index, seconds=seconds,
-                    )
+                self.recorder.note("driver-fault", kind=fault.kind,
+                                   wave=index, seconds=seconds)
                 continue
             # crashdriver: optionally shred the just-committed checkpoint
             # (torn-write simulation), mark the run resumable, then die.
@@ -1149,30 +901,11 @@ class JobRunner:
                 if fault.arg is not None:
                     ckpt.tear_wave_file(index, fault.arg)
                 ckpt.interrupt(fault.describe())
-            if self.eventlog is not None:
-                self.eventlog.emit(
-                    "error", "checkpoint", "driver-crash-injected",
-                    volatile=True, wave=index,
-                )
+            self.recorder.note("driver-fault", kind=fault.kind, wave=index)
             raise DriverCrashed(
                 f"injected driver crash after wave {index} "
                 f"({fault.describe()})"
             )
-
-    @staticmethod
-    def _count_injections(wave, pending, policy, summary) -> None:
-        """Count scripted faults about to fire in this dispatch round.
-
-        Counted driver-side from the plan (not from failed results)
-        so every kind registers — including ``hang``, whose only
-        worker-side trace is an inflated CPU charge, and ``kill``,
-        whose chunk may be transparently re-dispatched by the pool.
-        """
-        if policy.faults is None:
-            return
-        for i, attempt in pending:
-            if policy.faults.lookup(wave, i, attempt) is not None:
-                summary["faults_injected"] += 1
 
     def _dispatch(self, executor, job, wave, items, pending):
         """One round of attempts through the executor; results in order."""
@@ -1193,7 +926,6 @@ class JobRunner:
     @staticmethod
     def _absorb(
         i, attempt, result, results, attempts, backoff_due, failed, policy,
-        summary,
     ) -> None:
         """Fold one attempt's result into the wave state."""
         failure = _as_failure(result, attempt)
@@ -1213,7 +945,6 @@ class JobRunner:
                 backoff_s=backoff_due.pop(i, 0.0),
             ))
             return
-        summary[_SUMMARY_KEYS[failure.outcome]] += 1
         attempts[i].append(TaskAttempt(
             attempt=attempt, outcome=failure.outcome, seconds=failure.seconds,
             backoff_s=backoff_due.pop(i, 0.0), error=_describe(failure.error),
@@ -1221,7 +952,7 @@ class JobRunner:
         failed.append((i, failure.error))
 
     def _speculate(
-        self, wave, items, results, attempts, job, executor, policy, summary,
+        self, wave, items, results, attempts, job, executor, policy,
     ) -> None:
         """Backup attempts for stragglers; the faster copy wins.
 
@@ -1245,8 +976,6 @@ class JobRunner:
         ]
         if not pending:
             return
-        summary["speculative"] += len(pending)
-        self._count_injections(wave, pending, policy, summary)
         dispatched = self._dispatch(executor, job, wave, items, pending)
         for (i, attempt), result in zip(pending, dispatched):
             self._absorb_backup(i, attempt, result, results, attempts)
@@ -1295,209 +1024,50 @@ class JobRunner:
         ``items`` are the tasks' inputs (splits, or reduce buckets);
         ``sink`` receives each task's emitted pairs — the shuffle after
         the map wave, the job output after the reduce wave. Returns the
-        per-task stats and the wave's fault summary.
+        per-task stats and attempt histories.
         """
         counters.increment(
             Counter.MAP_TASKS if wave == "map" else Counter.REDUCE_TASKS,
             len(items),
         )
+        results: List[TaskResult] = []
+        attempts: List[List[TaskAttempt]] = []
         stats: List[TaskStats] = []
-        if not items:
-            return stats, _new_summary()
-        tracer = self.tracer
-        progress = self.progress
-        log = self.eventlog
-        if progress is not None:
-            progress.wave_started(job.name, wave, len(items))
-        with tracer.span(
-            f"wave:{wave}", kind="wave", tasks=len(items)
-        ) as span:
-            results, attempts, summary = self._execute_wave(
-                wave, items, _shipped_job(job, wave, policy), executor, policy
-            )
-            self._trace_dispatch(executor)
-            self._charge_dispatch(executor, policy, profile)
-            _annotate_wave(span, summary)
-            cursor = span.start
+        recorder = self.recorder
+        with recorder.wave_started(job.name, wave, len(items)) as span:
+            if items:
+                results, attempts = self._execute_wave(
+                    wave, items, _shipped_job(job, wave, policy), executor,
+                    policy,
+                )
+                if policy.profile:
+                    # The pool's chunk pickling and submission *is* the
+                    # driver's shuffle-serialize cost; serial has none.
+                    submit_s = (executor.last_dispatch or {}).get("submit_s")
+                    if submit_s:
+                        _charge_driver(profile, "shuffle-serialize", submit_s)
             for item, result, history in zip(items, results, attempts):
                 counters.merge_dict(result.counters)
                 if policy.profile and result.phases:
                     _profiler.merge_into(profile, result.phases, wave)
-                task = TaskStats(
+                stats.append(TaskStats(
                     task_id=_task_id(wave, item),
                     records_in=result.records_in,
                     records_out=len(result.emitted) + len(result.output),
                     seconds=result.seconds,
                     attempts=_final_attempts(history),
-                )
-                stats.append(task)
-                span_id = None
-                if tracer.enabled:
-                    cursor, span_id = self._trace_task(
-                        task, result.events, cursor
-                    )
-                if log is not None and result.events:
-                    log.absorb(
-                        result.events, job=job.name, wave=wave,
-                        task=task.task_id, span=span_id,
-                    )
-                if progress is not None:
-                    progress.task_finished(
-                        wave, len(stats), len(items),
-                        task.records_in, task.records_out,
-                    )
+                ))
                 sink(result.emitted)
                 output.extend(result.output)
-            self._log_wave(job.name, wave, len(stats), summary)
-        return stats, summary
-
-    # ------------------------------------------------------------------
-    # Trace plumbing. Task spans are laid out on a synthetic timeline —
-    # cumulative CPU seconds from the wave's start, in split/bucket
-    # order — so a wave reads like a schedule and serial/parallel runs
-    # produce identical span sequences (timestamps are normalised away
-    # on comparison; see repro.observe.trace). Attempt spans nest under
-    # their task span; speculative ones are volatile because which copy
-    # wins is timing-dependent by nature.
-    # ------------------------------------------------------------------
-    def _trace_task(
-        self, task: TaskStats, events, cursor
-    ) -> Tuple[float, int]:
-        attrs = {
-            "records_in": task.records_in, "records_out": task.records_out
-        }
-        attempts = task.attempts
-        if attempts:
-            attrs["attempts"] = sum(
-                1 for a in attempts if not a.speculative
-            )
-        span_id = self.tracer.add_span(
-            f"task:{task.task_id}", "task", cursor, cursor + task.seconds,
-            **attrs
-        )
-        offset = cursor
-        for a in attempts:
-            start = offset + a.backoff_s
-            a_attrs = {"outcome": a.outcome}
-            if a.backoff_s:
-                a_attrs["backoff_s"] = round(a.backoff_s, 6)
-            if a.error:
-                a_attrs["error"] = a.error
-            self.tracer.add_span(
-                f"attempt:{task.task_id}#{a.attempt}", "attempt",
-                start, start + a.seconds,
-                parent_id=span_id, volatile=a.speculative, **a_attrs,
-            )
-            if not a.speculative:
-                offset = start + a.seconds
-        for event in events:
-            if "log" in event:  # ctx.log records: the event log's, not ours
-                continue
-            self.tracer.event(
-                event["name"], parent_id=span_id, **event["attrs"]
-            )
-        return cursor + task.seconds, span_id
-
-    def _log_wave(self, job_name, wave, tasks, summary) -> None:
-        """Wave-boundary event-log records (after task logs absorbed).
-
-        Retry/timeout/corruption counts are plan-deterministic — the
-        same faults fire on every backend — so they join the normalized
-        log; speculation outcomes depend on measured CPU and stay
-        volatile.
-        """
-        log = self.eventlog
-        if log is None:
-            return
-        log.emit(
-            "info", "runtime", "wave-finished",
-            job=job_name, wave=wave, tasks=tasks,
-            span=self.tracer.current_span_id(),
-        )
-        faults = {
-            key: int(summary[key])
-            for key in ("retries", "timeouts", "corrupt", "worker_lost",
-                        "faults_injected")
-            if summary.get(key)
-        }
-        if faults:
-            log.emit(
-                "warn", "runtime", "wave-faults",
-                job=job_name, wave=wave, **faults,
-            )
-        if summary.get("speculative"):
-            log.emit(
-                "warn", "runtime", "wave-speculation",
-                job=job_name, wave=wave, volatile=True,
-                backups=int(summary["speculative"]),
-            )
-
-    def _trace_dispatch(self, executor: Executor) -> None:
-        """Record how the wave was dispatched, as volatile diagnostics.
-
-        Backend, worker count and chunking legitimately differ between
-        serial and parallel runs, so this event is flagged volatile and
-        dropped by trace normalisation — visible in raw traces, excluded
-        from the determinism contract.
-        """
-        if not self.tracer.enabled:
-            return
-        info = executor.last_dispatch or {}
-        self.tracer.event(
-            "dispatch",
-            kind="dispatch",
-            volatile=True,
-            backend=executor.name,
-            workers=executor.workers,
-            **info,
-        )
-
-    @staticmethod
-    def _charge_dispatch(executor: Executor, policy, profile) -> None:
-        """Charge the wave's chunk-serialization time to the profile.
-
-        The parallel executor measures how long it spent pickling and
-        submitting chunks (``submit_s`` in its dispatch diagnostics);
-        that *is* the driver's shuffle-serialize cost. Serial dispatch
-        has no serialization, so nothing is charged.
-        """
-        if not policy.profile or profile is None:
-            return
-        submit_s = (executor.last_dispatch or {}).get("submit_s")
-        if submit_s:
-            _profiler.merge_into(
-                profile, {"shuffle-serialize": [submit_s, 1]}, "driver"
-            )
+            recorder.wave_finished(job.name, wave, span, results, stats,
+                                   attempts, policy.faults, executor,
+                                   counters)
+        return stats, attempts
 
 
-def _new_summary() -> Dict[str, float]:
-    return {
-        "retries": 0,
-        "timeouts": 0,
-        "corrupt": 0,
-        "worker_lost": 0,
-        "crashes": 0,
-        "speculative": 0,
-        "faults_injected": 0,
-        "backoff_s": 0.0,
-    }
-
-
-def _merge_summary(into: Dict[str, float], other: Dict[str, float]) -> None:
-    for key, value in other.items():
-        into[key] = into.get(key, 0) + value
-
-
-def _annotate_wave(wave_span, summary: Dict[str, float]) -> None:
-    """Attach non-zero fault counts to the wave span.
-
-    These counts are plan-deterministic (the same faults fire on every
-    backend), so they are part of the normal — not volatile — trace.
-    """
-    for key in ("retries", "timeouts", "corrupt", "worker_lost",
-                "speculative"):
-        if summary.get(key):
-            wave_span.set(f"tasks_{key}", int(summary[key]))
+def _charge_driver(profile, phase: str, seconds: float) -> None:
+    """Charge ``seconds`` of driver-side ``phase`` to a job's profile."""
+    _profiler.merge_into(profile, {phase: [seconds, 1]}, "driver")
 
 
 def _describe(error: Exception) -> str:

@@ -10,6 +10,8 @@ MapReduce substrate, index building, the operations, Pigeon and the CLI:
   gauges and fixed-bucket histograms.
 * :class:`JobHistory` — the Hadoop-JobHistory-style per-job store and
   text report.
+* :class:`Recorder` — the runtime's one observability object: it owns
+  the channels below and writes each job, wave and driver fact to them.
 * :class:`TelemetryLog` / :func:`render_openmetrics` — wave-boundary
   metric scrapes and Prometheus/OpenMetrics text exposition.
 * :mod:`repro.observe.profile` — the per-phase task profiler (imported
@@ -18,7 +20,7 @@ MapReduce substrate, index building, the operations, Pigeon and the CLI:
 * :func:`compare_snapshots` — the perf-regression sentinel comparing a
   run's metrics against a stored baseline.
 
-Tracing is off by default (a shared :class:`NullTracer`) and costs
+Tracing is off by default (the shared ``NULL_TRACER``) and costs
 nothing until enabled.
 """
 
@@ -67,6 +69,7 @@ from repro.observe.plan import (
     estimate_job_cost,
 )
 from repro.observe.progress import UPDATES_PER_WAVE, ProgressReporter
+from repro.observe.recorder import NULL_TRACER, Recorder
 from repro.observe.sentinel import (
     DEFAULT_TOLERANCE_PCT,
     SentinelReport,
@@ -95,8 +98,6 @@ from repro.observe.trace import (
 # through this package initialiser would close the cycle. Import it as
 # ``from repro.observe import explain`` (module) instead.
 
-#: Shared no-op tracer: the default everywhere tracing is optional.
-NULL_TRACER = NullTracer()
 
 __all__ = [
     "BUNDLE_VERSION",
@@ -119,6 +120,7 @@ __all__ = [
     "PLAN_VERSION",
     "PlanNode",
     "ProgressReporter",
+    "Recorder",
     "SHUFFLE_BYTES_BUCKETS",
     "SKEW_FACTOR",
     "STRAGGLER_FACTOR",

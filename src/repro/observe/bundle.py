@@ -21,18 +21,14 @@ decompressing, raising a structured :class:`BundleError` subclass.
 from __future__ import annotations
 
 import json
-import struct
 import time
 import zlib
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.core.workspace import atomic_write
+from repro.core.workspace import read_framed, write_framed
 
 MAGIC = b"REPROBN\n"
 BUNDLE_VERSION = 1
-#: Header after the magic: version (u8), payload CRC-32 (u32), length (u64).
-_HEADER = struct.Struct(">BIQ")
 
 
 class BundleError(Exception):
@@ -67,9 +63,10 @@ def collect_bundle(
     from repro.mapreduce.storage import run_fsck
 
     runner = sh.runner
-    telemetry = runner.telemetry
-    eventlog = runner.eventlog
-    tracer = sh.tracer
+    recorder = runner.recorder
+    telemetry = recorder.telemetry
+    eventlog = recorder.eventlog
+    tracer = recorder.tracer
 
     doc: Dict[str, Any] = {
         "bundle_version": BUNDLE_VERSION,
@@ -83,9 +80,9 @@ def collect_bundle(
             _file_section(sh.fs, file_name)
             for file_name in sh.fs.list_files()
         ],
-        "metrics": sh.metrics.snapshot(),
+        "metrics": recorder.metrics.snapshot(),
         "telemetry": [] if telemetry is None else list(telemetry.records),
-        "history": sh.history.to_dict(),
+        "history": recorder.history.to_dict(),
         "eventlog": (
             None
             if eventlog is None
@@ -135,42 +132,16 @@ def write_bundle(doc: Dict[str, Any], path: Any) -> int:
     payload = zlib.compress(
         json.dumps(doc, sort_keys=True, default=str).encode("utf-8"), 6
     )
-    header = MAGIC + _HEADER.pack(
-        BUNDLE_VERSION, zlib.crc32(payload) & 0xFFFFFFFF, len(payload)
-    )
-    atomic_write(Path(path), header, payload)
-    return len(header) + len(payload)
+    return write_framed(path, MAGIC, BUNDLE_VERSION, payload)
 
 
 def read_bundle(path: Any) -> Dict[str, Any]:
     """Load a bundle, verifying magic, version, length and checksum."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise BundleError(f"cannot read bundle {path}: {exc}") from exc
-    if not raw.startswith(MAGIC):
-        raise BundleCorruptError(
-            f"{path} is not a repro run bundle (bad magic)"
-        )
-    header_end = len(MAGIC) + _HEADER.size
-    if len(raw) < header_end:
-        raise BundleCorruptError(f"bundle {path} is truncated (no header)")
-    version, crc, length = _HEADER.unpack(raw[len(MAGIC):header_end])
+    version, payload = read_framed(path, MAGIC, "bundle", BundleCorruptError)
     if version > BUNDLE_VERSION:
         raise BundleVersionError(
             f"bundle {path} uses format v{version}; this release reads "
             f"up to v{BUNDLE_VERSION}"
-        )
-    payload = raw[header_end:]
-    if len(payload) != length:
-        raise BundleCorruptError(
-            f"bundle {path} is truncated: header promises {length} "
-            f"payload bytes, file has {len(payload)}"
-        )
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise BundleCorruptError(
-            f"bundle {path} failed its checksum — the file is corrupt"
         )
     try:
         return json.loads(zlib.decompress(payload).decode("utf-8"))
@@ -179,15 +150,6 @@ def read_bundle(path: Any) -> Dict[str, Any]:
             f"bundle {path} passed its checksum but failed to decode "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-
-
-def is_bundle_file(path: Any) -> bool:
-    """Cheap sniff: does ``path`` start with the bundle magic?"""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -208,9 +170,8 @@ def import_bundle(sh: Any, doc: Dict[str, Any]) -> Dict[str, int]:
     from repro.observe.log import DEFAULT_CAPACITY, EventLog
     from repro.observe.telemetry import TelemetryLog
 
-    history = JobHistory.from_dict(doc.get("history") or {})
-    sh.history = history
-    sh.runner.history = history
+    recorder = sh.runner.recorder
+    history = recorder.history = JobHistory.from_dict(doc.get("history") or {})
 
     scrapes = list(doc.get("telemetry") or [])
     telemetry = TelemetryLog()
@@ -218,12 +179,12 @@ def import_bundle(sh: Any, doc: Dict[str, Any]) -> Dict[str, int]:
     telemetry._seq = (
         max((r.get("seq", 0) for r in scrapes), default=-1) + 1
     )
-    sh.runner.telemetry = telemetry
+    recorder.telemetry = telemetry
 
     events = 0
     section = doc.get("eventlog")
     if section is not None:
-        sh.runner.eventlog = EventLog.from_records(
+        recorder.eventlog = EventLog.from_records(
             section.get("records") or [],
             level=section.get("level", "info"),
             capacity=int(section.get("capacity", DEFAULT_CAPACITY)),

@@ -10,7 +10,7 @@ R-tree, so the design is dominated by two constraints:
 * **Near-zero cost when off.** The collector is a module-global that is
   ``None`` unless a profiled task is in flight; every instrumented site
   guards on that before touching a clock. Profiling is opt-in — the
-  ``REPRO_PROFILE`` environment variable, ``JobRunner(profile=True)``
+  ``REPRO_PROFILE`` environment variable, ``Recorder(profile=True)``
   or the CLI ``--profile`` flag.
 * **No imports from the rest of the package.** The hot modules this
   instruments are reached from ``repro.mapreduce.__init__``; importing

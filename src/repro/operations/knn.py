@@ -122,7 +122,7 @@ def knn_spatial(
     if gindex is None:
         raise ValueError(f"{file_name!r} is not spatially indexed")
 
-    tracer = runner.tracer
+    tracer = runner.recorder.tracer
 
     def run_round(round_index: int, cell_ids) -> "JobResult":  # noqa: F821
         with tracer.span(

@@ -74,7 +74,7 @@ def range_count_spatial(
         else:
             boundary_cells.add(cell.cell_id)
 
-    with runner.tracer.span(
+    with runner.recorder.tracer.span(
         f"op:range-count({file_name})",
         kind="operation",
         file=file_name,

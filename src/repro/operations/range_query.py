@@ -88,7 +88,7 @@ def range_query_hadoop(
     runner: JobRunner, file_name: str, query: Rectangle
 ) -> OperationResult:
     """Full-scan range query on a heap (or indexed) file."""
-    with runner.tracer.span(
+    with runner.recorder.tracer.span(
         f"op:range-hadoop({file_name})", kind="operation", file=file_name
     ) as op_span:
         job = Job(
@@ -120,7 +120,7 @@ def range_query_spatial(
         raise ValueError(f"{file_name!r} is not spatially indexed")
     dedup = gindex.disjoint
 
-    with runner.tracer.span(
+    with runner.recorder.tracer.span(
         f"op:range-spatial({file_name})",
         kind="operation",
         file=file_name,

@@ -95,7 +95,7 @@ def skyline_spatial(
     gindex = global_index_of(runner.fs, file_name)
     if gindex is None:
         raise ValueError(f"{file_name!r} is not spatially indexed")
-    with runner.tracer.span(
+    with runner.recorder.tracer.span(
         f"op:skyline-spatial({file_name})",
         kind="operation",
         file=file_name,

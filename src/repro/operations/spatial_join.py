@@ -135,7 +135,7 @@ def spatial_join_sjmr(
     input_files = (
         [left_file] if left_file == right_file else [left_file, right_file]
     )
-    with runner.tracer.span(
+    with runner.recorder.tracer.span(
         f"op:sjmr({left_file},{right_file})",
         kind="operation",
         left=left_file,
@@ -201,7 +201,7 @@ def spatial_join_distributed(
     left_blocks = {b.metadata["cell_id"]: b for b in fs.get(left_file).blocks}
     right_blocks = {b.metadata["cell_id"]: b for b in fs.get(right_file).blocks}
 
-    tracer = runner.tracer
+    tracer = runner.recorder.tracer
     with tracer.span(
         f"op:dj({left_file},{right_file})",
         kind="operation",

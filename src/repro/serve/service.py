@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.core.splitter import global_index_of
+from repro.operations.range_query import estimated_matches
 from repro.mapreduce.checkpoint import (
     CancellationToken,
     DeadlineExceeded,
@@ -106,6 +107,8 @@ class QueryService:
         default_quota: Optional[TenantQuota] = None,
     ):
         self.sh = sh
+        #: The workspace's observability layer, shared with its runner.
+        self.recorder = sh.runner.recorder
         self.config = config or ServiceConfig()
         self.max_inflight = (
             self.config.max_inflight
@@ -128,8 +131,8 @@ class QueryService:
         self._responses: List[Response] = []
         self._shutdown = False
         self._shutdown_requested = False
-        self._log(
-            "info", "service-started",
+        self.recorder.log(
+            "info", "serve", "service-started",
             max_inflight=self.max_inflight,
             cache_capacity=self.config.cache_capacity,
         )
@@ -188,8 +191,8 @@ class QueryService:
             )
             self._finish(response)
             return response
-        self._log(
-            "debug", "request-admitted", volatile=True,
+        self.recorder.log(
+            "debug", "serve", "request-admitted", volatile=True,
             tenant=request.tenant, request=request.request_id,
         )
         return None
@@ -203,8 +206,8 @@ class QueryService:
         if count <= 0:
             return
         self._burst_fired.add(request.tenant)
-        self._log(
-            "warn", "burst-injected",
+        self.recorder.log(
+            "warn", "serve", "burst-injected",
             tenant=request.tenant, extra_requests=count,
         )
         for _ in range(count):
@@ -274,7 +277,7 @@ class QueryService:
             self._finish(response)
             completed.append(response)
         self._gauges()
-        self._scrape("serve-drain")
+        self.recorder.scrape("serve-drain")
         return completed
 
     def process_script(self, lines: Iterable[str]) -> List[Response]:
@@ -335,8 +338,8 @@ class QueryService:
 
         waited = start - request.arrival_s
         if request.deadline_s is not None and waited >= request.deadline_s:
-            self._log(
-                "warn", "request-deadline", tenant=request.tenant,
+            self.recorder.log(
+                "warn", "serve", "request-deadline", tenant=request.tenant,
                 request=request.request_id, waited_s=round(waited, 6),
                 phase="queue",
             )
@@ -405,8 +408,8 @@ class QueryService:
         try:
             result = explain.execute_query(self.sh, query)
         except DeadlineExceeded as exc:
-            self._log(
-                "warn", "request-deadline", tenant=request.tenant,
+            self.recorder.log(
+                "warn", "serve", "request-deadline", tenant=request.tenant,
                 request=request.request_id, phase="execute",
             )
             return (
@@ -426,13 +429,13 @@ class QueryService:
                 opened = self._breaker(name).record_failure(start)
                 if opened:
                     self._count(request.tenant, "breaker_trips")
-                    self._log(
-                        "error", "breaker-open", dataset=name,
+                    self.recorder.log(
+                        "error", "serve", "breaker-open", dataset=name,
                         failures=self._breaker(name).consecutive_failures,
                         error=type(exc).__name__,
                     )
-            self._log(
-                "warn", "request-failed", tenant=request.tenant,
+            self.recorder.log(
+                "warn", "serve", "request-failed", tenant=request.tenant,
                 request=request.request_id, error=type(exc).__name__,
             )
             return self._degrade_or_fail(
@@ -444,7 +447,7 @@ class QueryService:
 
         for name in query.files:
             if self._breaker(name).record_success(start):
-                self._log("info", "breaker-closed", dataset=name)
+                self.recorder.log("info", "serve", "breaker-closed", dataset=name)
         self.cache.put(key, list(query.files), self.sh.fs, result)
         return (
             Response(
@@ -468,8 +471,8 @@ class QueryService:
         """Metadata-only approximate answer, or a typed failure."""
         if query.op in DEGRADABLE_OPS:
             estimate = self._approximate(query)
-            self._log(
-                "warn", "request-degraded", tenant=base["tenant"],
+            self.recorder.log(
+                "warn", "serve", "request-degraded", tenant=base["tenant"],
                 request=base["request_id"], dataset=dataset,
             )
             return (
@@ -504,8 +507,8 @@ class QueryService:
 
         Reads zero blocks — only the namenode-side partition catalogue —
         so it works while the dataset's storage is broken. Uniform
-        density inside each partition: a window covering half a cell's
-        MBR is charged half its records.
+        density inside each partition (:func:`estimated_matches`): a
+        window covering half a cell's MBR is charged half its records.
         """
         gindex = global_index_of(self.sh.fs, query.file)
         if gindex is None:
@@ -515,16 +518,7 @@ class QueryService:
             return min(query.k, total) if query.op == "knn" else total
         if query.op == "knn":
             return min(query.k, gindex.total_records)
-        estimate = 0.0
-        for cell in gindex.overlapping(query.window):
-            overlap = cell.mbr.intersection(query.window)
-            if overlap is None:
-                continue
-            fraction = (
-                overlap.area / cell.mbr.area if cell.mbr.area > 0 else 1.0
-            )
-            estimate += cell.num_records * min(1.0, fraction)
-        return int(round(estimate))
+        return estimated_matches(gindex.overlapping(query.window), query.window)
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -552,11 +546,11 @@ class QueryService:
         self._shutdown = True
         self.sh.runner.set_cancellation(None)
         self.sh.runner.close()
-        self._log("info", "service-shutdown", **{
+        self.recorder.log("info", "serve", "service-shutdown", **{
             k: v for k, v in self.summary().items()
             if isinstance(v, (int, float))
         })
-        self._scrape("serve-shutdown")
+        self.recorder.scrape("serve-shutdown")
         return self.summary()
 
     # ------------------------------------------------------------------
@@ -583,14 +577,14 @@ class QueryService:
             "serve_latency_s", response.latency_s, LATENCY_BUCKETS
         )
         if response.outcome == OUTCOME_OVERLOADED:
-            self._log(
-                "warn", "request-shed", tenant=response.tenant,
+            self.recorder.log(
+                "warn", "serve", "request-shed", tenant=response.tenant,
                 request=response.request_id,
                 retry_after_s=response.retry_after_s,
             )
         else:
-            self._log(
-                "info", f"request-{response.outcome}", volatile=True,
+            self.recorder.log(
+                "info", "serve", f"request-{response.outcome}", volatile=True,
                 tenant=response.tenant, request=response.request_id,
                 rows=response.rows, latency_s=round(response.latency_s, 6),
                 cache_hit=response.cache_hit,
@@ -610,14 +604,6 @@ class QueryService:
             "serve_breakers_open",
             sum(1 for b in self.breakers.values() if b.state != "closed"),
         )
-
-    def _log(self, level: str, event: str, **attrs: Any) -> None:
-        self.sh._log_event(level, "serve", event, **attrs)
-
-    def _scrape(self, event: str) -> None:
-        telemetry = self.sh.runner.telemetry
-        if telemetry is not None:
-            telemetry.scrape(event, self.sh.metrics)
 
     @staticmethod
     def _summarize(answer: Any) -> Any:

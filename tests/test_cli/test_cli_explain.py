@@ -123,4 +123,4 @@ class TestProgressFlag:
         from repro.core.workspace import load_workspace
 
         sh = load_workspace(indexed_ws)
-        assert sh.runner.progress is None
+        assert sh.runner.recorder.progress is None

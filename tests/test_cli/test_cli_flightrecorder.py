@@ -30,7 +30,7 @@ def logged_ws(ws, capsys):
 class TestLogLevelFlag:
     def test_armed_log_persists_across_invocations(self, logged_ws):
         sh = load_workspace(logged_ws)
-        log = sh.runner.eventlog
+        log = sh.runner.recorder.eventlog
         assert log is not None and log.level == "debug"
         # later commands (without the flag) kept recording:
         events = [r["event"] for r in log.records()]
@@ -39,7 +39,7 @@ class TestLogLevelFlag:
     def test_unarmed_workspace_has_no_log(self, ws, capsys):
         run(ws, "generate", "pts", "--n", "500")
         sh = load_workspace(ws)
-        assert sh.runner.eventlog is None
+        assert sh.runner.recorder.eventlog is None
 
     def test_bad_level_rejected_by_argparse(self, ws):
         with pytest.raises(SystemExit):

@@ -64,7 +64,7 @@ class TestTraceFlag:
 
         sh = load_workspace(indexed_ws)
         assert not sh.tracer.enabled
-        assert not sh.runner.tracer.enabled
+        assert not sh.runner.recorder.tracer.enabled
 
     def test_no_trace_flag_writes_nothing(self, indexed_ws, tmp_path, capsys):
         run(indexed_ws, "rangequery", "idx", "--window", "0,0,3e5,3e5")

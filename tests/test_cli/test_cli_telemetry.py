@@ -67,7 +67,7 @@ class TestProfileFlagAndCommand:
         from repro.core.workspace import load_workspace
 
         sh = load_workspace(indexed_ws)
-        assert sh.runner.profile is None
+        assert sh.runner.recorder.profile is None
 
     def test_flamegraph_without_profiled_jobs_errors(
         self, indexed_ws, tmp_path, capsys
@@ -174,7 +174,7 @@ class TestTelemetryFlag:
         from repro.core.workspace import load_workspace
 
         sh = load_workspace(indexed_ws)
-        assert [r["seq"] for r in sh.runner.telemetry.records] == list(
+        assert [r["seq"] for r in sh.runner.recorder.telemetry.records] == list(
             range(9)
         )
 

@@ -12,7 +12,7 @@ from repro.core.workspace import (
     WorkspaceError,
     WorkspaceTypeError,
     WorkspaceVersionError,
-    is_workspace_file,
+    has_magic,
     load_workspace,
     save_workspace,
 )
@@ -61,7 +61,7 @@ class TestRoundTrip:
         raw = path.read_bytes()
         assert raw.startswith(MAGIC)
         assert raw[len(MAGIC)] == FORMAT_VERSION
-        assert is_workspace_file(path)
+        assert has_magic(path, MAGIC)
 
     def test_save_is_atomic_no_temp_left_behind(self, tmp_path):
         path = tmp_path / "ws.pkl"
@@ -123,7 +123,7 @@ class TestCompatibility:
     def test_headerless_pickle_is_refused(self, tmp_path):
         path = tmp_path / "plain.pkl"
         path.write_bytes(pickle.dumps(build("grid")))
-        assert not is_workspace_file(path)
+        assert not has_magic(path, MAGIC)
         with pytest.raises(WorkspaceCorruptError, match="no workspace magic"):
             load_workspace(path, expected_type=SpatialHadoop)
 

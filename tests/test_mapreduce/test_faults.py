@@ -32,6 +32,7 @@ from repro.mapreduce.faults import (
     resolve_faults,
 )
 from repro.observe import JobHistory, MetricsRegistry, Tracer
+from repro.observe.recorder import Recorder
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +479,7 @@ class TestFaultObservability:
         runner = make_runner(
             faults="crash:map:1,hang:map:2:0:30",
             task_timeout=10.0,
-            metrics=metrics,
+            recorder=Recorder(metrics=metrics),
         )
         runner.run(make_job())
         snap = metrics.snapshot()
@@ -490,7 +491,8 @@ class TestFaultObservability:
 
     def test_history_renders_attempts_table(self):
         history = JobHistory()
-        runner = make_runner(faults="crash:map:1", history=history)
+        runner = make_runner(faults="crash:map:1",
+                             recorder=Recorder(history=history))
         runner.run(make_job())
         report = history.report()
         assert "attempts (1 task(s) with history):" in report
@@ -500,7 +502,8 @@ class TestFaultObservability:
 
     def test_trace_attempt_spans(self):
         tracer = Tracer()
-        runner = make_runner(faults="crash:map:1", tracer=tracer)
+        runner = make_runner(faults="crash:map:1",
+                             recorder=Recorder(tracer=tracer))
         runner.run(make_job())
         spans = [r for r in tracer.records() if r.get("type") == "span"]
         attempts = [s for s in spans if s.get("kind") == "attempt"]

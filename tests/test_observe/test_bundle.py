@@ -4,6 +4,7 @@ import pytest
 
 from repro import SpatialHadoop
 from repro.datagen import generate_points
+from repro.core.workspace import has_magic
 from repro.geometry import Rectangle
 from repro.observe.bundle import (
     BUNDLE_VERSION,
@@ -14,7 +15,6 @@ from repro.observe.bundle import (
     collect_bundle,
     import_bundle,
     inspect_bundle,
-    is_bundle_file,
     read_bundle,
     write_bundle,
 )
@@ -76,12 +76,12 @@ class TestFileFormat:
         size = write_bundle(doc, path)
         assert size == path.stat().st_size
         assert read_bundle(path) == doc
-        assert is_bundle_file(path)
+        assert has_magic(path, MAGIC)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "not.bundle"
         path.write_bytes(b"something else entirely")
-        assert not is_bundle_file(path)
+        assert not has_magic(path, MAGIC)
         with pytest.raises(BundleCorruptError, match="bad magic"):
             read_bundle(path)
 
@@ -124,16 +124,16 @@ class TestImport:
         assert restored["jobs"] == len(doc["history"]["jobs"])
         assert restored["events"] == len(doc["eventlog"]["records"])
         assert fresh.history.to_dict() == doc["history"]
-        assert fresh.runner.telemetry.records == doc["telemetry"]
-        assert fresh.runner.eventlog.records() == doc["eventlog"]["records"]
+        assert fresh.runner.recorder.telemetry.records == doc["telemetry"]
+        assert fresh.runner.recorder.eventlog.records() == doc["eventlog"]["records"]
 
     def test_imported_workspace_keeps_recording(self, sh):
         doc = collect_bundle(sh)
         fresh = SpatialHadoop(num_nodes=2, workers=1)
         import_bundle(fresh, doc)
-        before = len(fresh.runner.eventlog)
+        before = len(fresh.runner.recorder.eventlog)
         fresh.load("more", generate_points(200, "uniform", seed=2))
-        assert len(fresh.runner.eventlog) > before
+        assert len(fresh.runner.recorder.eventlog) > before
         assert fresh.history.total_recorded == sh.history.total_recorded
 
 

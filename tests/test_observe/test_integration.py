@@ -139,17 +139,17 @@ class TestRunnerObservabilityDefaults:
     def test_tracing_disabled_by_default(self):
         sh = SpatialHadoop(num_nodes=2)
         assert isinstance(sh.tracer, NullTracer)
-        assert not sh.runner.tracer.enabled
+        assert not sh.runner.recorder.tracer.enabled
 
     def test_enable_disable_round_trip(self):
         sh = SpatialHadoop(num_nodes=2)
         tracer = sh.enable_tracing()
         assert isinstance(tracer, Tracer)
         assert sh.enable_tracing() is tracer  # idempotent
-        assert sh.runner.tracer is tracer
+        assert sh.runner.recorder.tracer is tracer
         sh.disable_tracing()
         assert not sh.tracer.enabled
-        assert not sh.runner.tracer.enabled
+        assert not sh.runner.recorder.tracer.enabled
 
     def test_history_and_metrics_always_on(self):
         sh = SpatialHadoop(num_nodes=2, job_overhead_s=0.01)

@@ -261,11 +261,11 @@ class TestRuntimeEmissions:
 
     def test_disarmed_runner_records_nothing(self):
         sh = SpatialHadoop(num_nodes=4, job_overhead_s=0.01, workers=1)
-        assert sh.runner.eventlog is None
+        assert sh.runner.recorder.eventlog is None
         sh.load("pts", generate_points(500, "uniform", seed=1))
         sh.index("pts", "idx", technique="grid")
         sh.runner.close()
-        assert sh.runner.eventlog is None
+        assert sh.runner.recorder.eventlog is None
 
     def test_task_log_gated_by_shipped_threshold(self):
         # debug-level worker events are filtered inside the task when

@@ -86,12 +86,12 @@ class TestRunnerIntegration:
         sh.enable_progress(stream=io.StringIO())
         sh.disable_progress()
         clone = pickle.loads(pickle.dumps(sh))
-        assert clone.runner.progress is None
+        assert clone.runner.recorder.progress is None
 
     def test_old_workspace_unpickles_without_progress_attr(self):
         sh = make_system()
         state = pickle.dumps(sh)
         clone = pickle.loads(state)
-        del clone.runner.__dict__["progress"]
+        del clone.runner.recorder.__dict__["progress"]
         again = pickle.loads(pickle.dumps(clone))
-        assert again.runner.progress is None
+        assert again.runner.recorder.progress is None

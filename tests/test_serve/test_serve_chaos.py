@@ -16,9 +16,12 @@ and slows another — and still
 import pytest
 
 from repro import SpatialHadoop
+from repro.core.splitter import global_index_of
 from repro.datagen import generate_points, generate_rectangles
 from repro.geometry import Point, Rectangle
 from repro.mapreduce import shm
+from repro.observe.explain import parse_query
+from repro.operations.range_query import estimated_matches
 from repro.serve import OUTCOMES, ServiceConfig, TenantQuota
 
 #: Task + storage + service chaos. Task faults retry transparently;
@@ -264,6 +267,19 @@ class TestDegradedChaos:
             if r.query.startswith("range pts_idx 200000")
         )
         assert 0.5 * truth <= range_est <= 2.0 * truth
+        # On an indexed dataset the fallback is the planner's
+        # uniform-density estimator over every partition.
+        fs = degraded_run[0].fs
+        checked = 0
+        for response in degraded:
+            query = parse_query(response.query)
+            gindex = global_index_of(fs, query.file)
+            if query.window is not None and gindex is not None:
+                checked += 1
+                assert response.answer == estimated_matches(
+                    gindex.cells, query.window
+                )
+        assert checked
 
     def test_joins_fail_typed_not_hanging(self, degraded_run):
         _, service, _ = degraded_run
