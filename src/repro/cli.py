@@ -294,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="profile per-task phases (shm attach, columnar decode, "
+        help="profile per-task phases (split fetch, columnar decode, "
              "kernels, R-tree probes ...) for this invocation's jobs; "
              "see the 'profile' subcommand",
     )
@@ -764,9 +764,10 @@ def main(
     scrapes_before = len(telemetry) if telemetry is not None else 0
 
     # Graceful shutdown: the first SIGINT/SIGTERM requests a cooperative
-    # stop at the next task boundary (pools drained, shm destroyed, a
-    # resumable checkpoint persisted when armed); a second one aborts
-    # immediately via KeyboardInterrupt.
+    # stop at the next task boundary (pools drained, a resumable
+    # checkpoint persisted when armed); a second one aborts immediately
+    # via KeyboardInterrupt. Pool workers ignore SIGINT and take SIGTERM
+    # at its default, so cancellation stays the driver's.
     def _on_signal(signum: int, _frame) -> None:
         if token.cancelled:
             raise KeyboardInterrupt

@@ -184,8 +184,8 @@ class SpatialHadoop:
     def enable_profiling(self) -> None:
         """Turn per-phase task profiling on for subsequent jobs.
 
-        Adds a phase breakdown (split-fetch, shm-attach, columnar decode,
-        kernel, R-tree probe, shuffle-serialize, commit ...) to every
+        Adds a phase breakdown (split-fetch, columnar decode, kernel,
+        R-tree probe, shuffle-serialize, commit ...) to every
         ``JobResult``, the history report and ANALYZE actuals. Costs a
         few timer reads per task phase; off by default.
         """

@@ -52,8 +52,8 @@ Cooperative cancellation rides the same layer: a
 SIGINT/SIGTERM handlers) is polled at task, wave and round boundaries —
 :func:`check_active` is the driver-side poll the executors call between
 tasks — and stopping raises :class:`RunCancelled` /
-:class:`DeadlineExceeded` out of the runner, past the shm-arena and
-pool cleanup paths, leaving a resumable journal behind.
+:class:`DeadlineExceeded` out of the runner, past the pool
+cleanup path, leaving a resumable journal behind.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Columnar payloads for sealed blocks.
+"""Columnar payloads for sealed blocks, and the block wire format.
 
 A sealed block whose records are homogeneously :class:`Point` or
 :class:`Rectangle` gets a :class:`ColumnarPayload`: the coordinates
@@ -11,10 +11,13 @@ masters:
   bytes (with a small header), so checksums cover the columnar bytes
   directly and are independent of pickle details (any float64 buffer of
   the same coordinates has the same bytes).
-* **Zero-copy dispatch** — ``repro.mapreduce.shm`` writes the columns
-  into a shared-memory arena with :meth:`ColumnarPayload.write_into` and
-  reconstructs zero-copy views in workers with
-  :meth:`ColumnarPayload.from_buffer`.
+* **Dispatch** — a block crossing to a pool worker travels as its
+  columns: the reducer registered here on ``multiprocessing``'s
+  ``ForkingPickler`` (the pickler the process pool uses) replaces it
+  with a :class:`ColumnBlock`, which rebuilds records and the local
+  index on the worker only when a map function asks for them.
+  Workspaces and checkpoints use plain :mod:`pickle` and still store
+  the whole :class:`~repro.mapreduce.fs.Block`.
 
 Blocks with mixed or exotic record types simply get no payload
 (:func:`ColumnarPayload.from_records` returns None) and every consumer
@@ -23,7 +26,9 @@ falls back to the scalar path.
 
 from __future__ import annotations
 
+import pickle
 import zlib
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +36,7 @@ import numpy as np
 from repro.geometry import vectorized
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rectangle
+from repro.mapreduce.fs import Block
 
 #: Column names per payload kind, in buffer order.
 KIND_COLUMNS = {
@@ -69,8 +75,7 @@ class ColumnarPayload:
 
     ``kind`` is ``"point"`` (columns x, y) or ``"rect"`` (columns x1, y1,
     x2, y2); ``count`` is the record count. Columns are owned arrays or
-    zero-copy views over an external buffer such as a shared-memory
-    segment.
+    zero-copy views over an external buffer.
     """
 
     __slots__ = ("kind", "count", "columns")
@@ -165,15 +170,6 @@ class ColumnarPayload:
             crc = zlib.crc32(col.tobytes(), crc)
         return crc
 
-    def write_into(self, buf, offset: int = 0) -> int:
-        """Copy the columns into ``buf`` consecutively; returns end offset."""
-        view = memoryview(buf)
-        for col in self.columns:
-            raw = col.tobytes()
-            view[offset:offset + len(raw)] = raw
-            offset += len(raw)
-        return offset
-
     # ------------------------------------------------------------------
     # Record views
     # ------------------------------------------------------------------
@@ -264,3 +260,76 @@ def block_payload_checksum(block) -> int:
     if payload is not None:
         return payload.checksum()
     return checksum_records(block.records)
+
+
+class ColumnBlock:
+    """A sealed :class:`Block` as a pool worker receives it.
+
+    Carries the block's columnar payload, its metadata without the local
+    R-tree, and the tree's node capacity (None when the block has no
+    local index). ``records`` materializes the record objects from the
+    columns on first use. ``metadata`` packs the local index on first
+    use: the block's rows are stored in packed order, so packing the
+    columns gives back the sealed tree, array for array.
+    """
+
+    __slots__ = (
+        "columnar", "index_capacity", "_base_metadata", "_records",
+        "_metadata",
+    )
+
+    def __init__(
+        self,
+        columnar: ColumnarPayload,
+        base_metadata: dict,
+        index_capacity: Optional[int],
+    ):
+        self.columnar = columnar
+        self.index_capacity = index_capacity
+        self._base_metadata = base_metadata
+        self._records = None
+        self._metadata = None
+
+    def __len__(self) -> int:
+        return self.columnar.count
+
+    def __iter__(self):
+        return iter(self.records)
+
+    @property
+    def records(self) -> List[Any]:
+        records = self._records
+        if records is None:
+            records = self._records = self.columnar.materialize()
+        return records
+
+    @property
+    def metadata(self) -> dict:
+        metadata = self._metadata
+        if metadata is None:
+            metadata = self._metadata = dict(self._base_metadata)
+            if self.index_capacity is not None:
+                from repro.index.rtree import RTree
+
+                metadata["local_index"] = RTree.from_columns(
+                    *self.columnar.mbr_columns(),
+                    node_capacity=self.index_capacity,
+                )
+        return metadata
+
+
+def _reduce_block(block: Block):
+    """Pickle ``block`` for a pool worker: as a :class:`ColumnBlock` when
+    it has a usable payload, otherwise exactly as plain pickle would."""
+    payload = payload_of(block, len(block.records))
+    if payload is None:
+        return block.__reduce_ex__(pickle.DEFAULT_PROTOCOL)
+    metadata = dict(block.metadata)
+    local_index = metadata.pop("local_index", None)
+    capacity = None if local_index is None else local_index.node_capacity
+    return ColumnBlock, (payload, metadata, capacity)
+
+
+# Registered at import: a block only has a payload once this module is
+# loaded, so every block the reducer would shrink meets it.
+ForkingPickler.register(Block, _reduce_block)

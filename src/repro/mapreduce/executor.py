@@ -36,8 +36,10 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
+from multiprocessing.reduction import ForkingPickler
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -140,19 +142,18 @@ def _result(future: Any, pool: Any) -> Any:
                 raise BrokenExecutor("no live worker left in the pool")
 
 
-def _prepare_shipped(chunks: Sequence[Any]):
-    """Shared-memory rewrite of a wave's chunks, or a transparent no-op.
+def _init_worker() -> None:
+    """Pool worker start-up: ``SIGTERM`` to default, ``SIGINT`` ignored.
 
-    Returns ``(shipped, arena)``; the caller must ``arena.destroy()``
-    once every result is in. Any failure here degrades to pickling the
-    original chunks.
+    A forked worker inherits the driver's handlers, and the CLI's
+    cooperative one only marks a stop: a worker the pool terminates
+    (``p.terminate()`` when a sibling dies) would survive it, and the
+    driver would hang joining it. Workers have nothing to wind down.
+    A terminal Ctrl-C reaches the whole process group, but cancellation
+    is the driver's: a worker it killed would break the pool mid-wave.
     """
-    try:
-        from repro.mapreduce import shm
-
-        return shm.prepare_chunks(chunks)
-    except Exception:
-        return list(chunks), None
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
@@ -261,7 +262,9 @@ class ParallelExecutor(Executor):
         if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_init_worker
+            )
         return self._pool
 
     def _discard_pool(self) -> None:
@@ -315,30 +318,14 @@ class ParallelExecutor(Executor):
                 **({"blacklisted": True} if self.blacklisted else {}),
             }
             return [fn(chunk) for chunk in chunks]
-        prepare_t0 = perf_counter()
-        shipped, arena = _prepare_shipped(chunks)
-        prepare_s = perf_counter() - prepare_t0
-        try:
-            if not self._can_ship(shipped[0]):
-                self.fallbacks += 1
-                self.last_dispatch = {
-                    "chunks": len(chunks), "mode": "in-process"
-                }
-                return [fn(chunk) for chunk in chunks]
-            return self._map_chunks_pooled(
-                fn, chunks, shipped, arena, prepare_s
-            )
-        finally:
-            if arena is not None:
-                arena.destroy()
+        if not self._can_ship(chunks[0]):
+            self.fallbacks += 1
+            self.last_dispatch = {"chunks": len(chunks), "mode": "in-process"}
+            return [fn(chunk) for chunk in chunks]
+        return self._map_chunks_pooled(fn, chunks)
 
     def _map_chunks_pooled(
-        self,
-        fn: Callable[[Any], Any],
-        chunks: Sequence[Any],
-        shipped: Sequence[Any],
-        arena,
-        prepare_s: float = 0.0,
+        self, fn: Callable[[Any], Any], chunks: Sequence[Any]
     ) -> List[Any]:
         """Pool dispatch with degraded-mode recovery.
 
@@ -348,28 +335,12 @@ class ParallelExecutor(Executor):
         still-incomplete chunks are re-dispatched. A wave tolerates
         ``MAX_REBUILDS_PER_WAVE`` rebuilds before its remainder runs
         in-process.
-
-        Workers receive ``shipped[i]`` — the shared-memory rewrite when
-        an arena is active, otherwise the chunk itself — wrapped so the
-        worker releases its arena views after each chunk. Every
-        in-process path runs ``fn(chunks[i])`` on the originals, keeping
-        degraded modes identical to the serial backend.
         """
-        if arena is not None:
-            from repro.mapreduce.shm import run_and_release
-
-            submit_one = lambda pool, i: pool.submit(  # noqa: E731
-                run_and_release, fn, shipped[i]
-            )
-        else:
-            submit_one = lambda pool, i: pool.submit(  # noqa: E731
-                fn, shipped[i]
-            )
         results: List[Any] = [None] * len(chunks)
         pending = list(range(len(chunks)))
         wave_rebuilds = 0
         recovered = False
-        submit_s = prepare_s
+        submit_s = 0.0
         while pending:
             pool = self._ensure_pool()
             futures: List[Any] = []
@@ -378,7 +349,7 @@ class ParallelExecutor(Executor):
             try:
                 submit_t0 = perf_counter()
                 for i in pending:
-                    futures.append((i, submit_one(pool, i)))
+                    futures.append((i, pool.submit(fn, chunks[i])))
                 submit_s += perf_counter() - submit_t0
             except _BROKEN_POOL_ERRORS:
                 # The pool broke before it took the whole wave (died
@@ -397,9 +368,8 @@ class ParallelExecutor(Executor):
             for i, future in futures:
                 # Cooperative cancellation point: a deadline or signal
                 # stops the driver between task results, not mid-pickle.
-                # The raise unwinds through map_chunks' finally (arena
-                # destroyed); outstanding futures are cancelled by the
-                # runner's close(wait=False) on the cleanup path.
+                # Outstanding futures are cancelled by the runner's
+                # close(wait=False) on the cleanup path.
                 check_active()
                 try:
                     results[i] = _result(future, pool)
@@ -436,9 +406,8 @@ class ParallelExecutor(Executor):
                     results[i] = fn(chunks[i])
                 break
             pending = broken
-        # Chunk-preparation + submission time: the driver-side cost of
-        # getting this wave onto the workers (shm packing, pickling
-        # hand-off). Surfaced so the profiler can attribute it.
+        # Submission time: the driver-side cost of handing this wave to
+        # the pool. Surfaced so the profiler can attribute it.
         self.last_dispatch = {
             "chunks": len(chunks),
             "mode": "pool",
@@ -454,10 +423,11 @@ class ParallelExecutor(Executor):
         All chunks of a wave share the same job object and function
         references, so probing the first chunk catches the common failure
         (closures/lambdas as map/reduce functions) before any worker is
-        involved.
+        involved. The probe uses the pool's own pickler, so it pickles
+        the bytes the pool sends (blocks as their columns).
         """
         try:
-            pickle.dumps(chunk)
+            ForkingPickler.dumps(chunk)
             return True
         except Exception:
             return False

@@ -1,11 +1,11 @@
 """Per-task phase profiler: where does a task's wall time actually go?
 
 Counters and traces say *what* the engine did; this module says *where
-the time went* inside one task — split fetch, shared-memory attach,
-columnar decode, batch kernel, local R-tree probe, the map/reduce body
-itself, shuffle serialization. Instrumented sites sit on the hot paths
-of ``runtime.py``, ``executor.py``, ``shm.py``, ``columnar.py`` and the
-R-tree, so the design is dominated by two constraints:
+the time went* inside one task — split fetch, columnar decode, batch
+kernel, local R-tree probe, the map/reduce body itself, shuffle
+serialization. Instrumented sites sit on the hot paths of
+``runtime.py``, ``executor.py``, ``columnar.py`` and the R-tree, so
+the design is dominated by two constraints:
 
 * **Near-zero cost when off.** The collector is a module-global that is
   ``None`` unless a profiled task is in flight; every instrumented site
@@ -45,7 +45,6 @@ _ON_VALUES = {"1", "true", "on", "yes"}
 
 #: Worker-side phases recorded inside a task body.
 TASK_PHASES: Tuple[str, ...] = (
-    "shm-attach",
     "columnar-decode",
     "kernel",
     "rtree-probe",

@@ -18,7 +18,6 @@ from repro.datagen import (
     generate_rectangles,
 )
 from repro.geometry import Point, Rectangle
-from repro.mapreduce import shm
 
 #: The scripted chaos: first attempts of map task 1 die with their worker,
 #: map task 0 and reduce task 0 crash/corrupt, and a seeded 8% background
@@ -143,10 +142,10 @@ class TestChaosParallelBackend:
             clean.runner.close()
 
     @pytest.mark.parametrize("faults", [None, CHAOS], ids=["clean", "chaos"])
-    def test_every_operation_through_shm(self, faults):
-        """Every operation on two workers — blocks shipped through the
-        shared-memory arena — answers like the clean serial run, with the
-        same counters and rounds, and leaves no segment behind."""
+    def test_every_operation_on_the_pool(self, faults):
+        """Every operation on two workers — sealed blocks shipped as
+        their columns — answers like the clean serial run, with the same
+        counters and rounds."""
         clean = build_workspace()
         pooled = build_workspace(faults=faults, workers=2)
         try:
@@ -160,7 +159,6 @@ class TestChaosParallelBackend:
         finally:
             pooled.runner.close()
             clean.runner.close()
-        assert shm.live_segments() == []
 
 
 #: Storage chaos: a datanode dies, and three blocks (one per layer —

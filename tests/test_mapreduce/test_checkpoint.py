@@ -362,19 +362,17 @@ class TestExecutorShutdownGuards:
         ex.close()  # never raises, even with a broken pool
         assert ex._pool is None
 
-    def test_keyboard_interrupt_mid_wave_leaves_no_shm(self, monkeypatch):
-        from repro.mapreduce import shm
+    def test_keyboard_interrupt_mid_wave_leaves_pool_closable(
+        self, monkeypatch
+    ):
         from repro.mapreduce.executor import ParallelExecutor
 
         sh = small_workspace(workers=2)
         seen = {}
 
-        def boom(self, fn, chunks, shipped, arena, prepare_s=0.0):
-            # The wave's shared-memory arena is live at this point; a
-            # Ctrl-C here must still unwind through its cleanup.
-            seen["arena_live"] = arena is not None and bool(
-                shm.live_segments()
-            )
+        def boom(self, fn, chunks):
+            # A Ctrl-C while the wave is on the pool.
+            seen["pool"] = self._ensure_pool()
             raise KeyboardInterrupt
 
         monkeypatch.setattr(ParallelExecutor, "_map_chunks_pooled", boom)
@@ -383,8 +381,8 @@ class TestExecutorShutdownGuards:
                 sh.range_query("pts_idx", WINDOW)
         finally:
             sh.runner.close()
-        assert seen["arena_live"]
-        assert shm.live_segments() == []
+        assert seen["pool"] is not None
+        assert sh.runner.executor._pool is None
 
 
 def _write_every_record(_key, records, ctx):

@@ -52,9 +52,8 @@ class TestFromRecords:
 class TestBytesAndChecksum:
     def test_buffer_round_trip(self):
         payload = ColumnarPayload.from_records(RECTS)
-        buf = bytearray(payload.nbytes + 16)
-        end = payload.write_into(buf, offset=16)
-        assert end == 16 + payload.nbytes
+        buf = bytes(16) + payload.tobytes()
+        assert len(buf) == 16 + payload.nbytes
         view = ColumnarPayload.from_buffer("rect", payload.count, buf, 16)
         assert view.materialize() == RECTS
         assert view.checksum() == payload.checksum()

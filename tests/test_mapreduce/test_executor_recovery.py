@@ -8,6 +8,7 @@ in-process, and teardown never blocks.
 """
 
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -16,9 +17,15 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro import SpatialHadoop
+from repro.core.workspace import save_workspace
+from repro.datagen import generate_points
+from repro.datagen.shapes import generate_rectangles
 from repro.mapreduce import ParallelExecutor, SerialExecutor
 from repro.mapreduce import executor as executor_module
 from repro.mapreduce.executor import BLACKLIST_REBUILDS
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 
 # ----------------------------------------------------------------------
@@ -39,6 +46,11 @@ def run_chunk(chunk):
     if chunk["action"] == "unpicklable":
         return lambda: chunk["id"]  # cannot cross the result pipe
     return chunk["id"] * 10
+
+
+def nap_chunk(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 def executions(log_path):
@@ -280,13 +292,10 @@ class TestTeardown:
             "print(ex.map_chunks(run_chunk, chunks))\n"
             # No close(): the live pool is torn down by __del__ / exit.
         )
-        repo_root = os.path.dirname(
-            os.path.dirname(os.path.dirname(__file__))
-        )
         start = time.monotonic()
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            cwd=repo_root,
+            cwd=REPO_ROOT,
             capture_output=True,
             text=True,
             timeout=60,
@@ -295,6 +304,107 @@ class TestTeardown:
         assert proc.returncode == 0, proc.stderr
         assert "[0, 10, 20, 30]" in proc.stdout
         assert elapsed < 30
+
+
+def run_bounded(argv, timeout_s, **kwargs):
+    """``subprocess.run`` in its own session; on timeout the whole
+    process group is killed, so a hung driver leaves no worker behind."""
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, **kwargs,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+        pytest.fail(f"timed out after {timeout_s} s\n{out}\n{err}")
+    return proc.returncode, out, err
+
+
+class TestWorkerSignals:
+    def test_worker_kill_does_not_hang_cli(self, tmp_path):
+        """A worker death makes the pool terminate its siblings. Workers
+        forked from the CLI must not keep its cooperative SIGTERM
+        handler, or they outlive the terminate and the driver hangs
+        joining them after printing its answer."""
+        sh = SpatialHadoop(job_overhead_s=0.05, workers=1)
+        sh.load("pts", generate_points(25_000, "uniform", seed=0))
+        sh.load("rects", generate_rectangles(12_000, "uniform", seed=0))
+        pairs = len(sh.spatial_join("pts", "rects").answer)
+        workspace = tmp_path / "ws.pkl"
+        save_workspace(sh, workspace)
+        code, out, err = run_bounded(
+            [sys.executable, "-m", "repro", "-w", str(workspace),
+             "--workers", "2", "--faults", "kill:map:1",
+             "sjoin", "pts", "rects"],
+            timeout_s=60,
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
+        )
+        assert code == 0, err
+        assert f"{pairs} overlapping pairs" in out
+        assert "[cancel] caught signal" not in err
+
+    def test_ctrl_c_leaves_the_pool_intact(self):
+        """A terminal Ctrl-C sends SIGINT to the whole process group.
+        Cancelling is the driver's job (the CLI's handler marks a stop);
+        a worker killed by the signal would break the pool mid-wave and
+        count a rebuild."""
+        code = (
+            "import os, signal, sys, threading; sys.path.insert(0, 'src')\n"
+            "from repro.mapreduce import ParallelExecutor\n"
+            "from tests.test_mapreduce.test_executor_recovery import nap_chunk\n"
+            "caught = []\n"
+            "signal.signal(signal.SIGINT, lambda signum, _: caught.append(signum))\n"
+            "ex = ParallelExecutor(2)\n"
+            # Both workers are up and past their start-up before the signal.
+            "ex.map_chunks(nap_chunk, [0.2, 0.2])\n"
+            "threading.Timer(0.5, os.killpg, (0, signal.SIGINT)).start()\n"
+            "print(ex.map_chunks(nap_chunk, [2.0, 2.0]), ex.pool_rebuilds,"
+            " ex.fallbacks, caught)\n"
+            "ex.close()\n"
+        )
+        returncode, out, err = run_bounded(
+            [sys.executable, "-c", code], timeout_s=60, cwd=REPO_ROOT
+        )
+        assert returncode == 0, err
+        assert out.split() == ["[2.0,", "2.0]", "0", "0", "[2]"], out + err
+
+
+class TestNoOrphans:
+    def test_close_leaves_no_children(self):
+        """After ``runner.close()`` the driver has no child process left:
+        no pool worker and no helper process."""
+        code = (
+            "import os, sys; sys.path.insert(0, 'src')\n"
+            "from repro import SpatialHadoop\n"
+            "from repro.datagen import generate_points\n"
+            "from repro.geometry import Rectangle\n"
+            "sh = SpatialHadoop(workers=2, block_capacity=500)\n"
+            "sh.load('pts', generate_points(5000, 'uniform', seed=1))\n"
+            "sh.index('pts', 'idx', technique='str')\n"
+            "op = sh.range_query('idx', Rectangle(2e5, 2e5, 6e5, 6e5))\n"
+            "ex = sh.runner.executor\n"
+            "assert ex.last_dispatch['mode'] == 'pool', ex.last_dispatch\n"
+            "assert op.answer and ex.fallbacks == 0\n"
+            "sh.runner.close()\n"
+            "own = str(os.getpid())\n"
+            "children = []\n"
+            "for pid in filter(str.isdigit, os.listdir('/proc')):\n"
+            "    try:\n"
+            "        stat = open(f'/proc/{pid}/stat').read()\n"
+            "    except OSError:\n"
+            "        continue\n"
+            "    if stat.rpartition(')')[2].split()[1] == own:\n"
+            "        children.append(pid)\n"
+            "print('children', children)\n"
+        )
+        returncode, out, err = run_bounded(
+            [sys.executable, "-c", code], timeout_s=60, cwd=REPO_ROOT
+        )
+        assert returncode == 0, err
+        assert "children []" in out, out
 
 
 class TestSerialContract:

@@ -7,7 +7,6 @@ from repro.core.workspace import load_workspace, save_workspace
 from repro.datagen import generate_points, generate_rectangles
 from repro.geometry import Rectangle
 from repro.index import build_index
-from repro.mapreduce import shm
 from repro.mapreduce.storage import BlockUnavailableError
 from repro.operations import spatial_join_distributed, spatial_join_sjmr
 from repro.operations.spatial_join import plane_sweep_join
@@ -225,7 +224,6 @@ def systems(request, tmp_path_factory):
     pooled.runner.set_workers(2)
     yield brute_pairs(left, right), built, reloaded, pooled
     pooled.runner.close()
-    assert shm.live_segments() == []
 
 
 def assert_indistinguishable(got, serial):

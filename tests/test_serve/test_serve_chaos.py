@@ -9,8 +9,7 @@ and slows another — and still
 * every request terminates in one of the typed outcomes,
 * a quota'd tenant never exceeds its in-flight cap,
 * non-degraded answers are bit-identical to direct ``SpatialHadoop``
-  calls, on the serial backend and with ``workers=2`` alike,
-* no shared-memory segments leak.
+  calls, on the serial backend and with ``workers=2`` alike.
 """
 
 import pytest
@@ -19,7 +18,6 @@ from repro import SpatialHadoop
 from repro.core.splitter import global_index_of
 from repro.datagen import generate_points, generate_rectangles
 from repro.geometry import Point, Rectangle
-from repro.mapreduce import shm
 from repro.observe.explain import parse_query
 from repro.operations.range_query import estimated_matches
 from repro.serve import OUTCOMES, ServiceConfig, TenantQuota
@@ -159,9 +157,6 @@ class TestServiceChaos:
         assert counters.get("TASKS_RETRIED", 0) >= 1
         assert counters["SERVE_OVERLOADED"] == 3
 
-    def test_no_shared_memory_leaks(self, chaos_run):
-        assert shm.live_segments() == []
-
 
 def strip_timing(value):
     """Drop measured-time-derived fields from a wire dict, recursively.
@@ -206,9 +201,6 @@ class TestBackendEquivalence:
         assert strip_timing(serial.summary()) == strip_timing(
             parallel.summary()
         )
-
-    def test_parallel_backend_leaves_no_segments(self, both_backends):
-        assert shm.live_segments() == []
 
 
 class TestDegradedChaos:
