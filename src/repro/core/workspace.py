@@ -18,11 +18,13 @@ version, length and CRC before unpickling and raises a structured
 :class:`WorkspaceError` subclass (never a raw ``UnpicklingError``).
 
 The version byte names the layout of the pickled objects, and it is the
-only place that knows about older layouts. v5 stores each block's local
+only place that knows about older layouts. v6 stores each block's local
 index as a packed-array R-tree, every homogeneous point / rectangle
-block carries its columnar payload with a checksum over the columns, and
-the job runner holds its observability channels in one
-:class:`~repro.observe.recorder.Recorder`. Any other version is refused
+block with float coordinates carries its columnar payload with a
+checksum over the columns, the job runner holds its observability
+channels in one :class:`~repro.observe.recorder.Recorder`, and a
+parallel executor carries the measurements of its dispatch gate. Any
+other version is refused
 with a :class:`WorkspaceVersionError` that says how to rebuild, and a
 file without the magic with a :class:`WorkspaceCorruptError` — never an
 ``AttributeError`` deep in unpickling.
@@ -38,7 +40,7 @@ from pathlib import Path
 from typing import Any, Optional, Tuple, Type
 
 MAGIC = b"REPROWS\n"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 #: Header after a frame's magic: version (u8), payload CRC-32 (u32),
 #: payload length (u64).
 FRAME_HEADER = struct.Struct(">BIQ")

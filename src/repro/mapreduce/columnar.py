@@ -19,7 +19,8 @@ masters:
   Workspaces and checkpoints use plain :mod:`pickle` and still store
   the whole :class:`~repro.mapreduce.fs.Block`.
 
-Blocks with mixed or exotic record types simply get no payload
+Blocks with mixed or exotic record types, or with coordinates that are
+not all ``float``, simply get no payload
 (:func:`ColumnarPayload.from_records` returns None) and every consumer
 falls back to the scalar path.
 """
@@ -93,7 +94,10 @@ class ColumnarPayload:
         """Transpose a homogeneous Point/Rectangle list; None otherwise.
 
         Exact type checks (no subclasses): a subclass could carry extra
-        state the columns would silently drop.
+        state the columns would silently drop. Every coordinate must be a
+        ``float`` too: records rebuilt from the columns (on a pool worker,
+        or from a checkpoint) hold floats, so an ``int`` coordinate would
+        come back with another type and another ``repr``.
         """
         n = len(records)
         if n == 0:
@@ -104,21 +108,21 @@ class ColumnarPayload:
         # per item, which dominates at bulk sizes.
         kinds = set(map(type, records))
         if kinds == {Point}:
-            xs = _column([r.x for r in records])
-            ys = _column([r.y for r in records])
-            return cls("point", n, (xs, ys))
-        if kinds == {Rectangle}:
-            return cls(
-                "rect",
-                n,
-                (
-                    _column([r.x1 for r in records]),
-                    _column([r.y1 for r in records]),
-                    _column([r.x2 for r in records]),
-                    _column([r.y2 for r in records]),
-                ),
+            kind = "point"
+            columns = ([r.x for r in records], [r.y for r in records])
+        elif kinds == {Rectangle}:
+            kind = "rect"
+            columns = (
+                [r.x1 for r in records],
+                [r.y1 for r in records],
+                [r.x2 for r in records],
+                [r.y2 for r in records],
             )
-        return None
+        else:
+            return None
+        if any(set(map(type, column)) != {float} for column in columns):
+            return None
+        return cls(kind, n, tuple(map(_column, columns)))
 
     @classmethod
     def from_buffer(

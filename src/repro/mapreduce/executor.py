@@ -20,6 +20,14 @@ Jobs whose functions cannot be pickled (closures over local state, lambdas)
 transparently fall back to in-process execution; the ``fallbacks`` counter
 on the executor records how often that happened.
 
+A wave reaches the pool only when the pool has measured faster for that
+*kind* of wave (its map or reduce function, and which wave it is): the
+:class:`DispatchGate` learns seconds per record in each mode from earlier
+waves and compares a wave's predicted serial time with the pool's
+measured round trip, or its start when it is down. Small waves
+therefore stay in the driver, where they cost no pickling and no
+process wake-ups.
+
 The parallel backend also degrades gracefully when workers die: a broken
 pool (worker process killed, pipe torn down) is rebuilt once per wave and
 only the chunks that had not completed are re-dispatched; if the rebuilt
@@ -34,6 +42,7 @@ variable, and finally 1 (serial).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
@@ -41,7 +50,7 @@ from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from multiprocessing.reduction import ForkingPickler
 from time import perf_counter
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.mapreduce.checkpoint import check_active
 
@@ -156,6 +165,97 @@ def _init_worker() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+def _noop(value: Any = None) -> Any:
+    """A task that does nothing: what pool start-up and round trips time."""
+    return value
+
+
+def _worker_start_s() -> float:
+    """Seconds to start and reap one process the way the pool starts one."""
+    process = multiprocessing.get_context().Process(target=_noop)
+    started = perf_counter()
+    process.start()
+    process.join()
+    return perf_counter() - started
+
+
+class DispatchGate:
+    """Where each wave runs: in the driver unless the pool measured faster.
+
+    A wave's *kind* is its map or reduce function's qualified name plus
+    the wave (``"map"`` / ``"reduce"``); its size is its record count.
+    For every kind the gate keeps the best seconds per record it has
+    seen in each mode: the best, because what slows a wave down (a
+    collection, a neighbour's burst, the copy-on-write faults that
+    follow a fork) is noise on top of its cost, never below it. A
+    ``"probe"`` rate, timed on the first chunk of the kind's first wave,
+    stands in for the in-process rate until a wave has run in the
+    driver. Two more measurements price the pool: ``round_trip_s``, the
+    idle pool's round trip, and ``start_s``, what starting the pool cost
+    last time (before any pool has run, what starting one worker
+    costs).
+
+    :meth:`decide` answers, in order:
+
+    * ``unseen`` — no serial rate yet: run in the driver to get one;
+    * ``below-round-trip`` — the predicted serial time cannot beat the
+      pool's fixed cost (its round trip, or its start when it is down):
+      run in the driver;
+    * ``trial`` — a mode has no rate of its own yet: run there once to
+      get one (the pool first; the driver only if the pool looks faster
+      than the probe's estimate);
+    * ``measured`` — run wherever the kind's rates predict faster, the
+      pool's start counted when it is down.
+    """
+
+    def __init__(self):
+        #: kind -> {mode or "probe": best seconds per record seen}.
+        self.rates: Dict[Any, Dict[str, float]] = {}
+        self.round_trip_s: Optional[float] = None
+        self.start_s: Optional[float] = None
+
+    def predict(self, kind: Any, mode: str, records: int) -> Optional[float]:
+        """Predicted seconds for ``records`` of ``kind`` in ``mode``."""
+        rate = self.rates.get(kind, {}).get(mode)
+        return None if rate is None else rate * records
+
+    def decide(self, kind: Any, records: int, pool_up: bool) -> dict:
+        """The dispatch decision for one wave, with the inputs it used.
+
+        ``pool_s`` includes the pool's start when ``pool_up`` is false.
+        Once ``kind`` has a serial rate, ``start_s`` must be known
+        (:class:`ParallelExecutor` measures it).
+        """
+        rates = self.rates.get(kind, {})
+        serial_s = self.predict(
+            kind, "in-process" if "in-process" in rates else "probe", records)
+        pool_s = self.predict(kind, "pool", records)
+        up = pool_up and self.round_trip_s is not None
+        fixed = self.round_trip_s if up else self.start_s
+        if pool_s is not None and not up:
+            pool_s += self.start_s
+        if serial_s is None:
+            mode, reason = "in-process", "unseen"
+        elif serial_s <= fixed:
+            mode, reason = "in-process", "below-round-trip"
+        elif pool_s is None:
+            mode, reason = "pool", "trial"
+        elif pool_s >= serial_s:
+            mode, reason = "in-process", "measured"
+        elif "in-process" not in rates:
+            mode, reason = "in-process", "trial"
+        else:
+            mode, reason = "pool", "measured"
+        return {"mode": mode, "reason": reason, "records": records,
+                "serial_s": serial_s, "pool_s": pool_s}
+
+    def learn(self, kind: Any, mode: str, records: int, seconds: float) -> None:
+        """Fold one wave's measured seconds into the kind's rate in ``mode``."""
+        rates = self.rates.setdefault(kind, {})
+        rate = seconds / max(1, records)
+        rates[mode] = min(rate, rates.get(mode, rate))
+
+
 def resolve_workers(explicit: Optional[int] = None) -> int:
     """Resolve a worker count from ``explicit`` or ``$REPRO_WORKERS``.
 
@@ -192,9 +292,11 @@ class Executor:
     #: Broken pools thrown away and re-created (always 0 for serial).
     pool_rebuilds = 0
     #: How the most recent wave was dispatched: ``{"chunks": int,
-    #: "mode": "in-process" | "pool"}``. Observability only — the trace
-    #: attaches it to wave spans as *volatile* diagnostics, because
-    #: dispatch mode is exactly the thing that differs between backends.
+    #: "mode": "in-process" | "pool"}``, plus, for a gated wave, the
+    #: gate's reason, record count and predicted serial and pool
+    #: seconds. Observability only — the trace attaches it to wave spans
+    #: as *volatile* diagnostics, because dispatch mode is exactly the
+    #: thing that differs between backends.
     last_dispatch: Optional[dict] = None
 
     def map_chunks(
@@ -231,7 +333,8 @@ class ParallelExecutor(Executor):
     startup cost is paid once per runner, not once per wave. The executor
     pickles cleanly (the pool is dropped and re-created on demand), which
     keeps CLI workspaces — which pickle the whole :class:`SpatialHadoop`
-    facade — working.
+    facade — working. Its :class:`DispatchGate` survives ``close()`` and
+    pickling: what a host's pool costs is learned once.
     """
 
     name = "parallel"
@@ -249,6 +352,7 @@ class ParallelExecutor(Executor):
         #: environment is deemed hostile and all later waves run
         #: in-process.
         self.blacklisted = False
+        self.gate = DispatchGate()
         self._pool = None
 
     # -- pickling support -------------------------------------------------
@@ -259,12 +363,25 @@ class ParallelExecutor(Executor):
 
     # -- pool management --------------------------------------------------
     def _ensure_pool(self):
+        """The pool, started if it was down: every worker is up when it
+        returns. A start is timed for the gate, and the first pool to
+        run also times one idle round trip."""
         if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = ProcessPoolExecutor(
+            started = perf_counter()
+            pool = self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=_init_worker
             )
+            try:
+                _result(pool.submit(_noop), pool)
+                self.gate.start_s = perf_counter() - started
+                if self.gate.round_trip_s is None:
+                    started = perf_counter()
+                    _result(pool.submit(_noop), pool)
+                    self.gate.round_trip_s = perf_counter() - started
+            except _BROKEN_POOL_ERRORS:
+                pass  # the wave's own submission finds it broken
         return self._pool
 
     def _discard_pool(self) -> None:
@@ -312,17 +429,78 @@ class ParallelExecutor(Executor):
         if len(chunks) <= 1 or self.blacklisted:
             # Single chunk: nothing to overlap. Blacklisted: the pool
             # keeps breaking, stop feeding it.
-            self.last_dispatch = {
-                "chunks": len(chunks),
-                "mode": "in-process",
-                **({"blacklisted": True} if self.blacklisted else {}),
-            }
-            return [fn(chunk) for chunk in chunks]
+            return self._map_chunks_here(fn, chunks)
         if not self._can_ship(chunks[0]):
             self.fallbacks += 1
-            self.last_dispatch = {"chunks": len(chunks), "mode": "in-process"}
-            return [fn(chunk) for chunk in chunks]
+            return self._map_chunks_here(fn, chunks)
         return self._map_chunks_pooled(fn, chunks)
+
+    def run_wave(
+        self,
+        fn: Callable[[Any], Any],
+        chunks: Sequence[Any],
+        kind: Any,
+        records: Sequence[int],
+        forced: bool = False,
+    ) -> List[Any]:
+        """:meth:`map_chunks` for one wave of ``kind``, through the gate.
+
+        ``records`` holds each chunk's record count. An unseen kind's
+        first chunk runs in the driver, timed as the kind's probe rate
+        (work the wave needs anyway), and the gate places the rest: a
+        wave big enough to hide the pool's start gets its trial there at
+        once, so even a one-shot job can run in parallel. ``forced``
+        sends the wave to the pool whatever the gate says (a scripted
+        worker kill only means something on a worker); such a wave, and
+        one the pool had to recover, teaches the gate nothing.
+        """
+        total = len(chunks)
+        if forced:
+            results = self.map_chunks(fn, chunks)
+            self.last_dispatch = {"mode": "pool", "reason": "kill",
+                                  "records": sum(records),
+                                  **self.last_dispatch}
+            return results
+        decision = self._decide(kind, sum(records))
+        head: List[Any] = []
+        if decision["reason"] == "unseen" and total > 1:
+            started = perf_counter()
+            head = self._map_chunks_here(fn, chunks[:1])
+            self.gate.learn(kind, "probe", records[0],
+                            perf_counter() - started)
+            decision = {**self._decide(kind, sum(records[1:])),
+                        "probe_records": records[0]}
+            chunks, records = chunks[1:], records[1:]
+        run = (self.map_chunks if decision["mode"] == "pool"
+               else self._map_chunks_here)
+        started = perf_counter()
+        results = run(fn, chunks)
+        dispatch = self.last_dispatch
+        if not dispatch.get("recovered"):
+            self.gate.learn(kind, dispatch["mode"], sum(records),
+                            perf_counter() - started
+                            - dispatch.get("startup_s", 0.0))
+        self.last_dispatch = {**decision, **dispatch, "chunks": total}
+        return head + results
+
+    def _decide(self, kind: Any, records: int) -> dict:
+        """The gate's decision; times a worker start when it first needs
+        the pool's start and none has been measured."""
+        gate = self.gate
+        if gate.start_s is None and kind in gate.rates:
+            gate.start_s = _worker_start_s()
+        return gate.decide(kind, records, self._pool is not None)
+
+    def _map_chunks_here(
+        self, fn: Callable[[Any], Any], chunks: Sequence[Any]
+    ) -> List[Any]:
+        """Run every chunk in the driver process."""
+        self.last_dispatch = {
+            "chunks": len(chunks),
+            "mode": "in-process",
+            **({"blacklisted": True} if self.blacklisted else {}),
+        }
+        return [fn(chunk) for chunk in chunks]
 
     def _map_chunks_pooled(
         self, fn: Callable[[Any], Any], chunks: Sequence[Any]
@@ -340,9 +518,13 @@ class ParallelExecutor(Executor):
         pending = list(range(len(chunks)))
         wave_rebuilds = 0
         recovered = False
-        submit_s = 0.0
+        submit_s = startup_s = 0.0
         while pending:
+            cold = self._pool is None
+            started = perf_counter()
             pool = self._ensure_pool()
+            if cold:
+                startup_s += perf_counter() - started
             futures: List[Any] = []
             broken: List[int] = []
             unpicklable: List[int] = []
@@ -407,11 +589,13 @@ class ParallelExecutor(Executor):
                 break
             pending = broken
         # Submission time: the driver-side cost of handing this wave to
-        # the pool. Surfaced so the profiler can attribute it.
+        # the pool. Surfaced so the profiler can attribute it. Start-up:
+        # what starting the pool cost this wave, kept out of its timing.
         self.last_dispatch = {
             "chunks": len(chunks),
             "mode": "pool",
             "submit_s": round(submit_s, 6),
+            **({"startup_s": round(startup_s, 6)} if startup_s else {}),
             **({"recovered": True} if recovered else {}),
         }
         return results

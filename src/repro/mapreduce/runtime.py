@@ -429,14 +429,38 @@ def _as_failure(result: Any, attempt: int) -> Optional[TaskFailure]:
     ))
 
 
+def _wave_kind(job: Job, wave: str) -> Tuple[str, str]:
+    """What the dispatch gate learns per: the wave's function, and the wave."""
+    fn = job.map_fn if wave == "map" else job.reduce_fn
+    name = getattr(fn, "__qualname__", type(fn).__qualname__)
+    return f"{getattr(fn, '__module__', None)}.{name}", wave
+
+
+def _wave_records(wave: str, tasks: Sequence[Any]) -> int:
+    """The records in ``tasks``: block lengths (map) or value counts
+    (reduce)."""
+    if wave == "map":
+        return sum(len(item.block) for _, _, item in tasks)
+    return sum(
+        len(values) for _, _, (_, groups) in tasks for _, values in groups
+    )
+
+
+def _scripts_kill(job: Job, wave: str, pending) -> bool:
+    """Does the fault plan kill a worker in this round?"""
+    plan = job.config.get("faults")
+    if plan is None:
+        return False
+    for i, attempt in pending:
+        spec = plan.lookup(wave, i, attempt)
+        if spec is not None and spec.kind == "kill":
+            return True
+    return False
+
+
 def _chunked(items: Sequence[Any], num_chunks: int) -> List[Sequence[Any]]:
     """Split ``items`` into at most ``num_chunks`` contiguous runs."""
-    if not items:
-        return []
-    if num_chunks <= 1 or len(items) <= num_chunks:
-        size = 1 if num_chunks > 1 else len(items)
-    else:
-        size = -(-len(items) // num_chunks)  # ceil division
+    size = max(1, -(-len(items) // num_chunks))  # ceil division
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
@@ -908,20 +932,25 @@ class JobRunner:
             )
 
     def _dispatch(self, executor, job, wave, items, pending):
-        """One round of attempts through the executor; results in order."""
+        """One round of attempts through the executor; results in order.
+
+        A serial executor takes the round as one chunk. A parallel one
+        takes it through its dispatch gate, which runs the round in the
+        driver unless the pool has measured faster for this kind of wave;
+        a round that scripts a worker kill always goes to the pool.
+        """
         tasks = [(i, attempt, items[i]) for i, attempt in pending]
-        num_chunks = (
-            executor.workers * CHUNKS_PER_WORKER
-            if executor.workers > 1
-            else 1
-        )
-        payloads = [
-            (job, wave, chunk) for chunk in _chunked(tasks, num_chunks)
-        ]
-        results = []
-        for chunk_results in executor.map_chunks(_run_chunk, payloads):
-            results.extend(chunk_results)
-        return results
+        if executor.workers == 1:
+            chunks = executor.map_chunks(_run_chunk, [(job, wave, tasks)])
+        else:
+            parts = _chunked(tasks, executor.workers * CHUNKS_PER_WORKER)
+            chunks = executor.run_wave(
+                _run_chunk, [(job, wave, part) for part in parts],
+                _wave_kind(job, wave),
+                [_wave_records(wave, part) for part in parts],
+                _scripts_kill(job, wave, pending),
+            )
+        return [result for chunk in chunks for result in chunk]
 
     @staticmethod
     def _absorb(

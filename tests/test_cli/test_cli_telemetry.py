@@ -212,6 +212,7 @@ def _scrape_bytes(tmp_path, monkeypatch, tag, workers=None):
 
 
 class TestScrapeDeterminism:
+    @pytest.mark.usefixtures("pool_pinned")
     def test_bit_identical_serial_vs_workers(
         self, tmp_path, monkeypatch, capsys
     ):

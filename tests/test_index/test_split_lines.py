@@ -23,10 +23,10 @@ def lattice_rects(rng, n=600):
     return rects
 
 
-def build(seed):
+def build(seed, workers=None):
     rng = random.Random(seed)
     left, right = lattice_rects(rng), lattice_rects(rng)
-    sh = SpatialHadoop(num_nodes=4, job_overhead_s=0.01)
+    sh = SpatialHadoop(num_nodes=4, job_overhead_s=0.01, workers=workers)
     sh.load("left", left)
     sh.load("right", right)
     # The capacity must reach the index: one cell would be trivially exact.
@@ -46,7 +46,22 @@ def test_kdtree_join_matches_brute_force(seed):
 
 
 def test_range_window_edge_on_a_split_line():
-    sh, left, _ = build(0)
+    check_window_edges(*build(0)[:2])
+
+
+@pytest.mark.usefixtures("pool_pinned")
+def test_range_window_edge_on_a_split_line_on_the_pool():
+    """Integer rectangles keep their type on a worker: the answer's
+    ``repr``s are the serial ones."""
+    sh, left, _ = build(0, workers=2)
+    try:
+        check_window_edges(sh, left)
+        assert sh.runner.executor.last_dispatch["mode"] == "pool"
+    finally:
+        sh.runner.close()
+
+
+def check_window_edges(sh, left):
     gindex = sh.fs.get("left_idx").metadata["global_index"]
     space = gindex.mbr
     splits = sorted(

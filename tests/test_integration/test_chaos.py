@@ -120,6 +120,7 @@ class TestChaosEquivalence:
         assert "fault summary:" in report
 
 
+@pytest.mark.usefixtures("pool_pinned")
 class TestChaosParallelBackend:
     """The same chaos through real worker processes: a kill really kills."""
 
@@ -225,6 +226,7 @@ class TestStorageChaos:
         assert after.count("under-replicated") == 0
         assert after.count("missing-replica") == 0
 
+    @pytest.mark.usefixtures("pool_pinned")
     def test_parallel_backend_matches_clean_serial(self):
         clean = build_workspace()
         chaotic = build_workspace(faults=STORAGE_CHAOS, workers=2)

@@ -96,6 +96,7 @@ def run_traced(sh, name):
     return result, records
 
 
+@pytest.mark.usefixtures("pool_pinned")
 class TestResumeTraceEquivalence:
     """Kill kNN after round 1 and closest-pair after its first wave;
     the resumed invocation's normalized trace must equal a clean run's,

@@ -362,6 +362,7 @@ class TestExecutorShutdownGuards:
         ex.close()  # never raises, even with a broken pool
         assert ex._pool is None
 
+    @pytest.mark.usefixtures("pool_pinned")
     def test_keyboard_interrupt_mid_wave_leaves_pool_closable(
         self, monkeypatch
     ):

@@ -10,6 +10,8 @@ plain pickle does.
 import pickle
 from multiprocessing.reduction import ForkingPickler
 
+import pytest
+
 from repro import SpatialHadoop
 from repro.core import Feature
 from repro.datagen import generate_points, generate_polygons
@@ -132,6 +134,7 @@ class TestColumnBlock:
         assert thin < fat / 3
 
 
+@pytest.mark.usefixtures("pool_pinned")
 class TestPoolDispatch:
     def test_parallel_matches_serial(self):
         serial = build_system()

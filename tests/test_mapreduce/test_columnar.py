@@ -43,6 +43,14 @@ class TestFromRecords:
 
         assert ColumnarPayload.from_records([Tagged(1.0, 2.0)]) is None
 
+    def test_non_float_coordinates_are_not_columnar(self):
+        # Rebuilt records hold floats: an int corner would change type.
+        assert ColumnarPayload.from_records([Point(1, 2.0)]) is None
+        assert ColumnarPayload.from_records(
+            RECTS + [Rectangle(0.0, 0.0, 1.0, 2)]
+        ) is None
+        assert ColumnarPayload.from_records([Point(True, 2.0)]) is None
+
     def test_materialize_yields_plain_floats(self):
         payload = ColumnarPayload.from_records(POINTS)
         rebuilt = payload.materialize()
@@ -98,6 +106,14 @@ class TestStorageAdoption:
             assert payload is not None
             assert block.checksum == payload.checksum()
             assert block.checksum == block_payload_checksum(block)
+
+    def test_int_block_is_sealed_over_its_records(self):
+        fs = FileSystem(default_block_capacity=16)
+        fs.create_file("ints", [Point(i, 2 * i) for i in range(20)])
+        for block in fs.get("ints").blocks:
+            assert block.columnar is None
+            assert block.checksum == block_payload_checksum(block)
+        assert run_fsck(fs).healthy
 
     def test_fsck_still_detects_mutation(self):
         fs = self.build_fs()

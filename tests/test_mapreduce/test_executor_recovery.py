@@ -371,6 +371,62 @@ class TestWorkerSignals:
         assert returncode == 0, err
         assert out.split() == ["[2.0,", "2.0]", "0", "0", "[2]"], out + err
 
+    def test_process_group_sigterm_mid_job_exits_143(self, tmp_path):
+        """A SIGTERM to the whole process group mid-job: the workers die
+        at once, the CLI stops at the next task boundary with 128 + 15,
+        and nothing of the group outlives it. The signal goes out when
+        the second wave reaches the executor (pinned to the pool), so the
+        pool is up."""
+        workspace = tmp_path / "ws.pkl"
+        code = (
+            "import os, signal, sys; sys.path.insert(0, 'src')\n"
+            "from repro.cli import main\n"
+            "from repro.mapreduce import ParallelExecutor\n"
+            "from tests.conftest import pinned_run_wave\n"
+            "waves = []\n"
+            "def run_wave(self, *args, **kwargs):\n"
+            "    waves.append(args[2])\n"
+            "    if len(waves) == 2:\n"
+            "        os.killpg(0, signal.SIGTERM)\n"
+            "    return pinned_run_wave(self, *args, **kwargs)\n"
+            "ParallelExecutor.run_wave = run_wave\n"
+            f"ws = {str(workspace)!r}\n"
+            "assert main(['-w', ws, 'generate', 'pts', '--n', '20000']) == 0\n"
+            "sys.exit(main(['-w', ws, '--workers', '2', 'index', 'pts',"
+            " 'idx', '--technique', 'str']))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+            cwd=REPO_ROOT,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            out, err = proc.communicate()
+            pytest.fail(f"timed out\n{out}\n{err}")
+        assert proc.returncode == 128 + signal.SIGTERM, out + err
+        assert "caught signal 15" in err
+        deadline = time.monotonic() + 10
+        while group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert group_members(proc.pid) == []
+
+
+def group_members(pgid):
+    """Live processes (not zombies) of process group ``pgid``."""
+    members = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.append(pid)
+    return members
+
 
 class TestNoOrphans:
     def test_close_leaves_no_children(self):
@@ -381,6 +437,9 @@ class TestNoOrphans:
             "from repro import SpatialHadoop\n"
             "from repro.datagen import generate_points\n"
             "from repro.geometry import Rectangle\n"
+            "from repro.mapreduce import ParallelExecutor\n"
+            "from tests.conftest import pinned_run_wave\n"
+            "ParallelExecutor.run_wave = pinned_run_wave\n"
             "sh = SpatialHadoop(workers=2, block_capacity=500)\n"
             "sh.load('pts', generate_points(5000, 'uniform', seed=1))\n"
             "sh.index('pts', 'idx', technique='str')\n"

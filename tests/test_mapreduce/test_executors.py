@@ -48,6 +48,9 @@ from repro.operations import (
 from repro.pigeon import run_script
 from repro.viz import plot, plot_pyramid
 
+# Every parallel wave goes to the pool: these tests compare it with serial.
+pytestmark = pytest.mark.usefixtures("pool_pinned")
+
 SPACE = Rectangle(0, 0, 1000, 1000)
 QUERY = Rectangle(120, 140, 420, 460)
 PARALLEL_WORKERS = 3

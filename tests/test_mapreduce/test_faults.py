@@ -362,6 +362,7 @@ class TestSpeculation:
 # ----------------------------------------------------------------------
 # Parallel backend: same chaos, same answers, plus pool recovery
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("pool_pinned")
 class TestParallelFaultEquivalence:
     def run_both(self, plan, **kwargs):
         serial = make_runner(faults=plan, **kwargs)

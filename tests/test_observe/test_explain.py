@@ -131,6 +131,7 @@ class TestAnalyze:
         assert root.actual["makespan_s"] > 0
         assert root.actual["wall_s"] >= 0
 
+    @pytest.mark.usefixtures("pool_pinned")
     def test_serial_and_parallel_plans_normalize_equal(self):
         serial = make_system(workers=1, technique="grid")
         parallel = make_system(workers=4, technique="grid")

@@ -31,6 +31,7 @@ def run_workload(workers):
     return sh, tracer
 
 
+@pytest.mark.usefixtures("pool_pinned")
 class TestSerialParallelEquivalence:
     def test_normalized_traces_identical(self):
         sh_serial, t_serial = run_workload(workers=1)

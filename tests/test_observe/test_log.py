@@ -222,6 +222,7 @@ def normalized_bytes(log):
     return json.dumps(log.normalized_records(), sort_keys=True).encode()
 
 
+@pytest.mark.usefixtures("pool_pinned")
 class TestSerialParallelEquivalence:
     def test_normalized_logs_bit_identical(self):
         _, serial = run_workload(workers=1)

@@ -3,6 +3,8 @@
 import io
 import pickle
 
+import pytest
+
 from repro import SpatialHadoop
 from repro.datagen import generate_points
 from repro.geometry import Rectangle
@@ -68,6 +70,7 @@ class TestRunnerIntegration:
         sh.range_query("pts", Rectangle(0, 0, 5e4, 5e4))
         assert buf.getvalue() == ""
 
+    @pytest.mark.usefixtures("pool_pinned")
     def test_parallel_backend_results_unchanged(self):
         serial = make_system(workers=1)
         parallel = make_system(workers=2)

@@ -149,6 +149,7 @@ class TestEveryChannelCountsEachFactOnce:
         traced, logged = round_facts(sh)
         assert traced == logged >= 2
 
+    @pytest.mark.usefixtures("pool_pinned")
     def test_pool_rebuilds(self):
         sh = build(workers=2)
         try:

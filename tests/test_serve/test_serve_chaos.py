@@ -22,6 +22,8 @@ from repro.observe.explain import parse_query
 from repro.operations.range_query import estimated_matches
 from repro.serve import OUTCOMES, ServiceConfig, TenantQuota
 
+from tests.conftest import pin_pool
+
 #: Task + storage + service chaos. Task faults retry transparently;
 #: the corrupted replica fails over to a healthy copy; the service
 #: faults flood bob's queue and slow carol down. Seeded: every run and
@@ -185,7 +187,8 @@ class TestBackendEquivalence:
     @pytest.fixture(scope="class")
     def both_backends(self):
         serial = run_workload(build_workspace(faults=CHAOS, workers=1))
-        parallel = run_workload(build_workspace(faults=CHAOS, workers=2))
+        with pin_pool():
+            parallel = run_workload(build_workspace(faults=CHAOS, workers=2))
         return serial, parallel
 
     def test_wire_responses_identical(self, both_backends):
