@@ -30,7 +30,7 @@ Quickstart::
     print(len(hits.answer), "records,", hits.blocks_read, "blocks read")
 """
 
-from repro.core.feature import Feature
+from repro.geometry.feature import Feature
 from repro.core.result import OperationResult
 from repro.core.system import SpatialHadoop
 

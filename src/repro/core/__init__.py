@@ -16,7 +16,7 @@ user of the library drives: load / index files, then run spatial operations
 that return both the answer and the simulated cluster cost.
 """
 
-from repro.core.feature import Feature
+from repro.geometry.feature import Feature
 from repro.core.result import OperationResult
 from repro.core.splitter import (
     every_partition,

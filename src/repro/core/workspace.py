@@ -18,14 +18,14 @@ version, length and CRC before unpickling and raises a structured
 :class:`WorkspaceError` subclass (never a raw ``UnpicklingError``).
 
 The version byte names the layout of the pickled objects, and it is the
-only place that knows about older layouts. v6 stores each block's local
+only place that knows about older layouts. v7 stores each block's local
 index as a packed-array R-tree, every homogeneous point / rectangle
-block with float coordinates carries its columnar payload with a
-checksum over the columns, the job runner holds its observability
-channels in one :class:`~repro.observe.recorder.Recorder`, and a
-parallel executor carries the measurements of its dispatch gate. Any
-other version is refused
-with a :class:`WorkspaceVersionError` that says how to rebuild, and a
+block with float coordinates -- bare or wrapped in Features -- carries
+its columnar payload (plus the Features' attribute column) with a
+checksum over both, the job runner holds its observability channels in
+one :class:`~repro.observe.recorder.Recorder`, and a parallel executor
+carries the measurements of its dispatch gate. Any other version is
+refused with a :class:`WorkspaceVersionError` that says how to rebuild, and a
 file without the magic with a :class:`WorkspaceCorruptError` — never an
 ``AttributeError`` deep in unpickling.
 """
@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Any, Optional, Tuple, Type
 
 MAGIC = b"REPROWS\n"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 #: Header after a frame's magic: version (u8), payload CRC-32 (u32),
 #: payload length (u64).
 FRAME_HEADER = struct.Struct(">BIQ")
@@ -174,8 +174,8 @@ def load_workspace(
     if version != FORMAT_VERSION:
         raise WorkspaceVersionError(
             f"workspace {path} uses format v{version}; this release reads "
-            f"only v{FORMAT_VERSION} (one observability recorder per "
-            "runner). Recreate the workspace: reload the data and rebuild "
+            f"only v{FORMAT_VERSION} (Feature blocks carry a columnar "
+            "payload). Recreate the workspace: reload the data and rebuild "
             "the index with 'repro index'"
         )
     try:

@@ -68,9 +68,11 @@ def _derived_columns_splitter(derived):
 def _sample_map(_key, block, ctx):
     """Per-block MBR + reservoir sample (module-level: picklable).
 
-    A block without a columnar payload (polygons, features) has its MBR
-    columns derived here, once, and shipped back with the sample so the
-    partition job and the commit never call ``shape_mbr`` again.
+    A block without a columnar payload (polygons, Features over polygons)
+    has its MBR columns derived here, once, and shipped back with the
+    sample so the partition job and the commit never call ``shape_mbr``
+    again. Features over float points or rectangles have a payload and
+    read its columns like bare shapes.
     """
     n = len(block)
     if not n:
@@ -111,6 +113,13 @@ def _partition_reduce(cell_id, refs, ctx):
     ctx.emit(cell_id, (cell_id, refs))
 
 
+def _layout(payload):
+    """A source payload's ``(shape kind, has attributes)``."""
+    if payload is None:
+        return None, False
+    return payload.kind, payload.attributes is not None
+
+
 def _pack_cell(refs, source_blocks, source_columns, build_local_index: bool):
     """Gather one cell's rows into a block in packed (STR) order.
 
@@ -124,10 +133,10 @@ def _pack_cell(refs, source_blocks, source_columns, build_local_index: bool):
         for b, offsets in refs
         for offset in offsets.tolist()
     ]
-    kinds = {
-        getattr(source_blocks[b].columnar, "kind", None) for b, _ in refs
-    }
-    kind = kinds.pop() if len(kinds) == 1 else None
+    # The cell gets a payload when every source block has one of the same
+    # layout: one shape kind, and attributes on all of them or on none.
+    layouts = {_layout(source_blocks[b].columnar) for b, _ in refs}
+    kind, features = layouts.pop() if len(layouts) == 1 else (None, False)
     # Points have degenerate MBRs: their (x, y) pair serves as both corners.
     repeat = 2 if kind == "point" else 1
     cols = [
@@ -141,7 +150,10 @@ def _pack_cell(refs, source_blocks, source_columns, build_local_index: bool):
     cols = [col[order] for col in cols]
     block = Block(records=records)
     if kind is not None:
-        block.columnar = ColumnarPayload(kind, len(records), tuple(cols))
+        attributes = [r.attributes for r in records] if features else None
+        block.columnar = ColumnarPayload(
+            kind, len(records), tuple(cols), attributes
+        )
     if build_local_index:
         block.metadata["local_index"] = RTree.from_columns(*(cols * repeat))
     return block, columns_mbr(*(cols * repeat))

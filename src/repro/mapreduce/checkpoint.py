@@ -73,9 +73,10 @@ from repro.mapreduce.types import TaskResult
 
 #: Wave-file magic; deliberately the same length as the workspace magic.
 MAGIC = b"REPROCKP"
-#: v2 journals task results as :class:`TaskResult` objects; any other
-#: version reads as a corrupt wave (a cache miss that re-executes).
-FORMAT_VERSION = 2
+#: v3 journals task results as :class:`TaskResult` objects, with bulk
+#: record lists (Feature lists too) packed as columnar payloads; any
+#: other version reads as a corrupt wave (a cache miss that re-executes).
+FORMAT_VERSION = 3
 
 #: Manifest schema version.
 MANIFEST_VERSION = 1
@@ -208,10 +209,8 @@ _COLUMNAR_MIN = 64
 _WALK_MAX = 512
 
 
-def _thaw_records(kind: str, count: int, raw: bytes) -> list:
-    from repro.mapreduce.columnar import ColumnarPayload
-
-    return ColumnarPayload._from_portable(kind, count, raw).materialize()
+def _thaw_records(payload) -> list:
+    return payload.materialize()
 
 
 def _thaw_pairs(left: list, right: list) -> list:
@@ -241,9 +240,7 @@ def _pack_list(lst: list) -> Any:
 
     payload = ColumnarPayload.from_records(lst)
     if payload is not None:
-        return _Packed(
-            (_thaw_records, (payload.kind, payload.count, payload.tobytes()))
-        )
+        return _Packed((_thaw_records, (payload,)))
     # Keyed emissions and join pairs: transpose with zip (C speed) and
     # encode each side on its own, worthwhile whenever at least one side
     # columnarises. The per-element type check is load-bearing: Points
@@ -295,10 +292,11 @@ def write_checkpoint_file(path: Path, obj: Any) -> None:
 
     Three hot-path economies, all invisible to the read side:
 
-    * Bulk Point/Rectangle lists inside the wave payload are transposed
-      into flat float64 columns before pickling (``_pack``) — ~5x less
-      serialisation time and ~35% fewer bytes than object pickling, and
-      ``pickle.loads`` rebuilds the original lists unaided.
+    * Bulk Point/Rectangle lists (bare or as Features) inside the wave
+      payload are transposed into flat float64 columns before pickling
+      (``_pack``) — ~5x less serialisation time and ~35% fewer bytes
+      than object pickling, and ``pickle.loads`` rebuilds the original
+      lists unaided.
     * No fsync: the CRC framing means a torn wave file reads as corrupt
       and replays as a cache miss, so durability against power loss buys
       nothing the read path doesn't already absorb.

@@ -2,31 +2,38 @@
 
 A sealed block whose records are homogeneously :class:`Point` or
 :class:`Rectangle` gets a :class:`ColumnarPayload`: the coordinates
-transposed into flat float64 NumPy columns. The payload serves three
-masters:
+transposed into flat float64 NumPy columns. A block of
+:class:`~repro.geometry.feature.Feature` records over such shapes gets the
+same geometry columns plus one attribute column, the per-row attribute
+dicts, so Pigeon relations take every path bare shapes take. The payload
+serves three masters:
 
 * **Batch kernels** — ``repro.geometry.vectorized`` filters a whole block
   with one mask instead of one Python call per record.
 * **Durability** — :func:`block_payload_checksum` CRCs the raw column
   bytes (with a small header), so checksums cover the columnar bytes
   directly and are independent of pickle details (any float64 buffer of
-  the same coordinates has the same bytes).
+  the same coordinates has the same bytes). A Feature payload adds the
+  CRC of its pickled attribute column.
 * **Dispatch** — a block crossing to a pool worker travels as its
   columns: the reducer registered here on ``multiprocessing``'s
   ``ForkingPickler`` (the pickler the process pool uses) replaces it
-  with a :class:`ColumnBlock`, which rebuilds records and the local
-  index on the worker only when a map function asks for them.
+  with a :class:`ColumnBlock`, which rebuilds records (Features, for a
+  Feature payload) and the local index on the worker only when a map
+  function asks for them.
   Workspaces and checkpoints use plain :mod:`pickle` and still store
   the whole :class:`~repro.mapreduce.fs.Block`.
 
-Blocks with mixed or exotic record types, or with coordinates that are
-not all ``float``, simply get no payload
-(:func:`ColumnarPayload.from_records` returns None) and every consumer
-falls back to the scalar path.
+Blocks with mixed or exotic record types (polygons, ``Feature``
+subclasses, Features over mixed shapes), with coordinates that are not
+all ``float``, or with attributes that do not pickle simply get no
+payload (:func:`ColumnarPayload.from_records` returns None) and every
+consumer falls back to the scalar path.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import zlib
 from multiprocessing.reduction import ForkingPickler
@@ -35,9 +42,11 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry import vectorized
+from repro.geometry.feature import Feature
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rectangle
 from repro.mapreduce.fs import Block
+from repro.mapreduce.storage import checksum_records
 
 #: Column names per payload kind, in buffer order.
 KIND_COLUMNS = {
@@ -76,15 +85,27 @@ class ColumnarPayload:
 
     ``kind`` is ``"point"`` (columns x, y) or ``"rect"`` (columns x1, y1,
     x2, y2); ``count`` is the record count. Columns are owned arrays or
-    zero-copy views over an external buffer.
+    zero-copy views over an external buffer. ``attributes`` is None for
+    bare shapes; for Features it is the list of per-row attribute dicts
+    (the records' own dicts, not copies), and the columns hold the
+    Features' shapes.
     """
 
-    __slots__ = ("kind", "count", "columns")
+    __slots__ = ("kind", "count", "columns", "attributes", "_attributes_crc")
 
-    def __init__(self, kind: str, count: int, columns: Tuple[Any, ...]):
+    def __init__(
+        self,
+        kind: str,
+        count: int,
+        columns: Tuple[Any, ...],
+        attributes: Optional[List[Any]] = None,
+    ):
         self.kind = kind
         self.count = count
         self.columns = columns
+        self.attributes = attributes
+        #: CRC-32 of the pickled attribute column, once computed.
+        self._attributes_crc: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -93,11 +114,15 @@ class ColumnarPayload:
     def from_records(cls, records: Sequence[Any]) -> Optional["ColumnarPayload"]:
         """Transpose a homogeneous Point/Rectangle list; None otherwise.
 
+        A list of Features whose shapes are all Points or all Rectangles
+        transposes the same way, plus an attribute column.
+
         Exact type checks (no subclasses): a subclass could carry extra
         state the columns would silently drop. Every coordinate must be a
         ``float`` too: records rebuilt from the columns (on a pool worker,
         or from a checkpoint) hold floats, so an ``int`` coordinate would
-        come back with another type and another ``repr``.
+        come back with another type and another ``repr``. Attributes must
+        pickle: the checksum covers their pickled bytes.
         """
         n = len(records)
         if n == 0:
@@ -107,6 +132,11 @@ class ColumnarPayload:
         # listcomp per column — generator feeding costs a frame switch
         # per item, which dominates at bulk sizes.
         kinds = set(map(type, records))
+        attributes = None
+        if kinds == {Feature}:
+            attributes = [r.attributes for r in records]
+            records = [r.shape for r in records]
+            kinds = set(map(type, records))
         if kinds == {Point}:
             kind = "point"
             columns = ([r.x for r in records], [r.y for r in records])
@@ -122,7 +152,15 @@ class ColumnarPayload:
             return None
         if any(set(map(type, column)) != {float} for column in columns):
             return None
-        return cls(kind, n, tuple(map(_column, columns)))
+        payload = cls(kind, n, tuple(map(_column, columns)), attributes)
+        if attributes is not None:
+            try:
+                payload._attributes_crc = _value_crc(attributes)
+            except Exception:
+                # Unpicklable or cyclic attributes: the record path, whose
+                # checksum_records copes with them.
+                return None
+        return payload
 
     @classmethod
     def from_buffer(
@@ -142,19 +180,21 @@ class ColumnarPayload:
 
     @classmethod
     def _from_portable(
-        cls, kind: str, count: int, raw: bytes
+        cls, kind: str, count: int, raw: bytes, attributes: Optional[list]
     ) -> "ColumnarPayload":
         payload = cls.from_buffer(kind, count, raw)
         # Rehydrate into owned columns so the pickled copy does not pin
         # the transport bytes (and stays writable-agnostic).
         payload.columns = tuple(c.copy() for c in payload.columns)
+        payload.attributes = attributes
         return payload
 
     def __reduce__(self):
-        # Portable pickle: raw bytes, independent of NumPy's pickle format.
+        # Portable pickle: raw bytes, independent of NumPy's pickle format;
+        # the attribute column travels as the list it is.
         return (
             ColumnarPayload._from_portable,
-            (self.kind, self.count, self.tobytes()),
+            (self.kind, self.count, self.tobytes(), self.attributes),
         )
 
     # ------------------------------------------------------------------
@@ -162,16 +202,26 @@ class ColumnarPayload:
     # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:
+        """Bytes of the geometry columns."""
         return self.count * _FLOAT_SIZE * len(self.columns)
 
     def tobytes(self) -> bytes:
         return b"".join(col.tobytes() for col in self.columns)
 
     def checksum(self) -> int:
-        """CRC-32 over a kind/count header plus the raw column bytes."""
+        """CRC-32 over a kind/count header plus the raw column bytes.
+
+        A Feature payload folds in the CRC of its pickled attribute
+        column, taken once: :meth:`from_records` computes it while it
+        checks that the attributes pickle, so sealing pickles them once.
+        """
         crc = zlib.crc32(f"{self.kind}:{self.count}".encode("ascii"))
         for col in self.columns:
             crc = zlib.crc32(col.tobytes(), crc)
+        if self.attributes is not None:
+            if self._attributes_crc is None:
+                self._attributes_crc = _value_crc(self.attributes)
+            crc = zlib.crc32(self._attributes_crc.to_bytes(4, "little"), crc)
         return crc
 
     # ------------------------------------------------------------------
@@ -182,22 +232,28 @@ class ColumnarPayload:
 
         Coordinates go through ``float()`` so the records hold plain
         floats (``np.float64`` attributes would leak into answers and
-        print differently than the scalar path).
+        print differently than the scalar path). A Feature payload
+        rebuilds ``Feature(shape, attributes)`` rows.
         """
         with _phase("columnar-decode"):
             if self.kind == "point":
                 xs, ys = self.columns
-                return [
+                shapes = [
                     Point(float(xs[i]), float(ys[i]))
                     for i in range(self.count)
                 ]
-            x1s, y1s, x2s, y2s = self.columns
-            return [
-                Rectangle(
-                    float(x1s[i]), float(y1s[i]), float(x2s[i]), float(y2s[i])
-                )
-                for i in range(self.count)
-            ]
+            else:
+                x1s, y1s, x2s, y2s = self.columns
+                shapes = [
+                    Rectangle(
+                        float(x1s[i]), float(y1s[i]),
+                        float(x2s[i]), float(y2s[i]),
+                    )
+                    for i in range(self.count)
+                ]
+            if self.attributes is None:
+                return shapes
+            return list(map(Feature, shapes, self.attributes))
 
     def mbr_columns(self) -> Tuple[Any, Any, Any, Any]:
         """The records' MBRs as ``x1, y1, x2, y2`` columns (no copies)."""
@@ -236,12 +292,29 @@ class ColumnarPayload:
             )
 
 
+def _value_crc(obj: Any) -> int:
+    """CRC-32 of ``obj`` pickled by value.
+
+    The pickler's memo is off (``fast``), so the bytes depend on the
+    values only, not on which equal objects happen to be shared: an
+    unpickled workspace shares objects its writer did not (one-character
+    strings come back as the interpreter's cached singletons), and must
+    still verify. Cyclic or unpicklable attributes raise, and get no
+    payload.
+    """
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, protocol=4)
+    pickler.fast = True
+    pickler.dump(obj)
+    return zlib.crc32(buf.getbuffer())
+
+
 def payload_of(block, expected_count: Optional[int] = None):
     """The block's usable columnar payload, or None.
 
     None when the block has no payload (records other than homogeneous
-    points or rectangles), or when the payload has gone stale relative to
-    the record list it was sealed over.
+    points or rectangles, bare or as Features), or when the payload has
+    gone stale relative to the record list it was sealed over.
     """
     payload = block.columnar
     if payload is None:
@@ -255,11 +328,10 @@ def block_payload_checksum(block) -> int:
     """The checksum a block's payload should carry.
 
     Columnarizable records are checksummed over their raw column bytes
-    (rebuilt fresh, so in-place mutation is detected); everything else
-    falls back to the pickle-based record checksum.
+    and, for Features, their attribute column (rebuilt fresh, so in-place
+    mutation is detected); everything else falls back to the
+    pickle-based record checksum.
     """
-    from repro.mapreduce.storage import checksum_records
-
     payload = ColumnarPayload.from_records(block.records)
     if payload is not None:
         return payload.checksum()

@@ -44,10 +44,10 @@ class Block:
     ``columnar`` is the vectorized-execution payload (see
     :mod:`repro.mapreduce.columnar`): the record coordinates transposed
     into flat float64 columns. Seal time attaches it whenever the
-    records are homogeneously points or rectangles, and the checksum
-    then covers the columnar bytes; it is ``None`` for every other
-    block (features, polygons, tuples), whose checksum covers the
-    pickled records.
+    records are homogeneously points or rectangles, bare or as Features
+    (which add an attribute column), and the checksum then covers the
+    columnar bytes; it is ``None`` for every other block (polygons,
+    tuples), whose checksum covers the pickled records.
     """
 
     records: List[Any]

@@ -139,10 +139,11 @@ class StorageManager:
     def seal_block(self, block: Any) -> None:
         """Checksum ``block`` and place its replicas (write path).
 
-        Homogeneous point/rectangle blocks get a columnar payload here
-        and their checksum is computed over the columnar bytes, so
-        replica verification and fsck cover exactly what the batch
-        kernels read. Sealing is idempotent for placed blocks.
+        Homogeneous point/rectangle blocks, bare or as Features, get a
+        columnar payload here and their checksum is computed over the
+        columnar bytes (and the Features' attribute column), so replica
+        verification and fsck cover exactly what the batch kernels read.
+        Sealing is idempotent for placed blocks.
         """
         from repro.mapreduce.columnar import ColumnarPayload
 
@@ -438,9 +439,9 @@ def _check_block(name, index, block, storage, repair, report) -> int:
 
     corrupt_seen = 0
     stored = block.checksum
-    # Rebuilt fresh from the current records (columnar bytes for
-    # homogeneous blocks, pickled records otherwise) so in-place
-    # mutation is detected either way.
+    # Rebuilt fresh from the current records (columnar bytes plus any
+    # attribute column for homogeneous blocks, pickled records
+    # otherwise) so in-place mutation is detected either way.
     actual = block_payload_checksum(block)
     if stored != actual:
         if repair:

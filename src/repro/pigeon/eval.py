@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.core.feature import Feature
+from repro.geometry.feature import Feature
 from repro.geometry import Point, Rectangle
 from repro.pigeon import ast
 

@@ -64,12 +64,9 @@ class TestForkingPickler:
     def test_non_columnar_blocks_pass_through(self):
         sh = build_system()
         sh.load("pairs", [("a", i) for i in range(50)])
-        sh.load("features", [
-            Feature(Point(float(i), float(i)), {"id": i}) for i in range(50)
-        ])
         sh.load("polys", generate_polygons(50, "uniform", seed=7))
         sh.index("polys", "polys_idx", technique="str")
-        for name in ("pairs", "features", "polys", "polys_idx"):
+        for name in ("pairs", "polys", "polys_idx"):
             for block in sh.fs.get(name).blocks:
                 assert block.columnar is None, name
                 assert bytes(ForkingPickler.dumps(block)) == pickle.dumps(
@@ -79,6 +76,20 @@ class TestForkingPickler:
                 assert type(clone) is Block, name
                 assert clone.records == block.records
                 assert clone.checksum == block.checksum
+
+    def test_feature_blocks_ship_as_columns(self):
+        sh = build_system()
+        sh.load("features", [
+            Feature(Point(float(i), float(i)), {"id": i}) for i in range(50)
+        ])
+        for block in sh.fs.get("features").blocks:
+            clone = ship(block)
+            assert isinstance(clone, ColumnBlock)
+            assert clone.columnar.attributes == block.columnar.attributes
+            assert clone.records == block.records
+            assert [f.attributes for f in clone.records] == [
+                f.attributes for f in block.records
+            ]
 
     def test_reduce_chunks_pass_through(self):
         chunk = ("job", "reducer", [(0, 1, ("key", [1, 2, 3]))])

@@ -413,6 +413,62 @@ class TestWorkerSignals:
             time.sleep(0.05)
         assert group_members(proc.pid) == []
 
+    def test_second_sigint_ends_a_long_driver_job(self, tmp_path):
+        """The first SIGINT asks for a stop at the next task boundary;
+        when a task in the driver runs long, a second one must end the
+        CLI at once, with 128 + 2, leaving no child behind. The first
+        wave is pinned to the pool so its workers are up; the second
+        wave's map task naps for a minute in the driver."""
+        workspace = tmp_path / "ws.pkl"
+        code = (
+            "import os, signal, sys, threading, time\n"
+            "sys.path.insert(0, 'src')\n"
+            "from repro.cli import main\n"
+            "from repro.index import build\n"
+            "from repro.mapreduce import ParallelExecutor\n"
+            "from tests.conftest import pinned_run_wave\n"
+            "partition_map = build._partition_map\n"
+            "def long_partition_map(key, block, ctx):\n"
+            "    time.sleep(60)\n"
+            "    partition_map(key, block, ctx)\n"
+            "build._partition_map = long_partition_map\n"
+            "waves = []\n"
+            "def run_wave(self, fn, chunks, *args, **kwargs):\n"
+            "    waves.append(fn)\n"
+            "    if len(waves) == 1:\n"
+            "        return pinned_run_wave(self, fn, chunks, *args, **kwargs)\n"
+            "    assert self._pool is not None\n"
+            "    for delay in (0.5, 1.5):\n"
+            "        threading.Timer(delay, os.kill,"
+            " (os.getpid(), signal.SIGINT)).start()\n"
+            "    return self._map_chunks_here(fn, chunks)\n"
+            "ParallelExecutor.run_wave = run_wave\n"
+            f"ws = {str(workspace)!r}\n"
+            "assert main(['-w', ws, 'generate', 'pts', '--n', '20000']) == 0\n"
+            "sys.exit(main(['-w', ws, '--workers', '2', 'index', 'pts',"
+            " 'idx', '--technique', 'str']))\n"
+        )
+        started = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+            cwd=REPO_ROOT,
+        )
+        try:
+            out, err = proc.communicate(timeout=45)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            out, err = proc.communicate()
+            pytest.fail(f"timed out\n{out}\n{err}")
+        assert proc.returncode == 128 + signal.SIGINT, out + err
+        assert "caught signal 2" in err and "interrupted" in err
+        # Far less than the nap: the second signal did not wait for it.
+        assert time.monotonic() - started < 30, err
+        deadline = time.monotonic() + 10
+        while group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert group_members(proc.pid) == []
+
 
 def group_members(pgid):
     """Live processes (not zombies) of process group ``pgid``."""
