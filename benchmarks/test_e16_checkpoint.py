@@ -11,9 +11,10 @@ every input point, and the E4 spatial join whose single wave journals
 the entire pair answer — there the journal's cost is proportional to
 the answer itself and no serialisation trick changes that asymptote.
 Each armed rep journals to a fresh directory and garbage-collects it,
-so every number includes the full cost — manifest write, per-wave
-pack + pickle + CRC, atomic rename, final GC — not just the steady
-state.
+so every number includes the full cost — manifest write, opening the
+run's append-only wave log, per-wave pack + pickle + CRC and one
+``write`` of the frame (no per-wave file, no rename), final GC — not
+just the steady state.
 
 The budget gates on the **attributed** overhead:
 ``CheckpointManager.overhead_s`` accumulates the wall time spent

@@ -818,6 +818,8 @@ def main(
                 pass
         sh.runner.set_cancellation(None)
         sh.runner.close()
+        if manager is not None:
+            manager.close()  # the wave log's descriptor, on every exit
         # The reporter holds an open stderr handle; like a live tracer it
         # is per-invocation only and must never reach the pickle below.
         sh.disable_progress()

@@ -222,12 +222,14 @@ class SpatialHadoop:
         """Arm crash-consistent wave checkpointing for subsequent jobs.
 
         Starts a fresh journal at ``directory`` (clearing any stale one)
-        and attaches it to the runner: every map/reduce wave commits its
-        results atomically, and a manifest records the command, fault
-        plan position and per-wave state needed for :meth:`resume` to
-        replay the run bit-identically. Off by default — the journal
-        costs one columnar-packed pickle and an atomic rename per wave
-        (~2.6% on a mixed analytics suite; see ``BENCH_e16.json``).
+        and attaches it to the runner: every map/reduce wave appends its
+        results to the run's wave log as one CRC-framed frame, and a
+        manifest records the command, fault plan position and per-wave
+        state needed for :meth:`resume` to replay the run
+        bit-identically. Off by default — the journal costs one
+        columnar-packed pickle and one ``write`` to an open append-only
+        file per wave, with no per-wave file and no rename (see
+        ``BENCH_e16.json``).
         """
         from repro.mapreduce.checkpoint import CheckpointManager
 
@@ -252,13 +254,13 @@ class SpatialHadoop:
 
         Validates the journal with the fsck machinery first (a corrupt
         manifest raises :class:`~repro.mapreduce.checkpoint.
-        CheckpointCorruptError`; corrupt wave files are discarded and
-        re-executed), then arms the runner so already-committed waves
-        are *replayed* from the journal instead of re-executed, and
-        injected driver faults that already fired are not re-fired.
-        Re-running the recorded command afterwards yields results,
-        counters and normalized traces identical to an uninterrupted
-        run.
+        CheckpointCorruptError`; corrupt wave frames and a torn log tail
+        are dropped and their waves re-executed), then arms the runner
+        so already-committed waves are *replayed* from the journal
+        instead of re-executed, and injected driver faults that already
+        fired are not re-fired. Re-running the recorded command
+        afterwards yields results, counters and normalized traces
+        identical to an uninterrupted run.
         """
         from repro.mapreduce.checkpoint import (
             CheckpointManager,

@@ -71,9 +71,10 @@ def atomic_write(path: Path, *chunks: bytes, sync: bool = True) -> None:
 
     ``sync=False`` skips the fsync (the rename is still atomic against
     *process* death, which keeps the page cache; only power loss can
-    tear the file then). Callers whose read path detects and tolerates
-    torn files — the checkpoint journal, whose CRC framing turns a torn
-    wave into a cache miss — use it to keep hot-path writes cheap.
+    tear the file then). Callers that tolerate such tears — the
+    checkpoint journal, whose crash model is process death and whose
+    CRC framing turns a torn wave into a cache miss — use it to keep
+    their writes cheap.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -100,8 +101,8 @@ def write_framed(path: Path, magic: bytes, version: int, payload: bytes,
 
     The frame is ``magic | version (u8) | payload crc32 (u32 BE) |
     payload length (u64 BE) | payload`` — shared by workspaces, run
-    bundles and checkpoint wave files, which differ only in their magic,
-    payload codec, fsync choice and version rule.
+    bundles and each frame of a checkpoint wave log, which differ only in
+    their magic, payload codec, fsync choice and version rule.
     """
     header = magic + FRAME_HEADER.pack(
         version, zlib.crc32(payload) & 0xFFFFFFFF, len(payload)

@@ -23,29 +23,38 @@ On disk, a checkpointed run is a directory::
 
     <workspace>.ckpt/
         MANIFEST.json        # run config, status, fired driver faults
-        wave-00000.ckpt      # wave 0's (results, attempts, summary)
-        wave-00001.ckpt      # ...
+        wave-log.ckpt        # every committed wave, one frame each
 
-Wave files use the workspace frame (magic + version + CRC-32 + length
-header around a pickle payload, :func:`repro.core.workspace.write_framed`)
-and are committed atomically — temp + rename — so a crash leaves either
-a complete checkpoint or none. Commits are
-idempotent: re-committing wave N simply replaces wave N. The manifest
-records the command, workspace, fault-plan spec and the *fault-plan
-position* (which driver faults already fired), so a resumed run does not
-re-fire the crash that killed it.
+The wave log is append-only. The manager opens it once per run with
+``O_APPEND`` and commits a wave with a single ``write`` of one frame:
+no per-wave file, no temp file, no rename, no fsync. A frame is the
+workspace framing (magic + version + CRC-32 + length header,
+:data:`repro.core.workspace.FRAME_HEADER`) around two pickles back to
+back: the wave's ``(index, fingerprint)`` key, then its ``(results,
+attempts, summary)`` triple. Opening a journal scans the log once and
+keeps each wave's offset, decoding only the keys; replay decodes one
+frame at its offset. The last frame for an index wins, so re-commits
+stay idempotent. The manifest records the command, workspace,
+fault-plan spec and the *fault-plan position* (which driver faults
+already fired), so a resumed run does not re-fire the crash that
+killed it.
 
 Corruption policy — two distinct failure modes, two behaviours:
 
-* a torn/corrupt **wave file** (e.g. the ``crashdriver:<wave>:<fraction>``
-  chaos fault, which shreds the final checkpoint before dying) is treated
-  as a cache miss: the wave re-executes and the commit replaces the bad
-  file. Recovery must never be blocked by the very crash it recovers from.
-* a corrupt **manifest**, or a wave file whose fingerprint does not match
+* a corrupt **wave frame** is a cache miss: the wave re-executes and
+  its new frame supersedes the bad one. A frame whose header and length
+  are intact but whose CRC (or version) fails costs only its own wave —
+  the scan steps over it. Anything unparseable, such as the torn tail
+  the ``crashdriver:<wave>:<fraction>`` chaos fault leaves by cutting
+  the log inside its last frame, ends the scan; the next append cuts it
+  off first. Recovery must never be blocked by the very crash it
+  recovers from.
+* a corrupt **manifest**, or a frame whose fingerprint does not match
   the wave about to run (the workspace changed underneath the journal),
   raises the typed :class:`CheckpointCorruptError` — never a bare
   ``UnpicklingError``. ``repro fsck`` surfaces both via
-  :func:`fsck_checkpoints`.
+  :func:`fsck_checkpoints`, whose repair drops bad frames and cuts a
+  torn tail.
 
 Cooperative cancellation rides the same layer: a
 :class:`CancellationToken` (armed by ``--deadline`` and the CLI's
@@ -58,29 +67,41 @@ cleanup path, leaving a resumable journal behind.
 
 from __future__ import annotations
 
+import copyreg
 import gc
+import io
 import json
 import os
 import pickle
 import shutil
 import time
+import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.core.workspace import FRAME_HEADER as _HEADER
-from repro.core.workspace import atomic_write, read_framed, write_framed
+from repro.core.workspace import atomic_write
 from repro.mapreduce.types import TaskResult
 
-#: Wave-file magic; deliberately the same length as the workspace magic.
+#: Wave-frame magic; deliberately the same length as the workspace magic.
 MAGIC = b"REPROCKP"
-#: v3 journals task results as :class:`TaskResult` objects, with bulk
-#: record lists (Feature lists too) packed as columnar payloads; any
-#: other version reads as a corrupt wave (a cache miss that re-executes).
-FORMAT_VERSION = 3
+#: v4 appends every wave of a run to one log, a frame per wave; each
+#: frame holds a key pickle and a :class:`TaskResult` triple whose bulk
+#: record lists (Feature lists too) are packed as columnar payloads. A
+#: frame of any other version is a corrupt wave (a cache miss that
+#: re-executes), and the per-wave files of v3 and before are ignored.
+FORMAT_VERSION = 4
 
 #: Manifest schema version.
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
+#: The run's append-only wave log, next to the manifest.
+LOG_NAME = "wave-log.ckpt"
+
+#: Bytes in front of each frame's payload: magic plus header.
+_FRAME = len(MAGIC) + _HEADER.size
 
 #: Suffix of the default checkpoint directory, next to the workspace.
 CHECKPOINT_DIR_SUFFIX = ".ckpt"
@@ -197,16 +218,11 @@ def check_active() -> None:
 
 
 # ----------------------------------------------------------------------
-# Wave-file framing
+# The wave log: frames
 # ----------------------------------------------------------------------
 #: Below this length a record list is pickled as-is: the columnar
 #: transpose has per-call overhead that only pays off in bulk.
 _COLUMNAR_MIN = 64
-
-#: Containers larger than this are not walked element-by-element when
-#: they fail the bulk encodings — the walk itself would cost more than
-#: pickling ever could.
-_WALK_MAX = 512
 
 
 def _thaw_records(payload) -> list:
@@ -258,53 +274,87 @@ def _pack_list(lst: list) -> Any:
     return lst
 
 
-def _pack(obj: Any) -> Any:
-    """Shallow structural walk swapping bulk record lists for columns.
+def _thaw_array(buffer, dtype: str, shape: tuple) -> np.ndarray:
+    return np.frombuffer(buffer, dtype).reshape(shape)
 
-    A task result's emitted pairs and output records are packed; tuples
-    and small dicts (the wave record itself) are walked; lists first try
-    the bulk encodings and are only walked element-wise while small.
-    Scalars and everything exotic pass through to plain pickle.
+
+def _reduce_array(array: np.ndarray) -> tuple:
+    """Pickle a plain numeric array as its buffer, in band.
+
+    Emitted pairs carry row-number and coordinate arrays by the dozen,
+    and NumPy's own reduce costs about twice as much per small array.
+    Other dtypes and layouts take NumPy's path. A writable array's
+    buffer unpickles as a ``bytearray`` (a read-only one as ``bytes``),
+    so the array comes back writable or not, as from NumPy's.
     """
-    t = type(obj)
-    if t is TaskResult:
-        return TaskResult(
-            obj.records_in, obj.counters, _pack(obj.emitted),
-            _pack(obj.output), obj.seconds, obj.events, obj.phases,
-        )
-    if t is tuple:
-        return tuple(_pack(e) for e in obj)
-    if t is list:
-        if len(obj) >= _COLUMNAR_MIN:
-            packed = _pack_list(obj)
-            if packed is not obj:
-                return packed
-        if len(obj) <= _WALK_MAX:
-            return [_pack(e) for e in obj]
-        return obj
-    if t is dict and len(obj) <= _WALK_MAX:
-        return {k: _pack(v) for k, v in obj.items()}
-    return obj
+    if array.dtype.kind not in "biuf" or not array.flags.c_contiguous:
+        return array.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+    return _thaw_array, (pickle.PickleBuffer(array), array.dtype.str,
+                         array.shape)
 
 
-def write_checkpoint_file(path: Path, obj: Any) -> None:
-    """Atomically persist ``obj`` under the checkpoint framing.
+#: The wave pickler's reducers: the standard table plus plain arrays.
+_DISPATCH = {**copyreg.dispatch_table, np.ndarray: _reduce_array}
 
-    Three hot-path economies, all invisible to the read side:
 
-    * Bulk Point/Rectangle lists (bare or as Features) inside the wave
-      payload are transposed into flat float64 columns before pickling
-      (``_pack``) — ~5x less serialisation time and ~35% fewer bytes
-      than object pickling, and ``pickle.loads`` rebuilds the original
-      lists unaided.
-    * No fsync: the CRC framing means a torn wave file reads as corrupt
-      and replays as a cache miss, so durability against power loss buys
-      nothing the read path doesn't already absorb.
-    * Garbage collection pauses for the duration. Packing a megabyte
-      wave allocates enough temporaries to trip a full collection right
-      here, charging a scan of the *application's* heap to the journal;
-      the temporaries all die before re-enable, so deferring costs the
-      eventual collection nothing.
+def _dumps(obj: Any) -> bytes:
+    stream = io.BytesIO()
+    pickler = pickle.Pickler(stream, pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = _DISPATCH
+    pickler.dump(obj)
+    return stream.getvalue()
+
+
+def _pack_records(records: Any) -> Any:
+    if type(records) is list and len(records) >= _COLUMNAR_MIN:
+        return _pack_list(records)
+    return records
+
+
+def _pack(payload: Any) -> Any:
+    """A wave triple with its task results' record lists packed.
+
+    Only a :class:`TaskResult`'s ``emitted`` pairs and ``output``
+    records are bulk; each goes through :func:`_pack_list` once, and no
+    element is walked. Attempts, the fault summary and any other payload
+    pickle as they are.
+    """
+    if type(payload) is not tuple or not payload or type(payload[0]) is not list:
+        return payload
+    results = [
+        TaskResult(r.records_in, r.counters, _pack_records(r.emitted),
+                   _pack_records(r.output), r.seconds, r.events, r.phases)
+        if type(r) is TaskResult else r
+        for r in payload[0]
+    ]
+    return (results, *payload[1:])
+
+
+def write_checkpoint_file(
+    fd: int, index: int, fingerprint: str, payload: Any
+) -> int:
+    """Append wave ``index`` to the open wave log ``fd`` as one frame.
+
+    The frame's payload is two pickles back to back — the small
+    ``(index, fingerprint)`` key a log scan decodes, then the wave — and
+    its CRC covers both. Returns the frame's length in bytes. Three
+    hot-path economies, all invisible to the read side:
+
+    * Bulk Point/Rectangle lists (bare or as Features) among the task
+      results' emitted pairs and outputs are transposed into flat
+      float64 columns before pickling (``_pack``) — ~5x less
+      serialisation time and ~35% fewer bytes than object pickling, and
+      ``pickle.loads`` rebuilds the original lists unaided.
+    * One ``write`` to a descriptor the manager keeps open with
+      ``O_APPEND``: no file to create, no temp file, no rename, no
+      fsync. The CRC framing turns a torn tail into a cache miss, so
+      durability against power loss buys nothing the read path doesn't
+      already absorb.
+    * Garbage collection pauses while the frame is built. Packing a
+      megabyte wave allocates enough temporaries to trip a full
+      collection right here, charging a scan of the *application's*
+      heap to the journal; the temporaries all die before re-enable, so
+      deferring costs the eventual collection nothing.
 
     Together these keep wave commits inside the <5% fault-free overhead
     budget (E16).
@@ -313,37 +363,150 @@ def write_checkpoint_file(path: Path, obj: Any) -> None:
     if was_enabled:
         gc.disable()
     try:
-        payload = pickle.dumps(
-            _pack(obj), protocol=pickle.HIGHEST_PROTOCOL
+        key = pickle.dumps((index, fingerprint), protocol=pickle.HIGHEST_PROTOCOL)
+        body = _dumps(_pack(payload))
+        header = MAGIC + _HEADER.pack(
+            FORMAT_VERSION, zlib.crc32(body, zlib.crc32(key)),
+            len(key) + len(body),
         )
-        write_framed(path, MAGIC, FORMAT_VERSION, payload, sync=False)
+        frame = b"".join((header, key, body))
     finally:
         if was_enabled:
             gc.enable()
+    view = memoryview(frame)
+    while view:  # a regular file takes it whole; a short write resumes
+        view = view[os.write(fd, view):]
+    return len(frame)
 
 
-def read_checkpoint_file(path: Path) -> Any:
-    """Decode one wave file, verifying magic, version, length and CRC.
+def _read_frame(fh, path: Path, offset: int) -> Tuple[int, int, bytes]:
+    """``(version, crc, payload)`` of the frame ``fh`` is positioned at.
 
-    Every failure mode raises :class:`CheckpointCorruptError` with the
-    cause spelled out — callers that *tolerate* corruption (the replay
-    path, fsck) catch that one type.
+    Raises :class:`CheckpointCorruptError` when the bytes at ``offset``
+    are not a whole frame — no magic, or cut short — which is where a
+    log scan stops.
     """
-    version, payload = read_framed(
-        path, MAGIC, "checkpoint", CheckpointCorruptError
-    )
-    if version != FORMAT_VERSION:
+    head = fh.read(_FRAME)
+    magic = head[:len(MAGIC)]
+    if magic != MAGIC[:len(magic)]:
         raise CheckpointCorruptError(
-            f"checkpoint {path} uses format v{version}; this release "
-            f"reads v{FORMAT_VERSION}"
+            f"wave log {path} has no frame magic ({MAGIC!r}) at byte "
+            f"{offset}: bad magic — the log is torn there"
         )
+    if len(head) < _FRAME:
+        raise CheckpointCorruptError(
+            f"wave log {path} is truncated at byte {offset} (incomplete "
+            "frame header)"
+        )
+    version, crc, length = _HEADER.unpack_from(head, len(MAGIC))
+    payload = fh.read(length)
+    if len(payload) != length:
+        raise CheckpointCorruptError(
+            f"wave log {path} is truncated at byte {offset}: the frame "
+            f"header promises {length} payload bytes, the log has "
+            f"{len(payload)}"
+        )
+    return version, crc, payload
+
+
+def _frame_fault(path: Path, offset: int, version: int, crc: int,
+                 payload: bytes) -> Optional[str]:
+    """Why a whole frame cannot be used, or None when it can."""
+    if zlib.crc32(payload) != crc:
+        return (f"wave log {path}: the frame at byte {offset} failed its "
+                "checksum — the frame is corrupt")
+    if version != FORMAT_VERSION:
+        return (f"wave log {path}: the frame at byte {offset} uses format "
+                f"v{version}; this release reads v{FORMAT_VERSION}")
+    return None
+
+
+def read_checkpoint_file(path: Path, offset: int = 0) -> Dict[str, Any]:
+    """Decode the frame at ``offset`` of a wave log.
+
+    Returns ``{"index", "fingerprint", "payload"}`` after checking the
+    frame's magic, length, CRC and version. Every failure mode raises
+    :class:`CheckpointCorruptError` with the cause spelled out — callers
+    that *tolerate* corruption (the replay path) catch that one type.
+    """
     try:
-        return pickle.loads(payload)
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            version, crc, payload = _read_frame(fh, path, offset)
+    except OSError as exc:
+        raise CheckpointCorruptError(
+            f"cannot read wave log {path}: {exc}"
+        ) from exc
+    fault = _frame_fault(path, offset, version, crc, payload)
+    if fault is not None:
+        raise CheckpointCorruptError(fault)
+    try:
+        stream = io.BytesIO(payload)
+        index, fingerprint = pickle.load(stream)
+        wave = pickle.load(stream)
     except Exception as exc:
         raise CheckpointCorruptError(
-            f"checkpoint {path} passed its checksum but failed to decode "
-            f"({type(exc).__name__}: {exc})"
+            f"wave log {path}: the frame at byte {offset} passed its "
+            f"checksum but failed to decode ({type(exc).__name__}: {exc})"
         ) from exc
+    return {"index": index, "fingerprint": fingerprint, "payload": wave}
+
+
+class LogScan(NamedTuple):
+    """One pass over a wave log (:func:`scan_log`)."""
+
+    #: ``(offset, length, index, fingerprint)`` per usable frame, in log
+    #: order; a re-committed index appears once per commit.
+    frames: List[Tuple[int, int, int, str]]
+    #: ``(offset, length, why)`` per whole frame that failed its CRC or
+    #: version, or whose key did not decode.
+    bad: List[Tuple[int, int, str]]
+    #: Byte offset just past the last whole frame.
+    end: int
+    #: Why the bytes from ``end`` on are not a frame; None at a clean end.
+    torn: Optional[str]
+
+
+def scan_log(path: Path) -> LogScan:
+    """Walk a wave log frame by frame, decoding only the keys.
+
+    A missing log is an empty one. A whole frame that fails is stepped
+    over — its length field is intact, so the next frame is found — and
+    anything unparseable ends the scan.
+    """
+    frames: List[Tuple[int, int, int, str]] = []
+    bad: List[Tuple[int, int, str]] = []
+    offset, torn = 0, None
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            while offset < size:
+                try:
+                    version, crc, payload = _read_frame(fh, path, offset)
+                except CheckpointCorruptError as exc:
+                    torn = str(exc)
+                    break
+                length = _FRAME + len(payload)
+                fault = _frame_fault(path, offset, version, crc, payload)
+                if fault is None:
+                    try:
+                        index, fingerprint = pickle.loads(payload)
+                    except Exception as exc:
+                        fault = (f"wave log {path}: the key of the frame "
+                                 f"at byte {offset} failed to decode "
+                                 f"({type(exc).__name__}: {exc})")
+                if fault is None:
+                    frames.append((offset, length, index, fingerprint))
+                else:
+                    bad.append((offset, length, fault))
+                offset += length
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise CheckpointCorruptError(
+            f"cannot read wave log {path}: {exc}"
+        ) from exc
+    return LogScan(frames, bad, offset, torn)
 
 
 def default_checkpoint_dir(workspace_path: Path) -> Path:
@@ -354,28 +517,68 @@ def default_checkpoint_dir(workspace_path: Path) -> Path:
     )
 
 
-def _wave_file_name(index: int) -> str:
-    return f"wave-{index:05d}.ckpt"
+def _read_manifest(directory: Path) -> Dict[str, Any]:
+    manifest_path = directory / MANIFEST_NAME
+    if not manifest_path.exists():
+        raise CheckpointNotFoundError(
+            f"no resumable run at {directory} (no {MANIFEST_NAME})"
+        )
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise CheckpointCorruptError(
+            f"checkpoint manifest {manifest_path} is corrupt "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+    if not isinstance(manifest, dict) or "status" not in manifest:
+        raise CheckpointCorruptError(
+            f"checkpoint manifest {manifest_path} is not a run manifest"
+        )
+    if int(manifest.get("format", 0)) > MANIFEST_VERSION:
+        raise CheckpointCorruptError(
+            f"checkpoint manifest {manifest_path} uses format "
+            f"v{manifest.get('format')}; this release reads up to "
+            f"v{MANIFEST_VERSION}"
+        )
+    return manifest
 
 
 # ----------------------------------------------------------------------
 # The manager
 # ----------------------------------------------------------------------
 class CheckpointManager:
-    """One checkpointed run: its directory, manifest and wave journal.
+    """One checkpointed run: its directory, manifest and wave log.
 
     Create one with :meth:`create` (fresh run) or :meth:`load` (resume),
     then hand it to ``JobRunner.set_checkpoint``. The runner calls
     :meth:`replay` at each wave boundary — a hit short-circuits the wave
     — and :meth:`commit` after each executed wave. :meth:`finish`
-    garbage-collects the directory once the command completed.
+    garbage-collects the directory once the command completed; it,
+    :meth:`interrupt` and :meth:`close` release the log's descriptor.
     """
 
     def __init__(self, directory: Path, manifest: Dict[str, Any]):
         self.directory = Path(directory)
         self.manifest = manifest
-        #: Wave indexes journaled on disk when this manager was opened.
-        self._available = self._scan_waves()
+        self.log_path = self.directory / LOG_NAME
+        scan = scan_log(self.log_path)
+        #: Wave index -> ``(offset, length, fingerprint)`` of its last
+        #: usable frame in the log.
+        self._frames: Dict[int, Tuple[int, int, str]] = {
+            index: (offset, length, fingerprint)
+            for offset, length, index, fingerprint in scan.frames
+        }
+        #: Why each frame the scan could not use was skipped, oldest
+        #: first. A bad frame cannot name its wave (the index sits in the
+        #: payload it failed to check), and waves commit in order, so the
+        #: next wave that misses is the one such a frame held.
+        self._unclaimed: List[str] = [why for _, _, why in scan.bad]
+        if scan.torn is not None:
+            self._unclaimed.append(scan.torn)
+        #: Bytes of whole frames: the next frame's offset.
+        self._end = scan.end
+        #: The log's ``O_APPEND`` descriptor, opened by the first commit.
+        self._fd: Optional[int] = None
         #: Activity counters for the recovery report (this invocation).
         self.waves_replayed = 0
         self.waves_committed = 0
@@ -434,29 +637,7 @@ class CheckpointManager:
         unreadable — never a bare JSON/pickle error.
         """
         directory = Path(directory)
-        manifest_path = directory / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise CheckpointNotFoundError(
-                f"no resumable run at {directory} (no {MANIFEST_NAME})"
-            )
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise CheckpointCorruptError(
-                f"checkpoint manifest {manifest_path} is corrupt "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
-        if not isinstance(manifest, dict) or "status" not in manifest:
-            raise CheckpointCorruptError(
-                f"checkpoint manifest {manifest_path} is not a run manifest"
-            )
-        if int(manifest.get("format", 0)) > MANIFEST_VERSION:
-            raise CheckpointCorruptError(
-                f"checkpoint manifest {manifest_path} uses format "
-                f"v{manifest.get('format')}; this release reads up to "
-                f"v{MANIFEST_VERSION}"
-            )
-        return cls(directory, manifest)
+        return cls(directory, _read_manifest(directory))
 
     # -- manifest -------------------------------------------------------
     def _write_manifest(self) -> None:
@@ -493,114 +674,136 @@ class CheckpointManager:
         self._write_manifest()
 
     def interrupt(self, reason: str) -> None:
-        """Mark the run interrupted-but-resumable."""
+        """Mark the run interrupted-but-resumable; closes the log."""
+        self.close()
         self.manifest["status"] = "interrupted"
         self.manifest["reason"] = reason
         self._write_manifest()
 
-    # -- the wave journal -----------------------------------------------
-    def _scan_waves(self) -> Dict[int, Path]:
-        waves: Dict[int, Path] = {}
-        if not self.directory.is_dir():
-            return waves
-        for path in self.directory.glob("wave-*.ckpt"):
+    # -- the wave log ---------------------------------------------------
+    def _log_fd(self) -> int:
+        if self._fd is None:
+            fd = os.open(self.log_path,
+                         os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
             try:
-                index = int(path.stem.split("-", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            waves[index] = path
-        return waves
+                # A torn tail would hide every frame appended after it.
+                if os.fstat(fd).st_size > self._end:
+                    os.ftruncate(fd, self._end)
+            except BaseException:
+                os.close(fd)
+                raise
+            self._fd = fd
+        return self._fd
+
+    def close(self) -> None:
+        """Release the log's descriptor; a later commit reopens it."""
+        if self._fd is not None:
+            fd, self._fd = self._fd, None
+            os.close(fd)
 
     @property
     def waves_available(self) -> int:
-        """Journaled waves on disk when this manager was opened."""
-        return len(self._available)
+        """Waves with a usable frame in the log."""
+        return len(self._frames)
 
     def replay(self, index: int, fingerprint: str) -> Optional[Any]:
         """The journaled result of wave ``index``, or ``None`` to execute.
 
-        A torn or corrupt wave file is a cache miss (recorded in
-        :attr:`corrupt_skipped`); a *readable* checkpoint whose
-        fingerprint disagrees with the wave about to run means the
-        journal belongs to a different command or workspace state and
-        raises :class:`CheckpointCorruptError`.
+        A corrupt frame is a cache miss (recorded in
+        :attr:`corrupt_skipped`); a *readable* frame whose fingerprint
+        disagrees with the wave about to run means the journal belongs
+        to a different command or workspace state and raises
+        :class:`CheckpointCorruptError`.
         """
-        path = self._available.get(index)
-        if path is None:
+        entry = self._frames.get(index)
+        if entry is None:
+            if self._unclaimed:
+                self.corrupt_skipped.append((index, self._unclaimed.pop(0)))
             return None
+        offset, _, journaled = entry
+        if journaled != fingerprint:
+            raise CheckpointCorruptError(
+                f"checkpoint {self.log_path} is stale: it journals wave "
+                f"{journaled!r} but the resumed run is at {fingerprint!r} "
+                "— the workspace or command changed; delete the checkpoint "
+                "directory to start over"
+            )
         t0 = time.perf_counter()
         try:
-            record = read_checkpoint_file(path)
+            record = read_checkpoint_file(self.log_path, offset)
         except CheckpointCorruptError as exc:
             self.corrupt_skipped.append((index, str(exc)))
-            self._available.pop(index, None)
+            self._frames.pop(index, None)
             self.overhead_s += time.perf_counter() - t0
             return None
-        if (
-            not isinstance(record, dict)
-            or record.get("fingerprint") != fingerprint
-        ):
-            raise CheckpointCorruptError(
-                f"checkpoint {path} is stale: it journals wave "
-                f"{record.get('fingerprint')!r} but the resumed run is at "
-                f"{fingerprint!r} — the workspace or command changed; "
-                "delete the checkpoint directory to start over"
-            )
         self.waves_replayed += 1
         self.overhead_s += time.perf_counter() - t0
         return record["payload"]
 
     def commit(self, index: int, fingerprint: str, payload: Any) -> bool:
-        """Journal one executed wave; idempotent, atomic.
+        """Append one executed wave to the log; a re-commit supersedes.
 
         Returns ``False`` (and journals nothing) when the payload cannot
-        be pickled — a checkpoint must never fail the job it protects.
+        be pickled or the log cannot be written — a checkpoint must
+        never fail the job it protects.
         """
         t0 = time.perf_counter()
-        path = self.directory / _wave_file_name(index)
         try:
-            write_checkpoint_file(
-                path, {"fingerprint": fingerprint, "payload": payload}
+            length = write_checkpoint_file(
+                self._log_fd(), index, fingerprint, payload
             )
         except (pickle.PicklingError, AttributeError, TypeError, OSError):
+            if self._fd is not None:
+                try:  # drop a partly written frame
+                    os.ftruncate(self._fd, self._end)
+                except OSError:
+                    pass
             self.overhead_s += time.perf_counter() - t0
             return False
-        self._available[index] = path
+        self._frames[index] = (self._end, length, fingerprint)
+        self._end += length
         self.waves_committed += 1
         self.overhead_s += time.perf_counter() - t0
-        # In-memory only: recovery discovers waves by scanning the
-        # directory, so the manifest's count is display metadata — it
-        # rides along with the next durable write (``interrupt``, or
-        # ``mark_fired`` before an injected crash) instead of paying an
-        # fsync'd rewrite on every fault-free wave boundary.
+        # In-memory only: recovery discovers waves by scanning the log,
+        # so the manifest's count is display metadata — it rides along
+        # with the next manifest write (``interrupt``, or ``mark_fired``
+        # before an injected crash) instead of costing a rewrite on
+        # every fault-free wave boundary.
         if index + 1 > int(self.manifest.get("waves") or 0):
             self.manifest["waves"] = index + 1
         return True
 
     def tear_wave_file(self, index: int, fraction: float) -> None:
-        """Shred wave ``index``'s file to ``fraction`` of its bytes.
+        """Cut the log inside wave ``index``'s frame, keeping ``fraction``
+        of the frame's bytes.
 
-        Chaos tooling for ``crashdriver:<wave>:<fraction>``: simulates a
-        storage-level tear of the final checkpoint (the case atomic
-        rename cannot protect against, e.g. power loss after the rename
-        but mid-flush on a non-journaling disk), so resume tests cover
-        the corrupt-checkpoint path.
+        Chaos tooling for ``crashdriver:<wave>:<fraction>``, which tears
+        the wave it just committed — the last frame — so the log ends in
+        a torn tail: the storage-level tear that appending cannot rule
+        out (e.g. power loss mid-flush on a non-journaling disk), so
+        resume tests cover the corrupt-checkpoint path. Frames after the
+        cut, if any, go with it.
         """
-        path = self._available.get(index)
-        if path is None or not path.exists():
+        entry = self._frames.get(index)
+        if entry is None:
             return
-        raw = path.read_bytes()
-        keep = max(0, min(len(raw), int(len(raw) * float(fraction))))
-        path.write_bytes(raw[:keep])
+        offset, length, _ = entry
+        cut = offset + max(0, min(length, int(length * float(fraction))))
+        os.truncate(self.log_path, cut)
+        self._frames = {
+            i: e for i, e in self._frames.items() if e[0] + e[1] <= cut
+        }
+        self._end = cut
 
     # -- lifecycle ------------------------------------------------------
     def finish(self) -> None:
         """The command completed: garbage-collect the journal."""
         t0 = time.perf_counter()
+        self.close()
         self.manifest["status"] = "complete"
         if self.directory.is_dir():
             shutil.rmtree(self.directory, ignore_errors=True)
-        self._available.clear()
+        self._frames.clear()
         self.overhead_s += time.perf_counter() - t0
 
     def recovery_summary(self) -> Dict[str, Any]:
@@ -666,10 +869,12 @@ def fsck_checkpoints(
     """Validate one checkpoint directory with the fsck discipline.
 
     Returns one issue dict per problem (shape mirrors
-    :class:`~repro.mapreduce.storage.FsckIssue`): a corrupt manifest,
-    or wave files failing their framing/CRC. With ``repair=True``
-    corrupt wave files are deleted — resume treats a missing wave as a
-    cache miss and simply re-executes it, so deletion *is* the repair.
+    :class:`~repro.mapreduce.storage.FsckIssue`): a corrupt manifest, a
+    wave frame failing its CRC or version, or a torn tail ("truncated").
+    With ``repair=True`` the log is cut after its last whole frame, or —
+    when whole frames failed — rewritten without them (atomically).
+    Resume treats a missing wave as a cache miss and simply re-executes
+    it, so dropping the bytes *is* the repair.
     """
     directory = Path(directory)
     issues: List[Dict[str, Any]] = []
@@ -678,7 +883,7 @@ def fsck_checkpoints(
     manifest_path = directory / MANIFEST_NAME
     if manifest_path.exists():
         try:
-            CheckpointManager.load(directory)
+            _read_manifest(directory)
         except CheckpointError as exc:
             issues.append(
                 {
@@ -697,24 +902,35 @@ def fsck_checkpoints(
                 "repaired": False,
             }
         )
-    for path in sorted(directory.glob("wave-*.ckpt")):
+    log = directory / LOG_NAME
+    try:
+        scan = scan_log(log)
+    except CheckpointCorruptError as exc:
+        scan = LogScan([], [], 0, str(exc))
+    faults = [why for _, _, why in scan.bad]
+    if scan.torn is not None:
+        faults.append(scan.torn)
+    repaired = False
+    if repair and faults:
         try:
-            read_checkpoint_file(path)
-        except CheckpointCorruptError as exc:
-            repaired = False
-            if repair:
-                try:
-                    os.unlink(path)
-                    repaired = True
-                except OSError:
-                    pass
-            issues.append(
-                {
-                    "file": str(path),
-                    "code": "checkpoint-corrupt",
-                    "message": str(exc)
-                    + ("; deleted (wave will re-execute)" if repaired else ""),
-                    "repaired": repaired,
-                }
-            )
+            if scan.bad:
+                raw = memoryview(log.read_bytes())
+                atomic_write(log, *(raw[o:o + n] for o, n, _, _ in scan.frames),
+                             sync=False)
+            else:
+                os.truncate(log, scan.end)
+            repaired = True
+        except OSError:
+            pass
+    for why in faults:
+        issues.append(
+            {
+                "file": str(log),
+                "code": "checkpoint-corrupt",
+                "message": why
+                + ("; dropped from the log (wave will re-execute)"
+                   if repaired else ""),
+                "repaired": repaired,
+            }
+        )
     return issues

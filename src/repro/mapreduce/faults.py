@@ -42,9 +42,9 @@ next wave dispatched, and so on across jobs and rounds):
 * ``crashdriver:<wave>[:<fraction>]`` — the driver dies right after
   wave ``<wave>`` commits its checkpoint
   (:class:`~repro.mapreduce.checkpoint.DriverCrashed`); with a
-  ``fraction`` in (0, 1], the just-committed checkpoint is first torn
-  to that fraction of its bytes, exercising corrupt-checkpoint
-  recovery on resume,
+  ``fraction`` in (0, 1], the wave log is first cut inside the
+  just-committed wave's frame, keeping that fraction of its bytes,
+  exercising torn-tail recovery on resume,
 * ``hangdriver:<wave>[:<seconds>]`` — the driver stalls for that many
   *simulated* seconds at the wave boundary, charged to the active
   cancellation token's deadline clock (``--deadline``) so deadline

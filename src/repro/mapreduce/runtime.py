@@ -559,7 +559,10 @@ class JobRunner:
         position in *one* command's wave sequence. A manager loaded from
         an interrupted run seeds the driver-fault fire-once set from its
         manifest, so resume never re-fires the crash that killed it.
+        The manager it replaces closes its wave log.
         """
+        if self.checkpoint is not None and self.checkpoint is not manager:
+            self.checkpoint.close()
         self.checkpoint = manager
         self._wave_ordinal = 0
         if manager is not None:

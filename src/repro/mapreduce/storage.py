@@ -391,9 +391,10 @@ def run_fsck(
     reported as lost — fsck cannot invent data.
 
     ``checkpoint_dir`` extends the walk to a crash-recovery journal
-    (see :mod:`repro.mapreduce.checkpoint`): a corrupt manifest or wave
-    file surfaces as a ``checkpoint-*`` issue, and with ``repair=True``
-    corrupt wave files are deleted so resume re-executes those waves.
+    (see :mod:`repro.mapreduce.checkpoint`): a corrupt manifest, a
+    corrupt wave frame or a torn wave-log tail surfaces as a
+    ``checkpoint-*`` issue, and with ``repair=True`` the bad bytes are
+    dropped from the log so resume re-executes those waves.
     """
     storage = fs.storage
     report = FsckReport(repair=repair)

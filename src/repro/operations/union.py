@@ -23,6 +23,7 @@ from repro.core.result import OperationResult
 from repro.core.reader import spatial_reader
 from repro.core.splitter import global_index_of, spatial_splitter
 from repro.geometry import Point, Polygon
+from repro.geometry.feature import Feature
 from repro.geometry.algorithms.clip import clip_segment
 from repro.geometry.algorithms.union import polygon_union, rings_union
 from repro.observe.plan import PlanNode
@@ -32,12 +33,17 @@ from repro.mapreduce import Job, JobRunner
 Segment = Tuple[Point, Point]
 
 
+def _shapes(records) -> List[Polygon]:
+    """The polygons of ``records``, Features unwrapped to their shapes."""
+    return [r.shape if isinstance(r, Feature) else r for r in records]
+
+
 def _map_local_union(_key, records, ctx):
     # The whole local union is one multi-ring geometry (outers + holes);
     # shipping it as a unit lets the reducer re-union under even-odd
     # semantics. Each ring is emitted separately for honest shuffle counts,
     # tagged so the reducer can reassemble the geometry.
-    rings = polygon_union(records)
+    rings = polygon_union(_shapes(records))
     for ring in rings:
         ctx.emit(1, (ctx.split.block_index, ring))
 
@@ -55,7 +61,7 @@ def _map_spatial_union(cell, records, ctx):
     picklable)."""
     dedup = ctx.config["dedup"]
     polygons: List[Polygon] = []
-    for poly in records:
+    for poly in _shapes(records):
         if dedup and not cell.contains_point_left_inclusive(
             Point(poly.mbr.x1, poly.mbr.y1)
         ):
@@ -67,7 +73,7 @@ def _map_spatial_union(cell, records, ctx):
 
 def _map_enhanced_union(cell, records, ctx):
     """Local union clipped to the partition (module-level: picklable)."""
-    for ring in polygon_union(records):
+    for ring in polygon_union(_shapes(records)):
         for a, b in ring.edges():
             clipped = clip_segment(a, b, cell)
             if clipped is not None:

@@ -3,17 +3,21 @@ cancellation tokens, driver-fault parsing, and the runner's wave
 journal/replay/crash machinery."""
 
 import json
+import os
 import pickle
 import signal
 import zlib
 
+import numpy as np
 import pytest
 
 from repro import SpatialHadoop
 from repro.datagen import generate_points
+from repro.core.workspace import write_framed
 from repro.geometry import Point, Rectangle
 from repro.mapreduce import checkpoint
 from repro.mapreduce.checkpoint import (
+    LOG_NAME,
     MAGIC,
     CancellationToken,
     CheckpointCorruptError,
@@ -27,6 +31,7 @@ from repro.mapreduce.checkpoint import (
     fsck_checkpoints,
     list_runs,
     read_checkpoint_file,
+    scan_log,
     set_active_token,
     write_checkpoint_file,
 )
@@ -35,27 +40,65 @@ from repro.mapreduce.job import Job
 
 
 # ----------------------------------------------------------------------
-# Wave-file framing
+# Wave-log framing
 # ----------------------------------------------------------------------
+def append_frame(path, index, fingerprint, payload):
+    """Append one frame to the wave log at ``path``; returns its length."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        return write_checkpoint_file(fd, index, fingerprint, payload)
+    finally:
+        os.close(fd)
+
+
+def frame_bytes(directory, index):
+    """The bytes of wave ``index``'s last frame in a run's wave log."""
+    log = directory / LOG_NAME
+    offset, length = [(o, n) for o, n, i, _ in scan_log(log).frames
+                      if i == index][-1]
+    return log.read_bytes()[offset:offset + length]
+
+
 class TestFraming:
     def test_roundtrip(self, tmp_path):
-        path = tmp_path / "wave.ckpt"
-        payload = {"fingerprint": "0|map|3", "payload": [1, (2, "x"), None]}
-        write_checkpoint_file(path, payload)
+        path = tmp_path / LOG_NAME
+        payload = [1, (2, "x"), None]
+        first = append_frame(path, 0, "0|map|3", payload)
+        append_frame(path, 1, "1|reduce|1", "y")
         assert path.read_bytes().startswith(MAGIC)
-        assert read_checkpoint_file(path) == payload
+        assert read_checkpoint_file(path) == {
+            "index": 0, "fingerprint": "0|map|3", "payload": payload}
+        assert read_checkpoint_file(path, first)["payload"] == "y"
+
+    def test_arrays_roundtrip_writable(self, tmp_path):
+        path = tmp_path / LOG_NAME
+        arrays = [
+            np.arange(7, dtype=np.int64),
+            np.linspace(0.0, 1.0, 12).reshape(3, 4),
+            np.array([True, False]),
+            np.arange(6, dtype=">u2").reshape(2, 3).T,  # not C-contiguous
+            np.array([1 + 2j]),
+            np.array(["a", None], dtype=object),
+            np.array(2.5),  # zero-dimensional
+        ]
+        append_frame(path, 0, "fp", [(i, (0, a)) for i, a in enumerate(arrays)])
+        back = read_checkpoint_file(path)["payload"]
+        for (_, (_, got)), want in zip(back, arrays):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tolist() == want.tolist()
+            assert got.flags.writeable
 
     def test_truncation_is_typed(self, tmp_path):
-        path = tmp_path / "wave.ckpt"
-        write_checkpoint_file(path, list(range(100)))
+        path = tmp_path / LOG_NAME
+        append_frame(path, 0, "fp", list(range(100)))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointCorruptError, match="truncated"):
             read_checkpoint_file(path)
 
     def test_bitflip_is_typed(self, tmp_path):
-        path = tmp_path / "wave.ckpt"
-        write_checkpoint_file(path, list(range(100)))
+        path = tmp_path / LOG_NAME
+        append_frame(path, 0, "fp", list(range(100)))
         raw = bytearray(path.read_bytes())
         raw[-5] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -63,7 +106,7 @@ class TestFraming:
             read_checkpoint_file(path)
 
     def test_wrong_magic_is_typed(self, tmp_path):
-        path = tmp_path / "wave.ckpt"
+        path = tmp_path / LOG_NAME
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointCorruptError, match="magic"):
             read_checkpoint_file(path)
@@ -177,10 +220,35 @@ class TestHygiene:
         issues = fsck_checkpoints(directory)
         assert [i["code"] for i in issues] == ["checkpoint-corrupt"]
         assert not issues[0]["repaired"]
+        assert "truncated" in issues[0]["message"]
         repaired = fsck_checkpoints(directory, repair=True)
         assert repaired[0]["repaired"]
-        assert not (directory / "wave-00001.ckpt").exists()
+        # Wave 1's torn frame is cut off; wave 0's stays.
+        assert [i for _, _, i, _ in scan_log(directory / LOG_NAME).frames] \
+            == [0]
         assert fsck_checkpoints(directory) == []
+
+    def test_fsck_drops_a_crc_bad_frame_and_keeps_the_rest(self, tmp_path):
+        directory = tmp_path / "run.ckpt"
+        manager = CheckpointManager.create(directory)
+        for index in range(3):
+            manager.commit(index, f"fp{index}", list(range(index, 50)))
+        manager.interrupt("test")
+        log = directory / LOG_NAME
+        offset, length, _, _ = scan_log(log).frames[1]
+        raw = bytearray(log.read_bytes())
+        raw[offset + length - 1] ^= 0xFF
+        log.write_bytes(bytes(raw))
+        (issue,) = fsck_checkpoints(directory)
+        assert "checksum" in issue["message"] and not issue["repaired"]
+        (issue,) = fsck_checkpoints(directory, repair=True)
+        assert issue["repaired"]
+        scan = scan_log(log)
+        assert [i for _, _, i, _ in scan.frames] == [0, 2]
+        assert scan.bad == [] and scan.torn is None
+        assert sorted(os.listdir(directory)) == ["MANIFEST.json", LOG_NAME]
+        assert CheckpointManager.load(directory).replay(2, "fp2") \
+            == list(range(2, 50))
 
 
 # ----------------------------------------------------------------------
@@ -412,13 +480,12 @@ class TestJournalFormat:
         sh.enable_checkpoints(directory)
         sh.runner.run(Job(input_file="pts", map_fn=_write_every_record,
                           name="copy"))
-        path = directory / "wave-00000.ckpt"
-        raw = path.read_bytes()
+        raw = frame_bytes(directory, 0)
         # The output records crossed the journal as float columns, not
         # as 200 pickled Point objects.
         assert b"_thaw_records" in raw
         assert b"Point" not in raw
-        results, _, _ = read_checkpoint_file(path)["payload"]
+        results, _, _ = read_checkpoint_file(directory / LOG_NAME)["payload"]
         assert results[0].output == points
 
     def test_v1_wave_file_is_a_cache_miss(self, tmp_path):
@@ -430,15 +497,16 @@ class TestJournalFormat:
         with pytest.raises(DriverCrashed):
             crashed.range_query("pts_idx", WINDOW)
 
-        # Rewrite wave 0 the way the previous release framed it.
-        path = directory / "wave-00000.ckpt"
+        # Rewrite wave 0's frame the way the v1 release framed a wave.
+        path = directory / LOG_NAME
+        assert len(scan_log(path).frames) == 1
         record = read_checkpoint_file(path)
-        record["payload"] = _as_v1_layout(record["payload"])
-        body = pickle.dumps(record)
+        body = pickle.dumps({"fingerprint": record["fingerprint"],
+                             "payload": _as_v1_layout(record["payload"])})
         path.write_bytes(MAGIC + checkpoint._HEADER.pack(
             1, zlib.crc32(body) & 0xFFFFFFFF, len(body)) + body)
 
-        # Attached without resume()'s fsck pass, which would delete it.
+        # Attached without resume()'s fsck pass, which would drop it.
         resumed = small_workspace()
         resumed.runner.set_faults("crashdriver:0")
         manager = CheckpointManager.load(directory)
@@ -448,3 +516,211 @@ class TestJournalFormat:
         assert got.counters.as_dict() == clean.counters.as_dict()
         assert [index for index, _ in manager.corrupt_skipped] == [0]
         assert "v1" in manager.corrupt_skipped[0][1]
+
+
+# ----------------------------------------------------------------------
+# One append-only wave log per run
+# ----------------------------------------------------------------------
+def batch(sh):
+    """Seven waves: a range query, a kNN, a skyline and a convex hull."""
+    return [
+        sh.range_query("pts_idx", WINDOW),
+        sh.knn("pts_idx", Point(5e5, 5e5), 7),
+        sh.skyline("pts_idx"),
+        sh.convex_hull("pts_idx"),
+    ]
+
+
+def outcome(results):
+    return [(repr(r.answer), r.counters.as_dict()) for r in results]
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture(scope="module")
+def clean_batch():
+    return outcome(batch(small_workspace()))
+
+
+class TestWaveLog:
+    def test_fault_free_run_writes_one_log(self, tmp_path):
+        sh = small_workspace()
+        directory = tmp_path / "run.ckpt"
+        manager = sh.enable_checkpoints(directory)
+        batch(sh)
+        assert manager.waves_committed == 7
+        assert sorted(os.listdir(directory)) == ["MANIFEST.json", LOG_NAME]
+        scan = scan_log(directory / LOG_NAME)
+        assert [index for _, _, index, _ in scan.frames] == list(range(7))
+        assert scan.bad == [] and scan.torn is None
+        assert scan.end == (directory / LOG_NAME).stat().st_size
+        sh.disable_checkpoints()
+
+    def test_crc_flip_reexecutes_only_that_wave(self, tmp_path, clean_batch):
+        directory = tmp_path / "run.ckpt"
+        crashed = small_workspace()
+        crashed.runner.set_faults("crashdriver:4")
+        crashed.enable_checkpoints(directory)
+        with pytest.raises(DriverCrashed):
+            batch(crashed)
+        log = directory / LOG_NAME
+        offset, length, index, _ = scan_log(log).frames[2]
+        assert index == 2
+        raw = bytearray(log.read_bytes())
+        raw[offset + length - 3] ^= 0xFF
+        log.write_bytes(bytes(raw))
+
+        scan = scan_log(log)
+        assert [i for _, _, i, _ in scan.frames] == [0, 1, 3, 4]
+        assert len(scan.bad) == 1 and "checksum" in scan.bad[0][2]
+        # Attached without resume()'s fsck pass, which would drop it.
+        resumed = small_workspace()
+        resumed.runner.set_faults("crashdriver:4")
+        manager = CheckpointManager.load(directory)
+        resumed.runner.set_checkpoint(manager)
+        assert outcome(batch(resumed)) == clean_batch
+        assert [i for i, _ in manager.corrupt_skipped] == [2]
+        assert manager.waves_replayed == 4  # waves 0, 1, 3 and 4
+        assert manager.waves_committed == 3  # wave 2, then waves 5 and 6
+        resumed.disable_checkpoints()
+
+    def test_torn_tail_is_repaired_and_appended_to(
+        self, tmp_path, clean_batch
+    ):
+        directory = tmp_path / "run.ckpt"
+        plan = "crashdriver:1:0.5,crashdriver:4:0.5"
+        crashed = small_workspace()
+        crashed.runner.set_faults(plan)
+        crashed.enable_checkpoints(directory)
+        with pytest.raises(DriverCrashed):
+            batch(crashed)
+        (issue,) = fsck_checkpoints(directory)
+        assert issue["code"] == "checkpoint-corrupt"
+        assert "truncated" in issue["message"]
+
+        # The first resume cuts the torn tail, re-executes wave 1 and
+        # appends until the second scripted crash tears wave 4.
+        again = small_workspace()
+        again.runner.set_faults(plan)
+        first = again.resume(directory)
+        with pytest.raises(DriverCrashed):
+            batch(again)
+        assert first.waves_replayed == 1
+        scan = scan_log(directory / LOG_NAME)
+        assert [i for _, _, i, _ in scan.frames] == [0, 1, 2, 3]
+        assert scan.bad == [] and "truncated" in scan.torn
+
+        resumed = small_workspace()
+        resumed.runner.set_faults(plan)
+        second = resumed.resume(directory)
+        assert outcome(batch(resumed)) == clean_batch
+        assert second.waves_replayed == 4
+        assert second.waves_committed == 3
+        second.finish()
+
+    def test_recommit_supersedes(self, tmp_path):
+        directory = tmp_path / "run.ckpt"
+        manager = CheckpointManager.create(directory)
+        manager.commit(0, "0|map|2", "old")
+        manager.commit(1, "1|map|2", "y")
+        manager.commit(0, "0|map|2", "new")
+        manager.interrupt("test")
+        assert len(scan_log(directory / LOG_NAME).frames) == 3
+        resumed = CheckpointManager.load(directory)
+        assert resumed.waves_available == 2
+        assert resumed.replay(0, "0|map|2") == "new"
+
+    def test_append_cuts_a_torn_tail_first(self, tmp_path):
+        directory = tmp_path / "run.ckpt"
+        manager = CheckpointManager.create(directory)
+        manager.commit(0, "0|map|2", "x")
+        manager.commit(1, "1|map|2", "y")
+        manager.tear_wave_file(1, 0.5)
+        manager.interrupt("torn")
+        # Attached without fsck: the first append must not land behind
+        # the torn bytes, where no scan would find it.
+        resumed = CheckpointManager.load(directory)
+        assert resumed.replay(1, "1|map|2") is None
+        assert resumed.commit(1, "1|map|2", "y")
+        resumed.close()
+        scan = scan_log(directory / LOG_NAME)
+        assert [i for _, _, i, _ in scan.frames] == [0, 1]
+        assert scan.torn is None
+        assert CheckpointManager.load(directory).replay(1, "1|map|2") == "y"
+
+    @pytest.mark.parametrize("stop", ["finish", "interrupt", "disable"])
+    def test_no_descriptor_outlives_the_run(self, tmp_path, stop):
+        sh = small_workspace()
+        before = open_fds()
+        manager = sh.enable_checkpoints(tmp_path / "run.ckpt")
+        sh.range_query("pts_idx", WINDOW)
+        assert len(open_fds()) == len(before) + 1  # the log, held open
+        if stop == "finish":
+            manager.finish()
+        elif stop == "interrupt":
+            manager.interrupt("test")
+        else:
+            sh.disable_checkpoints()
+        assert open_fds() == before
+
+    def test_v3_wave_files_are_ignored(self, tmp_path, clean_batch):
+        directory = tmp_path / "run.ckpt"
+        crashed = small_workspace()
+        crashed.runner.set_faults("crashdriver:2")
+        crashed.enable_checkpoints(directory)
+        with pytest.raises(DriverCrashed):
+            batch(crashed)
+        # The previous release's layout: one framed file per wave.
+        record = read_checkpoint_file(directory / LOG_NAME)
+        (directory / LOG_NAME).unlink()
+        write_framed(directory / "wave-00000.ckpt", MAGIC, 3,
+                     pickle.dumps({"fingerprint": record["fingerprint"],
+                                   "payload": record["payload"]}))
+        assert fsck_checkpoints(directory) == []
+        assert CheckpointManager.load(directory).waves_available == 0
+
+        resumed = small_workspace()
+        resumed.runner.set_faults("crashdriver:2")
+        manager = resumed.resume(directory)
+        assert outcome(batch(resumed)) == clean_batch
+        assert manager.waves_replayed == 0
+        assert manager.corrupt_skipped == []
+        assert (directory / "wave-00000.ckpt").exists()
+        manager.finish()
+
+    def test_index_build_resumes_at_every_wave(self, tmp_path):
+        """The partition job journals row-number arrays in its emitted
+        pairs; a build resumed after any wave seals the same blocks."""
+
+        def base():
+            sh = SpatialHadoop(num_nodes=2, block_capacity=200,
+                               job_overhead_s=0.01)
+            sh.load("pts", generate_points(800, "uniform", seed=3))
+            return sh
+
+        def digest(sh):
+            return [(b.records, b.metadata["local_index_crc"])
+                    for b in sh.fs.get("idx").blocks]
+
+        clean = base()
+        manager = clean.enable_checkpoints(tmp_path / "probe.ckpt")
+        clean.index("pts", "idx", technique="str")
+        waves = manager.waves_committed
+        manager.finish()
+        assert waves >= 3
+        for wave in range(waves):
+            directory = tmp_path / f"crash-{wave}.ckpt"
+            crashed = base()
+            crashed.runner.set_faults(f"crashdriver:{wave}")
+            crashed.enable_checkpoints(directory)
+            with pytest.raises(DriverCrashed):
+                crashed.index("pts", "idx", technique="str")
+            resumed = base()
+            resumed.runner.set_faults(f"crashdriver:{wave}")
+            manager = resumed.resume(directory)
+            resumed.index("pts", "idx", technique="str")
+            assert manager.waves_replayed == wave + 1
+            assert digest(resumed) == digest(clean)
+            manager.finish()

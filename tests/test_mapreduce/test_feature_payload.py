@@ -27,6 +27,7 @@ from repro.mapreduce.storage import checksum_records, run_fsck
 from repro.operations.table import OPERATIONS
 from repro.pigeon import run_script
 
+from tests.test_mapreduce.test_checkpoint import frame_bytes
 from tests.test_mapreduce.test_column_block import ship
 
 WINDOW = Rectangle(2e5, 2e5, 6e5, 6e5)
@@ -249,9 +250,8 @@ class TestPersistence:
         crashed.enable_checkpoints(directory)
         with pytest.raises(DriverCrashed):
             features_in_window(crashed)
-        raw = b"".join(p.read_bytes() for p in directory.glob("wave-*"))
         # The Feature outputs crossed the journal as columns.
-        assert b"_thaw_records" in raw
+        assert b"_thaw_records" in frame_bytes(directory, 0)
         resumed = loaded(100, faults="crashdriver:0")
         manager = resumed.resume(directory)
         got = features_in_window(resumed)
@@ -315,3 +315,32 @@ class TestOperations:
             assert sh.runner.executor.fallbacks == 0
         finally:
             sh.runner.close()
+
+
+# ----------------------------------------------------------------------
+# Union over Feature polygons
+# ----------------------------------------------------------------------
+class TestUnionOverFeatures:
+    """Union is defined on polygons; over Feature-wrapped polygons it
+    answers as over the bare shapes."""
+
+    @pytest.mark.parametrize("variant", ["heap", "str+", "enhanced"])
+    def test_same_answer_as_bare_polygons(self, variant):
+        polygons = generate_polygons(120, "uniform", seed=4)
+        sh = SpatialHadoop(num_nodes=2, block_capacity=30,
+                           job_overhead_s=0.01)
+        sh.load("bare", polygons)
+        sh.load("feat", [Feature(p, {"id": i})
+                         for i, p in enumerate(polygons)])
+        if variant != "heap":
+            for name in ("bare", "feat"):
+                sh.index(name, f"{name}_idx", technique="str+")
+        results = [
+            sh.union(name if variant == "heap" else f"{name}_idx",
+                     enhanced=variant == "enhanced")
+            for name in ("bare", "feat")
+        ]
+        bare, feat = results
+        assert bare.answer
+        assert feat.answer == bare.answer
+        assert feat.counters.as_dict() == bare.counters.as_dict()

@@ -197,7 +197,7 @@ KINDS = {
         generate_points(140, "uniform", seed=3, space=SPACE),
         _rectangles(90, 4, 0.12),
     ),
-    # Features carry no columnar payload: their MBR columns are derived.
+    # Float Feature rectangles: their blocks carry the columnar payload.
     "features": lambda: tuple(
         [Feature(r, {"id": i}) for i, r in enumerate(_rectangles(100, s, 0.1))]
         for s in (5, 6)
