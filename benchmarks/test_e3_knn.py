@@ -13,6 +13,19 @@ from repro.geometry import Point, Rectangle
 from repro.operations import knn_hadoop, knn_spatial
 
 SPACE = Rectangle(0, 0, 1_000_000, 1_000_000)
+
+
+def candidate_rows(sh, result, k):
+    """Candidate rows each round sent to the driver, ``+``-joined, and
+    what the correctness rounds would send without round 1's bound (every
+    partition's full top-k)."""
+    blocks = sh.fs.get("idx").blocks
+    sent = [sum(len(found[1]) for found in job.output) for job in result.jobs]
+    unbounded = sent[0] + sum(
+        min(k, len(blocks[found[0]]))
+        for job in result.jobs[1:] for found in job.output
+    )
+    return " + ".join(map(str, sent)), unbounded
 KS = [1, 10, 100, 1_000]
 SIZES = [50_000, 150_000, 300_000]
 QUERY = Point(512_345, 481_234)
@@ -32,18 +45,22 @@ def test_e3_knn_vs_k(benchmark, report):
         assert [round(d, 6) for d, _ in hadoop.answer] == [
             round(d, 6) for d, _ in spatial.answer
         ]
+        sent, unbounded = candidate_rows(sh, spatial, k)
         rows.append(
             [
                 k,
                 f"{hadoop.blocks_read} blk",
                 f"{spatial.blocks_read}/{total} blk",
                 spatial.rounds,
+                sent,
+                unbounded,
                 speedup(hadoop.makespan, spatial.makespan),
             ]
         )
     report.add(
         "E3: kNN vs k, 300k uniform points",
-        ["k", "hadoop", "spatialhadoop", "rounds", "speedup"],
+        ["k", "hadoop", "spatialhadoop", "rounds", "candidates/round",
+         "unbounded", "speedup"],
         rows,
     )
 

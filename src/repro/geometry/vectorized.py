@@ -24,9 +24,11 @@ order. Two rules make this possible:
 from the exact sum of squares and therefore does not always equal
 ``sqrt(dx*dx + dy*dy)`` computed in floats — ranking by hypot and by
 ``dx*dx + dy*dy`` can disagree on near-ties. All distance *ranking* in
-the library therefore uses squared distances, and the user-facing
-distance values are recomputed with scalar ``math.hypot`` on the winners
-only.
+the library therefore uses squared distances — kNN's map tasks
+(:func:`nearest_rows`, the R-tree's ``nearest``), its driver merge and
+heap reducer, the kNN-join — and the user-facing distance values are
+recomputed with ``math.hypot`` on the winners only
+(:func:`mbr_distances`).
 
 The pair kernels at the bottom (:func:`join_rows`, :func:`pairs_owned`,
 :func:`knn_rows`, :func:`closest_pair_rows`) follow the same contract and
@@ -140,6 +142,32 @@ def topk_by_distance(dsq, k: int) -> List[int]:
     return np.argsort(dsq, kind="stable")[:k].tolist()
 
 
+def topk_within(dsq, k: int, bound: float = math.inf):
+    """:func:`topk_by_distance` without the rows beyond ``bound``.
+
+    Positions (an int array) of the ``k`` smallest ``(dsq[i], i)`` pairs
+    whose squared distance is at most ``bound``, ranked.
+    """
+    top = np.argsort(dsq, kind="stable")[:k]
+    return top[:np.searchsorted(dsq[top], bound, side="right")]
+
+
+def mbr_distances(cols: Columns, px, py) -> List[float]:
+    """True distance from ``(px, py)`` to every row's MBR, flattened.
+
+    ``math.hypot`` over the clamped axis gaps, taken with
+    ``np.maximum`` (IEEE-exact, so the gaps equal the scalar ``max``'s
+    and the distances :meth:`Rectangle.min_distance_point`'s). Call it
+    on ranked winners only.
+    """
+    x1, y1, x2, y2 = cols
+    return list(map(
+        math.hypot,
+        np.maximum(np.maximum(x1 - px, 0.0), px - x2).ravel().tolist(),
+        np.maximum(np.maximum(y1 - py, 0.0), py - y2).ravel().tolist(),
+    ))
+
+
 # ----------------------------------------------------------------------
 # Pair kernels (row numbers out; records thaw at the caller)
 # ----------------------------------------------------------------------
@@ -239,6 +267,19 @@ def _mbr_distance_sq(cols: Columns, px, py):
     return rect_min_distance_sq(x1, y1, x2, y2, px, py)
 
 
+def nearest_rows(cols: Columns, px: float, py: float, k: int,
+                 bound: float = math.inf):
+    """The ``k`` rows nearest to ``(px, py)`` within squared distance
+    ``bound``, ranked by ``(squared distance, row)``.
+
+    Returns ``(rows, dsq, distances)``: the rows and their squared
+    distances as arrays, and their true distances as a list.
+    """
+    dsq = _mbr_distance_sq(cols, px, py)
+    top = topk_within(dsq, k, bound)
+    return top, dsq[top], mbr_distances([col[top] for col in cols], px, py)
+
+
 def knn_rows(
     qx, qy, cell_mbrs: Columns, cell_columns: Sequence[Columns], k: int,
     budget: int = ELEMENT_BUDGET,
@@ -279,11 +320,7 @@ def knn_rows(
         np.concatenate([cols[c] for cols in cell_columns])[best]
         for c in range(4)
     )
-    flat = list(map(
-        math.hypot,
-        np.maximum(np.maximum(x1 - px, 0.0), px - x2).ravel().tolist(),
-        np.maximum(np.maximum(y1 - py, 0.0), py - y2).ravel().tolist(),
-    ))
+    flat = mbr_distances((x1, y1, x2, y2), px, py)
     distances = [flat[q * found:(q + 1) * found] for q in range(n)]
     return best.tolist(), distances, visits.tolist()
 

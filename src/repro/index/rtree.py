@@ -147,12 +147,10 @@ class RTree:
         short = leaves[-1] * cap + cap - n  # only the last leaf can be
         return rows[:-short] if short > 0 else rows
 
-    def _answer(self, rows, picked: List[int]) -> List[int]:
-        """``rows[picked]`` as the caller's row numbers."""
-        rows = rows[picked].tolist()
-        if self._rows is not None:
-            rows = [int(self._rows[i]) for i in rows]
-        return rows
+    def _answer(self, rows, picked):
+        """``rows[picked]`` as the caller's row numbers (an int array)."""
+        rows = rows[picked]
+        return rows if self._rows is None else self._rows[rows]
 
     def search(
         self, rect: Rectangle, owner: Optional[Rectangle] = None
@@ -177,29 +175,44 @@ class RTree:
             else:
                 hits = vectorized.rects_intersect_owned(*cols, rect, owner)
             out = self._answer(rows, hits)
-            return sorted(out) if self._rows is not None else out
+            return (out if self._rows is None else np.sort(out)).tolist()
 
     def knn(self, query: Point, k: int) -> List[Tuple[float, int]]:
         """The ``k`` rows nearest to ``query`` as ``(distance, row)``.
 
         Exact for point records and MBR-distance-based for extended
-        shapes, which is the contract SpatialHadoop's kNN uses. Rows are
-        *ranked* by ``(squared distance, row)`` — the order a scan of the
-        block produces — and the returned distances are true distances,
-        recomputed on the winners only (see :mod:`repro.geometry.vectorized`).
-        Returns fewer than ``k`` pairs when the tree is smaller than ``k``.
+        shapes, which is the contract SpatialHadoop's kNN uses. The pairs
+        of :meth:`nearest` (unbounded): rows ranked by ``(squared
+        distance, row)``, true distances. Returns fewer than ``k`` pairs
+        when the tree is smaller than ``k``.
+        """
+        rows, _dsq, distances = self.nearest(query, k)
+        return list(zip(distances, rows.tolist()))
 
-        Leaves are visited by ascending minimum distance: the first few
-        hold ``k`` candidates, whose k-th distance bounds which of the
-        remaining leaves can still hold a closer (or tied) row.
+    def nearest(self, query: Point, k: int, bound: float = math.inf):
+        """The ``k`` rows nearest to ``query`` within squared distance
+        ``bound``, as ``(rows, dsq, distances)``.
+
+        Rows are *ranked* by ``(squared distance, row)`` — the order a
+        scan of the block produces (:func:`vectorized.nearest_rows`) —
+        and come as an int array beside their squared distances; the
+        true distances are recomputed on the winners only (see
+        :mod:`repro.geometry.vectorized`).
+
+        Leaves are visited by ascending minimum distance, none beyond
+        ``bound``: the first few hold ``k`` candidates, whose k-th
+        distance bounds which of the remaining leaves can still hold a
+        closer (or tied) row.
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        if not len(self):
-            return []
         qx, qy = query.x, query.y
         leaf_dsq = vectorized.rect_min_distance_sq(*self.leaves, qx, qy)
-        by_distance = vectorized.topk_by_distance(leaf_dsq, len(leaf_dsq))
+        by_distance = vectorized.topk_within(
+            leaf_dsq, len(leaf_dsq), bound
+        ).tolist()
+        if not by_distance:
+            return np.empty(0, np.intp), np.empty(0), []
         first = -(-k // self.node_capacity) + 1  # only the last leaf is short
 
         def candidates(leaves):
@@ -215,15 +228,9 @@ class RTree:
             )
             if more:
                 rows, cols, dsq = candidates(by_distance[:first] + more)
-        top = vectorized.topk_by_distance(dsq, k)
-        x1, y1, x2, y2 = (col[top].tolist() for col in cols)
-        return [
-            (
-                math.hypot(
-                    max(x1[i] - qx, 0.0, qx - x2[i]),
-                    max(y1[i] - qy, 0.0, qy - y2[i]),
-                ),
-                row,
-            )
-            for i, row in enumerate(self._answer(rows, top))
-        ]
+        top = vectorized.topk_within(dsq, k, bound)
+        return (
+            self._answer(rows, top),
+            dsq[top],
+            vectorized.mbr_distances([col[top] for col in cols], qx, qy),
+        )

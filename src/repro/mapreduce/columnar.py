@@ -281,16 +281,6 @@ class ColumnarPayload:
                 return vectorized.points_in_rect_owned(xs, ys, rect, cell)
             return vectorized.rects_intersect_owned(*self.columns, rect, cell)
 
-    def distance_sq_to(self, query: Point):
-        """Squared distance from every record's MBR to ``query``."""
-        with _phase("kernel"):
-            if self.kind == "point":
-                xs, ys = self.columns
-                return vectorized.point_distance_sq(xs, ys, query.x, query.y)
-            return vectorized.rect_min_distance_sq(
-                *self.columns, query.x, query.y
-            )
-
 
 def _value_crc(obj: Any) -> int:
     """CRC-32 of ``obj`` pickled by value.

@@ -20,6 +20,9 @@ class Counter:
     BLOCKS_TOTAL = "BLOCKS_TOTAL"
     BLOCKS_READ = "BLOCKS_READ"
     BLOCKS_PRUNED = "BLOCKS_PRUNED"
+    #: Records in the job's final output. Row-set jobs (the distributed
+    #: join, SJMR, the kNN-join and kNN) write one tuple of row numbers
+    #: per partition or reduce task, and count one record per tuple.
     OUTPUT_RECORDS = "OUTPUT_RECORDS"
     MAP_TASKS = "MAP_TASKS"
     REDUCE_TASKS = "REDUCE_TASKS"

@@ -1,93 +1,104 @@
 """k-nearest-neighbour query.
 
-The Hadoop variant scans the whole file: every map task computes its local
-top-k and one reducer merges them. The SpatialHadoop variant reads only the
-partition containing the query point, then runs the *correctness check*:
-if the circle through the k-th answer spills over the partition boundary,
-a second round processes the other partitions the circle overlaps. The loop
-provably terminates and in practice takes one round for most queries —
-exactly the behaviour experiment E3 records.
+The Hadoop variant scans the whole file: every map task ranks its block
+and one reducer merges the blocks' top-k. The SpatialHadoop variant reads
+only the partition containing the query point, then runs the
+*correctness check*: if the circle through the k-th answer spills over
+the partition boundary, a second round processes the other partitions
+the circle reaches. That round carries round 1's k-th squared distance
+as its ``bound``, so a partition sends back only rows that can still
+make the answer. The loop provably terminates and in practice takes one
+round for most queries — exactly the behaviour experiment E3 records.
+
+Both variants answer in row numbers: a map task writes one
+``(block, rows, dsq, distances)`` row set per block — its top-k ranked
+by ``(squared distance, row)``, with true distances on those rows only —
+and the merge is a stable sort by squared distance, earlier sets first.
+Records are thawed for the final k only.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.core.result import OperationResult
-from repro.core.reader import local_index_of, spatial_reader
+from repro.core.reader import local_index_of
 from repro.core.splitter import global_index_of, spatial_splitter
-from repro.geometry import Point, Rectangle
+from repro.geometry import Point
 from repro.geometry import vectorized
-from repro.index.partitioners.base import shape_mbr
-from repro.mapreduce import Counter, Job, JobRunner
-from repro.mapreduce.columnar import payload_of
+from repro.index.rtree import block_columns
+from repro.mapreduce import Counter, Job, JobResult, JobRunner
+from repro.mapreduce.runtime import block_reader
 from repro.observe.plan import PlanNode, estimate_job_cost
 
 #: kNN answers are (distance, record) pairs sorted by distance.
 Neighbors = List[Tuple[float, object]]
 
+#: A ranked answer in row numbers: ``(blocks, rows, dsq, distances)``.
+_EMPTY = (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0), [])
 
-def _local_topk(records, query: Point, k: int, payload=None) -> Neighbors:
-    """Top-k of a record list by MBR distance (exact for points).
 
-    Candidates are ranked by ``(squared distance, record index)`` —
-    squared distances round identically in the scalar loop and the batch
-    kernels, and the index tie-break makes the selected set independent
-    of execution mode. The distances in the returned pairs are true
-    distances, recomputed with ``math.hypot`` on the winners only.
-    """
-    if payload is not None:
-        top = vectorized.topk_by_distance(payload.distance_sq_to(query), k)
+def _block_topk(block, ctx):
+    """The block's top-k within the config's ``bound`` as one row set."""
+    query, k = ctx.config["query"], ctx.config["k"]
+    bound = ctx.config.get("bound", math.inf)
+    local = local_index_of(ctx) if ctx.config.get("use_local_index") else None
+    if local is not None:
+        found = local.nearest(query, k, bound)
     else:
-        mbr_of = shape_mbr  # bound to locals: this loop dominates kNN scans
-        dsq_of = Rectangle.min_distance_sq_point
-        dsq = [dsq_of(mbr_of(r), query) for r in records]
-        top = heapq.nsmallest(k, range(len(records)), key=lambda i: (dsq[i], i))
+        found = vectorized.nearest_rows(
+            block_columns(block), query.x, query.y, k, bound
+        )
+    return (ctx.split.block_index, *found)
+
+
+def _merge(answer, found, k: int):
+    """The ``k`` nearest of ``answer`` and the row sets ``found``: a
+    stable sort by squared distance, so earlier rows win ties."""
+    parts = [answer] + [
+        (np.full(len(rows), block), rows, dsq, distances)
+        for block, rows, dsq, distances in found
+    ]
+    parts = [part for part in parts if len(part[1])]
+    if len(parts) < 2:  # one ranked set of at most k rows is the answer
+        return parts[0] if parts else _EMPTY
+    blocks, rows, dsq = (
+        np.concatenate([part[c] for part in parts]) for c in range(3)
+    )
+    distances = [d for part in parts for d in part[3]]
+    top = np.argsort(dsq, kind="stable")[:k]
+    picked = [distances[i] for i in top.tolist()]
+    return blocks[top], rows[top], dsq[top], picked
+
+
+def _thaw(runner: JobRunner, file_name: str, answer) -> Neighbors:
+    """The answer's ``(distance, record)`` pairs, records read from the
+    file's own blocks."""
+    blocks = runner.fs.get(file_name).blocks
     return [
-        (shape_mbr(records[i]).min_distance_point(query), records[i])
-        for i in top
+        (distance, blocks[b].records[row])
+        for b, row, distance in zip(
+            answer[0].tolist(), answer[1].tolist(), answer[3]
+        )
     ]
 
 
-def _merge_topk(partials: List[Neighbors], k: int) -> Neighbors:
-    merged: Neighbors = []
-    for partial in partials:
-        merged.extend(partial)
-    merged.sort(key=lambda pair: pair[0])
-    return merged[:k]
+def _knn_scan_map(_key, block, ctx):
+    """Per-block top-k (module-level: picklable)."""
+    ctx.emit(1, _block_topk(block, ctx))
 
 
-def _knn_scan_map(_key, records, ctx):
-    """Per-block local top-k (module-level: picklable)."""
-    payload = payload_of(ctx.split.block, len(records))
-    top = _local_topk(records, ctx.config["query"], ctx.config["k"], payload)
-    for pair in top:
-        ctx.emit(1, pair)
+def _knn_merge_reduce(_key, found, ctx):
+    """Merge the blocks' top-k (module-level: picklable)."""
+    ctx.write_output(_merge(_EMPTY, found, ctx.config["k"]))
 
 
-def _knn_merge_reduce(_key, pairs, ctx):
-    """Merge the local top-k lists (module-level: picklable)."""
-    for pair in _merge_topk([pairs], ctx.config["k"]):
-        ctx.emit(1, pair)
-
-
-def _knn_indexed_map(_cell, records, ctx):
+def _knn_indexed_map(_cell, block, ctx):
     """Per-partition top-k via the local index (module-level: picklable)."""
-    local = local_index_of(ctx) if ctx.config["use_local_index"] else None
-    if local is not None:
-        top = [
-            (d, records[row])
-            for d, row in local.knn(ctx.config["query"], ctx.config["k"])
-        ]
-    else:
-        payload = payload_of(ctx.split.block, len(records))
-        top = _local_topk(
-            records, ctx.config["query"], ctx.config["k"], payload
-        )
-    for pair in top:
-        ctx.write_output(pair)
+    ctx.write_output(_block_topk(block, ctx))
 
 
 def knn_hadoop(
@@ -101,11 +112,15 @@ def knn_hadoop(
         input_file=file_name,
         map_fn=_knn_scan_map,
         reduce_fn=_knn_merge_reduce,
+        reader=block_reader,
         config={"query": query, "k": k},
         name=f"knn-hadoop({file_name})",
     )
     result = runner.run(job)
-    return OperationResult(answer=result.output, jobs=[result], system="hadoop")
+    merged = result.output[0] if result.output else _EMPTY
+    return OperationResult(
+        answer=_thaw(runner, file_name, merged), jobs=[result], system="hadoop"
+    )
 
 
 def knn_spatial(
@@ -124,7 +139,7 @@ def knn_spatial(
 
     tracer = runner.recorder.tracer
 
-    def run_round(round_index: int, cell_ids) -> "JobResult":  # noqa: F821
+    def run_round(round_index: int, cell_ids, bound: float) -> JobResult:
         with tracer.span(
             f"knn:round-{round_index}",
             kind="round",
@@ -137,14 +152,17 @@ def knn_spatial(
                 splitter=spatial_splitter(
                     lambda gi: [c for c in gi if c.cell_id in cell_ids]
                 ),
-                reader=spatial_reader,
+                reader=block_reader,
                 config={
-                    "query": query, "k": k, "use_local_index": use_local_index
+                    "query": query, "k": k, "bound": bound,
+                    "use_local_index": use_local_index,
                 },
                 name=f"knn-spatial({file_name})",
             )
             result = runner.run(job)
-            round_span.set("candidates", len(result.output))
+            round_span.set(
+                "candidates", sum(len(found[1]) for found in result.output)
+            )
         runner.round_boundary("knn-spatial", round_index)
         return result
 
@@ -157,40 +175,32 @@ def knn_spatial(
             op_span.set("rounds", 0)
             return OperationResult(answer=[], jobs=[])
         processed = {first.cell_id}
-        jobs = [run_round(1, processed)]
-        answer = _merge_topk([jobs[0].output], k)
+        jobs = [run_round(1, processed, math.inf)]
+        answer = _merge(_EMPTY, jobs[0].output, k)
 
         # Correctness rounds: grow until the k-th circle stays inside the
-        # processed region. With fewer than k answers the radius is
-        # unbounded.
+        # processed region, reading only rows inside it. With fewer than
+        # k answers the radius is unbounded: every non-empty cell counts.
         while True:
-            if len(answer) >= k:
-                radius = answer[-1][0]
-                circle_mbr = Rectangle(
-                    query.x - radius, query.y - radius,
-                    query.x + radius, query.y + radius,
-                )
-                needed = {
-                    c.cell_id
-                    for c in gindex
-                    if c.mbr.min_distance_point(query) <= radius
-                    and c.mbr.intersects(circle_mbr)
-                }
-            else:
-                needed = {c.cell_id for c in gindex if c.num_records > 0}
+            bound = float(answer[2][-1]) if len(answer[2]) >= k else math.inf
+            needed = {
+                c.cell_id
+                for c in gindex
+                if c.mbr.min_distance_sq_point(query) <= bound
+                and (bound < math.inf or c.num_records > 0)
+            }
             missing = needed - processed
             if not missing:
                 break
             processed |= missing
-            round_result = run_round(len(jobs) + 1, missing)
-            jobs.append(round_result)
-            answer = _merge_topk([answer, round_result.output], k)
+            jobs.append(run_round(len(jobs) + 1, missing, bound))
+            answer = _merge(answer, jobs[-1].output, k)
         op_span.set("rounds", len(jobs))
         op_span.set(
             "partitions_pruned",
             sum(j.counters.get(Counter.BLOCKS_PRUNED) for j in jobs),
         )
-    return OperationResult(answer=answer, jobs=jobs)
+    return OperationResult(answer=_thaw(runner, file_name, answer), jobs=jobs)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +231,7 @@ def plan_knn(
             detail={"strategy": "full-scan", "point": str(query), "k": k},
             estimated={"rounds": 1},
         )
-        shuffle = k * entry.num_blocks
+        shuffle = entry.num_blocks  # one top-k row set per block
         root.add(
             PlanNode(
                 f"job:knn-hadoop({file_name})",

@@ -39,14 +39,17 @@ def range_query(records: List[Any], query: Rectangle) -> OperationResult:
 
 
 def knn(records: List[Any], query: Point, k: int) -> OperationResult:
-    """Sort-based kNN scan."""
+    """Sort-based kNN scan, ranked by ``(squared distance, index)``."""
 
     def compute():
         scored = sorted(
-            (shape_mbr(r).min_distance_point(query), i)
+            (shape_mbr(r).min_distance_sq_point(query), i)
             for i, r in enumerate(records)
         )
-        return [(d, records[i]) for d, i in scored[:k]]
+        return [
+            (shape_mbr(records[i]).min_distance_point(query), records[i])
+            for _dsq, i in scored[:k]
+        ]
 
     return _timed(compute)
 

@@ -23,6 +23,7 @@ from repro.observe.trace import normalize_events
 from tests.test_integration.test_chaos import (
     CHAOS,
     OPERATIONS,
+    QPOINT,
     STORAGE_CHAOS,
     build_workspace,
     normalize,
@@ -151,6 +152,61 @@ class TestResumeTraceEquivalence:
         parallel.runner.close()
 
         assert serial_trace == parallel_trace
+
+
+def row_sets(result):
+    """Every round's ``(block, rows, dsq, distances)`` as plain lists."""
+    return [
+        [(b, rows.tolist(), dsq.tolist(), distances)
+         for b, rows, dsq, distances in job.output]
+        for job in result.jobs
+    ]
+
+
+@pytest.mark.usefixtures("pool_pinned")
+class TestKnnBoundedRoundResumes:
+    """A crash between kNN's round 1 and its bounded round 2: the resumed
+    driver replays round 1 from the journal, derives the same bound from
+    it, and round 2 reads the same rows as an uninterrupted run."""
+
+    @pytest.mark.parametrize("workers", (None, 2))
+    def test_round_two_resumes_bit_identical(
+        self, base_blob, tmp_path, workers
+    ):
+        def run(sh):
+            return sh.knn("pts_idx", QPOINT, 150)
+
+        clean_sh = clone(base_blob, workers=workers)
+        clean = run(clean_sh)
+        clean_sh.runner.close()
+        assert clean.rounds == 2
+        bound = sorted(
+            d for found in clean.jobs[0].output for d in found[2].tolist()
+        )[149]
+        assert all(
+            d <= bound for found in clean.jobs[1].output
+            for d in found[2].tolist()
+        )
+
+        directory = tmp_path / "knn.ckpt"
+        crashed = clone(base_blob, faults="crashdriver:0", workers=workers)
+        crashed.enable_checkpoints(directory)
+        with pytest.raises(DriverCrashed):
+            run(crashed)
+        crashed.runner.close()
+
+        resumed = clone(base_blob, faults="crashdriver:0", workers=workers)
+        manager = resumed.resume(directory)
+        got = run(resumed)
+        resumed.runner.close()
+        assert manager.waves_replayed == 1
+        assert manager.waves_committed == 1
+        assert got.answer == clean.answer
+        assert got.counters.as_dict() == clean.counters.as_dict()
+        assert (got.rounds, got.blocks_read) == (
+            clean.rounds, clean.blocks_read
+        )
+        assert row_sets(got) == row_sets(clean)
 
 
 class TestCombinedChaosWithDriverCrash:
