@@ -18,12 +18,16 @@ version, length and CRC before unpickling and raises a structured
 :class:`WorkspaceError` subclass (never a raw ``UnpicklingError``).
 
 The version byte names the layout of the pickled objects, and it is the
-only place that knows about older layouts. v7 stores each block's local
-index as a packed-array R-tree, every homogeneous point / rectangle
+only place that knows about older layouts. v8 stores each block's local
+index as a packed-array R-tree, and every homogeneous point / rectangle
 block with float coordinates -- bare or wrapped in Features -- carries
-its columnar payload (plus the Features' attribute column) with a
-checksum over both, the job runner holds its observability channels in
-one :class:`~repro.observe.recorder.Recorder`, and a parallel executor
+its columnar payload (plus the Features' attribute column). Payloads
+are written by the one block codec (:mod:`repro.mapreduce.columnar`):
+a header, then raw column buffers and the attribute column pickled by
+value, and every block checksum is that codec's CRC, over values only,
+so a reloaded workspace verifies as written. The job runner holds its
+observability channels in one
+:class:`~repro.observe.recorder.Recorder`, and a parallel executor
 carries the measurements of its dispatch gate. Any other version is
 refused with a :class:`WorkspaceVersionError` that says how to rebuild, and a
 file without the magic with a :class:`WorkspaceCorruptError` — never an
@@ -40,7 +44,7 @@ from pathlib import Path
 from typing import Any, Optional, Tuple, Type
 
 MAGIC = b"REPROWS\n"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 #: Header after a frame's magic: version (u8), payload CRC-32 (u32),
 #: payload length (u64).
 FRAME_HEADER = struct.Struct(">BIQ")
@@ -175,8 +179,8 @@ def load_workspace(
     if version != FORMAT_VERSION:
         raise WorkspaceVersionError(
             f"workspace {path} uses format v{version}; this release reads "
-            f"only v{FORMAT_VERSION} (Feature blocks carry a columnar "
-            "payload). Recreate the workspace: reload the data and rebuild "
+            f"only v{FORMAT_VERSION} (blocks are written by one codec). "
+            "Recreate the workspace: reload the data and rebuild "
             "the index with 'repro index'"
         )
     try:

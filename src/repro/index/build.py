@@ -117,7 +117,7 @@ def _layout(payload):
     """A source payload's ``(shape kind, has attributes)``."""
     if payload is None:
         return None, False
-    return payload.kind, payload.attributes is not None
+    return payload.kind, payload.has_attributes
 
 
 def _pack_cell(refs, source_blocks, source_columns, build_local_index: bool):

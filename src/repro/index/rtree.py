@@ -21,7 +21,6 @@ local indexes — blocks are immutable once written.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 from itertools import takewhile
 from typing import Any, List, Optional, Sequence, Tuple
@@ -30,7 +29,7 @@ import numpy as np
 
 from repro.geometry import Point, Rectangle, vectorized
 from repro.index.partitioners.base import shape_mbr
-from repro.mapreduce.columnar import _phase
+from repro.mapreduce.columnar import _phase, crc
 
 DEFAULT_NODE_CAPACITY = 32
 
@@ -131,11 +130,9 @@ class RTree:
         return columns_mbr(*self.leaves) if len(self) else None
 
     def checksum(self) -> int:
-        """CRC-32 over the raw bytes of the entry and leaf columns."""
-        crc = zlib.crc32(f"{self.node_capacity}:{len(self)}".encode("ascii"))
-        for col in self.columns + self.leaves:
-            crc = zlib.crc32(memoryview(col).cast("B"), crc)
-        return crc
+        """The block codec's CRC over the entry and leaf columns."""
+        header = f"{self.node_capacity}:{len(self)}"
+        return crc(header, self.columns + self.leaves)
 
     # ------------------------------------------------------------------
     # Queries

@@ -31,10 +31,12 @@ no per-wave file, no temp file, no rename, no fsync. A frame is the
 workspace framing (magic + version + CRC-32 + length header,
 :data:`repro.core.workspace.FRAME_HEADER`) around two pickles back to
 back: the wave's ``(index, fingerprint)`` key, then its ``(results,
-attempts, summary)`` triple. Opening a journal scans the log once and
-keeps each wave's offset, decoding only the keys; replay decodes one
-frame at its offset. The last frame for an index wins, so re-commits
-stay idempotent. The manifest records the command, workspace,
+attempts, summary)`` triple, whose columnar payloads and plain arrays
+pickle through the block codec (:func:`repro.mapreduce.columnar.pickled`,
+buffers in band at protocol 5) as a workspace's do. Opening a journal
+scans the log once and keeps each wave's offset, decoding only the keys;
+replay decodes one frame at its offset. The last frame for an index
+wins, so re-commits stay idempotent. The manifest records the command, workspace,
 fault-plan spec and the *fault-plan position* (which driver faults
 already fired), so a resumed run does not re-fire the crash that
 killed it.
@@ -83,16 +85,19 @@ import numpy as np
 
 from repro.core.workspace import FRAME_HEADER as _HEADER
 from repro.core.workspace import atomic_write
+from repro.mapreduce.columnar import pickled
 from repro.mapreduce.types import TaskResult
 
 #: Wave-frame magic; deliberately the same length as the workspace magic.
 MAGIC = b"REPROCKP"
-#: v4 appends every wave of a run to one log, a frame per wave; each
+#: v5 appends every wave of a run to one log, a frame per wave; each
 #: frame holds a key pickle and a :class:`TaskResult` triple whose bulk
-#: record lists (Feature lists too) are packed as columnar payloads. A
-#: frame of any other version is a corrupt wave (a cache miss that
-#: re-executes), and the per-wave files of v3 and before are ignored.
-FORMAT_VERSION = 4
+#: record lists (Feature lists too) are packed as columnar payloads, and
+#: whose payloads and plain arrays are written by the block codec
+#: (:mod:`repro.mapreduce.columnar`). A frame of any other version is a
+#: corrupt wave (a cache miss that re-executes), and the per-wave files
+#: of v3 and before are ignored.
+FORMAT_VERSION = 5
 
 #: Manifest schema version.
 MANIFEST_VERSION = 1
@@ -225,10 +230,6 @@ def check_active() -> None:
 _COLUMNAR_MIN = 64
 
 
-def _thaw_records(payload) -> list:
-    return payload.materialize()
-
-
 def _thaw_pairs(left: list, right: list) -> list:
     return list(zip(left, right))
 
@@ -237,8 +238,9 @@ class _Packed:
     """A stand-in that unpickles *as* the value it replaced.
 
     ``_pack`` swaps large homogeneous record lists for one of these;
-    pickle serialises the columnar reduce tuple instead of 50k record
-    objects, and the load side rebuilds the original list with no
+    pickle serialises the list's columnar payload through the block codec
+    instead of 50k record objects, and the load side rebuilds the
+    original list (``ColumnarPayload.materialize``) with no
     checkpoint-specific decode step.
     """
 
@@ -256,7 +258,7 @@ def _pack_list(lst: list) -> Any:
 
     payload = ColumnarPayload.from_records(lst)
     if payload is not None:
-        return _Packed((_thaw_records, (payload,)))
+        return _Packed((ColumnarPayload.materialize, (payload,)))
     # Keyed emissions and join pairs: transpose with zip (C speed) and
     # encode each side on its own, worthwhile whenever at least one side
     # columnarises. The per-element type check is load-bearing: Points
@@ -274,12 +276,8 @@ def _pack_list(lst: list) -> Any:
     return lst
 
 
-def _thaw_array(buffer, dtype: str, shape: tuple) -> np.ndarray:
-    return np.frombuffer(buffer, dtype).reshape(shape)
-
-
-def _reduce_array(array: np.ndarray) -> tuple:
-    """Pickle a plain numeric array as its buffer, in band.
+def _plain_array(array: np.ndarray) -> tuple:
+    """Pickle a plain numeric array through the block codec, in band.
 
     Emitted pairs carry row-number and coordinate arrays by the dozen,
     and NumPy's own reduce costs about twice as much per small array.
@@ -289,12 +287,11 @@ def _reduce_array(array: np.ndarray) -> tuple:
     """
     if array.dtype.kind not in "biuf" or not array.flags.c_contiguous:
         return array.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
-    return _thaw_array, (pickle.PickleBuffer(array), array.dtype.str,
-                         array.shape)
+    return pickled(array, pickle.HIGHEST_PROTOCOL)
 
 
 #: The wave pickler's reducers: the standard table plus plain arrays.
-_DISPATCH = {**copyreg.dispatch_table, np.ndarray: _reduce_array}
+_DISPATCH = {**copyreg.dispatch_table, np.ndarray: _plain_array}
 
 
 def _dumps(obj: Any) -> bytes:
@@ -342,9 +339,11 @@ def write_checkpoint_file(
 
     * Bulk Point/Rectangle lists (bare or as Features) among the task
       results' emitted pairs and outputs are transposed into flat
-      float64 columns before pickling (``_pack``) — ~5x less
-      serialisation time and ~35% fewer bytes than object pickling, and
-      ``pickle.loads`` rebuilds the original lists unaided.
+      float64 columns before pickling (``_pack``), and the columns and
+      plain arrays are written as raw buffers by the block codec — ~5x
+      less serialisation time and ~35% fewer bytes than object
+      pickling, and ``pickle.loads`` rebuilds the original lists
+      unaided.
     * One ``write`` to a descriptor the manager keeps open with
       ``O_APPEND``: no file to create, no temp file, no rename, no
       fsync. The CRC framing turns a torn tail into a cache miss, so

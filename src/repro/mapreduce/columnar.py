@@ -1,32 +1,43 @@
-"""Columnar payloads for sealed blocks, and the block wire format.
+"""Columnar payloads for sealed blocks, and the one codec for block bytes.
 
 A sealed block whose records are homogeneously :class:`Point` or
 :class:`Rectangle` gets a :class:`ColumnarPayload`: the coordinates
 transposed into flat float64 NumPy columns. A block of
 :class:`~repro.geometry.feature.Feature` records over such shapes gets the
 same geometry columns plus one attribute column, the per-row attribute
-dicts, so Pigeon relations take every path bare shapes take. The payload
-serves three masters:
+dicts, so Pigeon relations take every path bare shapes take.
 
-* **Batch kernels** — ``repro.geometry.vectorized`` filters a whole block
-  with one mask instead of one Python call per record.
-* **Durability** — :func:`block_payload_checksum` CRCs the raw column
-  bytes (with a small header), so checksums cover the columnar bytes
-  directly and are independent of pickle details (any float64 buffer of
-  the same coordinates has the same bytes). A Feature payload adds the
-  CRC of its pickled attribute column.
-* **Dispatch** — a block crossing to a pool worker travels as its
-  columns: the reducer registered here on ``multiprocessing``'s
-  ``ForkingPickler`` (the pickler the process pool uses) replaces it
-  with a :class:`ColumnBlock`, which rebuilds records (Features, for a
-  Feature payload) and the local index on the worker only when a map
-  function asks for them.
-  Workspaces and checkpoints use plain :mod:`pickle` and still store
-  the whole :class:`~repro.mapreduce.fs.Block`.
+Every byte form of a block body goes through one codec here:
+:func:`encode` turns a body into ``(header, buffers)`` and :func:`decode`
+turns them back, and :func:`crc` is the one CRC-32, over the header and
+then each buffer in turn, never joined into one copy. A body is one of:
+
+* a :class:`ColumnarPayload` -- header ``"<kind>:<count>"``, one buffer
+  per geometry column, plus the attribute column pickled by value;
+* a plain C-contiguous numeric array -- header
+  ``"array:<dtype>:<shape>"``, the array's own buffer;
+* any other record list (polygons, tuples, mixed shapes) -- header
+  ``"records"``, the list pickled by value. Records that do not pickle
+  at all (driver-only test doubles) are checksummed over their ``repr``
+  (header ``"repr"``), which does not decode.
+
+"By value" means the pickler's memo is off, so the bytes depend only on
+the values: a reloaded workspace shares objects its writer did not (one
+character strings come back as the interpreter's cached singletons), and
+still verifies. Sealing and ``fsck`` checksum a block as
+``crc(*encode(body))``; the local R-tree's checksum is the same routine
+over its columns. Pickling a payload (:meth:`ColumnarPayload.
+__reduce_ex__`) and the checkpoint journal's arrays go through
+:func:`pickled`: ``decode(header, *buffers)``, with the buffers in band
+as :class:`pickle.PickleBuffer` at protocol 5 (workspaces, the journal)
+and as ``bytes`` below it (the pool's ``ForkingPickler`` runs at
+protocol 4). A block with a payload crosses to a pool worker as a
+:class:`ColumnBlock`, which rebuilds records (Features, for a Feature
+payload) and the local index only when a map function asks for them.
 
 Blocks with mixed or exotic record types (polygons, ``Feature``
 subclasses, Features over mixed shapes), with coordinates that are not
-all ``float``, or with attributes that do not pickle simply get no
+all ``float``, or with attributes that do not pickle by value get no
 payload (:func:`ColumnarPayload.from_records` returns None) and every
 consumer falls back to the scalar path.
 """
@@ -46,7 +57,6 @@ from repro.geometry.feature import Feature
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rectangle
 from repro.mapreduce.fs import Block
-from repro.mapreduce.storage import checksum_records
 
 #: Column names per payload kind, in buffer order.
 KIND_COLUMNS = {
@@ -54,7 +64,9 @@ KIND_COLUMNS = {
     "rect": ("x1", "y1", "x2", "y2"),
 }
 
-_FLOAT_SIZE = 8
+#: Protocol of the by-value pickles: fixed, so a CRC does not move with
+#: the interpreter's default protocol.
+_BY_VALUE_PROTOCOL = 5
 
 _profiler = None
 
@@ -85,13 +97,22 @@ class ColumnarPayload:
 
     ``kind`` is ``"point"`` (columns x, y) or ``"rect"`` (columns x1, y1,
     x2, y2); ``count`` is the record count. Columns are owned arrays or
-    zero-copy views over an external buffer. ``attributes`` is None for
+    zero-copy views over decoded buffers. ``attributes`` is None for
     bare shapes; for Features it is the list of per-row attribute dicts
-    (the records' own dicts, not copies), and the columns hold the
-    Features' shapes.
+    (at seal time the records' own dicts, not copies), and the columns
+    hold the Features' shapes.
+
+    The attribute column is pickled by value once, when the payload is
+    first encoded (or checked by :meth:`from_records`), and those bytes
+    are what every later checksum and pickle of the payload carries: the
+    body as sealed. ``fsck`` compares against a payload rebuilt from the
+    records, and its repair installs that rebuilt payload. A decoded
+    payload keeps the bytes and unpickles them on first use of
+    ``attributes``: a reloaded driver, whose records hold the same
+    values, never needs a second copy of every dict.
     """
 
-    __slots__ = ("kind", "count", "columns", "attributes", "_attributes_crc")
+    __slots__ = ("kind", "count", "columns", "_attributes", "_attribute_bytes")
 
     def __init__(
         self,
@@ -103,9 +124,20 @@ class ColumnarPayload:
         self.kind = kind
         self.count = count
         self.columns = columns
-        self.attributes = attributes
-        #: CRC-32 of the pickled attribute column, once computed.
-        self._attributes_crc: Optional[int] = None
+        self._attributes = attributes
+        #: The attribute column pickled by value, once encoded.
+        self._attribute_bytes = None
+
+    @property
+    def attributes(self) -> Optional[List[Any]]:
+        if self._attributes is None and self._attribute_bytes is not None:
+            self._attributes = pickle.loads(self._attribute_bytes)
+        return self._attributes
+
+    @property
+    def has_attributes(self) -> bool:
+        """Whether this is a Feature payload (without decoding it)."""
+        return self._attribute_bytes is not None or self._attributes is not None
 
     # ------------------------------------------------------------------
     # Construction
@@ -122,7 +154,7 @@ class ColumnarPayload:
         ``float`` too: records rebuilt from the columns (on a pool worker,
         or from a checkpoint) hold floats, so an ``int`` coordinate would
         come back with another type and another ``repr``. Attributes must
-        pickle: the checksum covers their pickled bytes.
+        pickle by value: the codec carries them so.
         """
         n = len(records)
         if n == 0:
@@ -155,74 +187,26 @@ class ColumnarPayload:
         payload = cls(kind, n, tuple(map(_column, columns)), attributes)
         if attributes is not None:
             try:
-                payload._attributes_crc = _value_crc(attributes)
+                # The one pickle of the attribute column: the seal's
+                # checksum and every later pickle reuse these bytes.
+                payload._attribute_bytes = _by_value(attributes)
             except Exception:
-                # Unpicklable or cyclic attributes: the record path, whose
-                # checksum_records copes with them.
+                # Unpicklable or cyclic attributes: the record path,
+                # whose repr fallback copes with them.
                 return None
         return payload
 
-    @classmethod
-    def from_buffer(
-        cls, kind: str, count: int, buf, offset: int = 0
-    ) -> "ColumnarPayload":
-        """Zero-copy payload over ``buf`` (columns laid out consecutively)."""
-        cols = tuple(
-            np.frombuffer(
-                buf,
-                dtype=np.float64,
-                count=count,
-                offset=offset + i * count * _FLOAT_SIZE,
-            )
-            for i in range(len(KIND_COLUMNS[kind]))
-        )
-        return cls(kind, count, cols)
+    def __reduce_ex__(self, protocol):
+        return pickled(self, protocol)
 
-    @classmethod
-    def _from_portable(
-        cls, kind: str, count: int, raw: bytes, attributes: Optional[list]
-    ) -> "ColumnarPayload":
-        payload = cls.from_buffer(kind, count, raw)
-        # Rehydrate into owned columns so the pickled copy does not pin
-        # the transport bytes (and stays writable-agnostic).
-        payload.columns = tuple(c.copy() for c in payload.columns)
-        payload.attributes = attributes
-        return payload
-
-    def __reduce__(self):
-        # Portable pickle: raw bytes, independent of NumPy's pickle format;
-        # the attribute column travels as the list it is.
-        return (
-            ColumnarPayload._from_portable,
-            (self.kind, self.count, self.tobytes(), self.attributes),
-        )
-
-    # ------------------------------------------------------------------
-    # Bytes / durability
-    # ------------------------------------------------------------------
     @property
     def nbytes(self) -> int:
         """Bytes of the geometry columns."""
-        return self.count * _FLOAT_SIZE * len(self.columns)
-
-    def tobytes(self) -> bytes:
-        return b"".join(col.tobytes() for col in self.columns)
+        return sum(col.nbytes for col in self.columns)
 
     def checksum(self) -> int:
-        """CRC-32 over a kind/count header plus the raw column bytes.
-
-        A Feature payload folds in the CRC of its pickled attribute
-        column, taken once: :meth:`from_records` computes it while it
-        checks that the attributes pickle, so sealing pickles them once.
-        """
-        crc = zlib.crc32(f"{self.kind}:{self.count}".encode("ascii"))
-        for col in self.columns:
-            crc = zlib.crc32(col.tobytes(), crc)
-        if self.attributes is not None:
-            if self._attributes_crc is None:
-                self._attributes_crc = _value_crc(self.attributes)
-            crc = zlib.crc32(self._attributes_crc.to_bytes(4, "little"), crc)
-        return crc
+        """The codec's CRC of this payload (see :func:`crc`)."""
+        return crc(*encode(self))
 
     # ------------------------------------------------------------------
     # Record views
@@ -282,21 +266,86 @@ class ColumnarPayload:
             return vectorized.rects_intersect_owned(*self.columns, rect, cell)
 
 
-def _value_crc(obj: Any) -> int:
-    """CRC-32 of ``obj`` pickled by value.
+# ----------------------------------------------------------------------
+# The codec
+# ----------------------------------------------------------------------
+def _by_value(obj: Any) -> bytes:
+    """``obj`` pickled with the memo off: equal values give equal bytes.
 
-    The pickler's memo is off (``fast``), so the bytes depend on the
-    values only, not on which equal objects happen to be shared: an
-    unpickled workspace shares objects its writer did not (one-character
-    strings come back as the interpreter's cached singletons), and must
-    still verify. Cyclic or unpicklable attributes raise, and get no
-    payload.
+    Cyclic or unpicklable objects raise.
     """
-    buf = io.BytesIO()
-    pickler = pickle.Pickler(buf, protocol=4)
+    stream = io.BytesIO()
+    pickler = pickle.Pickler(stream, protocol=_BY_VALUE_PROTOCOL)
     pickler.fast = True
     pickler.dump(obj)
-    return zlib.crc32(buf.getbuffer())
+    return stream.getvalue()
+
+
+def encode(body: Any) -> Tuple[str, tuple]:
+    """``(header, buffers)`` of a block body (see the module docstring).
+
+    The buffers are the payload's own columns and the array itself, not
+    copies; a payload's attribute column is pickled on its first encode
+    only.
+    """
+    if type(body) is ColumnarPayload:
+        header = f"{body.kind}:{body.count}"
+        if body._attribute_bytes is None:
+            if body._attributes is None:
+                return header, body.columns
+            body._attribute_bytes = _by_value(body._attributes)
+        return header, (*body.columns, body._attribute_bytes)
+    if type(body) is np.ndarray:
+        shape = ",".join(map(str, body.shape))
+        return f"array:{body.dtype.str}:{shape}", (body,)
+    try:
+        return "records", (_by_value(body),)
+    except Exception:
+        return "repr", (repr(body).encode("utf-8", "replace"),)
+
+
+def decode(header: str, *buffers: Any) -> Any:
+    """The body that :func:`encode` turned into ``header`` and ``buffers``.
+
+    Columns and arrays are zero-copy views over the buffers, writable
+    when the buffer is (a ``bytearray``).
+    """
+    kind, _, rest = header.partition(":")
+    if kind == "records":
+        return pickle.loads(buffers[0])
+    if kind == "array":
+        dtype, _, shape = rest.partition(":")
+        return np.frombuffer(buffers[0], dtype).reshape(
+            [int(n) for n in shape.split(",") if n]
+        )
+    count, width = int(rest), len(KIND_COLUMNS[kind])
+    columns = tuple(np.frombuffer(b, np.float64, count) for b in buffers[:width])
+    payload = ColumnarPayload(kind, count, columns)
+    if len(buffers) > width:
+        payload._attribute_bytes = buffers[width]
+    return payload
+
+
+def crc(header: str, buffers: Sequence[Any]) -> int:
+    """CRC-32 of ``header`` and then each buffer, without joining them."""
+    value = zlib.crc32(header.encode("ascii"))
+    for buffer in buffers:
+        value = zlib.crc32(buffer, value)
+    return value
+
+
+def pickled(body: Any, protocol: int) -> tuple:
+    """The reduce tuple that pickles ``body`` through the codec.
+
+    At protocol 5 the buffers go in band as :class:`pickle.PickleBuffer`,
+    written without an intermediate copy; below it (the pool's
+    ``ForkingPickler``) as ``bytes`` (through a memoryview: ``bytes()`` of
+    a 0-d integer array would be that many zero bytes).
+    """
+    header, buffers = encode(body)
+    if protocol >= 5:
+        return decode, (header, *map(pickle.PickleBuffer, buffers))
+    return decode, (header, *(memoryview(b).tobytes() for b in buffers))
 
 
 def payload_of(block, expected_count: Optional[int] = None):
@@ -312,20 +361,6 @@ def payload_of(block, expected_count: Optional[int] = None):
     if expected_count is not None and payload.count != expected_count:
         return None
     return payload
-
-
-def block_payload_checksum(block) -> int:
-    """The checksum a block's payload should carry.
-
-    Columnarizable records are checksummed over their raw column bytes
-    and, for Features, their attribute column (rebuilt fresh, so in-place
-    mutation is detected); everything else falls back to the
-    pickle-based record checksum.
-    """
-    payload = ColumnarPayload.from_records(block.records)
-    if payload is not None:
-        return payload.checksum()
-    return checksum_records(block.records)
 
 
 class ColumnBlock:

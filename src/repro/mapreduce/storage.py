@@ -8,10 +8,10 @@ repairing) missing, corrupt and under-replicated blocks. This module
 gives the simulator the same contract:
 
 * :class:`StorageManager` — the namenode's replica map. Every block the
-  file system writes is *sealed*: a CRC-32 of its record payload is
-  recorded, local/global index structures get their own checksums, and
-  the block is placed as ``replication`` replicas round-robin across the
-  simulated datanodes.
+  file system writes is *sealed*: the CRC-32 of its body, as the block
+  codec encodes it, is recorded, local/global index structures get
+  their own checksums, and the block is placed as ``replication``
+  replicas round-robin across the simulated datanodes.
 * Reads verify replica health first (see :meth:`StorageManager.
   verify_block`): replicas on dead nodes or with failed checksums are
   skipped and the read *fails over* to the next healthy copy — the job
@@ -37,7 +37,6 @@ the :class:`~repro.mapreduce.faults.FaultPlan` grammar.
 
 from __future__ import annotations
 
-import pickle
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -60,21 +59,6 @@ class BlockUnavailableError(StorageError):
 # ----------------------------------------------------------------------
 # Checksums
 # ----------------------------------------------------------------------
-def checksum_records(records: List[Any]) -> int:
-    """CRC-32 of a block's record payload.
-
-    Computed over the pickled record list — the simulator's stand-in for
-    the on-disk byte stream HDFS checksums per 512-byte chunk.
-    """
-    try:
-        payload = pickle.dumps(records, protocol=4)
-    except Exception:
-        # Unpicklable records (driver-only test doubles): checksum their
-        # reprs so integrity tracking still works.
-        payload = repr(records).encode("utf-8", "replace")
-    return zlib.crc32(payload)
-
-
 def global_index_checksum(gindex: Any) -> int:
     """CRC-32 of a global index's canonical form (cells, in order)."""
     parts = [f"{gindex.technique}|{gindex.disjoint}"]
@@ -140,22 +124,22 @@ class StorageManager:
         """Checksum ``block`` and place its replicas (write path).
 
         Homogeneous point/rectangle blocks, bare or as Features, get a
-        columnar payload here and their checksum is computed over the
-        columnar bytes (and the Features' attribute column), so replica
-        verification and fsck cover exactly what the batch kernels read.
-        Sealing is idempotent for placed blocks.
+        columnar payload here. The checksum is the block codec's CRC
+        (:mod:`repro.mapreduce.columnar`) of the block's body: the columns
+        (and the Features' attribute column) when it has a payload, so
+        replica verification and fsck cover exactly what the batch kernels
+        read, and the records pickled by value otherwise. Sealing is
+        idempotent for placed blocks.
         """
-        from repro.mapreduce.columnar import ColumnarPayload
+        from repro.mapreduce.columnar import ColumnarPayload, crc, encode
 
         if block.replicas:
             return
         if block.columnar is None:
             block.columnar = ColumnarPayload.from_records(block.records)
         payload = block.columnar
-        if payload is not None:
-            block.checksum = payload.checksum()
-        else:
-            block.checksum = checksum_records(block.records)
+        body = block.records if payload is None else payload
+        block.checksum = crc(*encode(body))
         local_index = block.metadata.get("local_index")
         if local_index is not None and "local_index_crc" not in block.metadata:
             block.metadata["local_index_crc"] = local_index.checksum()
@@ -436,17 +420,20 @@ def run_fsck(
 
 def _check_block(name, index, block, storage, repair, report) -> int:
     """Payload checksum + per-replica health for one block."""
-    from repro.mapreduce.columnar import block_payload_checksum
+    from repro.mapreduce.columnar import ColumnarPayload, crc, encode
 
     corrupt_seen = 0
     stored = block.checksum
-    # Rebuilt fresh from the current records (columnar bytes plus any
-    # attribute column for homogeneous blocks, pickled records
+    # The body rebuilt fresh from the current records (columns plus any
+    # attribute column for homogeneous blocks, the records by value
     # otherwise) so in-place mutation is detected either way.
-    actual = block_payload_checksum(block)
+    payload = ColumnarPayload.from_records(block.records)
+    actual = crc(*encode(block.records if payload is None else payload))
     if stored != actual:
         if repair:
+            # Records are the truth: the block's body is re-derived.
             block.checksum = actual
+            block.columnar = payload
         report.issues.append(
             FsckIssue(
                 file=name,

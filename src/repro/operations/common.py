@@ -9,6 +9,15 @@ from repro.index.rtree import block_columns
 from repro.observe.plan import PlanNode, estimate_job_cost
 
 
+class ShapeError(TypeError, ValueError):
+    """An operation was given records of a shape it is not defined on.
+
+    A :class:`TypeError` (callers that catch the wrong-type error keep
+    working) and a :class:`ValueError` (the CLI reports it on one
+    ``error:`` line, as it does any bad input).
+    """
+
+
 def as_point(record: Any) -> Point:
     """The point of a point-record (bare Point or a Feature wrapping one).
 
@@ -21,7 +30,7 @@ def as_point(record: Any) -> Point:
     shape = getattr(record, "shape", None)
     if isinstance(shape, Point):
         return shape
-    raise TypeError(
+    raise ShapeError(
         f"operation defined on points only; found {type(record).__name__}"
     )
 
@@ -40,7 +49,8 @@ def point_columns(block: Any) -> Tuple[Any, Any]:
     x1, y1, x2, y2 = block_columns(block)
     for low, high in ((x1, x2), (y1, y2)):
         if low is not high and not (low == high).all():
-            raise TypeError("operation defined on points only")
+            raise ShapeError("operation defined on points only; found "
+                             "records that are not points")
     return x1, y1
 
 

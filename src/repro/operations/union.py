@@ -27,15 +27,29 @@ from repro.geometry.feature import Feature
 from repro.geometry.algorithms.clip import clip_segment
 from repro.geometry.algorithms.union import polygon_union, rings_union
 from repro.observe.plan import PlanNode
-from repro.operations.common import plan_full_scan, plan_indexed_scan
+from repro.operations.common import (
+    ShapeError,
+    plan_full_scan,
+    plan_indexed_scan,
+)
 from repro.mapreduce import Job, JobRunner
 
 Segment = Tuple[Point, Point]
 
 
+def _polygon(record) -> Polygon:
+    """The polygon of a record, a Feature unwrapped to its shape."""
+    shape = record.shape if isinstance(record, Feature) else record
+    if not isinstance(shape, Polygon):
+        raise ShapeError(
+            f"union defined on polygons only; found {type(shape).__name__}"
+        )
+    return shape
+
+
 def _shapes(records) -> List[Polygon]:
-    """The polygons of ``records``, Features unwrapped to their shapes."""
-    return [r.shape if isinstance(r, Feature) else r for r in records]
+    """The polygons of ``records`` (see :func:`_polygon`)."""
+    return list(map(_polygon, records))
 
 
 def _map_local_union(_key, records, ctx):

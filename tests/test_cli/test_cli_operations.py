@@ -114,3 +114,18 @@ def test_knnjoin_default_k_is_the_query_languages(ws, capsys, kind):
     assert rows == response.rows
     neighbours = {len(found) for _r, found in response.result.answer}
     assert k == DEFAULT_K and neighbours == {DEFAULT_K}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["union", "rects"], id="union-of-rectangles"),
+    pytest.param(["knnjoin", "rects", "pts"], id="knnjoin-rectangle-side"),
+])
+def test_wrong_shape_is_one_error_line(tmp_path, capsys, argv):
+    path = str(tmp_path / "ws.pkl")
+    for setup in (["generate", "rects", "--n", "60", "--shape", "rect"],
+                  ["generate", "pts", "--n", "60"]):
+        assert main(["-w", path, *setup]) == 0
+    code, out, err = cli(path, capsys, *argv)
+    assert code == 1
+    assert [line[:6] for line in err.splitlines()] == ["error:"]
+    assert "only" in err and "Traceback" not in out + err

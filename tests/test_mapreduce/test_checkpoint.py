@@ -483,7 +483,7 @@ class TestJournalFormat:
         raw = frame_bytes(directory, 0)
         # The output records crossed the journal as float columns, not
         # as 200 pickled Point objects.
-        assert b"_thaw_records" in raw
+        assert b"materialize" in raw
         assert b"Point" not in raw
         results, _, _ = read_checkpoint_file(directory / LOG_NAME)["payload"]
         assert results[0].output == points

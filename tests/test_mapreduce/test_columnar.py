@@ -8,7 +8,9 @@ from repro.geometry import Point, Rectangle
 from repro.mapreduce import Block, FileSystem
 from repro.mapreduce.columnar import (
     ColumnarPayload,
-    block_payload_checksum,
+    crc,
+    decode,
+    encode,
     payload_of,
 )
 from repro.mapreduce.storage import run_fsck
@@ -60,9 +62,10 @@ class TestFromRecords:
 class TestBytesAndChecksum:
     def test_buffer_round_trip(self):
         payload = ColumnarPayload.from_records(RECTS)
-        buf = bytes(16) + payload.tobytes()
-        assert len(buf) == 16 + payload.nbytes
-        view = ColumnarPayload.from_buffer("rect", payload.count, buf, 16)
+        header, buffers = encode(payload)
+        raw = [bytes(b) for b in buffers]
+        assert sum(map(len, raw)) == payload.nbytes
+        view = decode(header, *raw)
         assert view.materialize() == RECTS
         assert view.checksum() == payload.checksum()
 
@@ -105,14 +108,14 @@ class TestStorageAdoption:
             payload = getattr(block, "columnar", None)
             assert payload is not None
             assert block.checksum == payload.checksum()
-            assert block.checksum == block_payload_checksum(block)
+            assert block.checksum == crc(*encode(payload))
 
     def test_int_block_is_sealed_over_its_records(self):
         fs = FileSystem(default_block_capacity=16)
         fs.create_file("ints", [Point(i, 2 * i) for i in range(20)])
         for block in fs.get("ints").blocks:
             assert block.columnar is None
-            assert block.checksum == block_payload_checksum(block)
+            assert block.checksum == crc(*encode(block.records))
         assert run_fsck(fs).healthy
 
     def test_fsck_still_detects_mutation(self):

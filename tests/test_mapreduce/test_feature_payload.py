@@ -22,8 +22,8 @@ from repro.datagen.shapes import generate_rectangles
 from repro.geometry import Point, Rectangle
 from repro.index.build import PARTITIONERS
 from repro.mapreduce.checkpoint import DriverCrashed
-from repro.mapreduce.columnar import ColumnarPayload, _reduce_block
-from repro.mapreduce.storage import checksum_records, run_fsck
+from repro.mapreduce.columnar import ColumnarPayload, _reduce_block, crc, encode
+from repro.mapreduce.storage import run_fsck
 from repro.operations.table import OPERATIONS
 from repro.pigeon import run_script
 
@@ -178,7 +178,7 @@ class TestNoPayload:
         sh.load("f", records)
         (block,) = sh.fs.get("f").blocks
         assert block.columnar is None
-        assert block.checksum == checksum_records(block.records)
+        assert block.checksum == crc(*encode(block.records))
         # The pool's pickler sends the block as plain pickle would.
         assert _reduce_block(block) == block.__reduce_ex__(
             pickle.DEFAULT_PROTOCOL
@@ -251,7 +251,7 @@ class TestPersistence:
         with pytest.raises(DriverCrashed):
             features_in_window(crashed)
         # The Feature outputs crossed the journal as columns.
-        assert b"_thaw_records" in frame_bytes(directory, 0)
+        assert b"materialize" in frame_bytes(directory, 0)
         resumed = loaded(100, faults="crashdriver:0")
         manager = resumed.resume(directory)
         got = features_in_window(resumed)

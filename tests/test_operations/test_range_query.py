@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.datagen import generate_points, generate_rectangles
+from repro.datagen import generate_points, generate_polygons, generate_rectangles
 from repro.geometry import Rectangle
 from repro.index import PARTITIONERS, build_index
+from repro.index.partitioners.base import shape_mbr
+from repro.mapreduce.columnar import ColumnarPayload
 from repro.operations import range_query_hadoop, range_query_spatial
+from repro.operations import range_query as range_query_module
 
 SPACE = Rectangle(0, 0, 1000, 1000)
 QUERIES = [
@@ -99,3 +102,48 @@ class TestAblations:
         runner.fs.create_file("pts", generate_points(10, seed=0))
         with pytest.raises(ValueError):
             range_query_spatial(runner, "pts", QUERIES[0])
+
+
+class TestScanDedup:
+    """``use_local_index=False`` on a replicating index: the record scan
+    and the payload kernel apply reference-point dedup themselves."""
+
+    #: Float corners, so clipped rectangles keep float coordinates.
+    SPACE = Rectangle(0.0, 0.0, 1000.0, 1000.0)
+
+    @pytest.mark.parametrize("technique", ["grid", "str+"])
+    @pytest.mark.parametrize("shape", ["rectangles", "polygons"])
+    def test_straddling_records_reported_once(
+        self, runner, monkeypatch, technique, shape
+    ):
+        if shape == "rectangles":  # float corners: the payload path
+            records = generate_rectangles(
+                600, "uniform", seed=8, space=self.SPACE,
+                avg_side_fraction=0.06,
+            )
+            spied = (ColumnarPayload, "indices_owned_in")
+        else:  # no payload: the record path
+            records = generate_polygons(
+                400, "uniform", seed=8, space=self.SPACE,
+                avg_radius_fraction=0.04,
+            )
+            spied = (range_query_module, "_owned_by_cell")
+        calls = []
+        real = getattr(*spied)
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(*spied, spy)
+        runner.fs.create_file("f", records)
+        build_index(runner, "f", "idx", technique)
+        blocks = runner.fs.get("idx").blocks
+        assert sum(map(len, blocks)) > len(records)  # records straddle cells
+        assert {b.columnar is None for b in blocks} == {shape == "polygons"}
+        for q in (Rectangle(150.0, 150.0, 650.0, 550.0), self.SPACE):
+            got = range_query_spatial(runner, "idx", q, use_local_index=False)
+            expected = [r for r in records if q.intersects(shape_mbr(r))]
+            assert len(got.answer) == len(expected)
+            assert sorted(map(repr, got.answer)) == sorted(map(repr, expected))
+        assert calls
