@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Type
 
 import numpy as np
 
-from repro.geometry import Point, Rectangle
+from repro.geometry import Rectangle
 from repro.index.global_index import Cell, GlobalIndex
 from repro.index.partitioners.base import Partitioner
 from repro.index.partitioners.grid import GridPartitioner
@@ -66,13 +66,14 @@ def _derived_columns_splitter(derived):
 
 
 def _sample_map(_key, block, ctx):
-    """Per-block MBR + reservoir sample (module-level: picklable).
+    """Per-block MBR + sampled centres (module-level: picklable).
 
-    A block without a columnar payload (polygons, Features over polygons)
-    has its MBR columns derived here, once, and shipped back with the
-    sample so the partition job and the commit never call ``shape_mbr``
-    again. Features over float points or rectangles have a payload and
-    read its columns like bare shapes.
+    The sample is two float64 arrays, the centre x and y of the drawn
+    rows in draw order. A block without a columnar payload (polygons,
+    Features over polygons) has its MBR columns derived here, once, and
+    shipped back with the sample so the partition job and the commit
+    never call ``shape_mbr`` again. Features over float points or
+    rectangles have a payload and read its columns like bare shapes.
     """
     n = len(block)
     if not n:
@@ -82,15 +83,12 @@ def _sample_map(_key, block, ctx):
         8, ctx.config["sample_size"] // max(1, ctx.config["num_blocks"])
     )
     picked = reservoir_sample(range(n), per_block, seed=ctx.split.block_index)
-    x1, y1, x2, y2 = (col[picked].tolist() for col in cols)
-    centres = [
-        Point((a + b) / 2.0, (c + d) / 2.0)
-        for a, b, c, d in zip(x1, x2, y1, y2)
-    ]
+    x1, y1, x2, y2 = (col[picked] for col in cols)
     derived = cols if block.columnar is None else None
-    ctx.write_output(
-        (ctx.split.block_index, columns_mbr(*cols), centres, derived)
-    )
+    ctx.write_output((
+        ctx.split.block_index, columns_mbr(*cols),
+        (x1 + x2) / 2.0, (y1 + y2) / 2.0, derived,
+    ))
 
 
 def _partition_map(derived, block, ctx):
@@ -230,17 +228,18 @@ def build_index(
             if not sample_result.output:
                 raise ValueError(f"cannot index empty file: {input_file!r}")
             space: Rectangle = sample_result.output[0][1]
-            sample_points = []
             derived_columns = {}
-            for block_index, mbr, centres, derived in sample_result.output:
+            for block_index, mbr, _, _, derived in sample_result.output:
                 space = space.union(mbr)
-                sample_points.extend(centres)
                 if derived is not None:
                     derived_columns[block_index] = derived
-            sample_points = reservoir_sample(
-                sample_points, sample_size, seed=seed
+            xs, ys = (
+                np.concatenate([out[k] for out in sample_result.output])
+                for k in (2, 3)
             )
-            sample_span.set("sample_points", len(sample_points))
+            picked = reservoir_sample(range(len(xs)), sample_size, seed=seed)
+            sample = (xs[picked], ys[picked])
+            sample_span.set("sample_points", len(picked))
 
         # --------------------------------------------------------------
         # Phase 2: derive cell boundaries, then the partitioning job. Map
@@ -250,7 +249,7 @@ def build_index(
         with tracer.span("index:plan", kind="index-phase") as plan_span:
             num_cells = max(1, -(-total_records // capacity))  # ceil division
             partitioner = PARTITIONERS[technique].create(
-                sample_points, num_cells, space
+                sample, num_cells, space
             )
             plan_span.set("cells", partitioner.num_cells())
             plan_span.set("disjoint", partitioner.disjoint)

@@ -1,7 +1,8 @@
 """Partitioner interface shared by all techniques.
 
-A partitioner is created from a *sample* of the input (as points), a target
-cell count and the exact file MBR (``space``). It must then route any record
+A partitioner is created from a *sample* of the input (the sampled centres
+as two coordinate arrays, or as points), a target cell count and the exact
+file MBR (``space``). It must then route any record
 — sampled or not — to its cell(s):
 
 * **disjoint** techniques tile the space with half-open cells; a point maps
@@ -15,7 +16,7 @@ cell count and the exact file MBR (``space``). It must then route any record
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, ClassVar, List, Tuple
+from typing import Any, ClassVar, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +34,22 @@ def shape_mbr(record: object) -> Rectangle:
     if mbr is None:
         raise TypeError(f"record has no mbr: {record!r}")
     return mbr
+
+
+#: A planning sample: ``(xs, ys)`` centre arrays, or a ``Point`` sequence.
+Sample = Union[Tuple[np.ndarray, np.ndarray], Sequence[Point]]
+
+
+def sample_columns(sample: Sample) -> Tuple[np.ndarray, np.ndarray]:
+    """A sample as float64 ``(xs, ys)``; ``Point`` sequences are split."""
+    if isinstance(sample, tuple) and len(sample) == 2 and isinstance(
+        sample[0], np.ndarray
+    ):
+        return np.asarray(sample[0], float), np.asarray(sample[1], float)
+    return (
+        np.fromiter((p.x for p in sample), float, len(sample)),
+        np.fromiter((p.y for p in sample), float, len(sample)),
+    )
 
 
 def expand_space(space: Rectangle) -> Rectangle:

@@ -8,13 +8,13 @@ dense areas overflow) — exactly the trade-off experiment E5 quantifies.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.geometry import Point, Rectangle
 from repro.geometry.vectorized import expand_ranges
-from repro.index.partitioners.base import Partitioner, expand_space
+from repro.index.partitioners.base import Partitioner, Sample, expand_space
 
 
 class GridPartitioner(Partitioner):
@@ -33,7 +33,7 @@ class GridPartitioner(Partitioner):
 
     @classmethod
     def create(
-        cls, sample: Sequence[Point], num_cells: int, space: Rectangle
+        cls, sample: Sample, num_cells: int, space: Rectangle
     ) -> "GridPartitioner":
         """The sample is ignored — the grid depends only on the space MBR."""
         del sample

@@ -7,10 +7,17 @@ with replication).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
-from repro.geometry import Point, Rectangle
-from repro.index.partitioners.base import TreePartitioner, expand_space
+import numpy as np
+
+from repro.geometry import Rectangle
+from repro.index.partitioners.base import (
+    Sample,
+    TreePartitioner,
+    expand_space,
+    sample_columns,
+)
 
 
 class _KdNode:
@@ -35,8 +42,9 @@ class KdTreePartitioner(TreePartitioner):
 
     @classmethod
     def create(
-        cls, sample: Sequence[Point], num_cells: int, space: Rectangle
+        cls, sample: Sample, num_cells: int, space: Rectangle
     ) -> "KdTreePartitioner":
+        coords = sample_columns(sample)
         root = _KdNode(expand_space(space))
         leaves: List[_KdNode] = []
 
@@ -44,15 +52,18 @@ class KdTreePartitioner(TreePartitioner):
             node.cell_id = len(leaves)
             leaves.append(node)
 
-        def build(node: _KdNode, pts: List[Point], cells: int, axis: int) -> None:
-            if cells <= 1 or len(pts) < 2:
+        def build(node: _KdNode, rows, cells: int, axis: int) -> None:
+            # ``rows`` index the sample in the order the parent node's
+            # stable sort left them, so points tied on this axis fall on
+            # the same side of the cut in every build.
+            if cells <= 1 or len(rows) < 2:
                 return make_leaf(node)
             low_cells = cells // 2
-            key = (lambda p: p.x) if axis == 0 else (lambda p: p.y)
-            pts.sort(key=key)
-            cut_index = round(len(pts) * low_cells / cells)
-            cut_index = min(max(cut_index, 1), len(pts) - 1)
-            split = key(pts[cut_index])
+            key = coords[axis]
+            rows = rows[np.argsort(key[rows], kind="stable")]
+            cut_index = round(len(rows) * low_cells / cells)
+            cut_index = min(max(cut_index, 1), len(rows) - 1)
+            split = float(key[rows[cut_index]])
             r = node.rect
             if axis == 0:
                 if not (r.x1 < split < r.x2):  # degenerate: give up splitting
@@ -67,8 +78,8 @@ class KdTreePartitioner(TreePartitioner):
             node.axis = axis
             node.split = split
             node.children = (_KdNode(low_rect), _KdNode(high_rect))
-            build(node.children[0], pts[:cut_index], low_cells, 1 - axis)
-            build(node.children[1], pts[cut_index:], cells - low_cells, 1 - axis)
+            build(node.children[0], rows[:cut_index], low_cells, 1 - axis)
+            build(node.children[1], rows[cut_index:], cells - low_cells, 1 - axis)
 
-        build(root, list(sample), max(1, num_cells), 0)
+        build(root, np.arange(len(coords[0])), max(1, num_cells), 0)
         return cls(root, leaves)

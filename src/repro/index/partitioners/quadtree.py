@@ -9,10 +9,15 @@ on.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
-from repro.geometry import Point, Rectangle
-from repro.index.partitioners.base import TreePartitioner, expand_space
+from repro.geometry import Rectangle
+from repro.index.partitioners.base import (
+    Sample,
+    TreePartitioner,
+    expand_space,
+    sample_columns,
+)
 
 _MAX_DEPTH = 24
 
@@ -39,14 +44,15 @@ class QuadTreePartitioner(TreePartitioner):
 
     @classmethod
     def create(
-        cls, sample: Sequence[Point], num_cells: int, space: Rectangle
+        cls, sample: Sample, num_cells: int, space: Rectangle
     ) -> "QuadTreePartitioner":
+        xs, ys = sample_columns(sample)
         root = _QuadNode(expand_space(space))
-        threshold = max(1, math.ceil(len(sample) / max(1, num_cells)))
+        threshold = max(1, math.ceil(len(xs) / max(1, num_cells)))
         leaves: List[_QuadNode] = []
 
-        def build(node: _QuadNode, pts: List[Point], depth: int) -> None:
-            if len(pts) <= threshold or depth >= _MAX_DEPTH:
+        def build(node: _QuadNode, xs, ys, depth: int) -> None:
+            if len(xs) <= threshold or depth >= _MAX_DEPTH:
                 node.cell_id = len(leaves)
                 leaves.append(node)
                 return
@@ -57,11 +63,10 @@ class QuadTreePartitioner(TreePartitioner):
                 _QuadNode(Rectangle(r.x1, my, mx, r.y2)),
                 _QuadNode(Rectangle(mx, my, r.x2, r.y2)),
             ]
-            buckets: List[List[Point]] = [[], [], [], []]
-            for p in pts:
-                buckets[node.child_index(p.x, p.y)].append(p)
-            for child, bucket in zip(node.children, buckets):
-                build(child, bucket, depth + 1)
+            quadrant = node.child_index(xs, ys)
+            for k, child in enumerate(node.children):
+                mask = quadrant == k
+                build(child, xs[mask], ys[mask], depth + 1)
 
-        build(root, list(sample), 0)
+        build(root, xs, ys, 0)
         return cls(root, leaves)

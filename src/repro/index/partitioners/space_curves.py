@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 
 from repro.geometry import Point, Rectangle
 from repro.geometry.curves import CURVE_ORDER, hilbert_value, z_value
-from repro.index.partitioners.base import Partitioner, expand_space
+from repro.index.partitioners.base import (
+    Partitioner,
+    Sample,
+    expand_space,
+    sample_columns,
+)
 
 _CURVE_SIDE = 1 << CURVE_ORDER
 
@@ -33,15 +38,9 @@ class _CurvePartitioner(Partitioner):
         self._splits = split_values  # interior boundaries, sorted
 
     @classmethod
-    def create(
-        cls, sample: Sequence[Point], num_cells: int, space: Rectangle
-    ):
+    def create(cls, sample: Sample, num_cells: int, space: Rectangle):
         self = cls(space, [])
-        xs, ys = (
-            np.array([getattr(p, axis) for p in sample], dtype=float)
-            for axis in "xy"
-        )
-        values = np.sort(self._curve_values(xs, ys)).tolist()
+        values = np.sort(self._curve_values(*sample_columns(sample))).tolist()
         num_cells = max(1, num_cells)
         if values and num_cells > 1:
             per_cell = math.ceil(len(values) / num_cells)

@@ -18,13 +18,18 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.geometry import Point, Rectangle
 from repro.geometry.vectorized import expand_ranges
-from repro.index.partitioners.base import Partitioner, expand_space
+from repro.index.partitioners.base import (
+    Partitioner,
+    Sample,
+    expand_space,
+    sample_columns,
+)
 
 
 class StrPartitioner(Partitioner):
@@ -50,34 +55,27 @@ class StrPartitioner(Partitioner):
 
     @classmethod
     def create(
-        cls, sample: Sequence[Point], num_cells: int, space: Rectangle
+        cls, sample: Sample, num_cells: int, space: Rectangle
     ) -> "StrPartitioner":
-        pts = sorted(sample, key=lambda p: (p.x, p.y))
+        xs, ys = sample_columns(sample)
         num_cells = max(1, num_cells)
         num_slices = max(1, math.ceil(math.sqrt(num_cells)))
         tiles_per_slice = max(1, math.ceil(num_cells / num_slices))
 
-        if not pts:
+        if not len(xs):
             return cls(space, [], [[]])
 
-        per_slice = math.ceil(len(pts) / num_slices)
-        x_bounds: List[float] = []
-        slices: List[List[Point]] = []
-        for s in range(0, len(pts), per_slice):
-            chunk = pts[s : s + per_slice]
-            slices.append(chunk)
-            if s + per_slice < len(pts):
-                x_bounds.append(pts[s + per_slice].x)
-
+        # Slices cut the sample sorted by (x, y); each slice is then
+        # sorted by y alone (stable), and tiles cut that order.
+        order = np.lexsort((ys, xs))
+        xs, ys = xs[order], ys[order]
+        per_slice = math.ceil(len(xs) / num_slices)
+        x_bounds: List[float] = xs[per_slice::per_slice].tolist()
         y_bounds_per_slice: List[List[float]] = []
-        for chunk in slices:
-            by_y = sorted(chunk, key=lambda p: p.y)
+        for s in range(0, len(ys), per_slice):
+            by_y = np.sort(ys[s : s + per_slice], kind="stable")
             per_tile = math.ceil(len(by_y) / tiles_per_slice)
-            bounds = [
-                by_y[t].y
-                for t in range(per_tile, len(by_y), per_tile)
-            ]
-            y_bounds_per_slice.append(bounds)
+            y_bounds_per_slice.append(by_y[per_tile::per_tile].tolist())
         return cls(space, x_bounds, y_bounds_per_slice)
 
     # ------------------------------------------------------------------

@@ -17,7 +17,10 @@ answers and counters cannot move, only work is saved.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.geometry import Rectangle
 
@@ -72,15 +75,16 @@ class PresenceFilter:
         for r in rects[1:]:
             bounds = bounds.union(r)
         nx = ny = max(1, resolution)
-        filt = cls(bounds, nx, ny, bytearray((nx * ny + 7) // 8))
+        filt = cls(bounds, nx, ny, bytearray())
+        # Tile (gx, gy) is bit gy * nx + gx, least significant bit first.
+        grid = np.zeros((ny, nx), dtype=bool)
         for r in rects:
             x_lo, x_hi = filt._span_x(r.x1, r.x2)
             y_lo, y_hi = filt._span_y(r.y1, r.y2)
-            for gy in range(y_lo, y_hi + 1):
-                base = gy * nx
-                for gx in range(x_lo, x_hi + 1):
-                    bit = base + gx
-                    filt.bits[bit >> 3] |= 1 << (bit & 7)
+            grid[y_lo : y_hi + 1, x_lo : x_hi + 1] = True
+        filt.bits = bytearray(
+            np.packbits(grid.ravel(), bitorder="little").tobytes()
+        )
         return filt
 
     # ------------------------------------------------------------------
@@ -101,16 +105,14 @@ class PresenceFilter:
         if extent <= 0:
             return 0, 0
         scale = n / extent
-        g_lo = int((lo - origin) * scale)
-        g_hi = int((hi - origin) * scale)
-        if g_lo < 0:
-            g_lo = 0
-        elif g_lo > n - 1:
-            g_lo = n - 1
-        if g_hi < 0:
-            g_hi = 0
-        elif g_hi > n - 1:
-            g_hi = n - 1
+        if scale == math.inf:  # a subnormal extent: one tile, as for none
+            return 0, 0
+        # Clamp before truncating: the same tiles as truncating first,
+        # and the cast stays defined when a far query overflows to inf.
+        g_lo = (lo - origin) * scale
+        g_hi = (hi - origin) * scale
+        g_lo = 0 if g_lo < 0 else n - 1 if g_lo > n - 1 else int(g_lo)
+        g_hi = 0 if g_hi < 0 else n - 1 if g_hi > n - 1 else int(g_hi)
         return g_lo, g_hi
 
     def may_overlap(self, rect: Rectangle) -> bool:

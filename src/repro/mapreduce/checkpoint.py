@@ -90,14 +90,15 @@ from repro.mapreduce.types import TaskResult
 
 #: Wave-frame magic; deliberately the same length as the workspace magic.
 MAGIC = b"REPROCKP"
-#: v5 appends every wave of a run to one log, a frame per wave; each
+#: v6 appends every wave of a run to one log, a frame per wave; each
 #: frame holds a key pickle and a :class:`TaskResult` triple whose bulk
 #: record lists (Feature lists too) are packed as columnar payloads, and
 #: whose payloads and plain arrays are written by the block codec
-#: (:mod:`repro.mapreduce.columnar`). A frame of any other version is a
-#: corrupt wave (a cache miss that re-executes), and the per-wave files
-#: of v3 and before are ignored.
-FORMAT_VERSION = 5
+#: (:mod:`repro.mapreduce.columnar`). v6 differs from v5 in what an index
+#: build's sample task returns (centre arrays, no ``Point`` list). A frame
+#: of any other version is a corrupt wave (a cache miss that re-executes),
+#: and the per-wave files of v3 and before are ignored.
+FORMAT_VERSION = 6
 
 #: Manifest schema version.
 MANIFEST_VERSION = 1

@@ -18,13 +18,18 @@ def run(ws, *argv):
     return main(["-w", ws, *argv])
 
 
-@pytest.fixture
-def logged_ws(ws, capsys):
-    run(ws, "--log-level", "debug", "generate", "pts", "--n", "2000")
+def log_session(ws, capsys, n):
+    """Generate ``n`` points, then index and query them, profiled."""
+    run(ws, "--log-level", "debug", "generate", "pts", "--n", str(n))
     run(ws, "--profile", "index", "pts", "idx", "--technique", "str")
     run(ws, "--profile", "rangequery", "idx", "--window", "0,0,4e5,4e5")
     capsys.readouterr()
     return ws
+
+
+@pytest.fixture
+def logged_ws(ws, capsys):
+    return log_session(ws, capsys, 2000)
 
 
 class TestLogLevelFlag:
@@ -101,18 +106,36 @@ class TestBundleCommand:
 
 class TestDiffCommand:
     @pytest.fixture
+    def logged_ws(self, ws, capsys):
+        # 20 000 points keep the longest profiled phase milliseconds long,
+        # so the planted slowdown below clears diff's absolute floor.
+        return log_session(ws, capsys, 20_000)
+
+    @pytest.fixture
     def bundles(self, logged_ws, tmp_path, capsys):
         a = tmp_path / "a.bundle"
         run(logged_ws, "bundle", "export", str(a))
-        # plant a 3x slower phase into a copy
+        # plant a 3x slower phase into a copy: every phase of the job
+        # with the longest phase
         from repro.observe.bundle import read_bundle, write_bundle
+        from repro.observe.diff import DEFAULT_ABS_FLOOR_S
 
         doc = read_bundle(a)
         import copy as copy_mod
 
         slow = copy_mod.deepcopy(doc)
-        target = next(
-            j for j in slow["history"]["jobs"] if j["phase_profile"]
+
+        def longest(job):
+            return max(e["s"] for e in job["phase_profile"].values())
+
+        target = max(
+            (j for j in slow["history"]["jobs"] if j["phase_profile"]),
+            key=longest,
+        )
+        assert 2 * longest(target) > DEFAULT_ABS_FLOOR_S, (
+            f"the longest phase ({1e3 * longest(target):.3f} ms, "
+            f"{target['name']}) is too short for a 3x slowdown to clear "
+            f"diff's {1e3 * DEFAULT_ABS_FLOOR_S} ms floor: enlarge the data"
         )
         for entry in target["phase_profile"].values():
             entry["s"] *= 3

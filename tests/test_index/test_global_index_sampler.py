@@ -1,6 +1,7 @@
 """Tests for GlobalIndex lookups and reservoir sampling."""
 
 import random
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -120,3 +121,32 @@ class TestReservoirSample:
         sample = reservoir_sample(range(n), k, seed=seed)
         assert len(sample) == min(n, k)
         assert len(set(sample)) == len(sample)
+
+    def test_same_positions_from_range_and_records(self):
+        # The index build draws row numbers; the scalar oracle draws
+        # records. Both must pick the same rows in the same order.
+        records = [Point(float(i), -float(i)) for i in range(1000)]
+        for seed in range(5):
+            rows = reservoir_sample(range(1000), 37, seed=seed)
+            assert reservoir_sample(records, 37, seed=seed) == [
+                records[i] for i in rows
+            ]
+
+    def test_draw_is_order_size_not_order_n(self):
+        class Rows(Sequence):
+            """A billion rows that refuse to be walked."""
+
+            def __len__(self):
+                return 10**9
+
+            def __getitem__(self, i):
+                if not 0 <= i < len(self):
+                    raise IndexError(i)
+                return i
+
+            def __iter__(self):
+                raise AssertionError("the draw iterated its input")
+
+        sample = reservoir_sample(Rows(), 25, seed=3)
+        assert sample == reservoir_sample(range(10**9), 25, seed=3)
+        assert len(set(sample)) == 25

@@ -209,6 +209,67 @@ class TestKnnBoundedRoundResumes:
         assert row_sets(got) == row_sets(clean)
 
 
+def index_digest(sh, name):
+    """An index's global index (cell ids, MBRs, counts) and block CRCs."""
+    entry = sh.fs.get(name)
+    cells = [
+        (c.cell_id, c.mbr, c.content_mbr, c.num_records)
+        for c in entry.metadata["global_index"].cells
+    ]
+    return cells, [block.checksum for block in entry.blocks]
+
+
+@pytest.mark.usefixtures("pool_pinned")
+class TestIndexBuildResumes:
+    """An index build crashed at every wave boundary: the resumed build
+    replays the sample job's centre arrays (and the partition job's row
+    arrays) from the journal and writes the index a clean build writes."""
+
+    @pytest.mark.parametrize("source, technique", (
+        ("pts", "str"), ("rects_l", "kdtree"), ("polys", "quadtree"),
+    ))
+    @pytest.mark.parametrize("workers", (None, 2))
+    def test_build_resumes_bit_identical(
+        self, base_blob, tmp_path, source, technique, workers
+    ):
+        def build(sh):
+            return sh.index(
+                source, "rebuilt", technique=technique, block_capacity=40
+            )
+
+        clean_sh = clone(base_blob, workers=workers)
+        build(clean_sh)
+        clean_sh.runner.close()
+        want = index_digest(clean_sh, "rebuilt")
+
+        probe = clone(base_blob, workers=workers)
+        manager = probe.enable_checkpoints(tmp_path / "probe.ckpt")
+        build(probe)
+        waves = manager.waves_committed
+        manager.finish()
+        probe.runner.close()
+        assert waves >= 3  # sample map, partition map, partition reduce
+
+        for wave in range(waves):
+            directory = tmp_path / f"crash-{wave}.ckpt"
+            spec = f"crashdriver:{wave}"
+            crashed = clone(base_blob, faults=spec, workers=workers)
+            crashed.enable_checkpoints(directory)
+            with pytest.raises(DriverCrashed):
+                build(crashed)
+            crashed.runner.close()
+
+            resumed = clone(base_blob, faults=spec, workers=workers)
+            manager = resumed.resume(directory)
+            build(resumed)
+            resumed.runner.close()
+            assert index_digest(resumed, "rebuilt") == want, (
+                f"index diverged resuming after wave {wave}"
+            )
+            assert manager.waves_replayed == wave + 1
+            assert manager.waves_committed == waves - (wave + 1)
+
+
 class TestCombinedChaosWithDriverCrash:
     """The full failure model at once: task crashes, worker kills,
     storage rot AND a driver crash — resume still lands bit-identical."""

@@ -10,7 +10,12 @@ from repro import SpatialHadoop
 from repro.datagen import generate_points
 from repro.geometry import Rectangle
 from repro.observe.bundle import collect_bundle, write_bundle
-from repro.observe.diff import DiffReport, diff_bundles, diff_docs
+from repro.observe.diff import (
+    DEFAULT_ABS_FLOOR_S,
+    DiffReport,
+    diff_bundles,
+    diff_docs,
+)
 
 WINDOW = Rectangle(0, 0, 400_000, 400_000)
 
@@ -20,7 +25,7 @@ def doc():
     sh = SpatialHadoop(num_nodes=4, job_overhead_s=0.01, workers=1)
     sh.eventlog(level="info")
     sh.enable_profiling()
-    sh.load("pts", generate_points(2_000, "uniform", seed=11))
+    sh.load("pts", generate_points(20_000, "uniform", seed=11))
     sh.index("pts", "idx", technique="str")
     sh.range_query("idx", WINDOW)
     sh.runner.close()
@@ -40,16 +45,27 @@ class TestSelfDiff:
         assert report.jobs_compared == len(doc["history"]["jobs"])
 
 
+def _longest_phase(job):
+    return max(e["s"] for e in job["phase_profile"].values())
+
+
 def _plant_slow_phase(doc, factor=3.0):
     """Triple every profiled phase of the job with the longest phase.
 
-    The longest phase (the index build's partition map) is milliseconds
-    long, so its tripling clears diff's 1 ms absolute floor on any host.
+    Tripling adds twice the phase, which must clear diff's absolute floor
+    or diff rightly calls it noise; the fixture's 20 000 points keep the
+    longest phase (an index-build job's map) milliseconds long.
     """
     slow = copy.deepcopy(doc)
     target = max(
         (j for j in slow["history"]["jobs"] if j["phase_profile"]),
-        key=lambda j: max(e["s"] for e in j["phase_profile"].values()),
+        key=_longest_phase,
+    )
+    longest = _longest_phase(target)
+    assert (factor - 1) * longest > DEFAULT_ABS_FLOOR_S, (
+        f"the longest phase ({1e3 * longest:.3f} ms, {target['name']}) is "
+        f"too short for a {factor}x slowdown to clear diff's "
+        f"{1e3 * DEFAULT_ABS_FLOOR_S} ms floor: enlarge the fixture's data"
     )
     for entry in target["phase_profile"].values():
         entry["s"] *= factor

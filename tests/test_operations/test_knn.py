@@ -172,10 +172,11 @@ class TestBoundedCorrectnessRound:
 
     #: (query, k) -> (rounds, blocks read) on 3000 uniform points (seed
     #: 12), STR, 150-record blocks, as the unbounded correctness round
-    #: read them: the bound must not change which partitions a round reads.
+    #: (every partition's top k, no distance bound) read them on the same
+    #: tree: the bound must not change which partitions a round reads.
     ROUNDS = {
         ((777, 222), 1): (1, 1), ((777, 222), 60): (2, 4),
-        ((777, 222), 300): (2, 20), ((500, 500), 1): (2, 2),
+        ((777, 222), 300): (2, 20), ((500, 500), 1): (1, 1),
         ((500, 500), 60): (2, 6), ((31, 968), 60): (1, 1),
         ((31, 968), 300): (2, 20),
     }
