@@ -7,9 +7,10 @@ exactly as in the paper:
   global index with a user *filter function* and emits one input split per
   surviving partition — this is the early-pruning step every SpatialHadoop
   operation builds on;
-* the **SpatialRecordReader** (:mod:`repro.core.reader`) hands map tasks
-  the partition boundary as the input key and, when available, the block's
-  local index.
+* the **SpatialRecordReader**: a map task is ``map(key, block, ctx)``,
+  with the partition boundary as the key and the split's sealed block —
+  records, columns and, when available, the local index
+  (:func:`repro.core.reader.local_index_of`) — as its input.
 
 On top of them, :class:`~repro.core.system.SpatialHadoop` is the facade a
 user of the library drives: load / index files, then run spatial operations
@@ -23,7 +24,7 @@ from repro.core.splitter import (
     overlapping_filter,
     spatial_splitter,
 )
-from repro.core.reader import local_index_of, spatial_reader
+from repro.core.reader import local_index_of
 from repro.core.system import SpatialHadoop
 from repro.core.workspace import (
     WorkspaceCorruptError,
@@ -47,6 +48,5 @@ __all__ = [
     "local_index_of",
     "overlapping_filter",
     "save_workspace",
-    "spatial_reader",
     "spatial_splitter",
 ]

@@ -31,7 +31,7 @@ from repro.index.partitioners.str_ import StrPartitioner, StrPlusPartitioner
 from repro.index.rtree import RTree, block_columns, columns_mbr, str_order
 from repro.index.sampler import reservoir_sample
 from repro.mapreduce import Block, Job, JobResult, JobRunner
-from repro.mapreduce.runtime import block_reader, default_splitter
+from repro.mapreduce.runtime import default_splitter
 from repro.mapreduce.columnar import ColumnarPayload
 
 #: Registry of partitioning techniques by name.
@@ -218,7 +218,6 @@ def build_index(
             sample_job = Job(
                 input_file=input_file,
                 map_fn=_sample_map,
-                reader=block_reader,
                 config={"num_blocks": num_blocks, "sample_size": sample_size},
                 name=f"sample({input_file})",
             )
@@ -258,7 +257,6 @@ def build_index(
             input_file=input_file,
             map_fn=_partition_map,
             splitter=_derived_columns_splitter(derived_columns),
-            reader=block_reader,
             reduce_fn=_partition_reduce,
             num_reducers=partitioner.num_cells(),
             config={"partitioner": partitioner},

@@ -12,13 +12,14 @@ The pieces mirror Hadoop's:
   metadata (a partition MBR, a serialised local index) exactly as
   SpatialHadoop stores its index information alongside HDFS blocks.
 * :class:`Job` — the job configuration: map / combine / reduce functions,
-  number of reducers, an input splitter hook (where SpatialHadoop's
-  SpatialFileSplitter plugs in) and a record-reader hook (where the
-  SpatialRecordReader plugs in).
+  number of reducers and an input splitter hook (where SpatialHadoop's
+  SpatialFileSplitter plugs in). A map task reads its split's block —
+  ``map(key, block, ctx)`` — with its records, columns and local index,
+  which is what SpatialHadoop's SpatialRecordReader hands map tasks.
 * :class:`JobRunner` — executes jobs: split, map (with per-task isolation),
-  combine, hash shuffle, sort, reduce, and an optional single-machine
-  job-commit step (Hadoop's ``commitJob``, used by index building and the
-  merge phases of several operations).
+  combine, hash shuffle, sort and reduce. Multi-phase merges (index
+  building, the merge steps of several operations) run in the driver
+  after the job returns.
 * :class:`ClusterModel` — converts measured per-task work into a simulated
   makespan on an N-node cluster, adding per-job startup overhead so that
   the round-count trade-offs the papers discuss are visible.

@@ -441,7 +441,6 @@ class ParallelExecutor(Executor):
         chunks: Sequence[Any],
         kind: Any,
         records: Sequence[int],
-        forced: bool = False,
     ) -> List[Any]:
         """:meth:`map_chunks` for one wave of ``kind``, through the gate.
 
@@ -449,18 +448,10 @@ class ParallelExecutor(Executor):
         first chunk runs in the driver, timed as the kind's probe rate
         (work the wave needs anyway), and the gate places the rest: a
         wave big enough to hide the pool's start gets its trial there at
-        once, so even a one-shot job can run in parallel. ``forced``
-        sends the wave to the pool whatever the gate says (a scripted
-        worker kill only means something on a worker); such a wave, and
-        one the pool had to recover, teaches the gate nothing.
+        once, so even a one-shot job can run in parallel. A wave the
+        pool had to recover teaches the gate nothing.
         """
         total = len(chunks)
-        if forced:
-            results = self.map_chunks(fn, chunks)
-            self.last_dispatch = {"mode": "pool", "reason": "kill",
-                                  "records": sum(records),
-                                  **self.last_dispatch}
-            return results
         decision = self._decide(kind, sum(records))
         head: List[Any] = []
         if decision["reason"] == "unseen" and total > 1:

@@ -13,8 +13,9 @@ whether a task attempt
 * ``corrupt`` — runs normally but returns an unusable result, exercising
   driver-side result validation,
 * ``kill``    — terminates the worker process mid-chunk (``os._exit``),
-  exercising :class:`BrokenProcessPool` recovery. In the serial backend,
-  where exiting would kill the driver itself, the kill degrades to a
+  exercising :class:`BrokenProcessPool` recovery. In the driver process
+  (the serial backend, or a wave the dispatch gate keeps there), where
+  exiting would kill the driver itself, the kill degrades to a
   ``worker-lost`` failure so both backends observe the same attempt
   history.
 

@@ -4,35 +4,26 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.types import InputSplit
 
-#: map(key, values, context) — one call per input split, mirroring the
+#: map(key, block, context) — one call per input split, mirroring the
 #: papers' pseudo-code where the map function receives a whole partition
-#: (``MAP(k: Rectangle, P: set of shapes)``). Record-at-a-time mappers are
-#: trivially expressed by iterating ``values``.
-MapFn = Callable[[Any, List[Any], "MapContext"], None]
+#: (``MAP(k: Rectangle, P: set of shapes)``). ``block`` is the split's
+#: sealed block: a :class:`~repro.mapreduce.fs.Block` in the driver, the
+#: :class:`~repro.mapreduce.columnar.ColumnBlock` the pool ships to a
+#: worker. Both have ``len``, iterate their records, and carry
+#: ``records``, ``columnar`` and ``metadata`` (with the local index), so
+#: a record-at-a-time mapper iterates ``block`` and a columnar one reads
+#: ``block.columnar`` without thawing a record.
+MapFn = Callable[[Any, Any, "MapContext"], None]
 #: combine/reduce(key, values, context)
 ReduceFn = Callable[[Any, List[Any], "ReduceContext"], None]
 #: splitter(fs, job) -> input splits (the SpatialFileSplitter hook)
 SplitterFn = Callable[[FileSystem, "Job"], List[InputSplit]]
-#: reader(split) -> (key, records) (the SpatialRecordReader hook)
-ReaderFn = Callable[[InputSplit], Tuple[Any, List[Any]]]
-#: partitioner(key, num_reducers) -> reducer index
-PartitionerFn = Callable[[Any, int], int]
-#: commit(context) — single-machine post-processing step
-CommitFn = Callable[["CommitContext"], None]
 
 
 def _stable_key_bytes(key: Any) -> bytes:
@@ -62,8 +53,8 @@ def _stable_key_bytes(key: Any) -> bytes:
         parts = key if isinstance(key, tuple) else sorted(key, key=repr)
         return b"t:" + b"|".join(_stable_key_bytes(part) for part in parts)
     # Fall back to repr; fine for dataclasses and value types, which is
-    # what spatial jobs key by. (Objects with identity-based reprs should
-    # supply their own partitioner.)
+    # what spatial jobs key by. (Objects with identity-based reprs would
+    # scatter equal keys; no job keys by one.)
     return b"o:" + repr(key).encode("utf-8", "surrogatepass")
 
 
@@ -102,11 +93,8 @@ class Job:
     map_fn: MapFn
     combine_fn: Optional[ReduceFn] = None
     reduce_fn: Optional[ReduceFn] = None
-    commit_fn: Optional[CommitFn] = None
     num_reducers: int = 1
-    partitioner: PartitionerFn = default_partitioner
     splitter: Optional[SplitterFn] = None
-    reader: Optional[ReaderFn] = None
     config: Dict[str, Any] = field(default_factory=dict)
     name: str = "job"
 
@@ -119,7 +107,7 @@ class Job:
 
 
 class _EmitterContext:
-    """Shared plumbing of the map/reduce/commit contexts."""
+    """Shared plumbing of the map and reduce contexts."""
 
     def __init__(self, job: Job, counters: Counters):
         self.job = job
@@ -181,11 +169,6 @@ class MapContext(_EmitterContext):
         super().__init__(job, counters)
         self.split = split
 
-    @property
-    def cell(self) -> Optional[Any]:
-        """Partition MBR for spatially partitioned input, else None."""
-        return self.split.cell
-
 
 class ReduceContext(_EmitterContext):
     """Context passed to combine and reduce functions."""
@@ -193,24 +176,3 @@ class ReduceContext(_EmitterContext):
     def __init__(self, job: Job, counters: Counters, task_index: int):
         super().__init__(job, counters)
         self.task_index = task_index
-
-
-class CommitContext(_EmitterContext):
-    """Context passed to the job-commit function.
-
-    The commit step runs once, on "the master", after all reducers finish.
-    It can read everything written so far (``current_output``) and replace
-    it (``replace_output``) — this is how multi-phase merges such as index
-    building finalise their result.
-    """
-
-    def __init__(self, job: Job, counters: Counters, output: List[Any]):
-        super().__init__(job, counters)
-        self._current = output
-
-    @property
-    def current_output(self) -> List[Any]:
-        return self._current
-
-    def replace_output(self, records: Iterable[Any]) -> None:
-        self._current[:] = list(records)

@@ -68,7 +68,6 @@ from repro.mapreduce.faults import (
 )
 from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import (
-    CommitContext,
     Job,
     MapContext,
     ReduceContext,
@@ -167,16 +166,6 @@ def default_splitter(fs: FileSystem, job: Job) -> List[InputSplit]:
     return splits
 
 
-def default_reader(split: InputSplit) -> Tuple[Any, List[Any]]:
-    """Pass the split's records through untouched."""
-    return split.key, list(split.block.records)
-
-
-def block_reader(split: InputSplit) -> Tuple[Any, Any]:
-    """Hand map tasks the block itself: they read columns, not records."""
-    return split.key, split.block
-
-
 @dataclass
 class JobResult:
     """Everything a driver needs to know about a finished job."""
@@ -246,17 +235,16 @@ class _WavePolicy:
 # propagate out of a chunk: the driver's wave supervisor decides whether
 # an attempt is retried or fails the job.
 # ----------------------------------------------------------------------
-def _noop_map(_key: Any, _records: Any, _ctx: Any) -> None:  # pragma: no cover
+def _noop_map(_key: Any, _block: Any, _ctx: Any) -> None:  # pragma: no cover
     """Placeholder map function for reduce-wave job shipping."""
 
 
 def _shipped_job(job: Job, wave: str, policy: _WavePolicy) -> Job:
     """A copy of ``job`` stripped to what one wave's tasks actually need.
 
-    Driver-only hooks (splitter, commit, partitioner) never run inside a
-    task, so dropping them keeps per-chunk pickling small and — more
-    importantly — lets a job with an unpicklable driver hook still run
-    its waves in parallel. The map wave keeps the reader. The resolved
+    The splitter never runs inside a task, so dropping it keeps
+    per-chunk pickling small and — more importantly — lets a job with an
+    unpicklable splitter still run its waves in parallel. The resolved
     fault plan, the profiling decision and the event-log threshold ride
     along in the config so worker processes consult the same script as
     the driver.
@@ -272,9 +260,6 @@ def _shipped_job(job: Job, wave: str, policy: _WavePolicy) -> Job:
     return replace(
         job,
         splitter=None,
-        reader=(job.reader or default_reader) if is_map else None,
-        commit_fn=None,
-        partitioner=default_partitioner,
         map_fn=job.map_fn if is_map else _noop_map,
         combine_fn=job.combine_fn if is_map else None,
         reduce_fn=None if is_map else job.reduce_fn,
@@ -305,16 +290,16 @@ def _combine(
 
 
 def _map_body(job: Job, split: InputSplit, counters: Counters):
-    """One map task: read the split, map it, combine; ``(records, ctx)``."""
+    """One map task: map the split's block, combine; ``(records, ctx)``."""
     ctx = MapContext(job, counters, split)
-    key, records = job.reader(split)
-    job.map_fn(key, records, ctx)
+    job.map_fn(split.key, split.block, ctx)
     emitted = ctx._emitted
     if job.combine_fn is not None and emitted:
         ctx._emitted = _combine(job, counters, emitted)
-    counters.increment(Counter.MAP_INPUT_RECORDS, len(records))
+    records_in = len(split.block)
+    counters.increment(Counter.MAP_INPUT_RECORDS, records_in)
     counters.increment(Counter.MAP_OUTPUT_RECORDS, len(emitted))
-    return len(records), ctx
+    return records_in, ctx
 
 
 def _reduce_body(job: Job, item, counters: Counters):
@@ -359,8 +344,9 @@ def _run_attempt(job: Job, wave: str, index: int, attempt: int, item: Any):
 
     A scripted ``kill`` terminates the worker process for real
     (exercising pool recovery); in the driver process — the serial
-    backend, or a pool fallback — it degrades to a ``worker-lost``
-    failure so every backend records the same attempt history.
+    backend, a wave the dispatch gate kept there, or a pool fallback —
+    it degrades to a ``worker-lost`` failure so every backend records
+    the same attempt history.
     """
     plan = job.config.get("faults")
     spec = plan.lookup(wave, index, attempt) if plan is not None else None
@@ -444,18 +430,6 @@ def _wave_records(wave: str, tasks: Sequence[Any]) -> int:
     return sum(
         len(values) for _, _, (_, groups) in tasks for _, values in groups
     )
-
-
-def _scripts_kill(job: Job, wave: str, pending) -> bool:
-    """Does the fault plan kill a worker in this round?"""
-    plan = job.config.get("faults")
-    if plan is None:
-        return False
-    for i, attempt in pending:
-        spec = plan.lookup(wave, i, attempt)
-        if spec is not None and spec.kind == "kill":
-            return True
-    return False
 
 
 def _chunked(items: Sequence[Any], num_chunks: int) -> List[Sequence[Any]]:
@@ -716,15 +690,6 @@ class JobRunner:
             # Map-only job: emitted pairs join the direct output.
             output.extend(v for _, v in intermediate)
 
-        if job.commit_fn is not None:
-            with tracer.span("commit", kind="phase") as commit_span:
-                commit_t0 = perf_counter() if policy.profile else 0.0
-                commit_ctx = CommitContext(job, counters, output)
-                job.commit_fn(commit_ctx)
-                commit_span.set("output_records", len(output))
-                if policy.profile:
-                    _charge_driver(profile, "commit", perf_counter() - commit_t0)
-
         counters.increment(Counter.OUTPUT_RECORDS, len(output))
         summary = fault_summary(policy.faults, waves)
         rebuilds = executor.pool_rebuilds - rebuilds_before
@@ -939,8 +904,10 @@ class JobRunner:
 
         A serial executor takes the round as one chunk. A parallel one
         takes it through its dispatch gate, which runs the round in the
-        driver unless the pool has measured faster for this kind of wave;
-        a round that scripts a worker kill always goes to the pool.
+        driver unless the pool has measured faster for this kind of wave.
+        A scripted worker kill kills a worker only where the round lands
+        on the pool; in the driver it is the same ``worker-lost``
+        attempt (see :func:`_run_attempt`).
         """
         tasks = [(i, attempt, items[i]) for i, attempt in pending]
         if executor.workers == 1:
@@ -951,7 +918,6 @@ class JobRunner:
                 _run_chunk, [(job, wave, part) for part in parts],
                 _wave_kind(job, wave),
                 [_wave_records(wave, part) for part in parts],
-                _scripts_kill(job, wave, pending),
             )
         return [result for chunk in chunks for result in chunk]
 
@@ -1113,7 +1079,7 @@ def _reduce_tasks(
     num_reducers = max(1, job.num_reducers)
     buckets: List[Dict[Any, List[Any]]] = [{} for _ in range(num_reducers)]
     for k, v in intermediate:
-        index = job.partitioner(k, num_reducers) if num_reducers > 1 else 0
+        index = default_partitioner(k, num_reducers) if num_reducers > 1 else 0
         buckets[index].setdefault(k, []).append(v)
     return [
         (task_index, list(bucket.items()))

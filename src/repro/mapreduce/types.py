@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.mapreduce.fs import Block
 
@@ -27,11 +27,6 @@ class InputSplit:
     @property
     def metadata(self) -> Dict[str, Any]:
         return self.block.metadata
-
-    @property
-    def cell(self) -> Optional[Any]:
-        """The partition MBR for spatially partitioned files, else None."""
-        return self.block.metadata.get("cell")
 
 
 @dataclass(slots=True)

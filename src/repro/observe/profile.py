@@ -54,7 +54,6 @@ TASK_PHASES: Tuple[str, ...] = (
 DRIVER_PHASES: Tuple[str, ...] = (
     "split-fetch",
     "shuffle-serialize",
-    "commit",
 )
 
 #: The in-flight accumulator: ``{phase: [seconds, count]}`` or None.

@@ -25,7 +25,6 @@ from repro.geometry import Point, vectorized
 from repro.observe.plan import PlanNode
 from repro.operations.common import plan_indexed_scan, point_columns
 from repro.mapreduce import Job, JobRunner
-from repro.mapreduce.runtime import block_reader
 
 
 def _closest_pair_map(cell, block, ctx):
@@ -68,7 +67,6 @@ def closest_pair_spatial(runner: JobRunner, file_name: str) -> OperationResult:
         map_fn=_closest_pair_map,
         reduce_fn=_closest_pair_reduce,
         splitter=spatial_splitter(),
-        reader=block_reader,
         name=f"closest-pair({file_name})",
     )
     result = runner.run(job)

@@ -21,7 +21,6 @@ from repro.observe.plan import PlanNode
 from repro.operations.common import plan_full_scan, plan_indexed_scan, point_columns
 from repro.index.global_index import Cell, GlobalIndex
 from repro.mapreduce import Counter, Job, JobRunner
-from repro.mapreduce.runtime import block_reader
 
 #: The four quadrant directions of the hull filter.
 _DIRECTIONS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -79,7 +78,6 @@ def convex_hull_hadoop(runner: JobRunner, file_name: str) -> OperationResult:
         map_fn=_map_local_hull,
         combine_fn=_reduce_global_hull,
         reduce_fn=_reduce_global_hull,
-        reader=block_reader,
         name=f"hull-hadoop({file_name})",
     )
     result = runner.run(job)
@@ -107,7 +105,6 @@ def convex_hull_spatial(
             combine_fn=_reduce_global_hull,
             reduce_fn=_reduce_global_hull,
             splitter=spatial_splitter(convex_hull_filter if prune else None),
-            reader=block_reader,
             name=f"hull-spatial({file_name})",
         )
         result = runner.run(job)

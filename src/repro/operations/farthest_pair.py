@@ -27,7 +27,6 @@ from repro.operations.common import plan_full_scan, point_columns
 from repro.operations.convex_hull import _map_local_hull, _reduce_global_hull
 from repro.index.global_index import GlobalIndex
 from repro.mapreduce import Block, Job, JobRunner
-from repro.mapreduce.runtime import block_reader
 from repro.mapreduce.types import InputSplit
 
 
@@ -45,7 +44,6 @@ def farthest_pair_hadoop(runner: JobRunner, file_name: str) -> OperationResult:
         map_fn=_map_local_hull,
         combine_fn=_reduce_global_hull,
         reduce_fn=_reduce_calipers,
-        reader=block_reader,
         name=f"farthest-hadoop({file_name})",
     )
     result = runner.run(job)
@@ -120,7 +118,6 @@ def farthest_pair_spatial(runner: JobRunner, file_name: str) -> OperationResult:
         map_fn=_map_cell_pair,
         reduce_fn=_reduce_farthest,
         splitter=lambda _fs, _job: splits,
-        reader=block_reader,
         name=f"farthest-spatial({file_name})",
     )
     result = runner.run(job)

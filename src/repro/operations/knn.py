@@ -31,7 +31,6 @@ from repro.geometry import Point
 from repro.geometry import vectorized
 from repro.index.rtree import block_columns
 from repro.mapreduce import Counter, Job, JobResult, JobRunner
-from repro.mapreduce.runtime import block_reader
 from repro.observe.plan import PlanNode, estimate_job_cost
 
 #: kNN answers are (distance, record) pairs sorted by distance.
@@ -112,7 +111,6 @@ def knn_hadoop(
         input_file=file_name,
         map_fn=_knn_scan_map,
         reduce_fn=_knn_merge_reduce,
-        reader=block_reader,
         config={"query": query, "k": k},
         name=f"knn-hadoop({file_name})",
     )
@@ -152,7 +150,6 @@ def knn_spatial(
                 splitter=spatial_splitter(
                     lambda gi: [c for c in gi if c.cell_id in cell_ids]
                 ),
-                reader=block_reader,
                 config={
                     "query": query, "k": k, "bound": bound,
                     "use_local_index": use_local_index,

@@ -26,7 +26,6 @@ from repro.core.splitter import global_index_of, spatial_splitter
 from repro.geometry import Rectangle, vectorized
 from repro.index.rtree import block_columns, mbr_columns
 from repro.mapreduce import Job, JobResult, JobRunner
-from repro.mapreduce.runtime import block_reader
 from repro.observe.plan import PlanNode, estimate_job_cost
 from repro.operations.common import point_columns
 
@@ -67,7 +66,6 @@ def _run_knn_join(
         input_file=left_file,
         map_fn=_knn_join_map,
         splitter=splitter,
-        reader=block_reader,
         config={
             "k": k,
             "s_cell_mbrs": mbr_columns(s_cells),

@@ -10,7 +10,7 @@ selectivity estimation for query planning).
 from __future__ import annotations
 
 from repro.core.result import OperationResult
-from repro.core.reader import local_index_of, spatial_reader
+from repro.core.reader import local_index_of
 from repro.core.splitter import global_index_of, spatial_splitter
 from repro.geometry import Rectangle
 from repro.mapreduce import Counter, Job, JobRunner
@@ -18,9 +18,9 @@ from repro.observe.plan import PlanNode, estimate_job_cost
 from repro.operations.range_query import estimated_matches, matching_rows
 
 
-def _count_scan_map(_key, records, ctx):
+def _count_scan_map(_key, block, ctx):
     """Per-block matching-record count (module-level: picklable)."""
-    ctx.emit(1, len(matching_rows(records, ctx)))
+    ctx.emit(1, len(matching_rows(block, ctx)))
 
 
 def _count_reduce(_key, partials, ctx):
@@ -28,10 +28,10 @@ def _count_reduce(_key, partials, ctx):
     ctx.emit(1, sum(partials))
 
 
-def _count_indexed_map(cell, records, ctx):
+def _count_indexed_map(cell, block, ctx):
     """Per-partition count with dedup ownership (module-level: picklable)."""
     owner = cell if ctx.config["dedup"] else None
-    ctx.emit(1, len(matching_rows(records, ctx, local_index_of(ctx), owner)))
+    ctx.emit(1, len(matching_rows(block, ctx, local_index_of(ctx), owner)))
 
 
 def range_count_hadoop(
@@ -87,7 +87,6 @@ def range_count_spatial(
             splitter=spatial_splitter(
                 lambda gi: [c for c in gi if c.cell_id in boundary_cells]
             ),
-            reader=spatial_reader,
             config={"query": query, "dedup": dedup},
             name=f"range-count-spatial({file_name})",
         )

@@ -10,7 +10,7 @@ disjoint partitions.
 from __future__ import annotations
 
 from repro.core.result import OperationResult
-from repro.core.reader import local_index_of, spatial_reader
+from repro.core.reader import local_index_of
 from repro.core.splitter import global_index_of, overlapping_filter, spatial_splitter
 from repro.geometry import Point, Rectangle
 from repro.index.partitioners.base import shape_mbr
@@ -43,45 +43,52 @@ def _owned_by_cell(record_mbr: Rectangle, cell: Rectangle, query: Rectangle) -> 
     return cell.contains_point_left_inclusive(ref)
 
 
-def matching_rows(records, ctx, local=None, owner=None):
+def matching_rows(block, ctx, local=None, owner=None):
     """Rows of a block the query reports, ascending.
 
     The local index, the columnar payload and the record scan evaluate
     the same two predicates — the record's MBR intersects the window,
     and (given ``owner``, the cell of a replicating index) this
     partition owns the reference point — so all three yield the same
-    rows in the same order.
+    rows in the same order. Only the record scan reads records.
     """
     q = ctx.config["query"]
     if local is not None:
         return local.search(q, owner)
-    payload = payload_of(ctx.split.block, len(records))
+    payload = payload_of(block, len(block))
     if payload is not None:
         if owner is None:
             return payload.indices_in(q)
         return payload.indices_owned_in(q, owner)
     return [
         i
-        for i, record in enumerate(records)
+        for i, record in enumerate(block)
         if _matches(record, q)
         and (owner is None or _owned_by_cell(shape_mbr(record), owner, q))
     ]
 
 
-def _scan_map(_key, records, ctx):
+def _write_rows(block, rows, ctx) -> None:
+    """Write ``rows`` of ``block`` to the job output; thaws the block's
+    records only when there is a row to write."""
+    if len(rows):
+        records = block.records
+        for i in rows:
+            ctx.write_output(records[i])
+
+
+def _scan_map(_key, block, ctx):
     """Map task of the full-scan range query (module-level: picklable)."""
-    ctx.log("debug", "block-scanned", records=len(records))
-    for i in matching_rows(records, ctx):
-        ctx.write_output(records[i])
+    ctx.log("debug", "block-scanned", records=len(block))
+    _write_rows(block, matching_rows(block, ctx), ctx)
 
 
-def _indexed_map(cell, records, ctx):
+def _indexed_map(cell, block, ctx):
     """Map task of the indexed range query (module-level: picklable)."""
-    ctx.log("debug", "partition-scanned", records=len(records))
+    ctx.log("debug", "partition-scanned", records=len(block))
     local = local_index_of(ctx) if ctx.config["use_local_index"] else None
     owner = cell if ctx.config["dedup"] else None
-    for i in matching_rows(records, ctx, local, owner):
-        ctx.write_output(records[i])
+    _write_rows(block, matching_rows(block, ctx, local, owner), ctx)
 
 
 def range_query_hadoop(
@@ -134,7 +141,6 @@ def range_query_spatial(
             splitter=spatial_splitter(
                 overlapping_filter(query) if prune else None
             ),
-            reader=spatial_reader,
             config={
                 "query": query,
                 "use_local_index": use_local_index,

@@ -18,7 +18,6 @@ import math
 from typing import List
 
 from repro.core.result import OperationResult
-from repro.core.reader import spatial_reader
 from repro.core.splitter import global_index_of, spatial_splitter
 from repro.geometry import Point, Rectangle
 from repro.geometry.algorithms.skyline import dominates, skyline
@@ -55,8 +54,8 @@ def skyline_filter(gindex: GlobalIndex) -> List[Cell]:
     return [c for c in cells if not _cell_dominated(c, cells)]
 
 
-def _map_local_skyline(_key, records, ctx):
-    for p in skyline(as_points(records)):
+def _map_local_skyline(_key, block, ctx):
+    for p in skyline(as_points(block)):
         ctx.emit(1, p)
 
 
@@ -65,10 +64,10 @@ def _reduce_global_skyline(_key, points, ctx):
         ctx.emit(1, p)
 
 
-def _map_os_skyline(_cell, records, ctx):
+def _map_os_skyline(_cell, block, ctx):
     """Local skyline minus what the dominance power set dominates
     (module-level: picklable)."""
-    for p in skyline(as_points(records)):
+    for p in skyline(as_points(block)):
         if not any(dominates(q, p) for q in ctx.config["sky"]):
             ctx.write_output(p)
 
@@ -107,7 +106,6 @@ def skyline_spatial(
             combine_fn=_reduce_global_skyline,
             reduce_fn=_reduce_global_skyline,
             splitter=spatial_splitter(skyline_filter if prune else None),
-            reader=spatial_reader,
             name=f"skyline-spatial({file_name})",
         )
         result = runner.run(job)
@@ -145,7 +143,6 @@ def skyline_output_sensitive(
         input_file=file_name,
         map_fn=_map_os_skyline,
         splitter=spatial_splitter(skyline_filter),
-        reader=spatial_reader,
         config={"sky": sky},
         name=f"skyline-os({file_name})",
     )

@@ -27,7 +27,6 @@ from repro.geometry import Rectangle, vectorized
 from repro.index.partitioners.grid import GridPartitioner
 from repro.index.rtree import block_columns, mbr_columns
 from repro.mapreduce import Block, Job, JobRunner
-from repro.mapreduce.runtime import block_reader
 from repro.mapreduce.types import InputSplit
 from repro.observe.plan import PlanNode, estimate_job_cost
 
@@ -146,7 +145,6 @@ def spatial_join_sjmr(
             input_file=input_files,
             map_fn=_sjmr_map,
             reduce_fn=_sjmr_reduce,
-            reader=block_reader,
             num_reducers=grid.num_cells(),
             config={
                 "grid": grid,
@@ -253,7 +251,6 @@ def spatial_join_distributed(
             input_file=[left_file, right_file],
             map_fn=_dj_map,
             splitter=lambda _fs, _job: splits,
-            reader=block_reader,
             name=f"dj({left_file},{right_file})",
         )
         result = runner.run(job)

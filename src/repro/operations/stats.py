@@ -18,7 +18,6 @@ from repro.core.splitter import global_index_of
 from repro.geometry import Rectangle
 from repro.index.rtree import block_columns, columns_mbr
 from repro.mapreduce import Job, JobRunner
-from repro.mapreduce.runtime import block_reader
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ def file_stats(runner: JobRunner, file_name: str) -> OperationResult:
         input_file=file_name,
         map_fn=_stats_map,
         reduce_fn=_stats_reduce,
-        reader=block_reader,
         name=f"stats({file_name})",
     )
     result = runner.run(job)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.core.result import OperationResult
-from repro.core.reader import spatial_reader
 from repro.core.splitter import global_index_of, spatial_splitter
 from repro.geometry import Point, Polygon
 from repro.geometry.feature import Feature
@@ -52,12 +51,12 @@ def _shapes(records) -> List[Polygon]:
     return list(map(_polygon, records))
 
 
-def _map_local_union(_key, records, ctx):
+def _map_local_union(_key, block, ctx):
     # The whole local union is one multi-ring geometry (outers + holes);
     # shipping it as a unit lets the reducer re-union under even-odd
     # semantics. Each ring is emitted separately for honest shuffle counts,
     # tagged so the reducer can reassemble the geometry.
-    rings = polygon_union(_shapes(records))
+    rings = polygon_union(_shapes(block))
     for ring in rings:
         ctx.emit(1, (ctx.split.block_index, ring))
 
@@ -70,12 +69,12 @@ def _reduce_global_union(_key, tagged_rings, ctx):
         ctx.emit(1, ring)
 
 
-def _map_spatial_union(cell, records, ctx):
+def _map_spatial_union(cell, block, ctx):
     """Local union of the polygons this partition owns (module-level:
     picklable)."""
     dedup = ctx.config["dedup"]
     polygons: List[Polygon] = []
-    for poly in _shapes(records):
+    for poly in _shapes(block):
         if dedup and not cell.contains_point_left_inclusive(
             Point(poly.mbr.x1, poly.mbr.y1)
         ):
@@ -85,9 +84,9 @@ def _map_spatial_union(cell, records, ctx):
         ctx.emit(1, (ctx.split.block_index, ring))
 
 
-def _map_enhanced_union(cell, records, ctx):
+def _map_enhanced_union(cell, block, ctx):
     """Local union clipped to the partition (module-level: picklable)."""
-    for ring in polygon_union(_shapes(records)):
+    for ring in polygon_union(_shapes(block)):
         for a, b in ring.edges():
             clipped = clip_segment(a, b, cell)
             if clipped is not None:
@@ -117,7 +116,6 @@ def union_spatial(runner: JobRunner, file_name: str) -> OperationResult:
         map_fn=_map_spatial_union,
         reduce_fn=_reduce_global_union,
         splitter=spatial_splitter(),
-        reader=spatial_reader,
         config={"dedup": gindex.disjoint},
         name=f"union-spatial({file_name})",
     )
@@ -142,7 +140,6 @@ def union_enhanced(runner: JobRunner, file_name: str) -> OperationResult:
         input_file=file_name,
         map_fn=_map_enhanced_union,
         splitter=spatial_splitter(),
-        reader=spatial_reader,
         name=f"union-enhanced({file_name})",
     )
     result = runner.run(job)

@@ -39,7 +39,6 @@ from repro.geometry.algorithms.voronoi import (
 from repro.observe.plan import PlanNode
 from repro.operations.common import as_points, plan_indexed_scan, point_columns
 from repro.mapreduce import Job, JobRunner
-from repro.mapreduce.runtime import block_reader
 
 
 @dataclass
@@ -116,7 +115,6 @@ def voronoi_spatial(runner: JobRunner, file_name: str) -> OperationResult:
         map_fn=_voronoi_map,
         reduce_fn=_voronoi_reduce,
         splitter=spatial_splitter(),
-        reader=block_reader,
         name=f"voronoi({file_name})",
     )
     result = runner.run(job)

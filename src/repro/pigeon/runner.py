@@ -198,17 +198,17 @@ def run_script(sh: SpatialHadoop, script: str) -> ScriptResult:
     return runner.result
 
 
-def _filter_map(_key, records, ctx):
+def _filter_map(_key, block, ctx):
     predicate = ctx.config["predicate"]
-    for record in records:
+    for record in block:
         if evaluate(predicate, record):
             ctx.write_output(record)
 
 
-def _foreach_map(_key, records, ctx):
+def _foreach_map(_key, block, ctx):
     exprs = ctx.config["exprs"]
     names = ctx.config["names"]
-    for record in records:
+    for record in block:
         values = [evaluate(e, record) for e in exprs]
         if len(values) == 1 and names[0] is None:
             ctx.write_output(values[0])

@@ -61,9 +61,9 @@ def plot(
     return OperationResult(answer=canvas, jobs=[result])
 
 
-def _plot_map(_key, records, ctx):
+def _plot_map(_key, block, ctx):
     canvas = Canvas(ctx.config["w"], ctx.config["h"], ctx.config["window"])
-    for record in records:
+    for record in block:
         if ctx.config["window"].intersects(shape_mbr(record)):
             canvas.draw_shape(record)
     if canvas.total_hits:

@@ -117,9 +117,9 @@ def _tiles_overlapping(world: Rectangle, mbr: Rectangle, level: int):
             yield (level, tx, ty)
 
 
-def _pyramid_map(_key, records, ctx):
+def _pyramid_map(_key, block, ctx):
     world = ctx.config["world"]
-    for record in records:
+    for record in block:
         mbr = shape_mbr(record)
         if not world.intersects(mbr):
             continue

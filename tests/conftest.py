@@ -21,7 +21,7 @@ from repro.mapreduce.executor import WORKERS_ENV_VAR
 _LIVE_RUN_WAVE = ParallelExecutor.run_wave
 
 
-def pinned_run_wave(self, fn, chunks, kind, records, forced=False):
+def pinned_run_wave(self, fn, chunks, kind, records):
     """A wave past the dispatch gate: all of it goes to the pool."""
     results = self.map_chunks(fn, chunks)
     self.last_dispatch = {"reason": "pinned", **self.last_dispatch}

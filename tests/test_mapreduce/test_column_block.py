@@ -17,9 +17,12 @@ from repro.core import Feature
 from repro.datagen import generate_points, generate_polygons
 from repro.datagen.shapes import generate_rectangles
 from repro.geometry import Point, Rectangle
+from repro.mapreduce import Counter, Job
 from repro.mapreduce.columnar import ColumnBlock
 from repro.mapreduce.fs import Block
+from repro.mapreduce.runtime import _run_task
 from repro.mapreduce.types import InputSplit
+from repro.operations.range_count import _count_indexed_map, _count_scan_map
 
 WINDOW = Rectangle(2e5, 2e5, 6e5, 6e5)
 
@@ -174,3 +177,36 @@ class TestPoolDispatch:
         finally:
             serial.runner.close()
             parallel.runner.close()
+
+
+# ----------------------------------------------------------------------
+# Map tasks read their block: a count thaws no record
+# ----------------------------------------------------------------------
+class TestMapTaskReadsItsBlock:
+    @pytest.mark.parametrize("name", ["pts", "pts_idx", "rects", "rects_idx",
+                                      "polys"])
+    def test_a_counting_task_does_not_thaw_its_block(self, name):
+        """The ``range_count`` map task on a block as a pool worker gets
+        it: a payload block stays columns, and every block counts its
+        length as map input."""
+        sh = build_system()
+        sh.load("polys", generate_polygons(120, "uniform", seed=7))
+        indexed = name.endswith("_idx")
+        job = Job(name, _count_indexed_map if indexed else _count_scan_map,
+                  config={"query": WINDOW, "dedup": False})
+        for i, block in enumerate(sh.fs.get(name).blocks):
+            shipped = ship(block)
+            assert isinstance(shipped, ColumnBlock) == (name != "polys")
+            counts = []
+            for form in (block, shipped):
+                split = InputSplit(file=name, block_index=i, block=form,
+                                   key=block.metadata.get("cell"))
+                result = _run_task(job, "map", split)
+                assert result.counters[Counter.MAP_INPUT_RECORDS] == len(block)
+                assert result.records_in == len(block)
+                counts.append(result.emitted)
+            assert counts[0] == counts[1]
+            if isinstance(shipped, ColumnBlock):
+                assert shipped._records is None
+                if indexed:  # the count searched the packed local index
+                    assert shipped._metadata is not None

@@ -172,17 +172,38 @@ class TestExecutorWave:
         finally:
             ex.close()
 
-    def test_a_scripted_kill_forces_the_pool_and_teaches_nothing(self):
-        ex = ParallelExecutor(2)
+    def test_a_kill_in_the_driver_loses_no_worker(self):
+        """A wave that scripts a worker kill passes the gate like any
+        other. Kept in the driver, the kill is the serial backend's
+        ``worker-lost`` attempt, and no pool starts."""
+        serial, parallel = (
+            SpatialHadoop(num_nodes=4, block_capacity=150, workers=workers,
+                          faults="kill:map:1")
+            for workers in (1, 2)
+        )
+        executor = parallel.runner.executor
+        executor.gate.start_s = 3600.0  # a pool too dear to start
+        points = generate_points(600, "uniform", seed=46, space=SPACE)
         try:
-            got = ex.run_wave(_double, self.CHUNKS, KIND, self.RECORDS,
-                              forced=True)
-            assert got == [[2, 4], [6], [8, 10]]
-            assert ex.last_dispatch["mode"] == "pool"
-            assert ex.last_dispatch["reason"] == "kill"
-            assert ex.gate.rates == {}
+            answers, histories = [], []
+            for sh in (serial, parallel):
+                sh.load("pts", points)
+                result = sh.range_query("pts", WINDOW)
+                answers.append(result.answer)
+                histories.append([
+                    (task.task_id, [(a.attempt, a.outcome)
+                                    for a in task.attempts])
+                    for task in result.jobs[0].map_tasks
+                ])
+            assert answers[0] == answers[1]
+            assert histories[0] == histories[1]
+            assert ("map-1", [(0, "worker-lost"), (1, "success")]) in (
+                histories[1])
+            assert executor.last_dispatch["mode"] == "in-process"
+            assert executor._pool is None
+            assert executor.pool_rebuilds == 0
         finally:
-            ex.close()
+            parallel.runner.close()
 
     def test_measured_modes_and_measurements_survive_close(self):
         ex = ParallelExecutor(2)

@@ -327,15 +327,24 @@ class TestWorkerSignals:
         """A worker death makes the pool terminate its siblings. Workers
         forked from the CLI must not keep its cooperative SIGTERM
         handler, or they outlive the terminate and the driver hangs
-        joining them after printing its answer."""
+        joining them after printing its answer. The CLI runs with the
+        pool pinned, so the scripted kill lands on a worker."""
         sh = SpatialHadoop(job_overhead_s=0.05, workers=1)
         sh.load("pts", generate_points(25_000, "uniform", seed=0))
         sh.load("rects", generate_rectangles(12_000, "uniform", seed=0))
         pairs = len(sh.spatial_join("pts", "rects").answer)
         workspace = tmp_path / "ws.pkl"
         save_workspace(sh, workspace)
+        pinned_cli = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "from repro.mapreduce import ParallelExecutor\n"
+            "from tests.conftest import pinned_run_wave\n"
+            "ParallelExecutor.run_wave = pinned_run_wave\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
         code, out, err = run_bounded(
-            [sys.executable, "-m", "repro", "-w", str(workspace),
+            [sys.executable, "-c", pinned_cli, "-w", str(workspace),
              "--workers", "2", "--faults", "kill:map:1",
              "sjoin", "pts", "rects"],
             timeout_s=60,

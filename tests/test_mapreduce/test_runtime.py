@@ -116,22 +116,6 @@ class TestEarlyFlushAndReduce:
         assert reduced == [("reduced", [1, 3, 5])]
 
 
-class TestCommitHook:
-    def test_commit_can_replace_output(self):
-        def map_fn(_k, vals, ctx):
-            for v in vals:
-                ctx.emit(None, v)
-
-        def commit(ctx):
-            ctx.replace_output([sum(ctx.current_output)])
-
-        _, runner = make_runner([1, 2, 3, 4], block_capacity=2)
-        result = runner.run(
-            Job(input_file="input", map_fn=map_fn, commit_fn=commit)
-        )
-        assert result.output == [10]
-
-
 class TestCountersAndStats:
     def test_block_accounting(self):
         _, runner = make_runner(list(range(10)), block_capacity=3)

@@ -1,13 +1,20 @@
 """Range query correctness across every index technique."""
 
+import random
+
 import pytest
 
 from repro.datagen import generate_points, generate_polygons, generate_rectangles
-from repro.geometry import Rectangle
+from repro.geometry import Point, Polygon, Rectangle
 from repro.index import PARTITIONERS, build_index
 from repro.index.partitioners.base import shape_mbr
+from repro.mapreduce import ClusterModel, FileSystem, JobRunner
 from repro.mapreduce.columnar import ColumnarPayload
-from repro.operations import range_query_hadoop, range_query_spatial
+from repro.operations import (
+    range_count_spatial,
+    range_query_hadoop,
+    range_query_spatial,
+)
 from repro.operations import range_query as range_query_module
 
 SPACE = Rectangle(0, 0, 1000, 1000)
@@ -128,14 +135,6 @@ class TestScanDedup:
                 avg_radius_fraction=0.04,
             )
             spied = (range_query_module, "_owned_by_cell")
-        calls = []
-        real = getattr(*spied)
-
-        def spy(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(*spied, spy)
         runner.fs.create_file("f", records)
         build_index(runner, "f", "idx", technique)
         blocks = runner.fs.get("idx").blocks
@@ -146,4 +145,84 @@ class TestScanDedup:
             expected = [r for r in records if q.intersects(shape_mbr(r))]
             assert len(got.answer) == len(expected)
             assert sorted(map(repr, got.answer)) == sorted(map(repr, expected))
+
+        # The spy sees only this process, so that half runs on a serial
+        # runner of its own (the fixture's may be a pool).
+        calls = []
+        real = getattr(*spied)
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(*spied, spy)
+        serial = JobRunner(FileSystem(default_block_capacity=150),
+                           ClusterModel(num_nodes=4, job_overhead_s=0.01),
+                           workers=1)
+        serial.fs.create_file("f", records)
+        build_index(serial, "f", "idx", technique)
+        range_query_spatial(serial, "idx", self.SPACE, use_local_index=False)
         assert calls
+
+    @pytest.mark.parametrize("technique", ["grid", "str+"])
+    @pytest.mark.parametrize("shape", ["rectangles", "polygons"])
+    def test_lattice_edges_on_split_lines(self, runner, technique, shape):
+        """Records on a lattice whose lines include the index's split
+        lines: edges, corners and windows on a cell boundary, with and
+        without the local index, and the count, against brute force.
+
+        STR+ splits at sample centres, which on an integer lattice of
+        even sides are lattice points. The grid's lines are the space's
+        width over ``g`` past a margin, never integers, so its lattice
+        steps a quarter of a probe build's cell side.
+        """
+        step = 1.0
+        if technique == "grid":
+            runner.fs.create_file("probe", lattice_shapes(step, shape))
+            build_index(runner, "probe", "probe_idx", technique)
+            cells = runner.fs.get("probe_idx").metadata["global_index"].cells
+            step = min(c.mbr.width for c in cells) / 4
+        records = lattice_shapes(step, shape)
+        runner.fs.create_file("f", records)
+        build_index(runner, "f", "idx", technique)
+        gindex = runner.fs.get("idx").metadata["global_index"]
+        if technique == "grid":  # same space, same count: the probe's grid
+            assert [c.mbr for c in gindex.cells] == [c.mbr for c in cells]
+        space = gindex.mbr
+        xs = sorted({c.mbr.x1 for c in gindex.cells} - {space.x1})
+        ys = sorted({c.mbr.y1 for c in gindex.cells} - {space.y1})
+        edges = {e for r in records for e in (shape_mbr(r).x1, shape_mbr(r).x2)}
+        assert xs and ys and edges & set(xs)
+        blocks = runner.fs.get("idx").blocks
+        assert sum(map(len, blocks)) > len(records)
+        assert {b.columnar is None for b in blocks} == {shape == "polygons"}
+        windows = [space, Rectangle(xs[0], ys[0], xs[-1], ys[-1])] + [
+            Rectangle(x, y, x + 3 * step, y + 5 * step)
+            for x in (xs[0], xs[-1]) for y in (ys[0], ys[-1])
+        ]
+        for q in windows:
+            want = sorted(repr(r) for r in records
+                          if q.intersects(shape_mbr(r)))
+            for local in (True, False):
+                got = range_query_spatial(runner, "idx", q,
+                                          use_local_index=local)
+                assert sorted(map(repr, got.answer)) == want, (q, local)
+            assert range_count_spatial(runner, "idx", q).answer == len(want)
+
+
+def lattice_shapes(step, shape, n=600, extent=64.0):
+    """``n`` squares of 2 or 4 lattice ``step``s (even, so centres are
+    lattice points) inside ``[0, extent]^2``, which two corner squares
+    pin. Polygons have no columnar payload."""
+    rng = random.Random(12)
+    last = int(extent / step) - 4
+    records = [Rectangle(0.0, 0.0, 2 * step, 2 * step),
+               Rectangle(extent - 2 * step, extent - 2 * step, extent, extent)]
+    for _ in range(n - 2):
+        x, y, w = rng.randrange(last), rng.randrange(last), rng.choice((2, 4))
+        records.append(Rectangle(x * step, y * step,
+                                 (x + w) * step, (y + w) * step))
+    if shape == "rectangles":
+        return records
+    return [Polygon([Point(r.x1, r.y1), Point(r.x2, r.y1),
+                     Point(r.x2, r.y2), Point(r.x1, r.y2)]) for r in records]
