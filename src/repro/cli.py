@@ -1148,7 +1148,9 @@ def _dispatch(sh: SpatialHadoop, args: argparse.Namespace) -> int:
         finally:
             service.shutdown()
         print(response.to_json())
-        return {"deadline": EXIT_DEADLINE, "error": 1}.get(response.outcome, 0)
+        if response.outcome == "error":
+            return _fail(response.error)
+        return EXIT_DEADLINE if response.outcome == "deadline" else 0
 
     if cmd == "rm":
         if not sh.fs.delete(args.file):

@@ -76,6 +76,18 @@ class Query:
         args = OPERATIONS[self.op].args
         return (*self.files, *(getattr(self, name) for name in args))
 
+    def key(self) -> Tuple[Any, ...]:
+        """The query's identity as exact values, whatever its spelling:
+        ``(op, files, (x1, y1, x2, y2) | None, (x, y) | None, k)``."""
+        w, p = self.window, self.point
+        return (
+            self.op,
+            tuple(self.files),
+            None if w is None else (w.x1, w.y1, w.x2, w.y2),
+            None if p is None else (p.x, p.y),
+            self.k,
+        )
+
 
 def parse_query(text: str) -> Query:
     """Parse the one-line query language (see the module docstring)."""

@@ -13,9 +13,9 @@ The moving parts, one module each:
   queueing dispatcher with per-tenant quotas;
 * :mod:`repro.serve.breaker`   — the per-dataset circuit breaker
   (closed → open → half-open);
-* :mod:`repro.serve.cache`     — the LRU result cache keyed on
-  :meth:`~repro.observe.plan.PlanNode.normalized`, invalidated by file
-  version;
+* :mod:`repro.serve.cache`     — the LRU result cache keyed on the
+  parsed query's exact values (:meth:`~repro.observe.explain.Query.key`),
+  invalidated by file version;
 * :mod:`repro.serve.service`   — :class:`QueryService`, the event loop
   tying them together on a deterministic virtual clock.
 

@@ -70,6 +70,13 @@ class CircuitBreaker:
         self.opened_at_s = None
         return reopened
 
+    def release_probe(self) -> None:
+        """Hand back a half-open probe that proved nothing about the
+        dataset (a cache hit, the request's own error): the next caller
+        probes instead, since the cooldown has already elapsed."""
+        if self.state == STATE_HALF_OPEN:
+            self.state = STATE_OPEN
+
     def record_failure(self, now_s: float) -> bool:
         """Note a failed request; returns True when this tripped it open."""
         self.consecutive_failures += 1

@@ -1,10 +1,9 @@
-"""LRU result cache keyed on the normalized query plan.
+"""LRU result cache keyed on the parsed query's exact values.
 
-The cache key is the canonical JSON of
-:meth:`~repro.observe.plan.PlanNode.normalized` — the backend- and
-timing-independent view of the plan — so the same query against the same
-file hits regardless of executor backend, worker count or how the query
-text was spelled (the plan, not the text, is the identity).
+The key is :meth:`~repro.observe.explain.Query.key`, the parsed query's
+exact values (op, files, window and point coordinates, k): the same query
+spelled differently hits, two windows differing in any bit never share
+an entry, and a lookup plans nothing.
 
 Invalidation is by file version: every entry records the
 :meth:`~repro.mapreduce.fs.FileSystem.version` of each input file at
@@ -16,9 +15,8 @@ answers can never be served across a mutation.
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 
 class ResultCache:
@@ -29,7 +27,7 @@ class ResultCache:
             raise ValueError("cache capacity must be at least 1")
         self.capacity = capacity
         #: key -> (versions {file: version}, value)
-        self._entries: "OrderedDict[str, Tuple[Dict[str, int], Any]]" = (
+        self._entries: "OrderedDict[Hashable, Tuple[Dict[str, int], Any]]" = (
             OrderedDict()
         )
         self.hits = 0
@@ -40,12 +38,7 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @staticmethod
-    def key_for(plan: Any) -> str:
-        """The cache key of a :class:`~repro.observe.plan.PlanNode`."""
-        return json.dumps(plan.normalized(), sort_keys=True, default=str)
-
-    def get(self, key: str, fs: Any) -> Optional[Any]:
+    def get(self, key: Hashable, fs: Any) -> Optional[Any]:
         """The cached value for ``key``, or None (miss or invalidated)."""
         entry = self._entries.get(key)
         if entry is None:
@@ -61,7 +54,9 @@ class ResultCache:
         self.hits += 1
         return value
 
-    def put(self, key: str, files: List[str], fs: Any, value: Any) -> None:
+    def put(
+        self, key: Hashable, files: List[str], fs: Any, value: Any
+    ) -> None:
         """Insert ``value`` stamped with the current versions of ``files``."""
         self._entries[key] = (
             {name: fs.version(name) for name in files},

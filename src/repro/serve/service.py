@@ -24,6 +24,7 @@ Request life cycle::
                             ├── cache hit (versions valid) ──> served
                             └── execute ──┬── ok ──> served (+cached)
                                           ├── DeadlineExceeded ──> deadline
+                                          ├── ValueError/TypeError ──> error
                                           └── failure ──> breaker++ ──>
                                               degraded fallback or error
 
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.core.splitter import global_index_of
+from repro.observe import explain
 from repro.operations.range_query import estimated_matches
 from repro.mapreduce.checkpoint import (
     CancellationToken,
@@ -128,6 +130,8 @@ class QueryService:
         heapq.heapify(self._slots)
         self._next_id = 1
         self._burst_fired: set = set()
+        #: (tenant, what) -> the global and the per-tenant counter name.
+        self._counter_names: Dict[tuple, tuple] = {}
         self._responses: List[Response] = []
         self._shutdown = False
         self._shutdown_requested = False
@@ -321,8 +325,6 @@ class QueryService:
     # ------------------------------------------------------------------
     def _execute(self, request: Request, start: float) -> tuple:
         """Run one dispatched request; returns (response, virtual cost)."""
-        from repro.observe import explain
-
         cfg = self.config
         base = dict(
             request_id=request.request_id,
@@ -360,15 +362,7 @@ class QueryService:
                 if not self.sh.fs.exists(name):
                     raise FileNotFoundError(f"no such file: {name!r}")
         except (explain.ExplainQueryError, FileNotFoundError) as exc:
-            return (
-                Response(
-                    outcome=OUTCOME_ERROR,
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                    **base,
-                ),
-                cfg.error_cost_s,
-            )
+            return self._error(exc, base, cfg.error_cost_s)
 
         tripped = [
             name
@@ -378,22 +372,14 @@ class QueryService:
         if tripped:
             return self._degrade_or_fail(query, tripped[0], base, slow_extra)
 
-        plan = explain.build_plan(self.sh, query)
-        key = self.cache.key_for(plan)
+        key = query.key()
         cached = self.cache.get(key, self.sh.fs)
         if cached is not None:
+            for name in query.files:
+                self._breaker(name).release_probe()
             self._count(request.tenant, "cache_hits")
-            return (
-                Response(
-                    outcome=OUTCOME_SERVED,
-                    answer=self._summarize(cached.answer),
-                    rows=explain.rows_of(cached.answer),
-                    cache_hit=True,
-                    result=cached,
-                    **base,
-                ),
-                cfg.cache_hit_cost_s + slow_extra,
-            )
+            cost = cfg.cache_hit_cost_s + slow_extra
+            return self._served(cached, base, cost, cache_hit=True)
 
         remaining = (
             request.deadline_s - waited
@@ -425,9 +411,13 @@ class QueryService:
         except RunInterrupted:
             raise  # cancellation / driver crash outranks the service
         except Exception as exc:
+            # A ValueError / TypeError is the request's own fault (a bad
+            # shape, an unindexed file): answer error, spare the breaker.
+            own_fault = isinstance(exc, (ValueError, TypeError))
             for name in query.files:
-                opened = self._breaker(name).record_failure(start)
-                if opened:
+                if own_fault:
+                    self._breaker(name).release_probe()
+                elif self._breaker(name).record_failure(start):
                     self._count(request.tenant, "breaker_trips")
                     self.recorder.log(
                         "error", "serve", "breaker-open", dataset=name,
@@ -438,6 +428,8 @@ class QueryService:
                 "warn", "serve", "request-failed", tenant=request.tenant,
                 request=request.request_id, error=type(exc).__name__,
             )
+            if own_fault:
+                return self._error(exc, base, cfg.error_cost_s + slow_extra)
             return self._degrade_or_fail(
                 query, query.files[0], base, slow_extra, cause=exc
             )
@@ -449,15 +441,23 @@ class QueryService:
             if self._breaker(name).record_success(start):
                 self.recorder.log("info", "serve", "breaker-closed", dataset=name)
         self.cache.put(key, list(query.files), self.sh.fs, result)
+        return self._served(result, base, result.makespan + slow_extra)
+
+    def _served(
+        self, result: Any, base: Dict[str, Any], cost: float,
+        cache_hit: bool = False,
+    ) -> tuple:
+        """A ``served`` answer carrying ``result``, charged ``cost``."""
         return (
             Response(
                 outcome=OUTCOME_SERVED,
                 answer=self._summarize(result.answer),
                 rows=explain.rows_of(result.answer),
+                cache_hit=cache_hit,
                 result=result,
                 **base,
             ),
-            result.makespan + slow_extra,
+            cost,
         )
 
     def _degrade_or_fail(
@@ -487,11 +487,12 @@ class QueryService:
                 ),
                 self.config.degraded_cost_s + slow_extra,
             )
-        exc = (
-            cause
-            if cause is not None
-            else DatasetUnavailable(dataset, query.op)
-        )
+        exc = cause or DatasetUnavailable(dataset, query.op)
+        return self._error(exc, base, self.config.error_cost_s + slow_extra)
+
+    @staticmethod
+    def _error(exc: Exception, base: Dict[str, Any], cost: float) -> tuple:
+        """A typed ``error`` answer carrying ``exc``, charged ``cost``."""
         return (
             Response(
                 outcome=OUTCOME_ERROR,
@@ -499,7 +500,7 @@ class QueryService:
                 error_type=type(exc).__name__,
                 **base,
             ),
-            self.config.error_cost_s + slow_extra,
+            cost,
         )
 
     def _approximate(self, query: Any) -> int:
@@ -591,9 +592,14 @@ class QueryService:
             )
 
     def _count(self, tenant: str, what: str) -> None:
-        metrics = self.sh.metrics
-        metrics.inc(f"SERVE_{what.upper()}")
-        metrics.inc(f"SERVE_{what.upper()}_T_{sanitize_tenant(tenant)}")
+        names = self._counter_names.get((tenant, what))
+        if names is None:
+            total = f"SERVE_{what.upper()}"
+            names = self._counter_names[tenant, what] = (
+                total, f"{total}_T_{sanitize_tenant(tenant)}"
+            )
+        for name in names:
+            self.sh.metrics.inc(name)
 
     def _gauges(self) -> None:
         metrics = self.sh.metrics

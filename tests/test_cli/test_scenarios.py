@@ -1,24 +1,31 @@
-"""Storage-fault scenarios driven through the CLI, one process per verb.
+"""Fault scenarios driven through the CLI, one process per verb.
 
-Each scenario builds a 30 000-record workspace with ``repro generate`` and
-``repro index``, then damages it from the outside: a faulted read that
-must fail over to the same answer, ``fsck`` that must report, repair and
-come back clean, and a flipped workspace byte that must be refused on one
-``error:`` line. Every verb is its own ``python -m repro`` process, so
-the block checksums cross a save and a load between every step; the
-polygon variant carries the record-path CRC (polygon blocks have no
-columns) across those boundaries too.
+Each storage scenario builds a 30 000-record workspace with ``repro
+generate`` and ``repro index``, then damages it from the outside: a
+faulted read that must fail over to the same answer, ``fsck`` that must
+report, repair and come back clean, and a flipped workspace byte that
+must be refused on one ``error:`` line. Every verb is its own ``python
+-m repro`` process, so the block checksums cross a save and a load
+between every step; the polygon variant carries the record-path CRC
+(polygon blocks have no columns) across those boundaries too.
+
+The service scenario replays the recorded request script
+``examples/serve_requests.jsonl`` through ``repro serve`` under combined
+task, storage and service chaos; virtual-time serving makes every
+outcome count golden.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parents[2] / "src")
+ROOT = Path(__file__).resolve().parents[2]
+SRC = str(ROOT / "src")
 WINDOW = "0,0,2e5,2e5"
 
 
@@ -86,3 +93,75 @@ def test_a_flipped_workspace_byte_fails_cleanly(damaged):
     assert "error:" in proc.stderr
     assert "checksum" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+#: Task crashes retry transparently, the corrupt replica fails over,
+#: bob's queue is flooded by the burst fault, carol pays the slowtenant
+#: surcharge.
+SERVE_CHAOS = ("seed:11,random:crash:0.05:7,corruptblock:idx:0,"
+               "burst:bob:3,slowtenant:carol:2")
+
+
+@pytest.fixture(scope="module")
+def serve_chaos(tmp_path_factory):
+    """The request script replayed under combined chaos on a shared
+    multi-tenant workspace: ``(directory, summary, wire responses)``."""
+    cwd = tmp_path_factory.mktemp("scenario-serve")
+    for argv in (
+        ["generate", "pts", "--n", "30000", "--seed", "42"],
+        ["index", "pts", "idx", "--technique", "str"],
+        ["generate", "other", "--n", "8000", "--shape", "rect",
+         "--seed", "3"],
+        ["index", "other", "oidx", "--technique", "grid"],
+    ):
+        proc = repro(cwd, "-w", "ws.pkl", *argv)
+        assert proc.returncode == 0, proc.stderr
+    proc = repro(
+        cwd, "-w", "ws.pkl", "--telemetry", "scrapes.jsonl",
+        "--log-level", "info", "--faults", SERVE_CHAOS,
+        "serve", "--script", str(ROOT / "examples" / "serve_requests.jsonl"),
+        "--quota", "bob=queue=2,inflight=1", "--summary", "summary.json",
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((cwd / "summary.json").read_text())
+    responses = [json.loads(line) for line in proc.stdout.splitlines()
+                 if line.startswith("{")]
+    return cwd, summary, responses
+
+
+def test_serve_chaos_outcome_counts_are_golden(serve_chaos):
+    _, summary, _ = serve_chaos
+    golden = {
+        "requests": 9, "served": 6, "degraded": 0,
+        "overloaded": 3, "deadline": 0, "error": 0,
+    }
+    assert {k: summary[k] for k in golden} == golden
+    assert summary["cache"]["hits"] == 2, summary["cache"]
+
+
+def test_serve_chaos_answers_every_request_once(serve_chaos):
+    _, _, responses = serve_chaos
+    assert [r["id"] for r in responses] == list(range(1, 10))
+
+
+def test_serve_chaos_sheds_only_the_flooded_tenant(serve_chaos):
+    _, _, responses = serve_chaos
+    shed = [r for r in responses if r["outcome"] == "overloaded"]
+    assert shed and all(r["tenant"] == "bob" for r in shed), shed
+    assert all(r["retry_after_s"] > 0 for r in shed), shed
+
+
+def test_serve_chaos_charges_the_slow_tenant(serve_chaos):
+    _, _, responses = serve_chaos
+    carol = [r for r in responses if r["tenant"] == "carol"]
+    assert carol and all(r["cost_s"] >= 2.0 for r in carol), carol
+
+
+def test_serve_chaos_dashboard_renders_from_persisted_metrics(serve_chaos):
+    cwd = serve_chaos[0]
+    prom = repro(cwd, "-w", "ws.pkl", "metrics", "--format", "prom")
+    assert "repro_serve_requests_total" in "\n".join(answer(prom))
+    report = repro(cwd, "-w", "ws.pkl", "report", "--out", "report.html")
+    assert report.returncode == 0, report.stderr
+    html = (cwd / "report.html").read_text()
+    assert not re.search(r"https?://|xmlns|@import|url\(", html, re.I)

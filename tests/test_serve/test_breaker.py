@@ -72,6 +72,19 @@ class TestStateMachine:
         assert not breaker.allow(15.0)  # cooldown restarts at 10.5
         assert breaker.allow(20.5)
 
+    def test_a_released_probe_passes_to_the_next_caller(self):
+        breaker = CircuitBreaker("d", failure_threshold=1, cooldown_s=10.0)
+        breaker.record_failure(0.0)
+        breaker.allow(10.0)
+        breaker.release_probe()
+        assert breaker.state == STATE_OPEN
+        assert breaker.trips == 1
+        assert breaker.allow(10.5)  # the cooldown is still over
+        assert breaker.state == STATE_HALF_OPEN
+        breaker.record_success(11.0)
+        breaker.release_probe()  # no probe out: nothing changes
+        assert breaker.state == STATE_CLOSED
+
     def test_snapshot_and_repr(self):
         breaker = CircuitBreaker("pts_idx", failure_threshold=1)
         breaker.record_failure(3.0)

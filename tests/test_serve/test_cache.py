@@ -3,17 +3,8 @@
 import pytest
 
 from repro.mapreduce import FileSystem
+from repro.observe.explain import parse_query
 from repro.serve import ResultCache
-
-
-class FakePlan:
-    """Stand-in for a PlanNode: key_for only needs .normalized()."""
-
-    def __init__(self, shape):
-        self.shape = shape
-
-    def normalized(self):
-        return self.shape
 
 
 @pytest.fixture
@@ -25,15 +16,47 @@ def fs():
 
 
 class TestKeying:
-    def test_key_is_canonical_json_of_the_normalized_plan(self):
-        key1 = ResultCache.key_for(FakePlan({"op": "range", "file": "a"}))
-        key2 = ResultCache.key_for(FakePlan({"file": "a", "op": "range"}))
-        assert key1 == key2  # sort_keys: spelling order is irrelevant
+    """The key is the parsed query's exact values, not its text."""
 
-    def test_different_plans_get_different_keys(self):
-        key1 = ResultCache.key_for(FakePlan({"op": "range", "file": "a"}))
-        key2 = ResultCache.key_for(FakePlan({"op": "range", "file": "b"}))
-        assert key1 != key2
+    def test_same_query_spelled_differently_gets_the_same_key(self):
+        assert (parse_query("RANGE idx (1,2,3,4)").key()
+                == parse_query("range idx 1,2,3,4").key())
+        assert (parse_query("knn idx 5,6").key()
+                == parse_query("knn idx (5.0, 6.0) 10").key())
+
+    def test_different_file_gets_a_different_key(self):
+        assert (parse_query("range a 1,2,3,4").key()
+                != parse_query("range b 1,2,3,4").key())
+
+    def test_key_holds_the_exact_values(self):
+        assert parse_query("knn idx 1.5,2.5 7").key() == (
+            "knn", ("idx",), None, (1.5, 2.5), 7,
+        )
+        assert parse_query("sjoin a b").key()[:4] == (
+            "sjoin", ("a", "b"), None, None,
+        )
+
+    @pytest.mark.parametrize("one, other", [
+        ("range idx 500000.1,500000.1,500200.4,500200.4",
+         "range idx 500000.4,500000.4,500200.1,500200.1"),
+        ("knn idx 500000.1,500000.1", "knn idx 500000.4,500000.4"),
+        ("count idx 1e-9,0,1,1", "count idx 1.0000001e-9,0,1,1"),
+    ])
+    def test_values_equal_to_six_digits_get_different_keys(
+        self, one, other
+    ):
+        assert parse_query(one).key() != parse_query(other).key()
+
+    def test_different_k_gets_a_different_key(self):
+        assert (parse_query("knn idx 1,2 3").key()
+                != parse_query("knn idx 1,2 4").key())
+
+    def test_a_spelled_differently_query_hits_the_cache(self, fs):
+        cache = ResultCache()
+        cache.put(parse_query("range a 1,2,3,4").key(), ["a"], fs, "rows")
+        assert cache.get(parse_query("RANGE a (1, 2, 3, 4)").key(), fs) == (
+            "rows"
+        )
 
 
 class TestLookup:

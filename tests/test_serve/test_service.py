@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import SpatialHadoop
-from repro.datagen import generate_points
-from repro.geometry import Rectangle
+from repro import SpatialHadoop, operations
+from repro.datagen import generate_points, generate_rectangles
+from repro.geometry import Point, Rectangle
 from repro.mapreduce.executor import ParallelExecutor
 from repro.serve import (
     Overloaded,
@@ -118,6 +118,117 @@ class TestBasicServing:
     def test_bad_max_inflight_rejected(self, shared_ws):
         with pytest.raises(ValueError):
             QueryService(shared_ws, config=ServiceConfig(max_inflight=0))
+
+
+#: A point the two nearby windows below tell apart: inside the first
+#: (x, y >= 500000.1), outside the second (x, y >= 500000.4).
+NEAR = Point(500000.25, 500000.25)
+NEAR_Q1 = "range idx 500000.1,500000.1,500200.4,500200.4"
+NEAR_Q2 = "range idx 500000.4,500000.4,500200.1,500200.1"
+
+
+class TestExactCacheKey:
+    """Queries equal to six significant digits are different entries."""
+
+    @pytest.fixture(scope="class")
+    def near_ws(self):
+        sh = SpatialHadoop()
+        sh.load("pts", generate_points(20000, "gaussian", seed=5) + [NEAR])
+        sh.index("pts", "idx", technique="str")
+        return sh
+
+    def test_nearby_windows_do_not_share_an_answer(self, near_ws):
+        service = near_ws.serve()
+        first = service.query("alice", NEAR_Q1)
+        assert NEAR in first.result.answer
+        second = service.query("alice", NEAR_Q2)
+        assert not second.cache_hit
+        assert second.result.answer == []
+        assert near_ws.serve().query("alice", NEAR_Q2).result.answer == []
+
+    def test_nearby_knn_points_do_not_share_an_answer(self, near_ws):
+        service = near_ws.serve()
+        texts = ("knn idx 500000.1,500000.1 3", "knn idx 500000.4,500000.4 3")
+        first = service.query("alice", texts[0])
+        second = service.query("alice", texts[1])
+        assert not second.cache_hit
+        fresh = near_ws.serve().query("alice", texts[1])
+        assert second.result.answer == fresh.result.answer
+        assert second.result.answer != first.result.answer
+
+    def test_no_planner_runs_on_the_serve_path(
+        self, near_ws, monkeypatch
+    ):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a planner ran on the serve path")
+
+        for name in dir(operations):
+            if name.startswith("plan_"):
+                monkeypatch.setattr(operations, name, refuse)
+        service = near_ws.serve()
+        texts = [NEAR_Q1, "count idx 4e5,4e5,6e5,6e5", "knn idx 5e5,5e5 4",
+                 "skyline idx", "sjoin idx idx"]
+        for text in texts + texts:
+            assert service.query("alice", text).outcome == "served"
+        assert service.cache.hits == len(texts)
+        assert service.cache.misses == len(texts)
+
+
+class TestRequestErrors:
+    """An operation's ValueError / TypeError is the request's own fault:
+    a typed error answer, no breaker failure, no lost slot."""
+
+    @pytest.fixture(params=[1, 2], ids=["serial", "pool_pinned"])
+    def ws(self, request):
+        if request.param > 1:
+            request.getfixturevalue("pool_pinned")
+        sh = build_workspace(num_nodes=4, workers=request.param)
+        sh.load("rects", generate_rectangles(200, "uniform", seed=3))
+        sh.index("rects", "ridx", technique="grid")
+        yield sh
+        sh.runner.close()
+
+    @pytest.mark.parametrize("op", ["closestpair", "voronoi"])
+    def test_an_op_that_needs_an_index_answers_error_on_a_heap(self, ws, op):
+        service = ws.serve()
+        response = service.query("alice", f"{op} pts")
+        assert response.outcome == "error"
+        assert response.error_type == "ValueError"
+        assert "not spatially indexed" in response.error
+        assert response.cost_s == pytest.approx(service.config.error_cost_s)
+        assert len(service._slots) == service.max_inflight
+        assert service.breakers["pts"].consecutive_failures == 0
+
+    def test_shape_errors_do_not_open_the_breaker(self, ws):
+        service = ws.serve(config=ServiceConfig(breaker_threshold=3))
+        for _ in range(3):
+            response = service.query("alice", "union ridx")
+            assert response.outcome == "error"
+            assert response.error_type == "ShapeError"
+        assert service.breakers["ridx"].state == "closed"
+        other = service.query("bob", "range ridx 0,0,500000,500000")
+        assert other.outcome == "served"
+        assert len(service._slots) == service.max_inflight
+
+    def test_a_half_open_probe_that_errs_hands_the_probe_back(self, ws):
+        service = ws.serve(config=ServiceConfig(
+            max_inflight=1, breaker_threshold=1, breaker_cooldown_s=1e-6,
+        ))
+        service._breaker("ridx").record_failure(-1.0)  # cooldown is over
+        probe = service.query("alice", "union ridx")
+        assert probe.error_type == "ShapeError"
+        probed = service.query("bob", "range ridx 0,0,500000,500000")
+        assert probed.outcome == "served"
+        assert service.breakers["ridx"].state == "closed"
+
+    def test_a_script_session_survives_a_request_error(self, ws):
+        service = ws.serve()
+        responses = service.process_script([
+            '{"tenant": "alice", "query": "closestpair pts"}',
+            '{"tenant": "bob", "query": "range pts_idx 0,0,500000,500000"}',
+        ])
+        assert [r.outcome for r in responses] == ["error", "served"]
+        assert service.summary()["error"] == 1
 
 
 class TestAdmissionControl:
@@ -256,6 +367,18 @@ class TestDegradation:
         assert refused.outcome == "degraded"  # cooldown not yet elapsed
         probed = service.query("alice", RANGE_Q2)
         assert probed.outcome == "served"  # the half-open probe succeeded
+        assert service.breakers["pts_idx"].state == "closed"
+
+
+    def test_a_half_open_cache_hit_hands_the_probe_back(self, shared_ws):
+        service = shared_ws.serve(config=ServiceConfig(
+            max_inflight=1, breaker_threshold=1, breaker_cooldown_s=1e-6,
+        ))
+        service.query("alice", RANGE_Q)
+        service._breaker("pts_idx").record_failure(service.now)
+        assert service.query("alice", RANGE_Q).cache_hit
+        probed = service.query("alice", RANGE_Q2)
+        assert probed.outcome == "served"
         assert service.breakers["pts_idx"].state == "closed"
 
 
