@@ -69,25 +69,26 @@ def test_e2_range_query_selectivity(benchmark, report):
 
 
 def test_e2_local_index_ablation(benchmark, report):
+    """Global index vs no pruning. Each partition answers with one mask
+    over its columns either way: the block-level local index is no
+    longer an option (EXPERIMENTS.md, E2b)."""
     points = generate_points(100_000, "uniform", seed=2, space=SPACE)
     sh = make_system(block_capacity=10_000)
     sh.load("pts", points)
     sh.index("pts", "idx", technique="str")
     window = centred_window(0.05)
 
-    with_li = range_query_spatial(sh.runner, "idx", window, use_local_index=True)
-    without_li = range_query_spatial(sh.runner, "idx", window, use_local_index=False)
+    pruned = range_query_spatial(sh.runner, "idx", window)
     no_prune = range_query_spatial(sh.runner, "idx", window, prune=False)
     report.add(
         "E2b: range-query ablations (100k points, selectivity 0.05)",
         ["configuration", "blocks read", "simulated time"],
         [
-            ["global+local index", with_li.blocks_read, fmt_s(with_li.makespan)],
-            ["global index only", without_li.blocks_read, fmt_s(without_li.makespan)],
+            ["global index", pruned.blocks_read, fmt_s(pruned.makespan)],
             ["no pruning", no_prune.blocks_read, fmt_s(no_prune.makespan)],
         ],
     )
-    assert sorted(with_li.answer) == sorted(without_li.answer)
+    assert sorted(pruned.answer) == sorted(no_prune.answer)
 
     benchmark.pedantic(
         lambda: range_query_spatial(sh.runner, "idx", window),

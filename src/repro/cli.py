@@ -386,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--repair", action="store_true",
         help="re-replicate corrupt/under-replicated blocks and rebuild "
-             "damaged local indexes from surviving replicas",
+             "damaged block columns from their records",
     )
     p.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",

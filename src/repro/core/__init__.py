@@ -9,8 +9,9 @@ exactly as in the paper:
   operation builds on;
 * the **SpatialRecordReader**: a map task is ``map(key, block, ctx)``,
   with the partition boundary as the key and the split's sealed block —
-  records, columns and, when available, the local index
-  (:func:`repro.core.reader.local_index_of`) — as its input.
+  records, columns and, for a partition of an indexed file, the local
+  index derived from them (:func:`repro.core.reader.local_index_of`) — as
+  its input.
 
 On top of them, :class:`~repro.core.system.SpatialHadoop` is the facade a
 user of the library drives: load / index files, then run spatial operations

@@ -18,10 +18,11 @@ version, length and CRC before unpickling and raises a structured
 :class:`WorkspaceError` subclass (never a raw ``UnpicklingError``).
 
 The version byte names the layout of the pickled objects, and it is the
-only place that knows about older layouts. v8 stores each block's local
-index as a packed-array R-tree, and every homogeneous point / rectangle
-block with float coordinates -- bare or wrapped in Features -- carries
-its columnar payload (plus the Features' attribute column). Payloads
+only place that knows about older layouts. v9 stores no local index: a
+block's R-tree is derived from its rows when a query first needs it.
+Every homogeneous point / rectangle block with float coordinates -- bare
+or wrapped in Features -- carries its columnar payload (plus the
+Features' attribute column). Payloads
 are written by the one block codec (:mod:`repro.mapreduce.columnar`):
 a header, then raw column buffers and the attribute column pickled by
 value, and every block checksum is that codec's CRC, over values only,
@@ -44,7 +45,7 @@ from pathlib import Path
 from typing import Any, Optional, Tuple, Type
 
 MAGIC = b"REPROWS\n"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 #: Header after a frame's magic: version (u8), payload CRC-32 (u32),
 #: payload length (u64).
 FRAME_HEADER = struct.Struct(">BIQ")
@@ -179,7 +180,7 @@ def load_workspace(
     if version != FORMAT_VERSION:
         raise WorkspaceVersionError(
             f"workspace {path} uses format v{version}; this release reads "
-            f"only v{FORMAT_VERSION} (blocks are written by one codec). "
+            f"only v{FORMAT_VERSION} (blocks store no local index). "
             "Recreate the workspace: reload the data and rebuild "
             "the index with 'repro index'"
         )

@@ -2,9 +2,11 @@
 
 This package implements the two-level index organisation of SpatialHadoop:
 a **global index** describing how the file is partitioned into spatial cells
-(one HDFS block per cell) and per-block **local indexes** (an STR-packed
-R-tree held as coordinate arrays over the block's rows) organising the
-records inside each partition.
+(one HDFS block per cell) and per-block **local indexes** organising the
+records inside each partition. A block stores its rows in STR order, so
+its local index is a view of the block: its MBR columns and the packed
+leaves over them (:func:`repro.index.rtree.local_index`), derived on
+first use and never stored.
 
 Index construction follows the paper's three phases, all expressed as
 MapReduce jobs over the simulator:
@@ -14,9 +16,8 @@ MapReduce jobs over the simulator:
 2. a partitioning MapReduce job routes every record to its cell(s) —
    replicating records that span several cells for *disjoint* techniques;
 3. each reducer packs one cell's row references, and the commit step
-   gathers every cell into a block in STR order, bulk-loads its local
-   index from the gathered columns and assembles the indexed file and its
-   global index.
+   gathers every cell into a block in STR order and assembles the indexed
+   file and its global index.
 
 Seven partitioning techniques are provided, matching the SpatialHadoop
 partitioning paper: uniform grid, Quad-tree, K-d tree and STR+ (disjoint,

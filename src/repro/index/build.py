@@ -3,11 +3,12 @@
 Builds a spatially indexed file out of a heap file in the paper's three
 phases: a sampling pass computes the exact file MBR and a random sample;
 the chosen partitioning technique derives cell boundaries from the sample;
-and a partitioning MapReduce job routes every record to its cell(s), packs
-each cell into one block and bulk-loads the block's local index. The
-resulting file carries its :class:`~repro.index.global_index.GlobalIndex`
-in the file metadata, and each block carries its cell MBR and local index
-in the block metadata.
+and a partitioning MapReduce job routes every record to its cell(s) and
+packs each cell into one block, its rows in STR order. The resulting
+file carries its :class:`~repro.index.global_index.GlobalIndex` in the
+file metadata, and each block carries its cell MBR in the block
+metadata; a block's local index is derived from its rows on first use
+(:func:`repro.index.rtree.local_index`), never stored.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.index.partitioners.space_curves import (
     ZCurvePartitioner,
 )
 from repro.index.partitioners.str_ import StrPartitioner, StrPlusPartitioner
-from repro.index.rtree import RTree, block_columns, columns_mbr, str_order
+from repro.index.rtree import block_columns, columns_mbr, str_order
 from repro.index.sampler import reservoir_sample
 from repro.mapreduce import Block, Job, JobResult, JobRunner
 from repro.mapreduce.runtime import default_splitter
@@ -118,12 +119,12 @@ def _layout(payload):
     return payload.kind, payload.has_attributes
 
 
-def _pack_cell(refs, source_blocks, source_columns, build_local_index: bool):
+def _pack_cell(refs, source_blocks, source_columns):
     """Gather one cell's rows into a block in packed (STR) order.
 
-    Returns the block (records, columnar payload and local index all in
-    the same row order, so the tree's row ``i`` is ``records[i]``) and
-    the tight MBR of its contents.
+    Returns the block (records and columnar payload in the same row
+    order, so the local index derived from it packs the bulk-loaded
+    leaves) and the tight MBR of its contents.
     """
     refs = sorted(refs, key=lambda ref: ref[0])
     records = [
@@ -152,8 +153,6 @@ def _pack_cell(refs, source_blocks, source_columns, build_local_index: bool):
         block.columnar = ColumnarPayload(
             kind, len(records), tuple(cols), attributes
         )
-    if build_local_index:
-        block.metadata["local_index"] = RTree.from_columns(*(cols * repeat))
     return block, columns_mbr(*(cols * repeat))
 
 
@@ -185,7 +184,6 @@ def build_index(
     technique: str = "str",
     block_capacity: Optional[int] = None,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
-    build_local_indexes: bool = True,
     seed: int = 0,
 ) -> IndexBuildResult:
     """Index ``input_file`` into ``output_file`` with the given technique.
@@ -279,7 +277,7 @@ def build_index(
                 partition_result.output, key=lambda kv: kv[0]
             ):
                 block, content_mbr = _pack_cell(
-                    refs, source_blocks, source_columns, build_local_indexes
+                    refs, source_blocks, source_columns
                 )
                 if partitioner.disjoint:
                     cell_mbr = partitioner.cell_rect(cell_id)

@@ -1,9 +1,12 @@
-"""A packed-array STR R-tree.
+"""A packed-array STR R-tree, and a block's local index as a view of it.
 
-This is the *local index* SpatialHadoop stores inside every block: it is
-bulk-loaded once when the partition is written and then answers range and
-k-nearest-neighbour queries over the partition's records without scanning
-them all.
+SpatialHadoop stores a bulk-loaded R-tree inside every block. Here an
+indexed block already stores its rows in STR order, so the tree adds
+only the MBRs of each run of ``node_capacity`` rows: the local index is
+derived from the block body on first use (:func:`block_columns`,
+:func:`local_index`), cached on the in-process block and never stored.
+Range queries answer with one mask over the block's MBR columns, which
+beats a tree descent on blocks of this size; kNN walks the packed leaves.
 
 The tree is arrays, not objects. The entry MBRs are four float64 columns
 in *packed order*; every ``node_capacity`` consecutive rows form one leaf,
@@ -29,7 +32,7 @@ import numpy as np
 
 from repro.geometry import Point, Rectangle, vectorized
 from repro.index.partitioners.base import shape_mbr
-from repro.mapreduce.columnar import _phase, crc
+from repro.mapreduce.columnar import _phase
 
 DEFAULT_NODE_CAPACITY = 32
 
@@ -46,12 +49,44 @@ def mbr_columns(records: Sequence[Any]) -> Columns:
     )
 
 
-def block_columns(block: Any) -> Columns:
-    """A block's MBR columns: its columnar payload's, else derived."""
+def _view(block: Any) -> tuple:
+    """The block's cached ``(body, columns, tree or None)``, derived anew
+    when the body it came from was replaced (a repaired payload)."""
     payload = block.columnar
-    if payload is not None and payload.count == len(block):
-        return payload.mbr_columns()
-    return mbr_columns(block.records)
+    fresh = payload is not None and payload.count == len(block)
+    body = payload if fresh else block.records
+    view = block.local_view
+    if view is None or view[0] is not body:
+        columns = payload.mbr_columns() if fresh else mbr_columns(body)
+        view = block.local_view = (body, columns, None)
+    return view
+
+
+def block_columns(block: Any) -> Columns:
+    """A block's MBR columns, derived from its body on first use.
+
+    The columnar payload's own columns (no copies), or one ``shape_mbr``
+    per record for a block without a usable payload (polygons, mixed
+    shapes). Cached on the in-process :class:`~repro.mapreduce.fs.Block`
+    or :class:`~repro.mapreduce.columnar.ColumnBlock`; no pickle of a
+    block (workspace, pool, journal) carries them.
+    """
+    return _view(block)[1]
+
+
+def local_index(block: Any) -> "RTree":
+    """The block's local index: :func:`block_columns` packed into leaves
+    on first use, and cached beside them.
+
+    The index build stores rows in STR order, so these are the leaves a
+    bulk load would build; on any other row order the tree answers the
+    same, only with less pruning.
+    """
+    body, columns, tree = _view(block)
+    if tree is None:
+        tree = RTree.from_columns(*columns)
+        block.local_view = (body, columns, tree)
+    return tree
 
 
 def columns_mbr(x1, y1, x2, y2) -> Rectangle:
@@ -128,11 +163,6 @@ class RTree:
     @property
     def mbr(self) -> Optional[Rectangle]:
         return columns_mbr(*self.leaves) if len(self) else None
-
-    def checksum(self) -> int:
-        """The block codec's CRC over the entry and leaf columns."""
-        header = f"{self.node_capacity}:{len(self)}"
-        return crc(header, self.columns + self.leaves)
 
     # ------------------------------------------------------------------
     # Queries

@@ -9,13 +9,14 @@ The pieces mirror Hadoop's:
 
 * :class:`FileSystem` — a block-structured file system. Files are split
   into blocks bounded by a configurable capacity; blocks carry optional
-  metadata (a partition MBR, a serialised local index) exactly as
-  SpatialHadoop stores its index information alongside HDFS blocks.
+  metadata (a partition MBR) as SpatialHadoop stores its index
+  information alongside HDFS blocks. The local index is not stored: it is
+  derived from the block's rows on first use.
 * :class:`Job` — the job configuration: map / combine / reduce functions,
   number of reducers and an input splitter hook (where SpatialHadoop's
   SpatialFileSplitter plugs in). A map task reads its split's block —
-  ``map(key, block, ctx)`` — with its records, columns and local index,
-  which is what SpatialHadoop's SpatialRecordReader hands map tasks.
+  ``map(key, block, ctx)`` — with its records and columns, which is what
+  SpatialHadoop's SpatialRecordReader hands map tasks.
 * :class:`JobRunner` — executes jobs: split, map (with per-task isolation),
   combine, hash shuffle, sort and reduce. Multi-phase merges (index
   building, the merge steps of several operations) run in the driver

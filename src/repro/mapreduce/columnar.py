@@ -25,15 +25,14 @@ then each buffer in turn, never joined into one copy. A body is one of:
 the values: a reloaded workspace shares objects its writer did not (one
 character strings come back as the interpreter's cached singletons), and
 still verifies. Sealing and ``fsck`` checksum a block as
-``crc(*encode(body))``; the local R-tree's checksum is the same routine
-over its columns. Pickling a payload (:meth:`ColumnarPayload.
+``crc(*encode(body))``. Pickling a payload (:meth:`ColumnarPayload.
 __reduce_ex__`) and the checkpoint journal's arrays go through
 :func:`pickled`: ``decode(header, *buffers)``, with the buffers in band
 as :class:`pickle.PickleBuffer` at protocol 5 (workspaces, the journal)
 and as ``bytes`` below it (the pool's ``ForkingPickler`` runs at
 protocol 4). A block with a payload crosses to a pool worker as a
 :class:`ColumnBlock`, which rebuilds records (Features, for a Feature
-payload) and the local index only when a map function asks for them.
+payload) only when a map function asks for them.
 
 Blocks with mixed or exotic record types (polygons, ``Feature``
 subclasses, Features over mixed shapes), with coordinates that are not
@@ -52,7 +51,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry import vectorized
 from repro.geometry.feature import Feature
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rectangle
@@ -246,25 +244,6 @@ class ColumnarPayload:
             return xs, ys, xs, ys
         return self.columns
 
-    # ------------------------------------------------------------------
-    # Kernel dispatch
-    # ------------------------------------------------------------------
-    def indices_in(self, rect: Rectangle) -> List[int]:
-        """Record indices whose shape MBR intersects ``rect``, in order."""
-        with _phase("kernel"):
-            if self.kind == "point":
-                xs, ys = self.columns
-                return vectorized.points_in_rect(xs, ys, rect)
-            return vectorized.rects_intersect(*self.columns, rect)
-
-    def indices_owned_in(self, rect: Rectangle, cell: Rectangle) -> List[int]:
-        """Like :meth:`indices_in` plus reference-point dedup vs ``cell``."""
-        with _phase("kernel"):
-            if self.kind == "point":
-                xs, ys = self.columns
-                return vectorized.points_in_rect_owned(xs, ys, rect, cell)
-            return vectorized.rects_intersect_owned(*self.columns, rect, cell)
-
 
 # ----------------------------------------------------------------------
 # The codec
@@ -348,48 +327,22 @@ def pickled(body: Any, protocol: int) -> tuple:
     return decode, (header, *(memoryview(b).tobytes() for b in buffers))
 
 
-def payload_of(block, expected_count: Optional[int] = None):
-    """The block's usable columnar payload, or None.
-
-    None when the block has no payload (records other than homogeneous
-    points or rectangles, bare or as Features), or when the payload has
-    gone stale relative to the record list it was sealed over.
-    """
-    payload = block.columnar
-    if payload is None:
-        return None
-    if expected_count is not None and payload.count != expected_count:
-        return None
-    return payload
-
-
 class ColumnBlock:
     """A sealed :class:`Block` as a pool worker receives it.
 
-    Carries the block's columnar payload, its metadata without the local
-    R-tree, and the tree's node capacity (None when the block has no
-    local index). ``records`` materializes the record objects from the
-    columns on first use. ``metadata`` packs the local index on first
-    use: the block's rows are stored in packed order, so packing the
-    columns gives back the sealed tree, array for array.
+    Carries the block's columnar payload and its metadata. ``records``
+    materializes the record objects from the columns on first use; the
+    local index is derived from the columns on first use, like any
+    block's (``local_view``, see :func:`repro.index.rtree.local_index`).
     """
 
-    __slots__ = (
-        "columnar", "index_capacity", "_base_metadata", "_records",
-        "_metadata",
-    )
+    __slots__ = ("columnar", "metadata", "_records", "local_view")
 
-    def __init__(
-        self,
-        columnar: ColumnarPayload,
-        base_metadata: dict,
-        index_capacity: Optional[int],
-    ):
+    def __init__(self, columnar: ColumnarPayload, metadata: dict):
         self.columnar = columnar
-        self.index_capacity = index_capacity
-        self._base_metadata = base_metadata
+        self.metadata = metadata
         self._records = None
-        self._metadata = None
+        self.local_view = None
 
     def __len__(self) -> int:
         return self.columnar.count
@@ -404,31 +357,14 @@ class ColumnBlock:
             records = self._records = self.columnar.materialize()
         return records
 
-    @property
-    def metadata(self) -> dict:
-        metadata = self._metadata
-        if metadata is None:
-            metadata = self._metadata = dict(self._base_metadata)
-            if self.index_capacity is not None:
-                from repro.index.rtree import RTree
-
-                metadata["local_index"] = RTree.from_columns(
-                    *self.columnar.mbr_columns(),
-                    node_capacity=self.index_capacity,
-                )
-        return metadata
-
 
 def _reduce_block(block: Block):
     """Pickle ``block`` for a pool worker: as a :class:`ColumnBlock` when
     it has a usable payload, otherwise exactly as plain pickle would."""
-    payload = payload_of(block, len(block.records))
-    if payload is None:
+    payload = block.columnar
+    if payload is None or payload.count != len(block.records):
         return block.__reduce_ex__(pickle.DEFAULT_PROTOCOL)
-    metadata = dict(block.metadata)
-    local_index = metadata.pop("local_index", None)
-    capacity = None if local_index is None else local_index.node_capacity
-    return ColumnBlock, (payload, metadata, capacity)
+    return ColumnBlock, (payload, block.metadata)
 
 
 # Registered at import: a block only has a payload once this module is

@@ -7,8 +7,9 @@ is expressed in records (the simulator's proxy for the 64 MB limit) so that
 experiments can sweep "input size in blocks" deterministically.
 
 Blocks carry a metadata mapping. SpatialHadoop's storage layer uses it to
-attach the partition MBR (the global-index entry) and the serialised local
-index to each block.
+attach the partition MBR (the global-index entry) to each block; the
+local index is not stored but derived from the block's body on first use
+(:func:`repro.index.rtree.local_index`).
 
 Durability mirrors HDFS: every written block is *sealed* — checksummed
 and placed as N replicas across the simulated datanodes — by the file
@@ -48,6 +49,10 @@ class Block:
     (which add an attribute column), and the checksum then covers the
     columnar bytes; it is ``None`` for every other block (polygons,
     tuples), whose checksum covers the pickled records.
+
+    ``local_view`` caches the block's derived MBR columns and local
+    index (see :func:`repro.index.rtree.block_columns`); it is not a
+    field, and pickling drops it.
     """
 
     records: List[Any]
@@ -56,11 +61,18 @@ class Block:
     replicas: List[Replica] = field(default_factory=list)
     columnar: Optional[Any] = None
 
+    local_view = None
+
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.records)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("local_view", None)
+        return state
 
 
 @dataclass

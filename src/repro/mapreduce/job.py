@@ -16,9 +16,9 @@ from repro.mapreduce.types import InputSplit
 #: sealed block: a :class:`~repro.mapreduce.fs.Block` in the driver, the
 #: :class:`~repro.mapreduce.columnar.ColumnBlock` the pool ships to a
 #: worker. Both have ``len``, iterate their records, and carry
-#: ``records``, ``columnar`` and ``metadata`` (with the local index), so
-#: a record-at-a-time mapper iterates ``block`` and a columnar one reads
-#: ``block.columnar`` without thawing a record.
+#: ``records``, ``columnar`` and ``metadata``, so a record-at-a-time
+#: mapper iterates ``block`` and a columnar one reads ``block.columnar``
+#: without thawing a record.
 MapFn = Callable[[Any, Any, "MapContext"], None]
 #: combine/reduce(key, values, context)
 ReduceFn = Callable[[Any, List[Any], "ReduceContext"], None]

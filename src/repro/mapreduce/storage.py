@@ -140,9 +140,6 @@ class StorageManager:
         payload = block.columnar
         body = block.records if payload is None else payload
         block.checksum = crc(*encode(body))
-        local_index = block.metadata.get("local_index")
-        if local_index is not None and "local_index_crc" not in block.metadata:
-            block.metadata["local_index_crc"] = local_index.checksum()
         block.replicas = [Replica(node=n) for n in self._pick_nodes()]
 
     def seal_file(self, entry: Any) -> None:
@@ -365,14 +362,16 @@ def run_fsck(
 ) -> FsckReport:
     """Walk every file, verify blocks and indexes, optionally repair.
 
-    Checks, per block: payload checksum (recomputed from the records),
-    replica health (dead nodes / corrupt copies), replication level, and
-    the local-index checksum. Per file: the global-index checksum. With
-    ``repair=True``: corrupt and dead replicas are dropped and fresh
-    copies written (``REPLICAS_REPAIRED``), stale payload checksums are
-    recomputed, and damaged local indexes are rebuilt from the block's
-    surviving records. A block with no healthy replica at all is
-    reported as lost — fsck cannot invent data.
+    Checks, per block: payload checksum (recomputed from the records,
+    and the columns the kernels read against it), replica health (dead
+    nodes / corrupt copies) and replication level. Per file: the
+    global-index checksum. With ``repair=True``: corrupt and dead
+    replicas are dropped and fresh copies written
+    (``REPLICAS_REPAIRED``), and stale payload checksums and damaged
+    columns are rebuilt from the block's records. A block with no
+    healthy replica at all is reported as lost — fsck cannot invent
+    data. A block's local index is derived from its body, so there is
+    none to check.
 
     ``checkpoint_dir`` extends the walk to a crash-recovery journal
     (see :mod:`repro.mapreduce.checkpoint`): a corrupt manifest, a
@@ -395,7 +394,6 @@ def run_fsck(
             replicas_repaired += _maybe_re_replicate(
                 name, index, block, storage, repair, report
             )
-            _check_local_index(name, index, block, repair, report)
         _check_global_index(name, entry, repair, report)
     if checkpoint_dir is not None:
         from repro.mapreduce.checkpoint import fsck_checkpoints
@@ -429,21 +427,27 @@ def _check_block(name, index, block, storage, repair, report) -> int:
     # otherwise) so in-place mutation is detected either way.
     payload = ColumnarPayload.from_records(block.records)
     actual = crc(*encode(block.records if payload is None else payload))
-    if stored != actual:
+    # The columns the kernels read, as they stand: damage to them shows
+    # even while the records still match the stamp.
+    columns = actual if block.columnar is None else block.columnar.checksum()
+    if stored != actual or columns != actual:
         if repair:
             # Records are the truth: the block's body is re-derived.
             block.checksum = actual
             block.columnar = payload
+        data = {"stored": stored, "actual": actual}
+        message = f"stored payload CRC {stored} != recomputed {actual}"
+        if stored == actual:
+            data["columns"] = columns
+            message = f"payload columns CRC {columns} != recomputed {actual}"
         report.issues.append(
             FsckIssue(
                 file=name,
                 block=index,
                 code="checksum-mismatch",
-                message=(
-                    f"stored payload CRC {stored} != recomputed {actual}"
-                ),
+                message=message,
                 repaired=repair,
-                data={"stored": stored, "actual": actual},
+                data=data,
             )
         )
     healthy = storage.healthy_replicas(block)
@@ -509,61 +513,6 @@ def _maybe_re_replicate(name, index, block, storage, repair, report) -> int:
             )
         )
     return repaired
-
-
-def _check_local_index(name, index, block, repair, report) -> None:
-    local_index = block.metadata.get("local_index")
-    if local_index is None:
-        return
-    stored = block.metadata.get("local_index_crc")
-    actual = local_index.checksum()
-    if stored == actual:
-        return
-    repaired = repair and _rebuild_local_index(block, stored, actual)
-    report.issues.append(
-        FsckIssue(
-            file=name,
-            block=index,
-            code="local-index-corrupt",
-            message=(
-                f"local-index CRC {stored} != recomputed {actual}"
-                + ("; rebuilt from records" if repaired else "")
-            ),
-            repaired=repaired,
-            data={"stored": stored, "actual": actual},
-        )
-    )
-
-
-def _rebuild_local_index(block, stored, actual) -> bool:
-    """Re-pack a block's local R-tree from its records; True when verified.
-
-    The records are the truth (their payload checksum is checked on its
-    own); ``block.columnar`` is not, because the sealed tree shares its
-    arrays. The index build stores rows in packed order, so packing the
-    records' MBRs as they stand gives back the sealed tree byte for byte.
-    The rebuilt tree is installed only when its CRC equals the sealed
-    stamp (the arrays were damaged) or the current tree's (the stamp was).
-    """
-    # Imported lazily: repro.index imports repro.mapreduce.
-    from repro.index.rtree import RTree, mbr_columns
-    from repro.mapreduce.columnar import ColumnarPayload
-
-    try:
-        rebuilt = RTree.from_columns(
-            *mbr_columns(block.records),
-            block.metadata["local_index"].node_capacity,
-        )
-        crc = rebuilt.checksum()
-    except Exception:
-        return False
-    if crc not in (stored, actual):
-        return False
-    if block.columnar is not None:
-        block.columnar = ColumnarPayload.from_records(block.records)
-    block.metadata["local_index"] = rebuilt
-    block.metadata["local_index_crc"] = crc
-    return True
 
 
 def _check_global_index(name, entry, repair, report) -> None:

@@ -10,7 +10,6 @@ selectivity estimation for query planning).
 from __future__ import annotations
 
 from repro.core.result import OperationResult
-from repro.core.reader import local_index_of
 from repro.core.splitter import global_index_of, spatial_splitter
 from repro.geometry import Rectangle
 from repro.mapreduce import Counter, Job, JobRunner
@@ -31,7 +30,7 @@ def _count_reduce(_key, partials, ctx):
 def _count_indexed_map(cell, block, ctx):
     """Per-partition count with dedup ownership (module-level: picklable)."""
     owner = cell if ctx.config["dedup"] else None
-    ctx.emit(1, len(matching_rows(block, ctx, local_index_of(ctx), owner)))
+    ctx.emit(1, len(matching_rows(block, ctx, owner)))
 
 
 def range_count_hadoop(

@@ -1,71 +1,43 @@
 """Range query: all records intersecting a query rectangle.
 
 The Hadoop variant scans every block. The SpatialHadoop variant prunes
-non-overlapping partitions with the SpatialFileSplitter, searches each
-surviving partition's local index, and applies the *reference point*
-duplicate-avoidance technique when the index replicates records across
-disjoint partitions.
+non-overlapping partitions with the SpatialFileSplitter, answers each
+surviving partition with one mask over its MBR columns, and applies the
+*reference point* duplicate-avoidance technique when the index
+replicates records across disjoint partitions.
 """
 
 from __future__ import annotations
 
 from repro.core.result import OperationResult
-from repro.core.reader import local_index_of
 from repro.core.splitter import global_index_of, overlapping_filter, spatial_splitter
-from repro.geometry import Point, Rectangle
-from repro.index.partitioners.base import shape_mbr
+from repro.geometry import Rectangle, vectorized
+from repro.index.rtree import block_columns
 from repro.mapreduce import Counter, Job, JobRunner
-from repro.mapreduce.columnar import payload_of
+from repro.mapreduce.columnar import _phase
 from repro.observe.plan import PlanNode, estimate_job_cost
 
 
-def _matches(record, query: Rectangle) -> bool:
-    """MBR-level match: the record's MBR intersects the query window."""
-    return query.intersects(shape_mbr(record))
-
-
-def _owned_by_cell(record_mbr: Rectangle, cell: Rectangle, query: Rectangle) -> bool:
-    """Reference-point duplicate avoidance.
-
-    A record replicated to several disjoint partitions must be reported
-    exactly once: by the partition containing the *reference point* — the
-    bottom-left corner of the intersection of the record's MBR with the
-    query window. Every partition evaluates this test independently,
-    without communication, which is the whole trick.
-    """
-    ref = Point(
-        max(record_mbr.x1, query.x1),
-        max(record_mbr.y1, query.y1),
-    )
-    # Half-open containment gives exactly-once ownership; partitioners
-    # expand the space past the global maximum so the reference point always
-    # falls strictly inside some cell's half-open range.
-    return cell.contains_point_left_inclusive(ref)
-
-
-def matching_rows(block, ctx, local=None, owner=None):
+def matching_rows(block, ctx, owner=None):
     """Rows of a block the query reports, ascending.
 
-    The local index, the columnar payload and the record scan evaluate
-    the same two predicates — the record's MBR intersects the window,
-    and (given ``owner``, the cell of a replicating index) this
-    partition owns the reference point — so all three yield the same
-    rows in the same order. Only the record scan reads records.
+    One mask kernel over the block's MBR columns (:func:`block_columns`:
+    the payload's own, or derived once per block from the records): a
+    row matches when its MBR intersects the window (closed). Given
+    ``owner``, the cell of a replicating index, the partition must also
+    own the row's *reference point* — the bottom-left corner of the
+    MBR's intersection with the window — in the half-open cell, so a
+    record replicated to several disjoint partitions is reported exactly
+    once, with no communication between them. Partitioners expand the
+    space past the global maximum, so the reference point always falls
+    inside some cell's half-open range.
     """
     q = ctx.config["query"]
-    if local is not None:
-        return local.search(q, owner)
-    payload = payload_of(block, len(block))
-    if payload is not None:
+    cols = block_columns(block)
+    with _phase("kernel"):
         if owner is None:
-            return payload.indices_in(q)
-        return payload.indices_owned_in(q, owner)
-    return [
-        i
-        for i, record in enumerate(block)
-        if _matches(record, q)
-        and (owner is None or _owned_by_cell(shape_mbr(record), owner, q))
-    ]
+            return vectorized.rects_intersect(*cols, q)
+        return vectorized.rects_intersect_owned(*cols, q, owner)
 
 
 def _write_rows(block, rows, ctx) -> None:
@@ -86,9 +58,8 @@ def _scan_map(_key, block, ctx):
 def _indexed_map(cell, block, ctx):
     """Map task of the indexed range query (module-level: picklable)."""
     ctx.log("debug", "partition-scanned", records=len(block))
-    local = local_index_of(ctx) if ctx.config["use_local_index"] else None
     owner = cell if ctx.config["dedup"] else None
-    _write_rows(block, matching_rows(block, ctx, local, owner), ctx)
+    _write_rows(block, matching_rows(block, ctx, owner), ctx)
 
 
 def range_query_hadoop(
@@ -113,14 +84,11 @@ def range_query_spatial(
     runner: JobRunner,
     file_name: str,
     query: Rectangle,
-    use_local_index: bool = True,
     prune: bool = True,
 ) -> OperationResult:
     """Indexed range query with partition pruning and duplicate avoidance.
 
-    ``use_local_index=False`` scans surviving partitions record by record
-    (the local-index ablation); ``prune=False`` disables the filter step
-    (the global-index ablation).
+    ``prune=False`` disables the filter step (the global-index ablation).
     """
     gindex = global_index_of(runner.fs, file_name)
     if gindex is None:
@@ -132,7 +100,6 @@ def range_query_spatial(
         kind="operation",
         file=file_name,
         pruning=prune,
-        local_index=use_local_index,
         dedup=dedup,
     ) as op_span:
         job = Job(
@@ -143,7 +110,6 @@ def range_query_spatial(
             ),
             config={
                 "query": query,
-                "use_local_index": use_local_index,
                 "dedup": dedup,
             },
             name=f"range-spatial({file_name})",
@@ -182,7 +148,6 @@ def plan_range_query(
     runner: JobRunner,
     file_name: str,
     query: Rectangle,
-    use_local_index: bool = True,
     prune: bool = True,
 ) -> PlanNode:
     """EXPLAIN plan for a range query (never reads record data)."""
@@ -244,7 +209,7 @@ def plan_range_query(
             f"job:range-spatial({file_name})",
             kind="job",
             detail={
-                "map": "local-index search" if use_local_index else "record scan",
+                "map": "column mask",
                 "reduce": "none",
                 "dedup": "reference-point" if dedup else "off",
             },

@@ -394,6 +394,11 @@ class QueryService:
         try:
             result = explain.execute_query(self.sh, query)
         except DeadlineExceeded as exc:
+            # A blown deadline says nothing about the dataset: a closed
+            # breaker does not count it, and a half-open probe is handed
+            # back rather than left in flight for ever.
+            for name in query.files:
+                self._breaker(name).release_probe()
             self.recorder.log(
                 "warn", "serve", "request-deadline", tenant=request.tenant,
                 request=request.request_id, phase="execute",

@@ -51,10 +51,7 @@ def scalar_knn_join(fs: FileSystem, left_file: str, right_file: str, k: int):
                 blocks_touched.add(s_cell.cell_id)
                 s_block_reads += 1
                 block = right_blocks[s_cell.cell_id]
-                local: RTree = block.metadata.get("local_index")
-                if local is None:  # index built without local indexes
-                    local = RTree.from_shapes(block.records)
-                for d, row in local.knn(query, k):
+                for d, row in RTree.from_shapes(block.records).knn(query, k):
                     found = block.records[row]
                     if len(best) < k:
                         heapq.heappush(best, (-d, counter, found))

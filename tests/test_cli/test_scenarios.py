@@ -9,6 +9,9 @@ must be refused on one ``error:`` line. Every verb is its own ``python
 between every step; the polygon variant carries the record-path CRC
 (polygon blocks have no columns) across those boundaries too.
 
+The trace scenario runs an indexed range query on a 50 000-point index
+with ``--trace`` and checks the JSONL trace and its Chrome export.
+
 The service scenario replays the recorded request script
 ``examples/serve_requests.jsonl`` through ``repro serve`` under combined
 task, storage and service chaos; virtual-time serving makes every
@@ -165,3 +168,35 @@ def test_serve_chaos_dashboard_renders_from_persisted_metrics(serve_chaos):
     assert report.returncode == 0, report.stderr
     html = (cwd / "report.html").read_text()
     assert not re.search(r"https?://|xmlns|@import|url\(", html, re.I)
+
+
+@pytest.fixture(scope="module")
+def trace_smoke(tmp_path_factory):
+    """An indexed range query traced from the CLI, then ``history``: the
+    directory holding ``trace.jsonl`` and its Chrome export."""
+    cwd = tmp_path_factory.mktemp("scenario-trace")
+    for argv in (
+        ["generate", "pts", "--n", "50000"],
+        ["index", "pts", "idx", "--technique", "str"],
+        ["--trace", "trace.jsonl", "-v", "rangequery", "idx",
+         "--window", WINDOW],
+        ["history"],
+    ):
+        proc = repro(cwd, "-w", "ws.pkl", *argv)
+        assert proc.returncode == 0, proc.stderr
+    return cwd
+
+
+def test_trace_smoke_trace_parses_and_is_not_empty(trace_smoke):
+    from repro.observe import read_jsonl
+
+    trace = trace_smoke / "trace.jsonl"
+    with trace.open() as fh:
+        header = json.loads(fh.readline())
+    assert header["type"] == "trace", header
+    records = read_jsonl(trace)
+    assert records, "trace is empty"
+    kinds = {r["kind"] for r in records}
+    assert {"job", "wave", "task", "operation"} <= kinds, kinds
+    chrome = json.loads((trace_smoke / "trace.chrome.json").read_text())
+    assert chrome["traceEvents"], "Chrome trace is empty"

@@ -16,8 +16,9 @@ from repro.core.workspace import (
     load_workspace,
     save_workspace,
 )
-from repro.datagen import generate_points
-from repro.geometry import Rectangle
+from repro.datagen import generate_points, generate_polygons
+from repro.geometry import Point, Rectangle
+from repro.index.rtree import RTree
 
 TECHNIQUES = ("grid", "str", "quadtree", "kdtree", "zcurve", "hilbert")
 
@@ -153,6 +154,34 @@ class TestCompatibility:
         for block in sh2.fs.get("pts").blocks:
             assert block.columnar is not None
             assert block.checksum == block.columnar.checksum()
+
+    def test_no_block_stores_a_local_index(self, tmp_path):
+        """Index, seal, save and load: no block's metadata holds an
+        R-tree at any step, and the views queries derived stay behind."""
+        sh = SpatialHadoop(num_nodes=4, block_capacity=100,
+                           job_overhead_s=0.01)
+        sh.load("pts", generate_points(400, "uniform", seed=13))
+        sh.load("polys", generate_polygons(150, "uniform", seed=14))
+        for name in ("pts", "polys"):
+            sh.index(name, f"{name}_idx", technique="str+")
+            sh.knn(f"{name}_idx", Point(5e5, 5e5), 5)
+
+        def blocks(system):
+            return [b for name in system.fs.list_files()
+                    for b in system.fs.get(name).blocks]
+
+        def stored_trees(system):
+            return [v for b in blocks(system) for v in b.metadata.values()
+                    if isinstance(v, RTree)]
+
+        assert all(b.replicas for b in blocks(sh))  # every block is sealed
+        assert stored_trees(sh) == []
+        path = tmp_path / "ws.pkl"
+        save_workspace(sh, path)
+        loaded = load_workspace(path, expected_type=SpatialHadoop)
+        assert stored_trees(loaded) == []
+        assert all(b.local_view is None for b in blocks(loaded))
+        assert loaded.fsck().healthy
 
     def test_foreign_object_raises_type_error(self, tmp_path):
         path = tmp_path / "other.pkl"

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.datagen import generate_points, generate_rectangles
-from repro.geometry import Rectangle
+from repro.geometry import Point, Rectangle
 from repro.index import PARTITIONERS, build_index, measure_quality
+from repro.index.rtree import local_index
 from repro.mapreduce import ClusterModel, FileSystem, JobRunner
+from repro.operations import knn_spatial, range_query_spatial
 
 SPACE = Rectangle(0, 0, 1000, 1000)
 
@@ -45,7 +47,8 @@ class TestBuildAllTechniques:
         for block in runner.fs.get("indexed").blocks:
             assert "cell" in block.metadata
             assert "cell_id" in block.metadata
-            local = block.metadata["local_index"]
+            assert "local_index" not in block.metadata  # derived, not stored
+            local = local_index(block)
             assert len(local) == len(block.records)
 
     def test_cell_mbr_covers_contents(self, technique):
@@ -85,11 +88,21 @@ class TestBuildEdgeCases:
         assert runner.fs.get("indexed").metadata["technique"] == "str"
 
     def test_local_index_optional(self):
-        pts = generate_points(100, seed=7, space=SPACE)
-        runner = make_runner(pts)
-        build_index(runner, "input", "indexed", "grid", build_local_indexes=False)
-        for block in runner.fs.get("indexed").blocks:
+        """A build packs no local index; a kNN query derives one per
+        block it reads, and a range query needs none."""
+        fs = FileSystem(default_block_capacity=100)
+        fs.create_file("input", generate_points(100, seed=7, space=SPACE))
+        runner = JobRunner(fs, workers=1)  # the views live in this process
+        build_index(runner, "input", "indexed", "grid")
+        blocks = runner.fs.get("indexed").blocks
+        for block in blocks:
             assert "local_index" not in block.metadata
+            assert block.local_view is None
+        range_query_spatial(runner, "indexed", SPACE)
+        assert all(block.local_view[2] is None for block in blocks)
+        result = knn_spatial(runner, "indexed", Point(500.0, 500.0), 3)
+        derived = [block.local_view[2] is not None for block in blocks]
+        assert sum(derived) == sum(job.blocks_read for job in result.jobs)
 
     def test_rectangles_replicated_under_disjoint_index(self):
         rects = generate_rectangles(

@@ -14,7 +14,7 @@ from repro import Feature
 from repro.datagen import generate_points, generate_polygons, generate_rectangles
 from repro.geometry import Point, Rectangle
 from repro.index import PARTITIONERS, build_index
-from repro.index.rtree import mbr_columns
+from repro.index.rtree import local_index, mbr_columns
 from repro.mapreduce import Counter, FileSystem, JobRunner
 from tests.oracles import scalar_kernels
 from tests.oracles.scalar_index_build import scalar_build
@@ -38,11 +38,11 @@ def _records(kind):
     return generate_polygons(300, "uniform", seed=6, avg_radius_fraction=0.04)
 
 
-def _build(records, technique, workers=None, **kwargs):
+def _build(records, technique, workers=None):
     fs = FileSystem(default_block_capacity=CAPACITY)
     fs.create_file("in", records)
     runner = JobRunner(fs, workers=workers)
-    result = build_index(runner, "in", "out", technique, **kwargs)
+    result = build_index(runner, "in", "out", technique)
     return fs, result
 
 
@@ -92,7 +92,7 @@ def test_replicated_records_are_one_object_in_every_block(technique):
 def test_block_rows_columns_and_local_index_share_one_order(technique):
     fs, _ = _build(_records("rectangles"), technique)
     for block in fs.get("out").blocks:
-        tree = block.metadata["local_index"]
+        tree = local_index(block)
         expected = [col.tolist() for col in mbr_columns(block.records)]
         assert [col.tolist() for col in tree.columns] == expected
         assert [
@@ -198,12 +198,15 @@ class TestEdgeCases:
         (block,) = fs.get("out").blocks
         assert block.records == [Point(3.0, 4.0)]
         assert block.metadata["cell"] == Rectangle(3, 4, 3, 4)
-        assert block.metadata["local_index"].search(Rectangle(0, 0, 9, 9)) == [0]
+        assert local_index(block).search(Rectangle(0, 0, 9, 9)) == [0]
         assert result.global_index.total_records == 1
 
     def test_without_local_indexes_blocks_still_carry_columns(self):
-        fs, _ = _build(_records("points"), "grid", build_local_indexes=False)
+        """No block stores a local index; each carries the columns one
+        is derived from."""
+        fs, _ = _build(_records("points"), "grid")
         for block in fs.get("out").blocks:
             assert "local_index" not in block.metadata
             assert "local_index_crc" not in block.metadata
             assert block.columnar.count == len(block.records)
+

@@ -126,17 +126,6 @@ class TestConstruction:
             *plain, capacity
         )
 
-    def test_checksum_covers_entries_and_leaves(self):
-        pts = [Point(float(i), float(i % 7)) for i in range(100)]
-        a, _ = packed_tree(pts, 8)
-        b, _ = packed_tree(pts, 8)
-        assert a.checksum() == b.checksum()
-        a.columns[0][17] += 1.0
-        assert a.checksum() != b.checksum()
-        a.columns[0][17] -= 1.0
-        a.leaves[2][0] += 1.0
-        assert a.checksum() != b.checksum()
-
 
 class TestSearch:
     def test_search_everything_and_nothing(self):

@@ -701,7 +701,7 @@ class TestWaveLog:
             return sh
 
         def digest(sh):
-            return [(b.records, b.metadata["local_index_crc"])
+            return [(b.records, b.checksum)
                     for b in sh.fs.get("idx").blocks]
 
         clean = base()

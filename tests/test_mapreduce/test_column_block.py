@@ -2,9 +2,9 @@
 
 The pool pickles with ``multiprocessing``'s ``ForkingPickler``; the
 reducer registered in :mod:`repro.mapreduce.columnar` sends a block with
-a columnar payload as a :class:`ColumnBlock` (columns, metadata without
-the local index, the index's node capacity) and every other block as
-plain pickle does.
+a columnar payload as a :class:`ColumnBlock` (columns and metadata) and
+every other block as plain pickle does. No block carries its local
+index: a worker derives it from the columns, as the driver does.
 """
 
 import pickle
@@ -17,6 +17,7 @@ from repro.core import Feature
 from repro.datagen import generate_points, generate_polygons
 from repro.datagen.shapes import generate_rectangles
 from repro.geometry import Point, Rectangle
+from repro.index.rtree import local_index
 from repro.mapreduce import Counter, Job
 from repro.mapreduce.columnar import ColumnBlock
 from repro.mapreduce.fs import Block
@@ -59,7 +60,7 @@ class TestForkingPickler:
                 clone = ship(block)
                 assert isinstance(clone, ColumnBlock), name
                 # Neither records nor the tree were pickled.
-                assert clone._records is None and clone._metadata is None
+                assert clone._records is None and clone.local_view is None
                 assert clone.columnar.kind == block.columnar.kind
                 assert len(clone) == len(block)
                 assert type(block) is Block  # the original is untouched
@@ -129,10 +130,12 @@ class TestColumnBlock:
         sh = build_system()
         for name in ("pts_idx", "rects_idx"):
             for block in sh.fs.get(name).blocks:
-                original = block.metadata["local_index"]
-                rebuilt = ship(block).metadata["local_index"]
+                original = local_index(block)
+                rebuilt = local_index(ship(block))
                 assert rebuilt.node_capacity == original.node_capacity
-                assert rebuilt.checksum() == original.checksum()
+                for a, b in zip(rebuilt.columns + rebuilt.leaves,
+                                original.columns + original.leaves):
+                    assert a.tolist() == b.tolist()
                 assert rebuilt.search(WINDOW) == original.search(WINDOW)
                 assert rebuilt.knn(WINDOW.center, 5) == original.knn(
                     WINDOW.center, 5
@@ -141,11 +144,16 @@ class TestColumnBlock:
     def test_pickle_omits_records_and_index(self):
         sh = build_system()
         block = sh.fs.get("pts_idx").blocks[0]
+        local_index(block)  # a derived view is never pickled
+        assert pickle.loads(pickle.dumps(block)).local_view is None
+        assert ship(block).local_view is None
         fat = len(pickle.dumps(block))
         thin = len(ForkingPickler.dumps(block))
-        # The columns travel inside the pickle (about 19 vs 66 bytes per
-        # point for this 100-point block), so the ratio is ~3.5, not more.
-        assert thin < fat / 3
+        # The shipped block is its columns (16 bytes per point) plus the
+        # metadata; the plain pickle adds the records (about 28 bytes per
+        # point for this 100-point block).
+        assert thin < block.columnar.nbytes + 256
+        assert thin < fat / 2
 
 
 @pytest.mark.usefixtures("pool_pinned")
@@ -208,5 +216,7 @@ class TestMapTaskReadsItsBlock:
             assert counts[0] == counts[1]
             if isinstance(shipped, ColumnBlock):
                 assert shipped._records is None
-                if indexed:  # the count searched the packed local index
-                    assert shipped._metadata is not None
+                # The count masked the payload's own columns: no leaves.
+                assert all(a is b for a, b in zip(
+                    shipped.local_view[1], shipped.columnar.mbr_columns()))
+                assert shipped.local_view[2] is None

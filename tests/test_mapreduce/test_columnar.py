@@ -5,13 +5,13 @@ import zlib
 from array import array
 
 from repro.geometry import Point, Rectangle
+from repro.index.rtree import block_columns, mbr_columns
 from repro.mapreduce import Block, FileSystem
 from repro.mapreduce.columnar import (
     ColumnarPayload,
     crc,
     decode,
     encode,
-    payload_of,
 )
 from repro.mapreduce.storage import run_fsck
 
@@ -127,6 +127,9 @@ class TestStorageAdoption:
 
 
 class TestPayloadOf:
+    """Which body a block's derived MBR columns come from: its payload
+    while the payload matches the records, else the records."""
+
     def make_block(self):
         return Block(
             records=list(POINTS),
@@ -135,12 +138,20 @@ class TestPayloadOf:
 
     def test_returns_payload_when_fresh(self):
         block = self.make_block()
-        assert payload_of(block, len(POINTS)) is block.columnar
+        cols = block_columns(block)
+        assert block.local_view[0] is block.columnar
+        assert all(a is b for a, b in zip(cols, block.columnar.mbr_columns()))
 
     def test_none_when_stale(self):
         block = self.make_block()
         block.records.append(Point(0.0, 0.0))
-        assert payload_of(block, len(block.records)) is None
+        cols = block_columns(block)
+        assert block.local_view[0] is block.records
+        assert [c.tolist() for c in cols] == [
+            c.tolist() for c in mbr_columns(block.records)
+        ]
 
     def test_none_without_payload(self):
-        assert payload_of(Block(records=list(POINTS)), len(POINTS)) is None
+        block = Block(records=list(POINTS))
+        assert len(block_columns(block)[0]) == len(POINTS)
+        assert block.local_view[0] is block.records

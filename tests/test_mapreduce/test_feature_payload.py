@@ -21,6 +21,7 @@ from repro.datagen import generate_points, generate_polygons
 from repro.datagen.shapes import generate_rectangles
 from repro.geometry import Point, Rectangle
 from repro.index.build import PARTITIONERS
+from repro.index.rtree import RTree, local_index
 from repro.mapreduce.checkpoint import DriverCrashed
 from repro.mapreduce.columnar import ColumnarPayload, _reduce_block, crc, encode
 from repro.mapreduce.storage import run_fsck
@@ -85,6 +86,12 @@ def record_path():
         yield
 
 
+def tree_values(tree):
+    """A local index as plain values: entry and leaf columns, capacity."""
+    return (tree.node_capacity, [col.tolist() for col in tree.columns],
+            [col.tolist() for col in tree.leaves])
+
+
 class TestPayloadPresent:
     def test_after_load(self):
         sh = loaded()
@@ -100,8 +107,9 @@ class TestPayloadPresent:
             sh.index(name, f"{name}_idx", technique=technique)
             for block in sh.fs.get(f"{name}_idx").blocks:
                 assert_feature_payload(block)
-                tree = block.metadata["local_index"]
-                assert tree.checksum() == block.metadata["local_index_crc"]
+                assert tree_values(local_index(block)) == tree_values(
+                    RTree.from_columns(*block.columnar.mbr_columns())
+                )
         assert run_fsck(sh.fs).healthy
 
     @pytest.mark.parametrize("technique", sorted(PARTITIONERS))
@@ -118,8 +126,8 @@ class TestPayloadPresent:
             got = columnar.fs.get(f"{name}_idx").blocks
             assert all(block.columnar is None for block in want)
             assert [b.records for b in got] == [b.records for b in want]
-            assert [b.metadata["local_index_crc"] for b in got] == [
-                b.metadata["local_index_crc"] for b in want
+            assert [tree_values(local_index(b)) for b in got] == [
+                tree_values(local_index(b)) for b in want
             ]
 
     def test_on_a_relation_a_pigeon_filter_writes(self):

@@ -174,83 +174,34 @@ class TestFsck:
         assert report.count("lost-block") == 1
         assert not report.healthy
 
-    def test_repairs_corrupt_local_index(self):
-        from repro.core.system import SpatialHadoop
-        from repro.datagen import generate_points
-
-        sh = SpatialHadoop(num_nodes=4, block_capacity=100)
-        sh.load("pts", generate_points(300, "uniform", seed=3))
-        sh.index("pts", "idx", technique="str")
-        block = sh.fs.get("idx").blocks[0]
-        assert "local_index" in block.metadata
-        block.metadata["local_index_crc"] = 12345  # simulate bit-rot
-        report = run_fsck(sh.fs)
-        assert report.count("local-index-corrupt") == 1
-        fixed = run_fsck(sh.fs, repair=True)
-        assert fixed.healthy
-        # The rebuilt index answers queries over all block records.
-        rebuilt = block.metadata["local_index"]
-        assert len(rebuilt) == len(block.records)
-        assert rebuilt.search(rebuilt.mbr) == list(range(len(block.records)))
-
-    def test_rebuilds_damaged_local_index_arrays_to_the_sealed_crc(self):
-        from repro.core.system import SpatialHadoop
-        from repro.datagen import generate_rectangles
-
-        sh = SpatialHadoop(num_nodes=4, block_capacity=100)
-        sh.load("rects", generate_rectangles(300, "uniform", seed=3))
-        sh.index("rects", "idx", technique="str+")
-        block = sh.fs.get("idx").blocks[1]
-        sealed_crc = block.metadata["local_index_crc"]
-        block.metadata["local_index"].leaves[2][0] -= 1e3  # a leaf shrinks
-        assert run_fsck(sh.fs).count("local-index-corrupt") == 1
-        assert run_fsck(sh.fs, repair=True).healthy
-        # Rows are stored in packed order, so packing them as they stand
-        # gives back the sealed tree: the seal-time stamp verifies again.
-        assert block.metadata["local_index"].checksum() == sealed_crc
-        assert block.metadata["local_index_crc"] == sealed_crc
-        assert run_fsck(sh.fs).healthy
-
     def test_damaged_entry_columns_are_rebuilt_from_the_records(self):
         from repro.core.system import SpatialHadoop
         from repro.datagen import generate_points
         from repro.geometry import Rectangle
+        from repro.index.rtree import local_index
 
         sh = SpatialHadoop(num_nodes=4, block_capacity=100)
         sh.load("pts", generate_points(300, "uniform", seed=3))
         sh.index("pts", "idx", technique="str")
         block = sh.fs.get("idx").blocks[0]
-        sealed_crc = block.metadata["local_index_crc"]
-        # The sealed tree shares its entry columns with the block's
-        # columnar payload: the damage hits both, only the records are true.
-        tree = block.metadata["local_index"]
+        sealed_crc = block.checksum
+        # The local index is a view of the payload's columns: damage to
+        # them is damage to the body the kernels read, and only the
+        # records are true.
+        tree = local_index(block)
         assert tree.columns[0] is block.columnar.columns[0]
         tree.columns[0][0] -= 2e5
-        assert run_fsck(sh.fs).count("local-index-corrupt") == 1
+        report = run_fsck(sh.fs)
+        assert report.count("checksum-mismatch") == 1
+        assert report.issues[0].data["stored"] == sealed_crc
         assert run_fsck(sh.fs, repair=True).healthy
-        tree = block.metadata["local_index"]
-        assert tree.checksum() == sealed_crc
-        assert block.metadata["local_index_crc"] == sealed_crc
-        assert tree.columns[0][0] == block.records[0].x
+        assert block.checksum == sealed_crc
         assert block.columnar.columns[0][0] == block.records[0].x
+        tree = local_index(block)  # derived anew from the repaired payload
+        assert tree.columns[0][0] == block.records[0].x
         everything = Rectangle(-1e9, -1e9, 1e9, 1e9)
         assert tree.search(everything) == list(range(len(block.records)))
         assert run_fsck(sh.fs).healthy
-
-    def test_a_rebuild_that_matches_no_crc_is_left_unrepaired(self):
-        from repro.core.system import SpatialHadoop
-        from repro.datagen import generate_points
-
-        sh = SpatialHadoop(num_nodes=4, block_capacity=100)
-        sh.load("pts", generate_points(300, "uniform", seed=3))
-        sh.index("pts", "idx", technique="str")
-        block = sh.fs.get("idx").blocks[0]
-        block.metadata["local_index"].leaves[0][0] -= 1.0  # damaged tree...
-        block.metadata["local_index_crc"] = 12345  # ...and a rotten stamp
-        report = run_fsck(sh.fs, repair=True)
-        assert report.count("local-index-corrupt") == 1
-        assert not report.healthy
-        assert block.metadata["local_index_crc"] == 12345
 
     def test_repairs_corrupt_global_index_checksum(self):
         from repro.core.system import SpatialHadoop

@@ -8,14 +8,14 @@ from repro.datagen import generate_points, generate_polygons, generate_rectangle
 from repro.geometry import Point, Polygon, Rectangle
 from repro.index import PARTITIONERS, build_index
 from repro.index.partitioners.base import shape_mbr
+from repro.geometry import vectorized
+from repro.index import rtree as rtree_module
 from repro.mapreduce import ClusterModel, FileSystem, JobRunner
-from repro.mapreduce.columnar import ColumnarPayload
 from repro.operations import (
     range_count_spatial,
     range_query_hadoop,
     range_query_spatial,
 )
-from repro.operations import range_query as range_query_module
 
 SPACE = Rectangle(0, 0, 1000, 1000)
 QUERIES = [
@@ -85,15 +85,29 @@ class TestSpatialRangeQuery:
         assert sorted(result.answer) == brute(pts, q)
 
 
+def serial_runner():
+    """A runner of its own on the serial backend: a spy sees only this
+    process, and the fixture's runner may be a pool."""
+    return JobRunner(FileSystem(default_block_capacity=150),
+                     ClusterModel(num_nodes=4, job_overhead_s=0.01),
+                     workers=1)
+
+
 class TestAblations:
-    def test_no_local_index_same_answer(self, runner):
+    def test_no_local_index_same_answer(self):
+        """The indexed query packs no local index: its column mask
+        answers as the full scan of the heap file does."""
+        runner = serial_runner()
         pts = generate_points(600, "uniform", seed=6, space=SPACE)
         runner.fs.create_file("pts", pts)
         build_index(runner, "pts", "idx", "str")
         q = Rectangle(100, 100, 500, 500)
-        with_li = range_query_spatial(runner, "idx", q, use_local_index=True)
-        without_li = range_query_spatial(runner, "idx", q, use_local_index=False)
-        assert sorted(with_li.answer) == sorted(without_li.answer)
+        indexed = range_query_spatial(runner, "idx", q)
+        scan = range_query_hadoop(runner, "pts", q)
+        assert sorted(indexed.answer) == sorted(scan.answer) == brute(pts, q)
+        views = [b.local_view for b in runner.fs.get("idx").blocks]
+        assert any(views)
+        assert all(view[2] is None for view in views if view)
 
     def test_no_prune_same_answer_more_blocks(self, runner):
         pts = generate_points(600, "uniform", seed=7, space=SPACE)
@@ -112,8 +126,9 @@ class TestAblations:
 
 
 class TestScanDedup:
-    """``use_local_index=False`` on a replicating index: the record scan
-    and the payload kernel apply reference-point dedup themselves."""
+    """A replicating index: the one mask kernel applies reference-point
+    dedup, over the payload's columns (rectangles) and over the MBR
+    columns derived from the records (polygons) alike."""
 
     #: Float corners, so clipped rectangles keep float coordinates.
     SPACE = Rectangle(0.0, 0.0, 1000.0, 1000.0)
@@ -123,53 +138,47 @@ class TestScanDedup:
     def test_straddling_records_reported_once(
         self, runner, monkeypatch, technique, shape
     ):
-        if shape == "rectangles":  # float corners: the payload path
+        if shape == "rectangles":  # float corners: the payload's columns
             records = generate_rectangles(
                 600, "uniform", seed=8, space=self.SPACE,
                 avg_side_fraction=0.06,
             )
-            spied = (ColumnarPayload, "indices_owned_in")
-        else:  # no payload: the record path
+        else:  # no payload: MBR columns derived from the records
             records = generate_polygons(
                 400, "uniform", seed=8, space=self.SPACE,
                 avg_radius_fraction=0.04,
             )
-            spied = (range_query_module, "_owned_by_cell")
         runner.fs.create_file("f", records)
         build_index(runner, "f", "idx", technique)
         blocks = runner.fs.get("idx").blocks
         assert sum(map(len, blocks)) > len(records)  # records straddle cells
         assert {b.columnar is None for b in blocks} == {shape == "polygons"}
         for q in (Rectangle(150.0, 150.0, 650.0, 550.0), self.SPACE):
-            got = range_query_spatial(runner, "idx", q, use_local_index=False)
+            got = range_query_spatial(runner, "idx", q)
             expected = [r for r in records if q.intersects(shape_mbr(r))]
             assert len(got.answer) == len(expected)
             assert sorted(map(repr, got.answer)) == sorted(map(repr, expected))
 
-        # The spy sees only this process, so that half runs on a serial
-        # runner of its own (the fixture's may be a pool).
         calls = []
-        real = getattr(*spied)
+        real = vectorized.rects_intersect_owned
 
         def spy(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(*spied, spy)
-        serial = JobRunner(FileSystem(default_block_capacity=150),
-                           ClusterModel(num_nodes=4, job_overhead_s=0.01),
-                           workers=1)
+        monkeypatch.setattr(vectorized, "rects_intersect_owned", spy)
+        serial = serial_runner()
         serial.fs.create_file("f", records)
         build_index(serial, "f", "idx", technique)
-        range_query_spatial(serial, "idx", self.SPACE, use_local_index=False)
-        assert calls
+        range_query_spatial(serial, "idx", self.SPACE)
+        assert len(calls) == len(serial.fs.get("idx").blocks)
 
     @pytest.mark.parametrize("technique", ["grid", "str+"])
     @pytest.mark.parametrize("shape", ["rectangles", "polygons"])
     def test_lattice_edges_on_split_lines(self, runner, technique, shape):
         """Records on a lattice whose lines include the index's split
-        lines: edges, corners and windows on a cell boundary, with and
-        without the local index, and the count, against brute force.
+        lines: edges, corners and windows on a cell boundary, the query
+        and the count, against brute force.
 
         STR+ splits at sample centres, which on an integer lattice of
         even sides are lattice points. The grid's lines are the space's
@@ -203,11 +212,37 @@ class TestScanDedup:
         for q in windows:
             want = sorted(repr(r) for r in records
                           if q.intersects(shape_mbr(r)))
-            for local in (True, False):
-                got = range_query_spatial(runner, "idx", q,
-                                          use_local_index=local)
-                assert sorted(map(repr, got.answer)) == want, (q, local)
+            got = range_query_spatial(runner, "idx", q)
+            assert sorted(map(repr, got.answer)) == want, q
             assert range_count_spatial(runner, "idx", q).answer == len(want)
+
+
+class TestDerivedLocalIndex:
+    def test_polygon_blocks_derive_their_mbrs_once(self, monkeypatch):
+        """A polygon block has no columns to read: its first query
+        derives the MBR columns (one ``shape_mbr`` per stored row) and
+        caches them on the block, so a second query over the same blocks
+        calls ``shape_mbr`` no more."""
+        space = TestScanDedup.SPACE
+        records = generate_polygons(400, "uniform", seed=8, space=space,
+                                    avg_radius_fraction=0.04)
+        serial = serial_runner()
+        serial.fs.create_file("f", records)
+        build_index(serial, "f", "idx", "str+")
+        blocks = serial.fs.get("idx").blocks
+        assert all(b.columnar is None for b in blocks)
+        calls = []
+        real = rtree_module.shape_mbr
+        monkeypatch.setattr(rtree_module, "shape_mbr",
+                            lambda shape: calls.append(1) or real(shape))
+        first = range_query_spatial(serial, "idx", space)
+        assert len(calls) == sum(map(len, blocks))
+        calls.clear()
+        second = range_query_spatial(serial, "idx", space)
+        assert range_count_spatial(serial, "idx", space).answer == len(records)
+        assert calls == []
+        assert second.answer == first.answer
+        assert len(first.answer) == len(records)
 
 
 def lattice_shapes(step, shape, n=600, extent=64.0):

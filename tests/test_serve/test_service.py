@@ -305,6 +305,32 @@ class TestDeadlinePropagation:
         assert again.outcome == "served"
 
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool_pinned"])
+    def test_a_half_open_probe_that_blows_its_deadline_hands_it_back(
+        self, request, workers
+    ):
+        if workers > 1:
+            request.getfixturevalue("pool_pinned")
+        sh = build_workspace(num_nodes=4, workers=workers)
+        try:
+            service = sh.serve(config=ServiceConfig(
+                max_inflight=1, breaker_threshold=1, breaker_cooldown_s=1e-6,
+            ))
+            service._breaker("pts_idx").record_failure(-1.0)  # cooled down
+            sh.runner.set_faults("hangdriver:*:999")
+            probe = service.query("alice", RANGE_Q, deadline_s=5.0)
+            assert probe.outcome == "deadline"
+            # The probe proved nothing about the dataset: the next caller
+            # probes instead, and once the stall clears it is served.
+            assert service.breakers["pts_idx"].state == "open"
+            sh.runner.set_faults(None)
+            again = service.query("alice", RANGE_Q2)
+            assert again.outcome == "served"
+            assert service.breakers["pts_idx"].state == "closed"
+        finally:
+            sh.runner.close()
+
+
 class TestDegradation:
     @pytest.fixture()
     def broken_storage(self):
