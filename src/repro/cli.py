@@ -385,8 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--repair", action="store_true",
-        help="re-replicate corrupt/under-replicated blocks and rebuild "
-             "damaged block columns from their records",
+        help="re-replicate corrupt/under-replicated blocks and re-stamp "
+             "a block whose body no longer matches its checksum",
     )
     p.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",

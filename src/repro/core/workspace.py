@@ -18,12 +18,13 @@ version, length and CRC before unpickling and raises a structured
 :class:`WorkspaceError` subclass (never a raw ``UnpicklingError``).
 
 The version byte names the layout of the pickled objects, and it is the
-only place that knows about older layouts. v9 stores no local index: a
-block's R-tree is derived from its rows when a query first needs it.
-Every homogeneous point / rectangle block with float coordinates -- bare
-or wrapped in Features -- carries its columnar payload (plus the
-Features' attribute column). Payloads
-are written by the one block codec (:mod:`repro.mapreduce.columnar`):
+only place that knows about older layouts. v10 stores a block's body
+once: every homogeneous point / rectangle block with float coordinates
+-- bare or wrapped in Features -- is stored as its columnar payload
+(plus the Features' attribute column) without its records, which thaw
+from the columns when something reads them (v9 stored both); no block
+stores its local index, which is derived when a query first needs it.
+Payloads are written by the one block codec (:mod:`repro.mapreduce.columnar`):
 a header, then raw column buffers and the attribute column pickled by
 value, and every block checksum is that codec's CRC, over values only,
 so a reloaded workspace verifies as written. The job runner holds its
@@ -45,7 +46,7 @@ from pathlib import Path
 from typing import Any, Optional, Tuple, Type
 
 MAGIC = b"REPROWS\n"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 #: Header after a frame's magic: version (u8), payload CRC-32 (u32),
 #: payload length (u64).
 FRAME_HEADER = struct.Struct(">BIQ")
@@ -180,7 +181,7 @@ def load_workspace(
     if version != FORMAT_VERSION:
         raise WorkspaceVersionError(
             f"workspace {path} uses format v{version}; this release reads "
-            f"only v{FORMAT_VERSION} (blocks store no local index). "
+            f"only v{FORMAT_VERSION} (a block stores its body once). "
             "Recreate the workspace: reload the data and rebuild "
             "the index with 'repro index'"
         )

@@ -127,11 +127,10 @@ def _pack_cell(refs, source_blocks, source_columns):
     leaves) and the tight MBR of its contents.
     """
     refs = sorted(refs, key=lambda ref: ref[0])
-    records = [
-        source_blocks[b].records[offset]
-        for b, offsets in refs
-        for offset in offsets.tolist()
-    ]
+    records = []
+    for b, offsets in refs:
+        records.extend(map(source_blocks[b].records.__getitem__,
+                           offsets.tolist()))
     # The cell gets a payload when every source block has one of the same
     # layout: one shape kind, and attributes on all of them or on none.
     layouts = {_layout(source_blocks[b].columnar) for b, _ in refs}

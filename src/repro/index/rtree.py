@@ -51,13 +51,13 @@ def mbr_columns(records: Sequence[Any]) -> Columns:
 
 def _view(block: Any) -> tuple:
     """The block's cached ``(body, columns, tree or None)``, derived anew
-    when the body it came from was replaced (a repaired payload)."""
+    when its body was replaced."""
     payload = block.columnar
-    fresh = payload is not None and payload.count == len(block)
-    body = payload if fresh else block.records
+    body = payload or block.records
     view = block.local_view
     if view is None or view[0] is not body:
-        columns = payload.mbr_columns() if fresh else mbr_columns(body)
+        columns = mbr_columns(body) if payload is None else (
+            payload.mbr_columns())
         view = block.local_view = (body, columns, None)
     return view
 
@@ -66,10 +66,9 @@ def block_columns(block: Any) -> Columns:
     """A block's MBR columns, derived from its body on first use.
 
     The columnar payload's own columns (no copies), or one ``shape_mbr``
-    per record for a block without a usable payload (polygons, mixed
-    shapes). Cached on the in-process :class:`~repro.mapreduce.fs.Block`
-    or :class:`~repro.mapreduce.columnar.ColumnBlock`; no pickle of a
-    block (workspace, pool, journal) carries them.
+    per record for a block without a payload (polygons, mixed shapes).
+    Cached on the in-process :class:`~repro.mapreduce.fs.Block`; no
+    pickle of a block (workspace, pool, journal) carries them.
     """
     return _view(block)[1]
 
@@ -233,31 +232,33 @@ class RTree:
         """
         if k <= 0:
             raise ValueError("k must be positive")
-        qx, qy = query.x, query.y
-        leaf_dsq = vectorized.rect_min_distance_sq(*self.leaves, qx, qy)
-        by_distance = vectorized.topk_within(
-            leaf_dsq, len(leaf_dsq), bound
-        ).tolist()
-        if not by_distance:
-            return np.empty(0, np.intp), np.empty(0), []
-        first = -(-k // self.node_capacity) + 1  # only the last leaf is short
+        with _phase("rtree-probe"):
+            qx, qy = query.x, query.y
+            leaf_dsq = vectorized.rect_min_distance_sq(*self.leaves, qx, qy)
+            by_distance = vectorized.topk_within(
+                leaf_dsq, len(leaf_dsq), bound
+            ).tolist()
+            if not by_distance:
+                return np.empty(0, np.intp), np.empty(0), []
+            # Only the last leaf is short.
+            first = -(-k // self.node_capacity) + 1
 
-        def candidates(leaves):
-            rows = self._leaf_rows(sorted(leaves))
-            cols = [col[rows] for col in self.columns]
-            return rows, cols, vectorized.rect_min_distance_sq(*cols, qx, qy)
+            def candidates(leaves):
+                rows = self._leaf_rows(sorted(leaves))
+                cols = [col[rows] for col in self.columns]
+                dsq = vectorized.rect_min_distance_sq(*cols, qx, qy)
+                return rows, cols, dsq
 
-        rows, cols, dsq = candidates(by_distance[:first])
-        if len(by_distance) > first:
-            kth = dsq[vectorized.topk_by_distance(dsq, k)[-1]]
-            more = list(
-                takewhile(lambda j: leaf_dsq[j] <= kth, by_distance[first:])
+            rows, cols, dsq = candidates(by_distance[:first])
+            if len(by_distance) > first:
+                kth = dsq[vectorized.topk_by_distance(dsq, k)[-1]]
+                more = list(takewhile(lambda j: leaf_dsq[j] <= kth,
+                                      by_distance[first:]))
+                if more:
+                    rows, cols, dsq = candidates(by_distance[:first] + more)
+            top = vectorized.topk_within(dsq, k, bound)
+            return (
+                self._answer(rows, top),
+                dsq[top],
+                vectorized.mbr_distances([col[top] for col in cols], qx, qy),
             )
-            if more:
-                rows, cols, dsq = candidates(by_distance[:first] + more)
-        top = vectorized.topk_within(dsq, k, bound)
-        return (
-            self._answer(rows, top),
-            dsq[top],
-            vectorized.mbr_distances([col[top] for col in cols], qx, qy),
-        )

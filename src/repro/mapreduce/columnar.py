@@ -30,9 +30,10 @@ __reduce_ex__`) and the checkpoint journal's arrays go through
 :func:`pickled`: ``decode(header, *buffers)``, with the buffers in band
 as :class:`pickle.PickleBuffer` at protocol 5 (workspaces, the journal)
 and as ``bytes`` below it (the pool's ``ForkingPickler`` runs at
-protocol 4). A block with a payload crosses to a pool worker as a
-:class:`ColumnBlock`, which rebuilds records (Features, for a Feature
-payload) only when a map function asks for them.
+protocol 4). The payload is a sealed block's only body: a
+:class:`~repro.mapreduce.fs.Block` pickles without its records, and
+rebuilds them (Features, for a Feature payload) from the columns only
+when something reads them.
 
 Blocks with mixed or exotic record types (polygons, ``Feature``
 subclasses, Features over mixed shapes), with coordinates that are not
@@ -46,7 +47,6 @@ from __future__ import annotations
 import io
 import pickle
 import zlib
-from multiprocessing.reduction import ForkingPickler
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +54,6 @@ import numpy as np
 from repro.geometry.feature import Feature
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rectangle
-from repro.mapreduce.fs import Block
 
 #: Column names per payload kind, in buffer order.
 KIND_COLUMNS = {
@@ -103,11 +102,10 @@ class ColumnarPayload:
     The attribute column is pickled by value once, when the payload is
     first encoded (or checked by :meth:`from_records`), and those bytes
     are what every later checksum and pickle of the payload carries: the
-    body as sealed. ``fsck`` compares against a payload rebuilt from the
-    records, and its repair installs that rebuilt payload. A decoded
-    payload keeps the bytes and unpickles them on first use of
-    ``attributes``: a reloaded driver, whose records hold the same
-    values, never needs a second copy of every dict.
+    body as sealed. ``fsck`` checks the body as it stands
+    (:meth:`current`), so a dict mutated in place after the seal is
+    damage it reports. A decoded payload keeps the bytes and unpickles
+    them on first use of ``attributes``.
     """
 
     __slots__ = ("kind", "count", "columns", "_attributes", "_attribute_bytes")
@@ -193,6 +191,15 @@ class ColumnarPayload:
                 # whose repr fallback copes with them.
                 return None
         return payload
+
+    def current(self) -> "ColumnarPayload":
+        """This payload as it stands in memory: itself, or, once its
+        attribute dicts are decoded, a payload over the same columns and
+        dicts whose attribute bytes are taken anew on encode."""
+        if self._attributes is None:
+            return self
+        return ColumnarPayload(self.kind, self.count, self.columns,
+                               self._attributes)
 
     def __reduce_ex__(self, protocol):
         return pickled(self, protocol)
@@ -325,48 +332,3 @@ def pickled(body: Any, protocol: int) -> tuple:
     if protocol >= 5:
         return decode, (header, *map(pickle.PickleBuffer, buffers))
     return decode, (header, *(memoryview(b).tobytes() for b in buffers))
-
-
-class ColumnBlock:
-    """A sealed :class:`Block` as a pool worker receives it.
-
-    Carries the block's columnar payload and its metadata. ``records``
-    materializes the record objects from the columns on first use; the
-    local index is derived from the columns on first use, like any
-    block's (``local_view``, see :func:`repro.index.rtree.local_index`).
-    """
-
-    __slots__ = ("columnar", "metadata", "_records", "local_view")
-
-    def __init__(self, columnar: ColumnarPayload, metadata: dict):
-        self.columnar = columnar
-        self.metadata = metadata
-        self._records = None
-        self.local_view = None
-
-    def __len__(self) -> int:
-        return self.columnar.count
-
-    def __iter__(self):
-        return iter(self.records)
-
-    @property
-    def records(self) -> List[Any]:
-        records = self._records
-        if records is None:
-            records = self._records = self.columnar.materialize()
-        return records
-
-
-def _reduce_block(block: Block):
-    """Pickle ``block`` for a pool worker: as a :class:`ColumnBlock` when
-    it has a usable payload, otherwise exactly as plain pickle would."""
-    payload = block.columnar
-    if payload is None or payload.count != len(block.records):
-        return block.__reduce_ex__(pickle.DEFAULT_PROTOCOL)
-    return ColumnBlock, (payload, block.metadata)
-
-
-# Registered at import: a block only has a payload once this module is
-# loaded, so every block the reducer would shrink meets it.
-ForkingPickler.register(Block, _reduce_block)

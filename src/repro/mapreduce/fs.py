@@ -35,20 +35,24 @@ DEFAULT_BLOCK_CAPACITY = 10_000
 
 @dataclass
 class Block:
-    """One block of a file: a record list plus optional metadata.
+    """One block of a file: its body plus optional metadata.
 
-    ``checksum`` (payload CRC-32) and ``replicas`` (where the block's
+    ``checksum`` (the body's CRC-32) and ``replicas`` (where the block's
     copies live) are stamped by :meth:`StorageManager.seal_block` when
     the block enters the file system; every block in a namespace is
     sealed.
 
-    ``columnar`` is the vectorized-execution payload (see
+    ``columnar`` is the columnar payload (see
     :mod:`repro.mapreduce.columnar`): the record coordinates transposed
-    into flat float64 columns. Seal time attaches it whenever the
-    records are homogeneously points or rectangles, bare or as Features
-    (which add an attribute column), and the checksum then covers the
-    columnar bytes; it is ``None`` for every other block (polygons,
-    tuples), whose checksum covers the pickled records.
+    into flat float64 columns, plus an attribute column for Features.
+    Seal time attaches it whenever the records are homogeneously float
+    points or rectangles, bare or as Features, and it is then the
+    block's only body: the checksum covers it, every pickle (workspace,
+    pool) carries it and not the records, and ``records`` is a cache of
+    :meth:`~repro.mapreduce.columnar.ColumnarPayload.materialize`, thawed
+    on first read. A block built from records keeps them. ``columnar``
+    is ``None`` for every other block (polygons, int coordinates,
+    tuples), whose body is the record list.
 
     ``local_view`` caches the block's derived MBR columns and local
     index (see :func:`repro.index.rtree.block_columns`); it is not a
@@ -63,8 +67,18 @@ class Block:
 
     local_view = None
 
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for a missing attribute: the records of a payload
+        # block that was unpickled, or whose cache was dropped.
+        payload = self.__dict__.get("columnar")
+        if name != "records" or payload is None:
+            raise AttributeError(name)
+        records = self.records = payload.materialize()
+        return records
+
     def __len__(self) -> int:
-        return len(self.records)
+        payload = self.columnar
+        return len(self.records) if payload is None else payload.count
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.records)
@@ -72,7 +86,16 @@ class Block:
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         state.pop("local_view", None)
+        if self.columnar is not None:
+            state.pop("records", None)
         return state
+
+    def drop_views(self) -> None:
+        """Drop what is derived from the body (the records of a payload
+        block, the local view); the next read derives it anew."""
+        if self.columnar is not None:
+            self.__dict__.pop("records", None)
+        self.local_view = None
 
 
 @dataclass

@@ -13,12 +13,11 @@ from repro.mapreduce.types import InputSplit
 #: map(key, block, context) — one call per input split, mirroring the
 #: papers' pseudo-code where the map function receives a whole partition
 #: (``MAP(k: Rectangle, P: set of shapes)``). ``block`` is the split's
-#: sealed block: a :class:`~repro.mapreduce.fs.Block` in the driver, the
-#: :class:`~repro.mapreduce.columnar.ColumnBlock` the pool ships to a
-#: worker. Both have ``len``, iterate their records, and carry
-#: ``records``, ``columnar`` and ``metadata``, so a record-at-a-time
-#: mapper iterates ``block`` and a columnar one reads ``block.columnar``
-#: without thawing a record.
+#: sealed :class:`~repro.mapreduce.fs.Block`, in the driver or as the pool
+#: ships it to a worker (its payload without its records). It has
+#: ``len``, iterates its records, and carries ``records``, ``columnar``
+#: and ``metadata``, so a record-at-a-time mapper iterates ``block`` and
+#: a columnar one reads ``block.columnar`` without thawing a record.
 MapFn = Callable[[Any, Any, "MapContext"], None]
 #: combine/reduce(key, values, context)
 ReduceFn = Callable[[Any, List[Any], "ReduceContext"], None]

@@ -24,7 +24,8 @@ gives the simulator the same contract:
 * :func:`run_fsck` is ``hdfs fsck`` for the workspace: it deep-verifies
   every block's payload checksum, replica health and local/global index
   checksums, and with ``repair=True`` re-replicates, drops dead/corrupt
-  replicas and rebuilds local indexes from the surviving records.
+  replicas and re-stamps a block whose body no longer matches its
+  checksum.
 
 The corruption model matches the simulation's single-process reality:
 record lists live once in memory, so "corrupting replica r" marks that
@@ -137,9 +138,7 @@ class StorageManager:
             return
         if block.columnar is None:
             block.columnar = ColumnarPayload.from_records(block.records)
-        payload = block.columnar
-        body = block.records if payload is None else payload
-        block.checksum = crc(*encode(body))
+        block.checksum = crc(*encode(block.columnar or block.records))
         block.replicas = [Replica(node=n) for n in self._pick_nodes()]
 
     def seal_file(self, entry: Any) -> None:
@@ -253,7 +252,7 @@ class StorageManager:
             block.replicas.append(Replica(node=node))
             repaired += 1
             # Repair traffic: read the source copy, write the new one.
-            repair_s += 2.0 * io_seconds * len(block.records)
+            repair_s += 2.0 * io_seconds * len(block)
         return repaired, repair_s
 
 
@@ -362,16 +361,18 @@ def run_fsck(
 ) -> FsckReport:
     """Walk every file, verify blocks and indexes, optionally repair.
 
-    Checks, per block: payload checksum (recomputed from the records,
-    and the columns the kernels read against it), replica health (dead
-    nodes / corrupt copies) and replication level. Per file: the
-    global-index checksum. With ``repair=True``: corrupt and dead
-    replicas are dropped and fresh copies written
-    (``REPLICAS_REPAIRED``), and stale payload checksums and damaged
-    columns are rebuilt from the block's records. A block with no
-    healthy replica at all is reported as lost — fsck cannot invent
-    data. A block's local index is derived from its body, so there is
-    none to check.
+    Checks, per block: the checksum against the body as it stands (the
+    columnar payload, which is the only body of a block that has one,
+    else the records), replica health (dead nodes / corrupt copies) and
+    replication level. A payload block's records are never thawed. Per
+    file: the global-index checksum. With ``repair=True``: corrupt and
+    dead replicas are dropped and fresh copies written
+    (``REPLICAS_REPAIRED``), and a block whose body no longer matches
+    its checksum is re-stamped: the body as it stands becomes the
+    sealed one, and its records and local view are derived anew from
+    it. A block with no healthy replica at all is reported as lost —
+    fsck cannot invent data. A block's local index is derived from its
+    body, so there is none to check.
 
     ``checkpoint_dir`` extends the walk to a crash-recovery journal
     (see :mod:`repro.mapreduce.checkpoint`): a corrupt manifest, a
@@ -417,37 +418,26 @@ def run_fsck(
 
 
 def _check_block(name, index, block, storage, repair, report) -> int:
-    """Payload checksum + per-replica health for one block."""
-    from repro.mapreduce.columnar import ColumnarPayload, crc, encode
+    """Body checksum + per-replica health for one block."""
+    from repro.mapreduce.columnar import crc, encode
 
     corrupt_seen = 0
     stored = block.checksum
-    # The body rebuilt fresh from the current records (columns plus any
-    # attribute column for homogeneous blocks, the records by value
-    # otherwise) so in-place mutation is detected either way.
-    payload = ColumnarPayload.from_records(block.records)
-    actual = crc(*encode(block.records if payload is None else payload))
-    # The columns the kernels read, as they stand: damage to them shows
-    # even while the records still match the stamp.
-    columns = actual if block.columnar is None else block.columnar.checksum()
-    if stored != actual or columns != actual:
+    payload = block.columnar and block.columnar.current()
+    actual = crc(*encode(payload or block.records))
+    if stored != actual:
         if repair:
-            # Records are the truth: the block's body is re-derived.
             block.checksum = actual
             block.columnar = payload
-        data = {"stored": stored, "actual": actual}
-        message = f"stored payload CRC {stored} != recomputed {actual}"
-        if stored == actual:
-            data["columns"] = columns
-            message = f"payload columns CRC {columns} != recomputed {actual}"
+            block.drop_views()
         report.issues.append(
             FsckIssue(
                 file=name,
                 block=index,
                 code="checksum-mismatch",
-                message=message,
+                message=f"stored payload CRC {stored} != recomputed {actual}",
                 repaired=repair,
-                data=data,
+                data={"stored": stored, "actual": actual},
             )
         )
     healthy = storage.healthy_replicas(block)

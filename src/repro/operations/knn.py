@@ -31,6 +31,7 @@ from repro.geometry import Point
 from repro.geometry import vectorized
 from repro.index.rtree import block_columns
 from repro.mapreduce import Counter, Job, JobResult, JobRunner
+from repro.mapreduce.columnar import _phase
 from repro.observe.plan import PlanNode, estimate_job_cost
 
 #: kNN answers are (distance, record) pairs sorted by distance.
@@ -48,9 +49,10 @@ def _block_topk(block, ctx):
     if local is not None:
         found = local.nearest(query, k, bound)
     else:
-        found = vectorized.nearest_rows(
-            block_columns(block), query.x, query.y, k, bound
-        )
+        columns = block_columns(block)
+        with _phase("kernel"):
+            found = vectorized.nearest_rows(columns, query.x, query.y, k,
+                                            bound)
     return (ctx.split.block_index, *found)
 
 

@@ -39,9 +39,9 @@ def _thaw(records: List[Any], rows) -> Any:
 def _origin_records(blocks: List[Block], origin) -> List[Any]:
     """The records an SJMR origin (``(block, offsets)`` parts) lists."""
     return [
-        blocks[block].records[offset]
+        record
         for block, offsets in origin
-        for offset in offsets.tolist()
+        for record in _thaw(blocks[block].records, offsets)
     ]
 
 

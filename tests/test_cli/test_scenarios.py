@@ -9,6 +9,12 @@ must be refused on one ``error:`` line. Every verb is its own ``python
 between every step; the polygon variant carries the record-path CRC
 (polygon blocks have no columns) across those boundaries too.
 
+The chaos smoke runs one workflow -- two indexed files, a range query
+and a spatial join -- fault-free and then with two pool workers under
+task crashes and a worker kill, from ``REPRO_FAULTS``; the faulted
+answers must equal the fault-free ones, and ``history`` must record the
+retried attempts.
+
 The trace scenario runs an indexed range query on a 50 000-point index
 with ``--trace`` and checks the JSONL trace and its Chrome export.
 
@@ -32,9 +38,12 @@ SRC = str(ROOT / "src")
 WINDOW = "0,0,2e5,2e5"
 
 
-def repro(cwd, *argv):
-    """Run ``python -m repro -w ws.pkl ...`` in ``cwd``."""
+def repro(cwd, *argv, faults=None):
+    """Run ``python -m repro -w ws.pkl ...`` in ``cwd``, with
+    ``REPRO_FAULTS`` set to ``faults`` (unset when None)."""
     env = {k: v for k, v in os.environ.items() if k != "REPRO_FAULTS"}
+    if faults is not None:
+        env["REPRO_FAULTS"] = faults
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -96,6 +105,53 @@ def test_a_flipped_workspace_byte_fails_cleanly(damaged):
     assert "error:" in proc.stderr
     assert "checksum" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+#: Crashed map and reduce attempts, a killed pool worker and a seeded
+#: background crash rate: every one must be retried transparently.
+CHAOS_FAULTS = ("seed:11,kill:map:1,crash:map:0,crash:map:2,"
+                "crash:reduce:0,random:crash:0.05:7")
+
+
+@pytest.fixture(scope="module")
+def chaos_smoke(tmp_path_factory):
+    """The same workflow fault-free and under :data:`CHAOS_FAULTS` with
+    ``--workers 2``: ``{run: (range answer, sjoin answer, history)}``."""
+    cwd = tmp_path_factory.mktemp("scenario-chaos")
+    runs = {}
+    for run, flags, faults in (("clean", [], None),
+                               ("chaos", ["--workers", "2"], CHAOS_FAULTS)):
+        def verb(*argv):
+            return repro(cwd, "-w", f"{run}.pkl", *flags, *argv,
+                         faults=faults)
+
+        for argv in (
+            ["generate", "pts", "--n", "30000"],
+            ["index", "pts", "idx", "--technique", "str"],
+            ["generate", "other", "--n", "8000", "--shape", "rect",
+             "--seed", "3"],
+            ["index", "other", "oidx", "--technique", "grid"],
+        ):
+            proc = verb(*argv)
+            assert proc.returncode == 0, proc.stderr
+        runs[run] = (
+            answer(verb("rangequery", "idx", "--window", WINDOW)),
+            answer(verb("sjoin", "idx", "oidx")),
+            answer(repro(cwd, "-w", f"{run}.pkl", "history", faults=faults)),
+        )
+    return runs
+
+
+def test_chaos_smoke_answers_equal_the_fault_free_run(chaos_smoke):
+    clean, chaos = chaos_smoke["clean"], chaos_smoke["chaos"]
+    assert clean[0] and chaos[0] == clean[0]
+    assert clean[1] and chaos[1] == clean[1]
+
+
+def test_chaos_smoke_history_records_the_retried_attempts(chaos_smoke):
+    history = "\n".join(chaos_smoke["chaos"][2])
+    assert "fault summary:" in history
+    assert "attempts (" in history
 
 
 #: Task crashes retry transparently, the corrupt replica fails over,

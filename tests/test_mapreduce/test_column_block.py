@@ -1,10 +1,12 @@
 """The block wire format: how a sealed block reaches a pool worker.
 
-The pool pickles with ``multiprocessing``'s ``ForkingPickler``; the
-reducer registered in :mod:`repro.mapreduce.columnar` sends a block with
-a columnar payload as a :class:`ColumnBlock` (columns and metadata) and
-every other block as plain pickle does. No block carries its local
-index: a worker derives it from the columns, as the driver does.
+The pool pickles with ``multiprocessing``'s ``ForkingPickler``, which
+pickles a :class:`Block` as plain pickle does. A block with a columnar
+payload pickles as that payload, its metadata, checksum and replica
+map, without its records: the shipped block stands in for the driver's
+and thaws its records from the columns only when a map function reads
+them. No block carries its local index: a worker derives it from the
+columns, as the driver does.
 """
 
 import pickle
@@ -19,7 +21,6 @@ from repro.datagen.shapes import generate_rectangles
 from repro.geometry import Point, Rectangle
 from repro.index.rtree import local_index
 from repro.mapreduce import Counter, Job
-from repro.mapreduce.columnar import ColumnBlock
 from repro.mapreduce.fs import Block
 from repro.mapreduce.runtime import _run_task
 from repro.mapreduce.types import InputSplit
@@ -52,18 +53,25 @@ def ship(obj):
     return pickle.loads(ForkingPickler.dumps(obj))
 
 
+def thawed(block):
+    """Whether ``block`` holds its records (a payload block thaws them
+    on first read)."""
+    return "records" in vars(block)
+
+
 class TestForkingPickler:
     def test_eligible_blocks_become_stand_ins(self):
         sh = build_system()
         for name in ("pts", "pts_idx", "rects", "rects_idx"):
             for block in sh.fs.get(name).blocks:
                 clone = ship(block)
-                assert isinstance(clone, ColumnBlock), name
+                assert type(clone) is Block, name
                 # Neither records nor the tree were pickled.
-                assert clone._records is None and clone.local_view is None
+                assert not thawed(clone) and clone.local_view is None
                 assert clone.columnar.kind == block.columnar.kind
                 assert len(clone) == len(block)
-                assert type(block) is Block  # the original is untouched
+                assert not thawed(clone)  # len reads the payload
+                assert thawed(block)  # the original is untouched
 
     def test_non_columnar_blocks_pass_through(self):
         sh = build_system()
@@ -88,7 +96,7 @@ class TestForkingPickler:
         ])
         for block in sh.fs.get("features").blocks:
             clone = ship(block)
-            assert isinstance(clone, ColumnBlock)
+            assert not thawed(clone)
             assert clone.columnar.attributes == block.columnar.attributes
             assert clone.records == block.records
             assert [f.attributes for f in clone.records] == [
@@ -147,13 +155,13 @@ class TestColumnBlock:
         local_index(block)  # a derived view is never pickled
         assert pickle.loads(pickle.dumps(block)).local_view is None
         assert ship(block).local_view is None
-        fat = len(pickle.dumps(block))
-        thin = len(ForkingPickler.dumps(block))
-        # The shipped block is its columns (16 bytes per point) plus the
-        # metadata; the plain pickle adds the records (about 28 bytes per
-        # point for this 100-point block).
-        assert thin < block.columnar.nbytes + 256
-        assert thin < fat / 2
+        # The workspace's pickle and the pool's are the columns (16 bytes
+        # per point) plus the metadata, checksum and replica map; neither
+        # carries the records (about 28 bytes more per point for this
+        # 100-point block).
+        for raw in (pickle.dumps(block), ForkingPickler.dumps(block)):
+            assert len(raw) < block.columnar.nbytes + 512
+            assert b"repro.geometry.point" not in bytes(raw)
 
 
 @pytest.mark.usefixtures("pool_pinned")
@@ -204,7 +212,7 @@ class TestMapTaskReadsItsBlock:
                   config={"query": WINDOW, "dedup": False})
         for i, block in enumerate(sh.fs.get(name).blocks):
             shipped = ship(block)
-            assert isinstance(shipped, ColumnBlock) == (name != "polys")
+            assert (shipped.columnar is None) == (name == "polys")
             counts = []
             for form in (block, shipped):
                 split = InputSplit(file=name, block_index=i, block=form,
@@ -214,8 +222,8 @@ class TestMapTaskReadsItsBlock:
                 assert result.records_in == len(block)
                 counts.append(result.emitted)
             assert counts[0] == counts[1]
-            if isinstance(shipped, ColumnBlock):
-                assert shipped._records is None
+            if shipped.columnar is not None:
+                assert not thawed(shipped)
                 # The count masked the payload's own columns: no leaves.
                 assert all(a is b for a, b in zip(
                     shipped.local_view[1], shipped.columnar.mbr_columns()))

@@ -5,7 +5,7 @@ import zlib
 from array import array
 
 from repro.geometry import Point, Rectangle
-from repro.index.rtree import block_columns, mbr_columns
+from repro.index.rtree import block_columns
 from repro.mapreduce import Block, FileSystem
 from repro.mapreduce.columnar import (
     ColumnarPayload,
@@ -121,14 +121,15 @@ class TestStorageAdoption:
     def test_fsck_still_detects_mutation(self):
         fs = self.build_fs()
         block = fs.get("pts").blocks[0]
-        block.records[0] = Point(-999.0, -999.0)
+        # The payload is the body: damage to its columns is damage.
+        block.columnar.columns[0][0] = -999.0
         report = run_fsck(fs)
         assert not report.healthy
 
 
 class TestPayloadOf:
     """Which body a block's derived MBR columns come from: its payload
-    while the payload matches the records, else the records."""
+    when it has one, else the records."""
 
     def make_block(self):
         return Block(
@@ -141,15 +142,6 @@ class TestPayloadOf:
         cols = block_columns(block)
         assert block.local_view[0] is block.columnar
         assert all(a is b for a, b in zip(cols, block.columnar.mbr_columns()))
-
-    def test_none_when_stale(self):
-        block = self.make_block()
-        block.records.append(Point(0.0, 0.0))
-        cols = block_columns(block)
-        assert block.local_view[0] is block.records
-        assert [c.tolist() for c in cols] == [
-            c.tolist() for c in mbr_columns(block.records)
-        ]
 
     def test_none_without_payload(self):
         block = Block(records=list(POINTS))

@@ -174,7 +174,7 @@ class TestFsck:
         assert report.count("lost-block") == 1
         assert not report.healthy
 
-    def test_damaged_entry_columns_are_rebuilt_from_the_records(self):
+    def test_damaged_entry_columns_are_detected_and_restamped(self):
         from repro.core.system import SpatialHadoop
         from repro.datagen import generate_points
         from repro.geometry import Rectangle
@@ -186,21 +186,24 @@ class TestFsck:
         block = sh.fs.get("idx").blocks[0]
         sealed_crc = block.checksum
         # The local index is a view of the payload's columns: damage to
-        # them is damage to the body the kernels read, and only the
-        # records are true.
+        # them is damage to the block's one body.
         tree = local_index(block)
         assert tree.columns[0] is block.columnar.columns[0]
         tree.columns[0][0] -= 2e5
         report = run_fsck(sh.fs)
         assert report.count("checksum-mismatch") == 1
-        assert report.issues[0].data["stored"] == sealed_crc
+        assert report.issues[0].data == {
+            "stored": sealed_crc, "actual": block.columnar.checksum(),
+        }
         assert run_fsck(sh.fs, repair=True).healthy
-        assert block.checksum == sealed_crc
-        assert block.columnar.columns[0][0] == block.records[0].x
-        tree = local_index(block)  # derived anew from the repaired payload
+        # The repair re-stamps the body as it stands; the records and the
+        # local index are derived from it anew.
+        assert block.checksum == block.columnar.checksum() != sealed_crc
+        assert block.records[0].x == block.columnar.columns[0][0]
+        tree = local_index(block)
         assert tree.columns[0][0] == block.records[0].x
         everything = Rectangle(-1e9, -1e9, 1e9, 1e9)
-        assert tree.search(everything) == list(range(len(block.records)))
+        assert tree.search(everything) == list(range(len(block)))
         assert run_fsck(sh.fs).healthy
 
     def test_repairs_corrupt_global_index_checksum(self):

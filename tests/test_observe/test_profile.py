@@ -146,3 +146,21 @@ class TestJobIntegration:
         assert profile_gauges
         assert all(is_volatile(g) for g in profile_gauges)
         assert all(g.endswith("_s") for g in profile_gauges)
+
+    def test_profiled_knn_records_its_probe_and_kernel(self):
+        """kNN time has a phase: the local-index walk on an indexed file
+        is ``map/rtree-probe``, the scan ranking on a heap file is
+        ``map/kernel``."""
+        from repro.core.system import SpatialHadoop
+        from repro.datagen import generate_points
+        from repro.geometry import Point
+
+        sh = SpatialHadoop(num_nodes=4, block_capacity=500)
+        sh.load("pts", generate_points(2000, "uniform", seed=3))
+        sh.index("pts", "idx", technique="str")
+        sh.enable_profiling()
+        query = Point(4e5, 6e5)
+        indexed = sh.knn("idx", query, 7).jobs[0].phase_profile
+        assert "map/rtree-probe" in indexed, sorted(indexed)
+        heap = sh.knn("pts", query, 7).jobs[0].phase_profile
+        assert "map/kernel" in heap, sorted(heap)

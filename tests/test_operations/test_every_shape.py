@@ -4,9 +4,9 @@ Points, rectangles and polygons, bare and as Features, each as a heap
 file and as an ``str+`` index: every operation answers, or raises
 :class:`~repro.operations.common.ShapeError`, or (on a heap file) the
 typed "not spatially indexed" ``ValueError``, and two pinned pool
-workers give the serial outcome. Map tasks read their block, a
-``Block`` in the driver and a ``ColumnBlock`` on a worker, so this runs
-every map function on both.
+workers give the serial outcome. Map tasks read their block: a live
+``Block`` in the driver, and on a worker a shipped one that holds its
+payload without its records, so this runs every map function on both.
 """
 
 import pytest
