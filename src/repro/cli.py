@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 from pathlib import Path
@@ -97,11 +98,13 @@ from repro.serve import Overloaded, ServiceConfig, parse_quota_spec
 
 #: Exit codes for interrupted runs (sysexits / shell conventions):
 #: an injected driver crash, a blown ``--deadline`` (mirrors
-#: ``timeout(1)``), signal cancellation (``128 + signum``), and a
+#: ``timeout(1)``), signal cancellation (``128 + signum``), a reader that
+#: closed stdout (``128 + SIGPIPE``, as a tool the signal ends) and a
 #: request shed by service admission control (EX_TEMPFAIL: retry later).
 EXIT_DRIVER_CRASH = 70
 EXIT_DEADLINE = 124
 EXIT_SIGINT = 130
+EXIT_SIGPIPE = 141
 EXIT_OVERLOADED = 75
 
 
@@ -680,10 +683,25 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     # re-run bit-identical: committed waves replay from the checkpoint,
     # only the missing ones execute, and already-fired driver faults
     # stay fired.
-    return main(manager.argv, _resume=str(directory))
+    return _main(manager.argv, _resume=str(directory))
 
 
-def main(
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run one CLI invocation; returns its exit code."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``repro ... | head``): stop as a tool
+        # that SIGPIPE ends would, without a traceback and without saving
+        # the workspace. Point stdout at /dev/null so the interpreter's
+        # last flush of what is still buffered cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_SIGPIPE
+    return code
+
+
+def _main(
     argv: Optional[List[str]] = None, _resume: Optional[str] = None
 ) -> int:
     original_argv = list(argv) if argv is not None else list(sys.argv[1:])

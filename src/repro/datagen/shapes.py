@@ -6,7 +6,15 @@ import math
 import random
 from typing import List
 
-from repro.datagen.points import DEFAULT_SPACE, DISTRIBUTIONS
+import numpy as np
+
+from repro.datagen.points import (
+    DEFAULT_SPACE,
+    _exact,
+    _scaled,
+    chunked,
+    sampler_for,
+)
 from repro.geometry import Point, Polygon, Rectangle
 
 
@@ -20,29 +28,37 @@ def generate_rectangles(
     """``n`` seeded rectangles with centres from the named distribution.
 
     ``avg_side_fraction`` controls the mean rectangle side as a fraction of
-    the space extent, which directly controls join selectivity.
+    the space extent, which directly controls join selectivity. Each
+    record draws its centre, then its width and height (the sampler's two
+    extras), and is clipped to ``space``; the values are the per-record
+    draw's, bit for bit (see :func:`repro.datagen.generate_points`).
     """
-    try:
-        sampler = DISTRIBUTIONS[distribution]
-    except KeyError:
-        raise ValueError(f"unknown distribution {distribution!r}") from None
-    rng = random.Random(seed)
     max_w = space.width * avg_side_fraction * 2
     max_h = space.height * avg_side_fraction * 2
-    out: List[Rectangle] = []
-    for _ in range(n):
-        c = sampler(rng, space)
-        w = rng.uniform(0, max_w)
-        h = rng.uniform(0, max_h)
-        out.append(
-            Rectangle(
-                max(space.x1, c.x - w / 2),
-                max(space.y1, c.y - h / 2),
-                min(space.x2, c.x + w / 2),
-                min(space.y2, c.y + h / 2),
-            )
+
+    def build(xs, ys, more):
+        half_w = _scaled(more[:, 0], 0, max_w) / 2
+        half_h = _scaled(more[:, 1], 0, max_h) / 2
+        return map(
+            Rectangle,
+            _at_least(xs - half_w, space.x1).tolist(),
+            _at_least(ys - half_h, space.y1).tolist(),
+            _at_most(xs + half_w, space.x2).tolist(),
+            _at_most(ys + half_h, space.y2).tolist(),
         )
-    return out
+
+    return chunked(sampler_for(distribution), random.Random(seed), space, n,
+                   2, build)
+
+
+def _at_least(v: np.ndarray, lo: float) -> np.ndarray:
+    """``max(lo, v)`` per value: ``lo`` itself unless ``v`` exceeds it."""
+    return np.where(v > lo, v, _exact(lo))
+
+
+def _at_most(v: np.ndarray, hi: float) -> np.ndarray:
+    """``min(hi, v)`` per value: ``hi`` itself unless ``v`` is below it."""
+    return np.where(v < hi, v, _exact(hi))
 
 
 def generate_polygons(
@@ -60,17 +76,15 @@ def generate_polygons(
     point, guaranteeing a simple (non self-intersecting) shell — the same
     construction the SpatialHadoop generator uses for parcel data.
     """
-    try:
-        sampler = DISTRIBUTIONS[distribution]
-    except KeyError:
-        raise ValueError(f"unknown distribution {distribution!r}") from None
+    sampler = sampler_for(distribution)
     if min_vertices < 3 or max_vertices < min_vertices:
         raise ValueError("need max_vertices >= min_vertices >= 3")
     rng = random.Random(seed)
     base_radius = min(space.width, space.height) * avg_radius_fraction
     out: List[Polygon] = []
     while len(out) < n:
-        c = sampler(rng, space)
+        xs, ys, _ = sampler(rng, space, 1, 0)
+        (cx,), (cy,) = xs.tolist(), ys.tolist()
         k = rng.randint(min_vertices, max_vertices)
         angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(k))
         # Angle-sorted vertices give a star-shaped (hence simple) polygon
@@ -82,8 +96,8 @@ def generate_polygons(
             continue
         shell = [
             Point(
-                c.x + rng.uniform(0.5, 1.0) * base_radius * math.cos(a),
-                c.y + rng.uniform(0.5, 1.0) * base_radius * math.sin(a),
+                cx + rng.uniform(0.5, 1.0) * base_radius * math.cos(a),
+                cy + rng.uniform(0.5, 1.0) * base_radius * math.sin(a),
             )
             for a in angles
         ]

@@ -15,6 +15,11 @@ task crashes and a worker kill, from ``REPRO_FAULTS``; the faulted
 answers must equal the fault-free ones, and ``history`` must record the
 retried attempts.
 
+The channel scenario builds one workspace twice, serially and with
+``--workers 2``, with every observability channel armed; the normalized
+trace of each command, the event log and the scrape log must not depend
+on the backend.
+
 The trace scenario runs an indexed range query on a 50 000-point index
 with ``--trace`` and checks the JSONL trace and its Chrome export.
 
@@ -32,6 +37,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.mapreduce.executor import WORKERS_ENV_VAR
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = str(ROOT / "src")
@@ -256,3 +263,85 @@ def test_trace_smoke_trace_parses_and_is_not_empty(trace_smoke):
     assert {"job", "wave", "task", "operation"} <= kinds, kinds
     chrome = json.loads((trace_smoke / "trace.chrome.json").read_text())
     assert chrome["traceEvents"], "Chrome trace is empty"
+
+
+#: The channel scenario's commands, run in this order in each mode.
+CHANNEL_COMMANDS = (
+    ["generate", "pts", "--n", "30000"],
+    ["index", "pts", "idx", "--technique", "str"],
+    ["generate", "other", "--n", "8000", "--shape", "rect", "--seed", "3"],
+    ["index", "other", "oidx", "--technique", "grid"],
+    ["rangequery", "idx", "--window", WINDOW],
+    ["sjoin", "idx", "oidx"],
+    ["knn", "idx", "--point", "5e5,5e5", "--k", "20"],
+    ["--faults", "crash:map:0,corruptblock:idx:0:0",
+     "rangecount", "idx", "--window", "0,0,6e5,6e5"],
+)
+
+
+@pytest.fixture(scope="module")
+def channels(tmp_path_factory):
+    """:data:`CHANNEL_COMMANDS` serially and with ``--workers 2``, every
+    channel armed: ``(directory, {mode: normalized event log})``; the
+    traces are ``eq-<mode>-<i>.jsonl``, the scrapes
+    ``eq-<mode>-scrapes.jsonl``."""
+    cwd = tmp_path_factory.mktemp("scenario-channels")
+    logs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        # "serial" is the backend a plain shell gets.
+        patch.delenv(WORKERS_ENV_VAR, raising=False)
+        for mode, workers in (("serial", []),
+                              ("parallel", ["--workers", "2"])):
+            for i, argv in enumerate(CHANNEL_COMMANDS, 1):
+                proc = repro(
+                    cwd, "-w", f"eq-{mode}.pkl", *workers,
+                    "--trace", f"eq-{mode}-{i}.jsonl", "--log-level", "debug",
+                    "--telemetry", f"eq-{mode}-scrapes.jsonl", "--profile",
+                    "--progress", *argv,
+                )
+                assert proc.returncode == 0, proc.stderr
+            proc = repro(cwd, "-w", f"eq-{mode}.pkl",
+                         "logs", "--normalize", "--format", "json")
+            assert proc.returncode == 0, proc.stderr
+            logs[mode] = proc.stdout
+    return cwd, logs
+
+
+def test_channels_event_log_does_not_depend_on_the_backend(channels):
+    _, logs = channels
+    assert logs["serial"] and logs["parallel"] == logs["serial"]
+
+
+def test_channels_scrape_log_does_not_depend_on_the_backend(channels):
+    cwd, _ = channels
+    serial, parallel = ((cwd / f"eq-{mode}-scrapes.jsonl").read_bytes()
+                        for mode in ("serial", "parallel"))
+    assert serial and parallel == serial
+
+
+def test_channels_traces_normalize_equal(channels):
+    from repro.observe.trace import normalize_events, read_jsonl
+
+    cwd, _ = channels
+    for i in range(1, len(CHANNEL_COMMANDS) + 1):
+        serial, parallel = (
+            normalize_events(read_jsonl(cwd / f"eq-{mode}-{i}.jsonl"))
+            for mode in ("serial", "parallel")
+        )
+        assert serial == parallel, f"command {i}: traces differ"
+
+
+@pytest.mark.parametrize("argv", [["ls"], ["info", "idx"]])
+def test_a_closed_stdout_ends_the_verb_quietly(trace_smoke, argv):
+    """``repro ... | head``: the reader is gone before the verb prints."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "-w", "ws.pkl", *argv],
+        cwd=trace_smoke, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 141, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
